@@ -8,6 +8,7 @@ CSV files and a manifest. Exit codes are a stable contract: 0 success,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import os
@@ -20,6 +21,7 @@ from .consensus import ConsensusError, TopologyError, save_edge_list
 from .model import Scenario, SolverConfig, make_scenario
 from .montecarlo import (
     Scheme,
+    _fmt,
     powers_for_scheme,
     roc_curve,
     run_trials,
@@ -29,7 +31,7 @@ from .montecarlo import (
     write_results_csv,
 )
 from .quantize import specs_for_allocation
-from .solver_central import NoSignalError, solve_centralized
+from .solver_central import BisectionError, NoSignalError, solve_centralized
 from .solver_dist import ConvergenceError, solve_distributed, write_trace_csv
 
 SCHEMA_VERSION = 1
@@ -40,16 +42,7 @@ class ConfigError(ValueError):
     """Config file is missing, malformed, or fails validation."""
 
 
-_SOLVER_DEFAULTS = {
-    "lambda0_init": 1e-8,
-    "kappa": 1e-7,
-    "step_rule": "diminishing",
-    "consensus_tol": 1e-10,
-    "consensus_max_iter": 20000,
-    "outer_max_iter": 100000,
-    "consensus_mode": "oracle",
-    "consensus_window": 5,
-}
+_SOLVER_DEFAULTS = {f.name: f.default for f in dataclasses.fields(SolverConfig)}
 
 _DETECT_DEFAULTS = {
     "trials": 10000,
@@ -161,11 +154,8 @@ def validate_config(raw: dict) -> dict:
                         for k, v in solver.items()})
     except (ValueError, TypeError) as e:
         raise ConfigError(f"field 'solver': {e}") from e
-    for k in ("lambda0_init", "kappa", "consensus_tol"):
-        solver[k] = float(solver[k])
-    for k in ("consensus_max_iter", "outer_max_iter", "consensus_window"):
-        solver[k] = int(solver[k])
-    cfg["solver"] = solver
+    cfg["solver"] = {k: type(d)(solver[k]) if isinstance(d, (int, float)) else solver[k]
+                     for k, d in _SOLVER_DEFAULTS.items()}
 
     detect = dict(_DETECT_DEFAULTS)
     _expect(isinstance(cfg["detect"], dict), "field 'detect' must be an object")
@@ -235,7 +225,7 @@ def _write_manifest(outdir: str, cfg: dict, command: str, outputs: list[str],
     try:
         pkg_version = version("distdetect")
     except PackageNotFoundError:
-        pkg_version = "unknown"
+        from . import __version__ as pkg_version
     for name in outputs:
         path = os.path.join(outdir, name)
         if not (os.path.exists(path) and os.path.getsize(path) > 0):
@@ -256,16 +246,6 @@ def _write_manifest(outdir: str, cfg: dict, command: str, outputs: list[str],
     return path
 
 
-def _fmt(v) -> str:
-    if v is None:
-        return ""
-    if isinstance(v, bool):
-        return "1" if v else "0"
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
-
-
 def write_allocation_csv(path, scenario: Scenario, p_central, p_distributed) -> None:
     """Columns: i,h_i,sigma2_i,xi_i,p_central,p_distributed,bits_real,bits_int,censored.
 
@@ -273,12 +253,13 @@ def write_allocation_csv(path, scenario: Scenario, p_central, p_distributed) -> 
     the distributed ones.
     """
     basis = p_central if p_central is not None else p_distributed
-    specs = specs_for_allocation(np.asarray(basis), scenario.h(), scenario.zeta(), scenario.U)
+    specs = specs_for_allocation(np.asarray(basis), scenario.h, scenario.zeta, scenario.U)
+    columns = zip(scenario.h.tolist(), scenario.sigma2.tolist(), scenario.xi.tolist())
     with open(path, "w") as fh:
         fh.write("i,h_i,sigma2_i,xi_i,p_central,p_distributed,bits_real,bits_int,censored\n")
-        for i, s in enumerate(scenario.sensors):
+        for i, (h, sigma2, xi) in enumerate(columns):
             row = [
-                str(i), _fmt(s.h), _fmt(s.sigma2), _fmt(s.xi),
+                str(i), _fmt(h), _fmt(sigma2), _fmt(xi),
                 _fmt(None if p_central is None else float(p_central[i])),
                 _fmt(None if p_distributed is None else float(p_distributed[i])),
                 _fmt(specs[i].bits_real), str(specs[i].bits_int),
@@ -346,8 +327,7 @@ def cmd_detect(args) -> int:
             raise ConfigError("sweep 'pt' needs a nonempty 'detect.pt_grid'")
         scenario = scenario_from_config(cfg)
         diag: list = []
-        ests = sweep_budget(scenario, schemes, detect["pt_grid"], trials,
-                            workers=args.workers, diagnostics=diag)
+        ests = sweep_budget(scenario, schemes, detect["pt_grid"], trials, diagnostics=diag)
         rows = [(e, scenario.N, scenario.M) for e in ests]
         write_results_csv(os.path.join(outdir, "results_pt.csv"), rows)
         outputs.append("results_pt.csv")
@@ -364,7 +344,7 @@ def cmd_detect(args) -> int:
                 powers = powers_for_scheme(scenario, scheme)
                 weights = weights_for_scheme(scenario, scheme, powers)
                 for e in roc_curve(scenario, powers, weights, scheme,
-                                   detect["pfa_grid"], trials, workers=args.workers):
+                                   detect["pfa_grid"], trials):
                     rows.append((e, n, scenario.M))
         write_results_csv(os.path.join(outdir, "results_pfa.csv"), rows)
         outputs.append("results_pfa.csv")
@@ -377,8 +357,7 @@ def cmd_detect(args) -> int:
             for scheme in schemes:
                 powers = powers_for_scheme(scenario, scheme)
                 weights = weights_for_scheme(scenario, scheme, powers)
-                e = run_trials(scenario, powers, weights, scheme, trials,
-                               workers=args.workers)
+                e = run_trials(scenario, powers, weights, scheme, trials)
                 rows.append((e, n, scenario.M))
         write_results_csv(os.path.join(outdir, "results_n.csv"), rows)
         outputs.append("results_n.csv")
@@ -435,7 +414,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_det.add_argument("config")
     p_det.add_argument("--sweep", choices=("pt", "pfa", "n"), required=True)
     p_det.add_argument("--trials", type=int, default=None, help="override config trial count")
-    p_det.add_argument("--workers", type=int, default=1)
     p_det.add_argument("--out", default=None)
     p_det.set_defaults(func=cmd_detect)
 
@@ -454,7 +432,7 @@ def main(argv=None) -> int:
     except (ConfigError, TopologyError, NoSignalError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except (ConvergenceError, ConsensusError) as e:
+    except (ConvergenceError, ConsensusError, BisectionError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
 

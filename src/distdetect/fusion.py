@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import special
 
-from .model import Scenario
+from .model import Scenario, StatisticMoments, statistic_moments
 from .quantize import quant_noise_var
 
 
@@ -144,11 +144,12 @@ def combined_moments(
     xi = np.asarray(xi, dtype=float)
     alpha = np.asarray(alpha, dtype=float)
     noise_var = np.asarray(noise_var, dtype=float)
+    mom = StatisticMoments.energy(n, sigma2, xi)
     a2 = alpha * alpha
-    mean_h0 = float(np.sum(alpha * (n * sigma2 + u)))
-    mean_h1 = float(np.sum(alpha * (n * sigma2 * (1.0 + xi) + u)))
-    var_h0 = float(np.sum(a2 * (2.0 * n * sigma2 ** 2 + noise_var)))
-    var_h1 = float(np.sum(a2 * (2.0 * n * sigma2 ** 2 * (1.0 + 2.0 * xi) + noise_var)))
+    mean_h0 = float(np.sum(alpha * (mom.mean_h0 + u)))
+    mean_h1 = float(np.sum(alpha * (mom.mean_h1 + u)))
+    var_h0 = float(np.sum(a2 * (mom.var_h0 + noise_var)))
+    var_h1 = float(np.sum(a2 * (mom.var_h1 + noise_var)))
     psi = float(n * np.sum(alpha * sigma2 * xi))
     return FusionMoments(mean_h0, var_h0, mean_h1, var_h1, psi,
                          mean_offset=float(u * np.sum(alpha)))
@@ -168,12 +169,9 @@ def fusion_moments(scenario: Scenario, weights: FusionWeights, powers: np.ndarra
     censored = p == 0.0
     if np.any(a[censored] != 0.0):
         raise ValueError("censored sensors must have weight 0")
-    noise_var = np.array([
-        quant_noise_var(float(pi), s.h, s.zeta, scenario.U)
-        for pi, s in zip(p, scenario.sensors)
-    ])
+    noise_var = quant_noise_var(p, scenario.h, scenario.zeta, scenario.U)
     alpha = np.where(censored, 0.0, a)
-    return combined_moments(scenario.N, scenario.sigma2(), scenario.xi(),
+    return combined_moments(scenario.N, scenario.sigma2, scenario.xi,
                             alpha, noise_var, scenario.U)
 
 
@@ -226,15 +224,10 @@ def deflection_inputs(scenario: Scenario, powers: np.ndarray) -> DeflectionInput
     if p.size != scenario.M:
         raise ValueError("powers must have one entry per sensor")
     n = scenario.N
-    sigma2 = scenario.sigma2()
-    xi = scenario.xi()
-    noise_var = np.array([
-        quant_noise_var(float(pi), s.h, s.zeta, scenario.U)
-        for pi, s in zip(p, scenario.sensors)
-    ])
-    b = n * sigma2 * xi
-    r = 2.0 * n * sigma2 ** 2 * (1.0 + 2.0 * xi) + noise_var
-    return DeflectionInputs(b=b, R_diag=r, censored=(p == 0.0))
+    noise_var = quant_noise_var(p, scenario.h, scenario.zeta, scenario.U)
+    return DeflectionInputs(b=n * scenario.sigma2 * scenario.xi,
+                            R_diag=statistic_moments(scenario, n).var_h1 + noise_var,
+                            censored=(p == 0.0))
 
 
 def matched_filter_statistic(x: np.ndarray, sensor) -> np.ndarray | float:
@@ -257,28 +250,19 @@ def matched_filter_weights(scenario: Scenario, powers: np.ndarray) -> FusionWeig
     p = np.asarray(powers, dtype=float)
     if p.size != scenario.M:
         raise ValueError("powers must have one entry per sensor")
-    alpha = np.zeros(scenario.M)
-    for i, s in enumerate(scenario.sensors):
-        if p[i] == 0.0:
-            continue
-        es = float(np.sum(s.signal ** 2))
-        nv = quant_noise_var(float(p[i]), s.h, s.zeta, scenario.U)
-        alpha[i] = es / (s.sigma2 * es + nv)
-    return FusionWeights(alpha)
+    mom = StatisticMoments.matched(scenario.sigma2, scenario.es)
+    nv = quant_noise_var(p, scenario.h, scenario.zeta, scenario.U)
+    return FusionWeights(np.where(p == 0.0, 0.0, mom.mean_h1 / (mom.var_h0 + nv)))
 
 
 def matched_filter_moments(scenario: Scenario, weights: FusionWeights, powers: np.ndarray) -> FusionMoments:
     """Fused matched-filter moments: mean 0 / sum(alpha Es) and equal variances."""
     p = np.asarray(powers, dtype=float)
     a = weights.alpha
-    es = np.array([float(np.sum(s.signal ** 2)) for s in scenario.sensors])
-    sigma2 = scenario.sigma2()
-    noise_var = np.array([
-        quant_noise_var(float(pi), s.h, s.zeta, scenario.U)
-        for pi, s in zip(p, scenario.sensors)
-    ])
+    mom = StatisticMoments.matched(scenario.sigma2, scenario.es)
+    noise_var = quant_noise_var(p, scenario.h, scenario.zeta, scenario.U)
     alpha = np.where(p == 0.0, 0.0, a)
-    var = float(np.sum(alpha ** 2 * (sigma2 * es + noise_var)))
-    psi = float(np.sum(alpha * es))
+    var = float(np.sum(alpha ** 2 * (mom.var_h0 + noise_var)))
+    psi = float(np.sum(alpha * mom.mean_h1))
     return FusionMoments(mean_h0=0.0, var_h0=var, mean_h1=psi, var_h1=var,
                          psi=psi, mean_offset=0.0)

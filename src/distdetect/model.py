@@ -30,13 +30,15 @@ class SensorParams:
     h       reporting channel gain to the fusion center (amplitude)
     zeta    receiver noise power on that reporting channel
     signal  the deterministic signal samples this sensor would see under H1
-    xi      per-sensor SNR, sum(signal^2) / (N * sigma2); derived, never passed
+    es      signal energy sum(signal^2); derived, never passed
+    xi      per-sensor SNR, es / (N * sigma2); derived, never passed
     """
 
     sigma2: float
     h: float
     zeta: float
     signal: np.ndarray
+    es: float = field(init=False)
     xi: float = field(init=False)
 
     def __post_init__(self):
@@ -53,8 +55,10 @@ class SensorParams:
             raise ValueError("signal must be finite")
         sig = sig.copy()
         sig.setflags(write=False)
+        es = float(np.sum(sig * sig))
         object.__setattr__(self, "signal", sig)
-        object.__setattr__(self, "xi", float(np.sum(sig * sig) / (sig.size * self.sigma2)))
+        object.__setattr__(self, "es", es)
+        object.__setattr__(self, "xi", es / (sig.size * self.sigma2))
 
     @property
     def n_samples(self) -> int:
@@ -66,27 +70,54 @@ class SensorParams:
 
 @dataclass(frozen=True)
 class StatisticMoments:
-    """Gaussian-approximation moments of one sensor's energy statistic."""
+    """Gaussian-approximation moments of a sensor's local statistic.
 
-    mean_h0: float
-    var_h0: float
-    mean_h1: float
-    var_h1: float
+    Each field is a float for one sensor or an (M,) array for a whole
+    population, matching what statistic_moments was given.
+    """
+
+    mean_h0: float | np.ndarray
+    var_h0: float | np.ndarray
+    mean_h1: float | np.ndarray
+    var_h1: float | np.ndarray
+
+    @classmethod
+    def energy(cls, n: int, sigma2, xi) -> "StatisticMoments":
+        """Exact chi-square moments from the noise power and SNR.
+
+        Mean N sigma^2 and variance 2 N sigma^4 under H0, inflated by
+        the SNR xi under H1. Elementwise over arrays.
+        """
+        var_h0 = 2.0 * n * np.square(sigma2)
+        return cls(
+            mean_h0=n * sigma2,
+            var_h0=var_h0,
+            mean_h1=n * sigma2 * (1.0 + xi),
+            var_h1=var_h0 * (1.0 + 2.0 * xi),
+        )
+
+    @classmethod
+    def matched(cls, sigma2, es) -> "StatisticMoments":
+        """Moments of the matched-filter statistic x . s from signal energy Es.
+
+        Mean 0 under H0 and Es under H1, variance sigma^2 Es under both.
+        """
+        var = sigma2 * es
+        return cls(mean_h0=np.zeros_like(es), var_h0=var, mean_h1=es, var_h1=var)
 
 
 @dataclass(frozen=True)
 class SolverConfig:
     """Knobs for the distributed dual-ascent solver.
 
-    step_rule "diminishing" is eps_k = lambda0_k / k, with eps_0 =
-    lambda0_0 (the k=0 update needs a step too). consensus_mode picks
-    how the inner averaging loop decides it is done (see
+    The multiplier step is eps_k = lambda0_k / k, with eps_0 = lambda0_0
+    (the k=0 update needs a step too). consensus_mode picks how the
+    inner averaging loop decides it is done (see
     consensus.consensus_average).
     """
 
     lambda0_init: float = 1e-8
     kappa: float = 1e-7
-    step_rule: str = "diminishing"
     consensus_tol: float = 1e-10
     consensus_max_iter: int = 20000
     outer_max_iter: int = 100000
@@ -98,12 +129,16 @@ class SolverConfig:
             raise ValueError("lambda0_init must be positive")
         if self.kappa <= 0:
             raise ValueError("kappa must be positive")
-        if self.step_rule != "diminishing":
-            raise ValueError(f"unknown step_rule {self.step_rule!r}")
         if self.consensus_tol <= 0:
             raise ValueError("consensus_tol must be positive")
         if self.consensus_max_iter < 1 or self.outer_max_iter < 1:
             raise ValueError("iteration limits must be >= 1")
+
+
+def _read_only(values) -> np.ndarray:
+    arr = np.array(values, dtype=float)
+    arr.setflags(write=False)
+    return arr
 
 
 @dataclass(frozen=True)
@@ -114,6 +149,12 @@ class Scenario:
     U     half-range of the quantizer input; statistics are clipped to [0, 2U]
     Pt    total transmit power budget across the network
     Pfa   target false-alarm probability at the fusion center
+
+    The sensor population is also held as read-only arrays named like
+    the SensorParams fields: sigma2, h, zeta, xi, es of shape (M,) and
+    signal of shape (M, N). A Scenario therefore stands in for a
+    SensorParams wherever a per-sensor formula reads those fields, and
+    the formula then runs over the whole population at once.
     """
 
     sensors: tuple[SensorParams, ...]
@@ -124,6 +165,12 @@ class Scenario:
     topology: Graph
     seed: int
     solver: SolverConfig = field(default_factory=SolverConfig)
+    sigma2: np.ndarray = field(init=False, repr=False, compare=False)
+    h: np.ndarray = field(init=False, repr=False, compare=False)
+    zeta: np.ndarray = field(init=False, repr=False, compare=False)
+    xi: np.ndarray = field(init=False, repr=False, compare=False)
+    es: np.ndarray = field(init=False, repr=False, compare=False)
+    signal: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "sensors", tuple(self.sensors))
@@ -144,26 +191,13 @@ class Scenario:
             raise ValueError(
                 f"topology has {self.topology.M} nodes for {len(self.sensors)} sensors"
             )
+        for name in ("sigma2", "h", "zeta", "xi", "es"):
+            object.__setattr__(self, name, _read_only([getattr(s, name) for s in self.sensors]))
+        object.__setattr__(self, "signal", _read_only([s.signal for s in self.sensors]))
 
     @property
     def M(self) -> int:
         return len(self.sensors)
-
-    def sigma2(self) -> np.ndarray:
-        return np.array([s.sigma2 for s in self.sensors])
-
-    def xi(self) -> np.ndarray:
-        return np.array([s.xi for s in self.sensors])
-
-    def h(self) -> np.ndarray:
-        return np.array([s.h for s in self.sensors])
-
-    def zeta(self) -> np.ndarray:
-        return np.array([s.zeta for s in self.sensors])
-
-    def channel_gain(self) -> np.ndarray:
-        """h_i^2 / zeta_i, the quantity power always multiplies."""
-        return np.array([s.h * s.h / s.zeta for s in self.sensors])
 
     def stream(self, *key: str | int) -> np.random.Generator:
         """Deterministic named RNG stream derived from the scenario seed.
@@ -223,22 +257,16 @@ def energy_statistic(x: np.ndarray) -> np.ndarray | float:
     return float(t) if t.ndim == 0 else t
 
 
-def statistic_moments(sensor: SensorParams, n: int) -> StatisticMoments:
+def statistic_moments(sensor, n: int) -> StatisticMoments:
     """Gaussian moments of the energy statistic under both hypotheses.
 
-    Exact chi-square moments: mean N sigma^2 and variance 2 N sigma^4
-    under H0, inflated by the SNR xi under H1.
+    sensor is one SensorParams (float moments) or a Scenario (arrays
+    over its sensors); see StatisticMoments.energy for the formulas.
     """
-    if n != sensor.n_samples:
-        raise ValueError(f"n={n} but sensor signal has {sensor.n_samples} samples")
-    s2 = sensor.sigma2
-    xi = sensor.xi
-    return StatisticMoments(
-        mean_h0=n * s2,
-        var_h0=2.0 * n * s2 * s2,
-        mean_h1=n * s2 * (1.0 + xi),
-        var_h1=2.0 * n * s2 * s2 * (1.0 + 2.0 * xi),
-    )
+    samples = np.shape(sensor.signal)[-1]
+    if n != samples:
+        raise ValueError(f"n={n} but sensor signal has {samples} samples")
+    return StatisticMoments.energy(n, sensor.sigma2, sensor.xi)
 
 
 def calibrate_average_snr(

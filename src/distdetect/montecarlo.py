@@ -40,7 +40,7 @@ from .fusion import (
     optimal_weights,
     qfunc_inv,
 )
-from .model import Scenario, derive_stream
+from .model import Scenario, StatisticMoments, derive_stream, statistic_moments
 from .quantize import quantize_array, quantize_centered, specs_for_allocation
 from .solver_central import solve_centralized
 
@@ -189,25 +189,6 @@ def weights_for_scheme(scenario: Scenario, scheme: Scheme, powers: np.ndarray) -
     return optimal_weights(deflection_inputs(scenario, powers))
 
 
-def _per_sensor_stat_params(scenario: Scenario, matched_filter: bool):
-    """(mean_h0, var_h0, mean_h1, var_h1) arrays of the raw per-sensor statistic."""
-    n = scenario.N
-    sigma2 = scenario.sigma2()
-    xi = scenario.xi()
-    if not matched_filter:
-        mean0 = n * sigma2
-        var0 = 2.0 * n * sigma2 ** 2
-        mean1 = n * sigma2 * (1.0 + xi)
-        var1 = 2.0 * n * sigma2 ** 2 * (1.0 + 2.0 * xi)
-    else:
-        es = np.array([float(np.sum(s.signal ** 2)) for s in scenario.sensors])
-        mean0 = np.zeros(scenario.M)
-        var0 = sigma2 * es
-        mean1 = es
-        var1 = sigma2 * es
-    return mean0, var0, mean1, var1
-
-
 @dataclass(frozen=True)
 class SchemePlan:
     """Everything one scheme needs at one operating point."""
@@ -257,7 +238,7 @@ def plan_scheme(
     if weights is None:
         weights = weights_for_scheme(scenario, scheme, powers)
 
-    specs = specs_for_allocation(powers, scenario.h(), scenario.zeta(), scenario.U)
+    specs = specs_for_allocation(powers, scenario.h, scenario.zeta, scenario.U)
     bits_real = np.array([s.bits_real for s in specs])
     bits_int = np.array([s.bits_int for s in specs], dtype=int)
     transmit = (powers > 0.0) & (bits_int >= 1)
@@ -270,16 +251,17 @@ def plan_scheme(
 
     tx_moments = None
     if np.any(transmit & (alpha_tx != 0.0)):
-        mean0, var0, mean1, var1 = _per_sensor_stat_params(scenario, scheme.matched_filter)
+        mom = (StatisticMoments.matched(scenario.sigma2, scenario.es) if scheme.matched_filter
+               else statistic_moments(scenario, scenario.N))
         lo = -scenario.U if scheme.matched_filter else 0.0
         m0 = v0 = m1 = v1 = 0.0
         for i in np.nonzero(transmit)[0]:
             a = float(alpha_tx[i])
             if a == 0.0:
                 continue
-            e0, s0 = quantized_gaussian_moments(float(mean0[i]), float(var0[i]),
+            e0, s0 = quantized_gaussian_moments(float(mom.mean_h0[i]), float(mom.var_h0[i]),
                                                 int(bits_int[i]), scenario.U, lo)
-            e1, s1 = quantized_gaussian_moments(float(mean1[i]), float(var1[i]),
+            e1, s1 = quantized_gaussian_moments(float(mom.mean_h1[i]), float(mom.var_h1[i]),
                                                 int(bits_int[i]), scenario.U, lo)
             m0 += a * e0
             v0 += a * a * s0
@@ -305,30 +287,21 @@ class _PlanCounts:
     exceed_h1: np.ndarray
 
 
-def _worker_shards(trials: int, workers: int) -> list[int]:
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
-    base, extra = divmod(trials, workers)
-    return [base + (1 if w < extra else 0) for w in range(workers)]
-
-
 def simulate_plans(
     scenario: Scenario,
     plans: list[SchemePlan],
     thresholds: list[np.ndarray],
     trials: int,
     hypotheses: tuple[bool, bool] = (True, True),
-    workers: int = 1,
-    stream_label: str = "mc",
     clip_counts: dict | None = None,
 ) -> list[_PlanCounts]:
     """Count threshold exceedances for every plan over shared observations.
 
     thresholds[j] is the threshold grid for plans[j]. hypotheses flags
-    (run_h0, run_h1). Worker sharding splits the trial count over
-    per-worker PRNG streams derived from (seed, stream_label, worker);
-    counts are integers summed in a fixed order, so a given
-    (seed, workers) pair is fully deterministic.
+    (run_h0, run_h1). Observations come from one PRNG stream derived
+    from the scenario seed and are drawn in chunks of bounded size;
+    counts are integers summed in a fixed order, so a given seed is
+    fully deterministic.
 
     clip_counts, if supplied, is filled with per-sensor counts of raw
     statistics falling outside the quantizer range, keyed by
@@ -337,8 +310,8 @@ def simulate_plans(
     if trials < 1:
         raise ValueError("trials must be >= 1")
     m, n = scenario.M, scenario.N
-    sig = np.stack([s.signal for s in scenario.sensors])          # (M, N)
-    sd = np.sqrt(scenario.sigma2())[:, None]                      # (M, 1)
+    sig = scenario.signal                                         # (M, N)
+    sd = np.sqrt(scenario.sigma2)[:, None]                        # (M, 1)
     run_h0, run_h1 = hypotheses
 
     counts = [_PlanCounts(np.zeros(len(thr), dtype=np.int64),
@@ -346,56 +319,54 @@ def simulate_plans(
     kinds = {("matched" if p.scheme.matched_filter else "energy") for p in plans if not p.degenerate}
 
     chunk_cap = max(256, int(4_000_000 // max(m * n, 1)))
-    for w, shard in enumerate(_worker_shards(trials, workers)):
-        if shard == 0:
-            continue
-        rng = derive_stream(scenario.seed, "mc", stream_label, w)
-        left = shard
-        while left > 0:
-            c = min(left, chunk_cap)
-            left -= c
-            noise = rng.normal(0.0, 1.0, size=(c, m, n)) * sd[None, :, :]
-            for hyp_idx, run in ((0, run_h0), (1, run_h1)):
-                if not run:
+    # the key fixes every draw: changing it changes every results CSV
+    rng = derive_stream(scenario.seed, "mc", "mc", 0)
+    left = trials
+    while left > 0:
+        c = min(left, chunk_cap)
+        left -= c
+        noise = rng.normal(0.0, 1.0, size=(c, m, n)) * sd[None, :, :]
+        for hyp_idx, run in ((0, run_h0), (1, run_h1)):
+            if not run:
+                continue
+            x = noise if hyp_idx == 0 else noise + sig[None, :, :]
+            stats = {}
+            if "energy" in kinds:
+                stats["energy"] = np.einsum("cmn,cmn->cm", x, x)
+            if "matched" in kinds:
+                stats["matched"] = np.einsum("cmn,mn->cm", x, sig)
+            if clip_counts is not None:
+                for kind, st in stats.items():
+                    lo = -scenario.U if kind == "matched" else 0.0
+                    hi = lo + 2.0 * scenario.U
+                    key = (kind, hyp_idx)
+                    if key not in clip_counts:
+                        clip_counts[key] = np.zeros((2, m), dtype=np.int64)
+                    clip_counts[key][0] += (st < lo).sum(axis=0)
+                    clip_counts[key][1] += (st > hi).sum(axis=0)
+            qcache: dict = {}
+            for j, plan in enumerate(plans):
+                if plan.degenerate:
                     continue
-                x = noise if hyp_idx == 0 else noise + sig[None, :, :]
-                stats = {}
-                if "energy" in kinds:
-                    stats["energy"] = np.einsum("cmn,cmn->cm", x, x)
-                if "matched" in kinds:
-                    stats["matched"] = np.einsum("cmn,mn->cm", x, sig)
-                if clip_counts is not None:
-                    for kind, st in stats.items():
-                        lo = -scenario.U if kind == "matched" else 0.0
-                        hi = lo + 2.0 * scenario.U
-                        key = (kind, hyp_idx)
-                        if key not in clip_counts:
-                            clip_counts[key] = np.zeros((2, m), dtype=np.int64)
-                        clip_counts[key][0] += (st < lo).sum(axis=0)
-                        clip_counts[key][1] += (st > hi).sum(axis=0)
-                qcache: dict = {}
-                for j, plan in enumerate(plans):
-                    if plan.degenerate:
+                kind = "matched" if plan.scheme.matched_filter else "energy"
+                fused = np.zeros(c)
+                for i in np.nonzero(plan.transmit)[0]:
+                    a = float(plan.alpha_tx[i])
+                    if a == 0.0:
                         continue
-                    kind = "matched" if plan.scheme.matched_filter else "energy"
-                    fused = np.zeros(c)
-                    for i in np.nonzero(plan.transmit)[0]:
-                        a = float(plan.alpha_tx[i])
-                        if a == 0.0:
-                            continue
-                        ck = (kind, i, int(plan.bits_int[i]))
-                        if ck not in qcache:
-                            col = stats[kind][:, i]
-                            if kind == "matched":
-                                qcache[ck] = quantize_centered(col, int(plan.bits_int[i]), scenario.U)
-                            else:
-                                qcache[ck] = quantize_array(col, int(plan.bits_int[i]), scenario.U)
-                        fused += a * qcache[ck]
-                    exceed = (fused[:, None] > thresholds[j][None, :]).sum(axis=0)
-                    if hyp_idx == 0:
-                        counts[j].exceed_h0 += exceed
-                    else:
-                        counts[j].exceed_h1 += exceed
+                    ck = (kind, i, int(plan.bits_int[i]))
+                    if ck not in qcache:
+                        col = stats[kind][:, i]
+                        if kind == "matched":
+                            qcache[ck] = quantize_centered(col, int(plan.bits_int[i]), scenario.U)
+                        else:
+                            qcache[ck] = quantize_array(col, int(plan.bits_int[i]), scenario.U)
+                    fused += a * qcache[ck]
+                exceed = (fused[:, None] > thresholds[j][None, :]).sum(axis=0)
+                if hyp_idx == 0:
+                    counts[j].exceed_h0 += exceed
+                else:
+                    counts[j].exceed_h1 += exceed
     return counts
 
 
@@ -408,8 +379,6 @@ def run_trials(
     hypothesis=None,
     pfa: float | None = None,
     pt: float | None = None,
-    workers: int = 1,
-    stream_label: str = "mc",
 ) -> DetectionEstimate:
     """Simulate one scheme at one operating point with given powers and weights.
 
@@ -432,9 +401,7 @@ def run_trials(
             pt=plan.pt, n_transmit=0,
         )
     thr = np.array([plan.threshold(pfa)])
-    (c,) = simulate_plans(scenario, [plan], [thr], trials,
-                          hypotheses=(run_h0, run_h1), workers=workers,
-                          stream_label=stream_label)
+    (c,) = simulate_plans(scenario, [plan], [thr], trials, hypotheses=(run_h0, run_h1))
     return DetectionEstimate(
         scheme=scheme, pfa_target=pfa,
         pfa_hat=float(c.exceed_h0[0]) / trials if run_h0 else None,
@@ -451,8 +418,6 @@ def roc_curve(
     scheme: Scheme,
     pfa_grid,
     trials: int,
-    workers: int = 1,
-    stream_label: str = "mc",
 ) -> list[DetectionEstimate]:
     """One DetectionEstimate per pfa grid point, from a single simulation pass.
 
@@ -471,8 +436,7 @@ def roc_curve(
                                   pt=plan.pt, n_transmit=0)
                 for v in grid]
     thr = np.array([plan.threshold(v) for v in grid])
-    (c,) = simulate_plans(scenario, [plan], [thr], trials, workers=workers,
-                          stream_label=stream_label)
+    (c,) = simulate_plans(scenario, [plan], [thr], trials)
     return [DetectionEstimate(scheme=scheme, pfa_target=v,
                               pfa_hat=float(c.exceed_h0[j]) / trials,
                               pd_hat=float(c.exceed_h1[j]) / trials,
@@ -486,7 +450,6 @@ def sweep_budget(
     schemes: list[Scheme],
     pt_grid,
     trials: int,
-    workers: int = 1,
     diagnostics: list | None = None,
 ) -> list[DetectionEstimate]:
     """All schemes across a grid of power budgets at the scenario's target pfa.
@@ -504,8 +467,7 @@ def sweep_budget(
         live = [p for p in plans if not p.degenerate]
         thresholds = [np.array([p.threshold(scenario.Pfa)]) for p in live]
         clip: dict = {}
-        counts = simulate_plans(scenario, live, thresholds, trials, workers=workers,
-                                clip_counts=clip)
+        counts = simulate_plans(scenario, live, thresholds, trials, clip_counts=clip)
         by_plan = dict(zip([id(p) for p in live], counts))
         for plan in plans:
             if plan.degenerate:

@@ -18,27 +18,37 @@ from dataclasses import dataclass
 import numpy as np
 
 
-def capacity_bits(p: float, h: float, zeta: float) -> float:
-    """Bits per statistic a power-p transmission supports; 0 when p = 0."""
-    if p < 0:
+# libm's log2 elementwise: numpy's SIMD log2 can round the last bit differently,
+# which would change the bits_real column
+_log2 = np.vectorize(math.log2, otypes=[float])
+
+
+def _check_channel(p, h, zeta) -> None:
+    if np.any(np.less(p, 0)):
         raise ValueError("power must be nonnegative")
-    if h <= 0 or zeta <= 0:
+    if np.any(np.less_equal(h, 0)) or np.any(np.less_equal(zeta, 0)):
         raise ValueError("h and zeta must be positive")
-    return 0.5 * math.log2(1.0 + p * h * h / zeta)
 
 
-def quant_noise_var(p: float, h: float, zeta: float, u: float) -> float:
+def capacity_bits(p, h, zeta):
+    """Bits per statistic a power-p transmission supports; 0 when p = 0.
+
+    Elementwise over arrays of powers and channels.
+    """
+    _check_channel(p, h, zeta)
+    return 0.5 * _log2(1.0 + p * h * h / zeta)
+
+
+def quant_noise_var(p, h, zeta, u: float):
     """Quantization noise variance at capacity-matched rate.
 
     Equals U^2 / (3 * 2^(2 L)) with L = capacity_bits(p, h, zeta); the
     closed form below avoids the round trip through the exponent.
+    Elementwise over arrays of powers and channels.
     """
     if u <= 0:
         raise ValueError("U must be positive")
-    if p < 0:
-        raise ValueError("power must be nonnegative")
-    if h <= 0 or zeta <= 0:
-        raise ValueError("h and zeta must be positive")
+    _check_channel(p, h, zeta)
     return u * u / (3.0 * (1.0 + p * h * h / zeta))
 
 
@@ -59,17 +69,17 @@ class QuantSpec:
 
 
 def quant_spec(p: float, h: float, zeta: float, u: float) -> QuantSpec:
+    (spec,) = specs_for_allocation([p], [h], [zeta], u)
+    return spec
+
+
+def specs_for_allocation(powers, h, zeta, u: float) -> list[QuantSpec]:
+    p = np.asarray(powers, dtype=float)
+    h, zeta = np.asarray(h, dtype=float), np.asarray(zeta, dtype=float)
     bits = capacity_bits(p, h, zeta)
-    return QuantSpec(
-        bits_real=bits,
-        bits_int=int(math.floor(bits)),
-        noise_var=quant_noise_var(p, h, zeta, u),
-        censored=(p == 0.0),
-    )
-
-
-def specs_for_allocation(powers: np.ndarray, h: np.ndarray, zeta: np.ndarray, u: float) -> list[QuantSpec]:
-    return [quant_spec(float(p), float(hh), float(zz), u) for p, hh, zz in zip(powers, h, zeta)]
+    noise = quant_noise_var(p, h, zeta, u)
+    return [QuantSpec(bits_real=b, bits_int=math.floor(b), noise_var=v, censored=(pi == 0.0))
+            for pi, b, v in zip(p.tolist(), bits.tolist(), noise.tolist())]
 
 
 def quantize_array(t: np.ndarray, bits_int: int, u: float) -> np.ndarray:

@@ -10,12 +10,13 @@ decreasing) total power curve.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Scenario, SensorParams
+from .fusion import deflection_inputs
+from .model import Scenario
+from .quantize import quant_noise_var
 
 
 class NoSignalError(ValueError):
@@ -71,16 +72,18 @@ class PowerAllocation:
             )
 
 
-def power_closed_form(lambda0: float, sensor: SensorParams, n: int, u: float) -> float:
-    """Water-filling optimum of one sensor's power at multiplier lambda0.
+def power_closed_form(lambda0, sensor, n: int, u: float):
+    """Water-filling optimum of a sensor's power at multiplier lambda0.
 
     [ (1/sqrt(lambda0)) * xi U sqrt(3) / (6 sigma^2 (1+2xi) sqrt(g))
       - U^2 / (6 N sigma^4 (1+2xi) g) - 1/g ]+          with g = h^2/zeta
 
-    The clamp censors sensors whose channel or SNR cannot pay for even
-    the constant terms; xi = 0 always lands at 0.
+    sensor is one SensorParams or a whole Scenario, whose array fields
+    give every sensor's power at once; lambda0 may be one multiplier
+    or one per sensor. The clamp censors sensors whose channel or SNR
+    cannot pay for even the constant terms; xi = 0 always lands at 0.
     """
-    if lambda0 <= 0:
+    if np.any(np.less_equal(lambda0, 0)):
         raise ValueError("lambda0 must be positive")
     if n < 1 or u <= 0:
         raise ValueError("need n >= 1 and U > 0")
@@ -88,19 +91,18 @@ def power_closed_form(lambda0: float, sensor: SensorParams, n: int, u: float) ->
     s2 = sensor.sigma2
     xi = sensor.xi
     one = 1.0 + 2.0 * xi
-    t1 = xi * u * math.sqrt(3.0) / (6.0 * s2 * one * math.sqrt(g) * math.sqrt(lambda0))
+    t1 = xi * u * np.sqrt(3.0) / (6.0 * s2 * one * np.sqrt(g) * np.sqrt(lambda0))
     t2 = u * u / (6.0 * n * s2 * s2 * one * g)
     t3 = 1.0 / g
-    return max(t1 - t2 - t3, 0.0)
+    return np.maximum(t1 - t2 - t3, 0.0)
 
 
 def total_power(lambda0: float, scenario: Scenario) -> float:
-    return sum(power_closed_form(lambda0, s, scenario.N, scenario.U) for s in scenario.sensors)
+    return float(np.sum(power_closed_form(lambda0, scenario, scenario.N, scenario.U)))
 
 
 def allocation_powers(lambda0: float, scenario: Scenario) -> np.ndarray:
-    return np.array([power_closed_form(lambda0, s, scenario.N, scenario.U)
-                     for s in scenario.sensors])
+    return power_closed_form(lambda0, scenario, scenario.N, scenario.U)
 
 
 def objective_value(powers: np.ndarray, scenario: Scenario) -> float:
@@ -110,16 +112,8 @@ def objective_value(powers: np.ndarray, scenario: Scenario) -> float:
     allocation, which is what makes it the right figure of merit for
     randomized optimality audits.
     """
-    p = np.asarray(powers, dtype=float)
-    n = scenario.N
-    u = scenario.U
-    val = 0.0
-    for pi, s in zip(p, scenario.sensors):
-        g = s.h * s.h / s.zeta
-        b = n * s.sigma2 * s.xi
-        r = 2.0 * n * s.sigma2 ** 2 * (1.0 + 2.0 * s.xi) + u * u / (3.0 * (1.0 + pi * g))
-        val += b * b / r
-    return val
+    d = deflection_inputs(scenario, powers)
+    return float(np.sum(d.b * d.b / d.R_diag))
 
 
 def solve_centralized(
@@ -139,7 +133,7 @@ def solve_centralized(
         pt = scenario.Pt
     if pt <= 0:
         raise ValueError("pt must be positive")
-    if all(s.xi == 0.0 for s in scenario.sensors):
+    if np.all(scenario.xi == 0.0):
         raise NoSignalError("all sensors have xi = 0; power does not affect the objective")
 
     lo = 1.0
@@ -170,16 +164,6 @@ def solve_centralized(
     alloc = PowerAllocation(p=allocation_powers(lam, scenario), lambda0=lam)
     alloc.validate(pt, budget_rtol=budget_rtol)
     return alloc
-
-
-def _objective_gradient(p: float, sensor: SensorParams, n: int, u: float) -> float:
-    # d/dp of b^2 / (B (1+p g) + U^2/3) * (1+p g) form; see objective_value
-    g = sensor.h * sensor.h / sensor.zeta
-    a = (n * sensor.sigma2 * sensor.xi) ** 2
-    bb = 2.0 * n * sensor.sigma2 ** 2 * (1.0 + 2.0 * sensor.xi)
-    c = u * u / 3.0
-    x = 1.0 + p * g
-    return g * a * c / (bb * x + c) ** 2
 
 
 @dataclass(frozen=True)
@@ -215,17 +199,15 @@ def kkt_check(
     if pt is None:
         pt = scenario.Pt
     lam = alloc.lambda0
-    resid = np.zeros(scenario.M)
-    mu = np.zeros(scenario.M)
-    for i, s in enumerate(scenario.sensors):
-        grad = _objective_gradient(float(p[i]), s, scenario.N, scenario.U)
-        raw = grad - lam
-        if p[i] > 0:
-            resid[i] = raw
-        else:
-            mu[i] = max(0.0, -raw)
-            resid[i] = raw + mu[i]
+    # d/dp of b^2 / R(p) with R = var_h1 + v(p) and v = U^2 / (3 (1 + p g)):
+    # -b^2 v'(p) / R^2 = 3 g (b v / (U R))^2
+    d = deflection_inputs(scenario, p)
+    v = quant_noise_var(p, scenario.h, scenario.zeta, scenario.U)
+    g = scenario.h * scenario.h / scenario.zeta
+    raw = 3.0 * g * (d.b * v / (scenario.U * d.R_diag)) ** 2 - lam
     active = p > 0
+    mu = np.where(active, 0.0, np.maximum(0.0, -raw))
+    resid = raw + mu
     max_active = float(np.max(np.abs(resid[active]))) if np.any(active) else 0.0
     budget_residual = float(np.sum(p) - pt)
     return KktReport(

@@ -35,16 +35,17 @@ class ConvergenceError(RuntimeError):
         self.trace = trace
 
 
-def dual_update(lambda0_k: float, mean_power: float, m: int, pt: float, eps_k: float) -> float:
+def dual_update(lambda0_k, mean_power, m: int, pt: float, eps_k):
     """One gradient step on the budget multiplier, floored at LAMBDA_MIN.
 
     lambda0 rises while the network overspends (M * mean_power > Pt)
     and falls while it underspends; the floor keeps the closed-form
-    power update defined.
+    power update defined. Elementwise over per-sensor arrays, so one
+    call steps every sensor's multiplier copy.
     """
-    if eps_k <= 0:
+    if np.any(np.less_equal(eps_k, 0)):
         raise ValueError("eps_k must be positive")
-    return max(lambda0_k + eps_k * (m * mean_power - pt), LAMBDA_MIN)
+    return np.maximum(lambda0_k + eps_k * (m * mean_power - pt), LAMBDA_MIN)
 
 
 @dataclass(frozen=True)
@@ -94,16 +95,15 @@ def solve_distributed(scenario: Scenario) -> tuple[PowerAllocation, DualAscentTr
     ks, lams, prows, crows, rels, spreads = [], [], [], [], [], []
     converged = False
     for k in range(cfg.outer_max_iter):
-        p = np.array([local_power_update(float(lam[i]), s, n, u)
-                      for i, s in enumerate(scenario.sensors)])
+        p = local_power_update(lam, scenario, n, u)
         cres = consensus_average(
             graph, p, tol=cfg.consensus_tol, max_iter=cfg.consensus_max_iter,
             mode=cfg.consensus_mode, window=cfg.consensus_window, weights=w,
         )
         # every sensor applies the same rule to its own multiplier copy
-        eps = lam.copy() if k == 0 else lam / k
+        eps = lam if k == 0 else lam / k
         lam_used = float(np.mean(lam))
-        lam = np.maximum(lam + eps * (m * cres.values - pt), LAMBDA_MIN)
+        lam = dual_update(lam, cres.values, m, pt, eps)
 
         if p_prev is None:
             rel = float("nan")

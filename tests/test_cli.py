@@ -102,6 +102,20 @@ class TestAllocateCommand:
             f = out / name
             assert f.is_file() and f.stat().st_size > 0
 
+    def test_manifest_names_the_package_version(self, tmp_path, monkeypatch):
+        # run from a source tree, where no installed metadata exists
+        import importlib.metadata as md
+
+        def not_installed(name):
+            raise md.PackageNotFoundError(name)
+
+        monkeypatch.setattr(md, "version", not_installed)
+        out = tmp_path / "out"
+        assert run_cli("allocate", write_config(tmp_path), "--method", "central",
+                       "--out", out) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["package_version"] == dd.__version__
+
     def test_outdir_env_var_honored(self, tmp_path, monkeypatch):
         path = write_config(tmp_path)
         out = tmp_path / "from_env"
@@ -190,6 +204,13 @@ class TestTraceCommand:
         assert run_cli("trace", path, "--out", out) == 3
         # the partial trace still lands on disk for post-mortems
         assert len(read_csv(out / "trace.csv")) == 4
+
+    def test_bisection_failure_maps_to_exit_3(self, tmp_path, capsys):
+        # a budget this far below the constant terms cannot be met to 1e-9 relative
+        path = write_config(tmp_path, Pt=1e-12)
+        assert run_cli("allocate", path, "--method", "central",
+                       "--out", tmp_path / "out") == 3
+        assert "error:" in capsys.readouterr().err
 
     def test_zero_signal_config_maps_to_exit_2(self, tmp_path, capsys):
         path = write_config(tmp_path, overrides={"amplitude": 0.0})

@@ -185,6 +185,64 @@ class TestScenario:
         assert fig1_scenario.topology.M == 10
         assert 0 < fig1_scenario.Pfa < 1
 
+    def test_population_arrays_mirror_the_sensors(self, fig1_scenario):
+        sc = fig1_scenario
+        for name in ("sigma2", "h", "zeta", "xi", "es"):
+            arr = getattr(sc, name)
+            assert arr.shape == (sc.M,)
+            assert arr.tolist() == [getattr(s, name) for s in sc.sensors]
+            assert not arr.flags.writeable
+        assert sc.signal.shape == (sc.M, sc.N)
+        assert np.array_equal(sc.signal, [s.signal for s in sc.sensors])
+        assert not sc.signal.flags.writeable
+
+
+@pytest.fixture(scope="module", params=["fig1", "m200"])
+def population(request, fig1_scenario):
+    if request.param == "fig1":
+        return fig1_scenario
+    return dd.make_scenario(m=200, n=10, seed=2, pt=20.0, radius=0.2)
+
+
+class TestPopulationArrays:
+    """Each per-sensor formula run on whole arrays equals the per-sensor scalar calls."""
+
+    def test_power_closed_form(self, population):
+        sc = population
+        for lam in (1e-6, 1e-2, 1.0):
+            scalar = [dd.power_closed_form(lam, s, sc.N, sc.U) for s in sc.sensors]
+            assert np.array_equal(dd.power_closed_form(lam, sc, sc.N, sc.U), scalar)
+        lams = np.logspace(-6, 0, sc.M)   # one multiplier copy per sensor
+        scalar = [dd.local_power_update(float(v), s, sc.N, sc.U)
+                  for v, s in zip(lams, sc.sensors)]
+        assert np.array_equal(dd.local_power_update(lams, sc, sc.N, sc.U), scalar)
+
+    def test_quantizer_rate_and_noise(self, population):
+        sc = population
+        p = np.linspace(0.0, 3.0, sc.M)
+        bits = [dd.capacity_bits(float(v), s.h, s.zeta) for v, s in zip(p, sc.sensors)]
+        noise = [dd.quant_noise_var(float(v), s.h, s.zeta, sc.U) for v, s in zip(p, sc.sensors)]
+        assert np.array_equal(dd.capacity_bits(p, sc.h, sc.zeta), bits)
+        assert np.array_equal(dd.quant_noise_var(p, sc.h, sc.zeta, sc.U), noise)
+
+    def test_statistic_moments(self, population):
+        sc = population
+        arrays = dd.statistic_moments(sc, sc.N)
+        per_sensor = [dd.statistic_moments(s, sc.N) for s in sc.sensors]
+        for name in ("mean_h0", "var_h0", "mean_h1", "var_h1"):
+            assert np.array_equal(getattr(arrays, name), [getattr(m, name) for m in per_sensor])
+
+    def test_dual_update(self, population):
+        sc = population
+        lam = np.logspace(-8, -1, sc.M)
+        mean_power = np.linspace(0.0, 2.0 * sc.Pt / sc.M, sc.M)
+        eps = lam.copy()
+        scalar = [dd.dual_update(float(a), float(b), sc.M, sc.Pt, float(e))
+                  for a, b, e in zip(lam, mean_power, eps)]
+        out = dd.dual_update(lam, mean_power, sc.M, sc.Pt, eps)
+        assert np.array_equal(out, scalar)
+        assert np.min(out) == 1e-16   # the underspending end hits the floor
+
 
 class TestStreams:
     def test_same_key_same_stream(self):

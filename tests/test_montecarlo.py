@@ -162,15 +162,6 @@ class TestRunTrials:
         b = dd.run_trials(small_scenario, p, w, Scheme.ED_opt_weights_opt_power, 4000)
         assert a.pfa_hat == b.pfa_hat and a.pd_hat == b.pd_hat
 
-    def test_deterministic_with_fixed_worker_count(self, small_scenario):
-        p = powers_for_scheme(small_scenario, Scheme.ED_opt_weights_opt_power)
-        w = weights_for_scheme(small_scenario, Scheme.ED_opt_weights_opt_power, p)
-        a = dd.run_trials(small_scenario, p, w, Scheme.ED_opt_weights_opt_power,
-                          4000, workers=2)
-        b = dd.run_trials(small_scenario, p, w, Scheme.ED_opt_weights_opt_power,
-                          4000, workers=2)
-        assert a.pfa_hat == b.pfa_hat and a.pd_hat == b.pd_hat
-
     def test_estimate_error_bar(self):
         est = dd.DetectionEstimate(
             scheme=Scheme.MFD_opt_power, pfa_target=0.1, pfa_hat=0.1, pd_hat=0.5,
