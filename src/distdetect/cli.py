@@ -91,17 +91,19 @@ def _expect(cond: bool, msg: str) -> None:
         raise ConfigError(msg)
 
 
-def _num(cfg: dict, key: str, kind=float, positive: bool = False):
-    v = cfg[key]
+def _num(v, name: str, kind=float, positive: bool = False):
+    """The finite number v as a float or int; name is the field it came from."""
     _expect(isinstance(v, (int, float)) and not isinstance(v, bool),
-            f"field '{key}' must be a number, got {v!r}")
+            f"field '{name}' must be a number, got {v!r}")
+    # JSON admits NaN and Infinity; a comparison keeps huge integers off float()
+    _expect(abs(v) <= sys.float_info.max, f"field '{name}' must be finite, got {v!r}")
     if kind is int:
-        _expect(float(v) == int(v), f"field '{key}' must be an integer, got {v!r}")
+        _expect(v == int(v), f"field '{name}' must be an integer, got {v!r}")
         v = int(v)
     else:
         v = float(v)
     if positive:
-        _expect(v > 0, f"field '{key}' must be positive, got {v!r}")
+        _expect(v > 0, f"field '{name}' must be positive, got {v!r}")
     return v
 
 
@@ -122,25 +124,25 @@ def validate_config(raw: dict) -> dict:
 
     _expect(cfg["schema_version"] == SCHEMA_VERSION,
             f"field 'schema_version' must be {SCHEMA_VERSION}, got {cfg['schema_version']!r}")
-    cfg["seed"] = _num(cfg, "seed", int)
+    cfg["seed"] = _num(cfg["seed"], "seed", int)
     _expect(cfg["seed"] >= 0, "field 'seed' must be nonnegative")
-    cfg["M"] = _num(cfg, "M", int, positive=True)
-    cfg["N"] = _num(cfg, "N", int, positive=True)
-    cfg["U"] = _num(cfg, "U", positive=True)
-    cfg["Pt"] = _num(cfg, "Pt", positive=True)
-    cfg["Pfa"] = _num(cfg, "Pfa")
+    cfg["M"] = _num(cfg["M"], "M", int, positive=True)
+    cfg["N"] = _num(cfg["N"], "N", int, positive=True)
+    cfg["U"] = _num(cfg["U"], "U", positive=True)
+    cfg["Pt"] = _num(cfg["Pt"], "Pt", positive=True)
+    cfg["Pfa"] = _num(cfg["Pfa"], "Pfa")
     _expect(0.0 < cfg["Pfa"] < 1.0, "field 'Pfa' must be in (0, 1)")
     _expect(isinstance(cfg["name"], str) and cfg["name"], "field 'name' must be a nonempty string")
-    cfg["xa_db"] = _num(cfg, "xa_db")
-    cfg["amplitude"] = _num(cfg, "amplitude", positive=True)
+    cfg["xa_db"] = _num(cfg["xa_db"], "xa_db")
+    cfg["amplitude"] = _num(cfg["amplitude"], "amplitude", positive=True)
     sr = cfg["sigma2_range"]
     _expect(isinstance(sr, (list, tuple)) and len(sr) == 2,
             "field 'sigma2_range' must be a [lo, hi] pair")
-    sr = [float(sr[0]), float(sr[1])]
+    sr = [_num(v, "sigma2_range") for v in sr]
     _expect(0 < sr[0] <= sr[1], "field 'sigma2_range' must satisfy 0 < lo <= hi")
     cfg["sigma2_range"] = sr
-    cfg["zeta"] = _num(cfg, "zeta", positive=True)
-    cfg["radius"] = _num(cfg, "radius", positive=True)
+    cfg["zeta"] = _num(cfg["zeta"], "zeta", positive=True)
+    cfg["radius"] = _num(cfg["radius"], "radius", positive=True)
     _expect(isinstance(cfg["deterministic_channel"], bool),
             "field 'deterministic_channel' must be true/false")
 
@@ -149,20 +151,21 @@ def validate_config(raw: dict) -> dict:
     for key in cfg["solver"]:
         _expect(key in _SOLVER_DEFAULTS, f"unknown field 'solver.{key}'")
     solver.update(cfg["solver"])
+    for key, default in _SOLVER_DEFAULTS.items():
+        if isinstance(default, (int, float)):
+            solver[key] = _num(solver[key], f"solver.{key}", type(default))
     try:
-        SolverConfig(**{k: (float(v) if isinstance(_SOLVER_DEFAULTS[k], float) else v)
-                        for k, v in solver.items()})
-    except (ValueError, TypeError) as e:
+        SolverConfig(**solver)
+    except ValueError as e:
         raise ConfigError(f"field 'solver': {e}") from e
-    cfg["solver"] = {k: type(d)(solver[k]) if isinstance(d, (int, float)) else solver[k]
-                     for k, d in _SOLVER_DEFAULTS.items()}
+    cfg["solver"] = solver
 
     detect = dict(_DETECT_DEFAULTS)
     _expect(isinstance(cfg["detect"], dict), "field 'detect' must be an object")
     for key in cfg["detect"]:
         _expect(key in _DETECT_DEFAULTS, f"unknown field 'detect.{key}'")
     detect.update(cfg["detect"])
-    detect["trials"] = _num(detect, "trials", int, positive=True)
+    detect["trials"] = _num(detect["trials"], "detect.trials", int, positive=True)
     _expect(isinstance(detect["schemes"], list) and detect["schemes"],
             "field 'detect.schemes' must be a nonempty list")
     for s in detect["schemes"]:
@@ -175,11 +178,7 @@ def validate_config(raw: dict) -> dict:
     for gname, positive in (("pt_grid", True), ("pfa_grid", True), ("n_grid", True)):
         grid = detect[gname]
         _expect(isinstance(grid, list), f"field 'detect.{gname}' must be a list")
-        vals = []
-        for v in grid:
-            _expect(isinstance(v, (int, float)) and not isinstance(v, bool),
-                    f"field 'detect.{gname}' entries must be numbers")
-            vals.append(int(v) if gname == "n_grid" else float(v))
+        vals = [_num(v, f"detect.{gname}", int if gname == "n_grid" else float) for v in grid]
         _expect(all(v > 0 for v in vals), f"field 'detect.{gname}' entries must be positive")
         if gname == "pfa_grid":
             _expect(all(v < 1 for v in vals), "field 'detect.pfa_grid' entries must be < 1")

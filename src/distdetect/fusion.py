@@ -108,21 +108,31 @@ class DeflectionInputs:
             object.__setattr__(self, name, arr)
 
 
-def fuse(t_hat: np.ndarray, weights: FusionWeights, censored: np.ndarray | None = None) -> float:
-    """Weighted sum of the received statistics over non-censored sensors."""
+def fuse(t_hat: np.ndarray, weights: FusionWeights,
+         censored: np.ndarray | None = None) -> float | np.ndarray:
+    """Weighted sum of the received statistics over non-censored sensors.
+
+    t_hat holds one statistic per sensor, or a (sensors, trials) array
+    whose columns are fused into one value per trial. Either way the
+    sensors are added one after another, in index order.
+    """
     t = np.asarray(t_hat, dtype=float)
     a = weights.alpha
-    if t.shape != a.shape:
+    if t.ndim not in (1, 2) or t.shape[0] != a.size:
         raise ValueError("t_hat and weights must have matching length")
     if censored is None:
-        censored = np.zeros(t.size, dtype=bool)
+        censored = np.zeros(a.size, dtype=bool)
     censored = np.asarray(censored, dtype=bool)
     if np.all(censored):
         raise DegenerateFusionError("all sensors censored")
     if np.any(a[censored] != 0.0):
         raise ValueError("censored sensors must have weight 0")
     keep = ~censored
-    return float(np.sum(a[keep] * t[keep]))
+    weighted = a[keep, None] * t.reshape(a.size, -1)[keep]
+    # numpy sums whole rows in order but a lone column pairwise, like a vector
+    lone = weighted.shape[1] == 1
+    fused = np.cumsum(weighted, axis=0)[-1] if lone else np.sum(weighted, axis=0)
+    return float(fused[0]) if t.ndim == 1 else fused
 
 
 def combined_moments(
@@ -231,14 +241,18 @@ def deflection_inputs(scenario: Scenario, powers: np.ndarray) -> DeflectionInput
 
 
 def matched_filter_statistic(x: np.ndarray, sensor) -> np.ndarray | float:
-    """Correlation of the observation with the sensor's known signal."""
+    """Correlation of the observation with the known signal.
+
+    sensor is one SensorParams, or a Scenario whose (M, N) signals
+    correlate with the last two axes of x.
+    """
     s = sensor.signal
     if not np.any(s != 0.0):
         raise ValueError("all-zero signal: matched filter undefined")
     x = np.asarray(x, dtype=float)
-    if x.shape[-1] != s.size:
+    if x.shape[-1] != s.shape[-1]:
         raise ValueError("observation length must match the signal")
-    t = x @ s
+    t = np.einsum("...n,...n->...", x, s)
     return float(t) if t.ndim == 0 else t
 
 

@@ -133,6 +133,11 @@ class SolverConfig:
             raise ValueError("consensus_tol must be positive")
         if self.consensus_max_iter < 1 or self.outer_max_iter < 1:
             raise ValueError("iteration limits must be >= 1")
+        if self.consensus_mode not in ("oracle", "local"):
+            raise ValueError(f"consensus_mode must be 'oracle' or 'local', "
+                             f"got {self.consensus_mode!r}")
+        if self.consensus_window < 1:
+            raise ValueError("consensus_window must be >= 1")
 
 
 def _read_only(values) -> np.ndarray:
@@ -225,27 +230,31 @@ def derive_stream(seed: int, *key: str | int) -> np.random.Generator:
 
 
 def generate_observations(
-    sensor: SensorParams,
+    sensor: SensorParams | Scenario,
     n: int,
     hypothesis: Hypothesis,
     rng: np.random.Generator,
     trials: int = 1,
 ) -> np.ndarray:
-    """Draw (trials, n) observation rows for one sensor.
+    """Draw observation rows: (trials, n) for one SensorParams, (trials, M, n) for a Scenario.
 
-    Under H1 the sensor's known signal is added sample for sample, so n
+    Under H1 each sensor's known signal is added sample for sample, so n
     must match the stored signal length.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    noise = rng.normal(0.0, math.sqrt(sensor.sigma2), size=(trials, n))
-    if hypothesis is Hypothesis.H0:
-        return noise
+    if not isinstance(hypothesis, Hypothesis):
+        raise TypeError(f"hypothesis must be a Hypothesis, got {hypothesis!r}")
+    samples = np.shape(sensor.signal)[-1]
+    if hypothesis is Hypothesis.H1 and n != samples:
+        raise ValueError(f"n={n} but sensor signal has {samples} samples")
+    sd = np.sqrt(sensor.sigma2)
+    # unit draws scaled in place: the same values as a per-sensor scale, drawn faster
+    x = rng.normal(0.0, 1.0, size=(trials, *sd.shape, n))
+    x *= sd[..., None]
     if hypothesis is Hypothesis.H1:
-        if n != sensor.n_samples:
-            raise ValueError(f"n={n} but sensor signal has {sensor.n_samples} samples")
-        return noise + sensor.signal[None, :]
-    raise TypeError(f"hypothesis must be a Hypothesis, got {hypothesis!r}")
+        x += sensor.signal
+    return x
 
 
 def energy_statistic(x: np.ndarray) -> np.ndarray | float:
@@ -253,7 +262,7 @@ def energy_statistic(x: np.ndarray) -> np.ndarray | float:
     x = np.asarray(x, dtype=float)
     if x.size == 0:
         raise ValueError("empty observation vector")
-    t = np.sum(x * x, axis=-1)
+    t = np.einsum("...n,...n->...", x, x)
     return float(t) if t.ndim == 0 else t
 
 

@@ -3,9 +3,10 @@
 Six schemes are compared: the energy detector with optimal or equal
 combining weights crossed with optimal or equal power allocation, and
 the matched-filter benchmark with optimal or equal power. One batch of
-raw observations is shared by every scheme in a run (common random
-numbers), so scheme-to-scheme comparisons are not washed out by
-independent sampling noise.
+raw observations is shared by every scheme and every budget of a run
+(common random numbers), so comparisons across schemes and budgets are
+not washed out by independent sampling noise. The batch is drawn,
+reduced, quantized and fused by the model, quantize and fusion stages.
 
 Thresholds come from an analytic Gaussian calibration, never from
 empirical quantiles: the Monte Carlo run is an audit of the Gaussian
@@ -34,15 +35,26 @@ from .fusion import (
     analytic_pd,
     deflection_inputs,
     equal_weights,
+    fuse,
     fusion_moments,
     matched_filter_moments,
+    matched_filter_statistic,
     matched_filter_weights,
     optimal_weights,
     qfunc_inv,
 )
-from .model import Scenario, StatisticMoments, derive_stream, statistic_moments
-from .quantize import quantize_array, quantize_centered, specs_for_allocation
+from .model import (Hypothesis, Scenario, StatisticMoments, derive_stream, energy_statistic,
+                    generate_observations, statistic_moments)
+# specs_for_allocation is not called here; bench/tracer.py wraps it under this name
+from .quantize import capacity_bits, quantize_array, quantize_centered, specs_for_allocation
 from .solver_central import solve_centralized
+
+# observation samples (trials x sensors x N) drawn and reduced at a time
+CHUNK_SAMPLES = 4_000_000
+# cell probabilities (sensors x cells) held at a time by quantized_gaussian_moments
+_CELL_BLOCK = 1 << 16
+# libm's exp elementwise, as in quantize._log2: keeps the fallback's last bits
+_exp = np.vectorize(math.exp, otypes=[float])
 
 
 class Scheme(enum.Enum):
@@ -113,8 +125,7 @@ def detection_threshold(moments: FusionMoments, pfa: float) -> float:
                  + qfunc_inv(pfa) * math.sqrt(moments.var_h0))
 
 
-def quantized_gaussian_moments(mu: float, var: float, bits_int: int, u: float,
-                               lo: float = 0.0) -> tuple[float, float]:
+def quantized_gaussian_moments(mu, var, bits_int, u: float, lo: float = 0.0):
     """Mean and variance of a midrise-quantized, clipped Gaussian.
 
     The input N(mu, var) is clipped to [lo, lo + 2U] and mapped to the
@@ -122,45 +133,60 @@ def quantized_gaussian_moments(mu: float, var: float, bits_int: int, u: float,
     tails. Exact under the Gaussian assumption (cell-probability sums),
     with a continuous fallback above 16 bits where the cell count stops
     being worth enumerating.
+
+    Elementwise over arrays of mu, var and bits_int, one entry per
+    sensor, returning two arrays; floats in, floats out. The cell grid
+    is built once per distinct bit count.
     """
-    if bits_int < 1:
+    mu, var, bits = np.broadcast_arrays(np.asarray(mu, dtype=float),
+                                        np.asarray(var, dtype=float), np.asarray(bits_int))
+    if np.any(bits < 1):
         raise ValueError("need at least one bit")
-    if var <= 0:
+    if np.any(var <= 0):
         raise ValueError("var must be positive")
-    sd = math.sqrt(var)
-    hi = lo + 2.0 * u
-    if bits_int > 16:
-        mean_c, var_c = _clipped_gaussian_moments(mu, sd, lo, hi)
-        cells = 1 << bits_int
+    shape = mu.shape
+    mu, bits = mu.ravel(), bits.ravel()
+    sd = np.sqrt(var).ravel()
+    mean, qvar = np.empty(mu.size), np.empty(mu.size)
+    for b in np.unique(bits).tolist():
+        idx = np.flatnonzero(bits == b)
+        cells = 1 << b
         delta = 2.0 * u / cells
-        return mean_c, var_c + delta * delta / 12.0
-    cells = 1 << bits_int
-    delta = 2.0 * u / cells
-    inner = lo + delta * np.arange(1, cells)
-    cdf = special.ndtr((inner - mu) / sd)
-    probs = np.empty(cells)
-    probs[0] = cdf[0]
-    probs[1:-1] = np.diff(cdf)
-    probs[-1] = 1.0 - cdf[-1]
-    mids = lo + (np.arange(cells) + 0.5) * delta
-    mean = float(np.sum(mids * probs))
-    second = float(np.sum(mids * mids * probs))
-    return mean, max(second - mean * mean, 0.0)
+        if b > 16:
+            mean_c, var_c = _clipped_gaussian_moments(mu[idx], sd[idx], lo, lo + 2.0 * u)
+            mean[idx], qvar[idx] = mean_c, var_c + delta * delta / 12.0
+            continue
+        inner = lo + delta * np.arange(1, cells)
+        mids = lo + (np.arange(cells) + 0.5) * delta
+        rows = max(1, _CELL_BLOCK // cells)
+        for start in range(0, idx.size, rows):
+            blk = idx[start:start + rows]
+            cdf = special.ndtr((inner - mu[blk, None]) / sd[blk, None])
+            probs = np.empty((blk.size, cells))
+            probs[:, 0] = cdf[:, 0]
+            probs[:, 1:-1] = np.diff(cdf, axis=1)
+            probs[:, -1] = 1.0 - cdf[:, -1]
+            m = np.sum(mids * probs, axis=1)
+            second = np.sum(mids * mids * probs, axis=1)
+            mean[blk], qvar[blk] = m, np.maximum(second - m * m, 0.0)
+    if shape == ():
+        return float(mean[0]), float(qvar[0])
+    return mean.reshape(shape), qvar.reshape(shape)
 
 
-def _clipped_gaussian_moments(mu: float, sd: float, lo: float, hi: float) -> tuple[float, float]:
+def _clipped_gaussian_moments(mu, sd, lo: float, hi: float):
     a = (lo - mu) / sd
     b = (hi - mu) / sd
     phi_a, phi_b = special.ndtr(a), special.ndtr(b)
-    pdf_a = math.exp(-0.5 * a * a) / math.sqrt(2.0 * math.pi)
-    pdf_b = math.exp(-0.5 * b * b) / math.sqrt(2.0 * math.pi)
+    pdf_a = _exp(-0.5 * a * a) / math.sqrt(2.0 * math.pi)
+    pdf_b = _exp(-0.5 * b * b) / math.sqrt(2.0 * math.pi)
     dphi = phi_b - phi_a
     mean = lo * phi_a + hi * (1.0 - phi_b) + mu * dphi + sd * (pdf_a - pdf_b)
     second = (lo * lo * phi_a + hi * hi * (1.0 - phi_b)
               + (mu * mu + sd * sd) * dphi
               + 2.0 * mu * sd * (pdf_a - pdf_b)
               + sd * sd * (a * pdf_a - b * pdf_b))
-    return mean, max(second - mean * mean, 0.0)
+    return mean, np.maximum(second - mean * mean, 0.0)
 
 
 def clip_probabilities(mu: float, var: float, lo: float, hi: float) -> tuple[float, float]:
@@ -213,8 +239,9 @@ class SchemePlan:
         return self.n_transmit == 0
 
     def threshold(self, pfa: float) -> float:
+        """Decision level at target pfa; infinite when nobody transmits, so nothing alarms."""
         if self.tx_moments is None:
-            raise DegenerateFusionError("no transmitting sensors, no threshold to set")
+            return math.inf
         return detection_threshold(self.tx_moments, pfa)
 
     def pd_analytic(self, pfa: float) -> float:
@@ -238,9 +265,8 @@ def plan_scheme(
     if weights is None:
         weights = weights_for_scheme(scenario, scheme, powers)
 
-    specs = specs_for_allocation(powers, scenario.h, scenario.zeta, scenario.U)
-    bits_real = np.array([s.bits_real for s in specs])
-    bits_int = np.array([s.bits_int for s in specs], dtype=int)
+    bits_real = capacity_bits(powers, scenario.h, scenario.zeta)
+    bits_int = np.floor(bits_real).astype(int)
     transmit = (powers > 0.0) & (bits_int >= 1)
     alpha_tx = np.where(transmit, weights.alpha, 0.0)
 
@@ -250,25 +276,21 @@ def plan_scheme(
         design = fusion_moments(scenario, weights, powers)
 
     tx_moments = None
-    if np.any(transmit & (alpha_tx != 0.0)):
+    senders = alpha_tx != 0.0   # transmitting, with a nonzero weight
+    if np.any(senders):
         mom = (StatisticMoments.matched(scenario.sigma2, scenario.es) if scheme.matched_filter
                else statistic_moments(scenario, scenario.N))
         lo = -scenario.U if scheme.matched_filter else 0.0
-        m0 = v0 = m1 = v1 = 0.0
-        for i in np.nonzero(transmit)[0]:
-            a = float(alpha_tx[i])
-            if a == 0.0:
-                continue
-            e0, s0 = quantized_gaussian_moments(float(mom.mean_h0[i]), float(mom.var_h0[i]),
-                                                int(bits_int[i]), scenario.U, lo)
-            e1, s1 = quantized_gaussian_moments(float(mom.mean_h1[i]), float(mom.var_h1[i]),
-                                                int(bits_int[i]), scenario.U, lo)
-            m0 += a * e0
-            v0 += a * a * s0
-            m1 += a * e1
-            v1 += a * a * s1
+        bits, a = bits_int[senders], alpha_tx[senders]
+        e0, s0 = quantized_gaussian_moments(mom.mean_h0[senders], mom.var_h0[senders],
+                                            bits, scenario.U, lo)
+        e1, s1 = quantized_gaussian_moments(mom.mean_h1[senders], mom.var_h1[senders],
+                                            bits, scenario.U, lo)
+        # the received sum's moments fuse the per-sensor ones, with weights a and a^2
+        w, w2 = FusionWeights(a), FusionWeights(a * a)
+        m0, m1, v0 = fuse(e0, w), fuse(e1, w), fuse(s0, w2)
         if v0 > 0.0:
-            tx_moments = FusionMoments(mean_h0=m0, var_h0=v0, mean_h1=m1, var_h1=v1,
+            tx_moments = FusionMoments(mean_h0=m0, var_h0=v0, mean_h1=m1, var_h1=fuse(s1, w2),
                                        psi=m1 - m0, mean_offset=0.0)
     if tx_moments is None:
         transmit = np.zeros(scenario.M, dtype=bool)
@@ -281,12 +303,6 @@ def plan_scheme(
     )
 
 
-@dataclass
-class _PlanCounts:
-    exceed_h0: np.ndarray   # per threshold
-    exceed_h1: np.ndarray
-
-
 def simulate_plans(
     scenario: Scenario,
     plans: list[SchemePlan],
@@ -294,14 +310,17 @@ def simulate_plans(
     trials: int,
     hypotheses: tuple[bool, bool] = (True, True),
     clip_counts: dict | None = None,
-) -> list[_PlanCounts]:
+) -> list[np.ndarray]:
     """Count threshold exceedances for every plan over shared observations.
 
-    thresholds[j] is the threshold grid for plans[j]. hypotheses flags
+    thresholds[j] is the threshold grid for plans[j]; counts[j] holds its
+    exceedances under H0 (row 0) and H1 (row 1). hypotheses flags
     (run_h0, run_h1). Observations come from one PRNG stream derived
-    from the scenario seed and are drawn in chunks of bounded size;
-    counts are integers summed in a fixed order, so a given seed is
-    fully deterministic.
+    from the scenario seed and are drawn in chunks of at most
+    CHUNK_SAMPLES samples. Each chunk is drawn and reduced to per-sensor
+    statistics once, then quantized and fused for every plan. Counts are
+    integers summed in a fixed order, so a given seed is fully
+    deterministic, whatever the chunk size.
 
     clip_counts, if supplied, is filled with per-sensor counts of raw
     statistics falling outside the quantizer range, keyed by
@@ -309,64 +328,46 @@ def simulate_plans(
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    m, n = scenario.M, scenario.N
-    sig = scenario.signal                                         # (M, N)
-    sd = np.sqrt(scenario.sigma2)[:, None]                        # (M, 1)
-    run_h0, run_h1 = hypotheses
+    m, n, u = scenario.M, scenario.N, scenario.U
 
-    counts = [_PlanCounts(np.zeros(len(thr), dtype=np.int64),
-                          np.zeros(len(thr), dtype=np.int64)) for thr in thresholds]
-    kinds = {("matched" if p.scheme.matched_filter else "energy") for p in plans if not p.degenerate}
+    counts = [np.zeros((2, len(thr)), dtype=np.int64) for thr in thresholds]
+    live = [(j, plan, plan.alpha_tx != 0.0) for j, plan in enumerate(plans) if not plan.degenerate]
+    hyps = [(i, hyp) for i, (hyp, run) in enumerate(zip(Hypothesis, hypotheses)) if run]
+    if not live or not hyps:
+        return counts   # nothing to draw: nobody transmits, or no hypothesis is run
+    kinds = {_kind(plan) for _, plan, _ in live}
 
-    chunk_cap = max(256, int(4_000_000 // max(m * n, 1)))
+    chunk_cap = max(256, CHUNK_SAMPLES // max(m * n, 1))
     # the key fixes every draw: changing it changes every results CSV
     rng = derive_stream(scenario.seed, "mc", "mc", 0)
     left = trials
     while left > 0:
         c = min(left, chunk_cap)
         left -= c
-        noise = rng.normal(0.0, 1.0, size=(c, m, n)) * sd[None, :, :]
-        for hyp_idx, run in ((0, run_h0), (1, run_h1)):
-            if not run:
-                continue
-            x = noise if hyp_idx == 0 else noise + sig[None, :, :]
-            stats = {}
+        x = generate_observations(scenario, n, hyps[0][1], rng, trials=c)
+        for hyp_idx, hyp in hyps:
+            if hyp is not hyps[0][1]:
+                x += scenario.signal   # H1 after H0: the same noise plus the signal
+            stats = {}   # kind -> (sensors, trials)
             if "energy" in kinds:
-                stats["energy"] = np.einsum("cmn,cmn->cm", x, x)
+                stats["energy"] = energy_statistic(x).T
             if "matched" in kinds:
-                stats["matched"] = np.einsum("cmn,mn->cm", x, sig)
+                stats["matched"] = matched_filter_statistic(x, scenario).T
             if clip_counts is not None:
                 for kind, st in stats.items():
-                    lo = -scenario.U if kind == "matched" else 0.0
-                    hi = lo + 2.0 * scenario.U
-                    key = (kind, hyp_idx)
-                    if key not in clip_counts:
-                        clip_counts[key] = np.zeros((2, m), dtype=np.int64)
-                    clip_counts[key][0] += (st < lo).sum(axis=0)
-                    clip_counts[key][1] += (st > hi).sum(axis=0)
-            qcache: dict = {}
-            for j, plan in enumerate(plans):
-                if plan.degenerate:
-                    continue
-                kind = "matched" if plan.scheme.matched_filter else "energy"
-                fused = np.zeros(c)
-                for i in np.nonzero(plan.transmit)[0]:
-                    a = float(plan.alpha_tx[i])
-                    if a == 0.0:
-                        continue
-                    ck = (kind, i, int(plan.bits_int[i]))
-                    if ck not in qcache:
-                        col = stats[kind][:, i]
-                        if kind == "matched":
-                            qcache[ck] = quantize_centered(col, int(plan.bits_int[i]), scenario.U)
-                        else:
-                            qcache[ck] = quantize_array(col, int(plan.bits_int[i]), scenario.U)
-                    fused += a * qcache[ck]
-                exceed = (fused[:, None] > thresholds[j][None, :]).sum(axis=0)
-                if hyp_idx == 0:
-                    counts[j].exceed_h0 += exceed
+                    lo = -u if kind == "matched" else 0.0
+                    tally = clip_counts.setdefault((kind, hyp_idx),
+                                                   np.zeros((2, m), dtype=np.int64))
+                    tally[0] += (st < lo).sum(axis=1)
+                    tally[1] += (st > lo + 2.0 * u).sum(axis=1)
+            for j, plan, senders in live:
+                bits = plan.bits_int[senders, None]
+                if plan.scheme.matched_filter:
+                    q = quantize_centered(stats["matched"][senders], bits, u)
                 else:
-                    counts[j].exceed_h1 += exceed
+                    q = quantize_array(stats["energy"][senders], bits, u)
+                fused = fuse(q, FusionWeights(plan.alpha_tx[senders]))
+                counts[j][hyp_idx] += (fused[:, None] > thresholds[j][None, :]).sum(axis=0)
     return counts
 
 
@@ -385,30 +386,12 @@ def run_trials(
     hypothesis restricts simulation to model.Hypothesis.H0 or .H1; the
     default None runs both. The un-simulated rate comes back as None.
     """
-    from .model import Hypothesis
-
     pfa = scenario.Pfa if pfa is None else pfa
     plan = plan_scheme(scenario, scheme, pt=pt, powers=powers, weights=weights)
-    run_h0 = hypothesis in (None, Hypothesis.H0)
-    run_h1 = hypothesis in (None, Hypothesis.H1)
-    if plan.degenerate:
-        # nobody transmits: the fusion center never alarms
-        return DetectionEstimate(
-            scheme=scheme, pfa_target=pfa,
-            pfa_hat=0.0 if run_h0 else None,
-            pd_hat=0.0 if run_h1 else None,
-            pd_analytic=plan.pd_analytic(pfa), trials=trials,
-            pt=plan.pt, n_transmit=0,
-        )
-    thr = np.array([plan.threshold(pfa)])
-    (c,) = simulate_plans(scenario, [plan], [thr], trials, hypotheses=(run_h0, run_h1))
-    return DetectionEstimate(
-        scheme=scheme, pfa_target=pfa,
-        pfa_hat=float(c.exceed_h0[0]) / trials if run_h0 else None,
-        pd_hat=float(c.exceed_h1[0]) / trials if run_h1 else None,
-        pd_analytic=plan.pd_analytic(pfa), trials=trials,
-        pt=plan.pt, n_transmit=plan.n_transmit,
-    )
+    hypotheses = (hypothesis in (None, Hypothesis.H0), hypothesis in (None, Hypothesis.H1))
+    (c,) = simulate_plans(scenario, [plan], [np.array([plan.threshold(pfa)])], trials,
+                          hypotheses=hypotheses)
+    return _estimate(plan, pfa, trials, c, 0, hypotheses)
 
 
 def roc_curve(
@@ -430,19 +413,8 @@ def roc_curve(
     if sorted(grid) != grid:
         raise ValueError("pfa grid must be increasing")
     plan = plan_scheme(scenario, scheme, powers=powers, weights=weights)
-    if plan.degenerate:
-        return [DetectionEstimate(scheme=scheme, pfa_target=v, pfa_hat=0.0, pd_hat=0.0,
-                                  pd_analytic=plan.pd_analytic(v), trials=trials,
-                                  pt=plan.pt, n_transmit=0)
-                for v in grid]
-    thr = np.array([plan.threshold(v) for v in grid])
-    (c,) = simulate_plans(scenario, [plan], [thr], trials)
-    return [DetectionEstimate(scheme=scheme, pfa_target=v,
-                              pfa_hat=float(c.exceed_h0[j]) / trials,
-                              pd_hat=float(c.exceed_h1[j]) / trials,
-                              pd_analytic=plan.pd_analytic(v), trials=trials,
-                              pt=plan.pt, n_transmit=plan.n_transmit)
-            for j, v in enumerate(grid)]
+    (c,) = simulate_plans(scenario, [plan], [np.array([plan.threshold(v) for v in grid])], trials)
+    return [_estimate(plan, v, trials, c, j) for j, v in enumerate(grid)]
 
 
 def sweep_budget(
@@ -455,59 +427,49 @@ def sweep_budget(
     """All schemes across a grid of power budgets at the scenario's target pfa.
 
     The observation stream is keyed independently of the budget, so
-    every grid point sees the same data and pd curves move with the
-    budget alone.
+    one batch is shared by every scheme and every budget: all
+    (budget, scheme) plans go through a single simulate_plans pass, and
+    pd curves move with the budget alone.
     """
     grid = [float(v) for v in pt_grid]
     if not grid or any(v <= 0 for v in grid):
         raise ValueError("pt grid values must be positive")
-    out: list[DetectionEstimate] = []
-    for pt in grid:
-        plans = [plan_scheme(scenario, s, pt=pt) for s in schemes]
-        live = [p for p in plans if not p.degenerate]
-        thresholds = [np.array([p.threshold(scenario.Pfa)]) for p in live]
-        clip: dict = {}
-        counts = simulate_plans(scenario, live, thresholds, trials, clip_counts=clip)
-        by_plan = dict(zip([id(p) for p in live], counts))
-        for plan in plans:
-            if plan.degenerate:
-                out.append(DetectionEstimate(
-                    scheme=plan.scheme, pfa_target=scenario.Pfa, pfa_hat=0.0, pd_hat=0.0,
-                    pd_analytic=plan.pd_analytic(scenario.Pfa), trials=trials,
-                    pt=pt, n_transmit=0))
-            else:
-                c = by_plan[id(plan)]
-                out.append(DetectionEstimate(
-                    scheme=plan.scheme, pfa_target=scenario.Pfa,
-                    pfa_hat=float(c.exceed_h0[0]) / trials,
-                    pd_hat=float(c.exceed_h1[0]) / trials,
-                    pd_analytic=plan.pd_analytic(scenario.Pfa), trials=trials,
-                    pt=pt, n_transmit=plan.n_transmit))
-            if diagnostics is not None:
-                diagnostics.append(_diagnostic_rows(scenario, plan, clip, trials))
-    return out
+    plans = [plan_scheme(scenario, s, pt=pt) for pt in grid for s in schemes]
+    thresholds = [np.array([p.threshold(scenario.Pfa)]) for p in plans]
+    clip: dict = {}
+    counts = simulate_plans(scenario, plans, thresholds, trials, clip_counts=clip)
+    if diagnostics is not None:
+        diagnostics.extend(_diagnostic_rows(scenario, p, clip, trials) for p in plans)
+    return [_estimate(p, scenario.Pfa, trials, c) for p, c in zip(plans, counts)]
+
+
+def _estimate(plan: SchemePlan, pfa: float, trials: int, counts: np.ndarray, j: int = 0,
+              hypotheses: tuple[bool, bool] = (True, True)) -> DetectionEstimate:
+    """Rates at threshold j of plan; a hypothesis that was not run reports None."""
+    run_h0, run_h1 = hypotheses
+    return DetectionEstimate(
+        scheme=plan.scheme, pfa_target=pfa,
+        pfa_hat=float(counts[0, j]) / trials if run_h0 else None,
+        pd_hat=float(counts[1, j]) / trials if run_h1 else None,
+        pd_analytic=plan.pd_analytic(pfa), trials=trials, pt=plan.pt,
+        n_transmit=plan.n_transmit)
+
+
+def _kind(plan: SchemePlan) -> str:
+    return "matched" if plan.scheme.matched_filter else "energy"
 
 
 def _diagnostic_rows(scenario: Scenario, plan: SchemePlan, clip: dict, trials: int) -> list[dict]:
-    kind = "matched" if plan.scheme.matched_filter else "energy"
-    rows = []
-    for i in range(scenario.M):
-        row = {
-            "scheme": plan.scheme.value, "Pt": plan.pt, "sensor": i,
-            "p": float(plan.powers[i]), "bits_real": float(plan.bits_real[i]),
-            "bits_int": int(plan.bits_int[i]), "transmitting": bool(plan.transmit[i]),
-        }
-        for hyp in (0, 1):
-            arr = clip.get((kind, hyp))
-            if arr is None or trials == 0 or plan.degenerate:
-                lo_rate = hi_rate = 0.0
-            else:
-                lo_rate = float(arr[0, i]) / trials
-                hi_rate = float(arr[1, i]) / trials
-            row[f"clip_lo_h{hyp}"] = lo_rate
-            row[f"clip_hi_h{hyp}"] = hi_rate
-        rows.append(row)
-    return rows
+    none = np.zeros((2, scenario.M), dtype=np.int64)
+    # per hypothesis, rows lo and hi of the clip rates; a silent plan clips nothing
+    rates = [(none if plan.degenerate else clip.get((_kind(plan), hyp), none)) / trials
+             for hyp in (0, 1)]
+    return [{"scheme": plan.scheme.value, "Pt": plan.pt, "sensor": i,
+             "p": float(plan.powers[i]), "bits_real": float(plan.bits_real[i]),
+             "bits_int": int(plan.bits_int[i]), "transmitting": bool(plan.transmit[i]),
+             **{f"clip_{side}_h{hyp}": float(rates[hyp][k, i])
+                for hyp in (0, 1) for k, side in enumerate(("lo", "hi"))}}
+            for i in range(scenario.M)]
 
 
 def _fmt(v) -> str:

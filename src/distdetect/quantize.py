@@ -82,17 +82,20 @@ def specs_for_allocation(powers, h, zeta, u: float) -> list[QuantSpec]:
             for pi, b, v in zip(p.tolist(), bits.tolist(), noise.tolist())]
 
 
-def quantize_array(t: np.ndarray, bits_int: int, u: float) -> np.ndarray:
+def quantize_array(t: np.ndarray, bits_int, u: float) -> np.ndarray:
     """Midrise uniform quantizer over [0, 2U] with clipping.
 
     2^bits_int cells of width 2U / 2^bits_int; values are clipped into
-    range and mapped to their cell midpoint. Vectorized over t.
+    range and mapped to their cell midpoint. Vectorized over t; bits_int
+    is one count or an integer array broadcasting against t, such as
+    one count per row of a (sensors, trials) array.
     """
-    if bits_int < 1:
+    bits_int = np.asarray(bits_int)
+    if np.any(bits_int < 1):
         raise ValueError("need at least one bit to quantize")
     if u <= 0:
         raise ValueError("U must be positive")
-    cells = 1 << bits_int
+    cells = np.ldexp(1.0, bits_int)
     delta = 2.0 * u / cells
     tc = np.clip(np.asarray(t, dtype=float), 0.0, 2.0 * u)
     idx = np.minimum(np.floor(tc / delta), cells - 1)
@@ -112,6 +115,6 @@ def quantize_statistic(t: float, spec: QuantSpec, u: float) -> float:
     return float(quantize_array(np.asarray([t]), spec.bits_int, u)[0])
 
 
-def quantize_centered(t: np.ndarray, bits_int: int, u: float) -> np.ndarray:
+def quantize_centered(t: np.ndarray, bits_int, u: float) -> np.ndarray:
     """Same lattice shifted to [-U, U] for statistics symmetric around 0."""
     return quantize_array(np.asarray(t, dtype=float) + u, bits_int, u) - u

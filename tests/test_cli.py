@@ -59,6 +59,25 @@ class TestConfigValidation:
         path.write_text("{not json")
         assert run_cli("allocate", path, "--out", tmp_path) == 2
 
+    @pytest.mark.parametrize("overrides", [
+        {"M": float("inf")},
+        {"detect": {"trials": float("inf")}},
+        {"solver": {"consensus_max_iter": float("inf")}},
+        {"solver": {"outer_max_iter": float("inf")}},
+        {"solver": {"consensus_tol": float("nan")}},
+        {"sigma2_range": ["a", 1]},
+        {"sigma2_range": [0.5, float("inf")]},
+        {"solver": {"consensus_mode": "foo"}},
+        {"solver": {"consensus_mode": "local", "consensus_window": 0}},
+    ], ids=["M_inf", "trials_inf", "consensus_max_iter_inf", "outer_max_iter_inf",
+            "consensus_tol_nan", "sigma2_range_str", "sigma2_range_inf", "consensus_mode",
+            "consensus_window"])
+    def test_invalid_values_exit_2(self, tmp_path, capsys, overrides):
+        # json writes the non-finite floats as NaN / Infinity, which its reader accepts
+        path = write_config(tmp_path, overrides=overrides)
+        assert run_cli("allocate", path, "--method", "both", "--out", tmp_path / "out") == 2
+        assert "error:" in capsys.readouterr().err
+
     def test_bundled_configs_all_validate(self):
         for name in ("fig1.cfg", "fig2.cfg", "fig3.cfg", "fig4.cfg", "fig5.cfg"):
             cfg = cli.load_config(bundled_config(name))

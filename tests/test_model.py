@@ -243,6 +243,57 @@ class TestPopulationArrays:
         assert np.array_equal(out, scalar)
         assert np.min(out) == 1e-16   # the underspending end hits the floor
 
+    @pytest.mark.parametrize("hyp", list(Hypothesis))
+    def test_observations_and_statistics(self, population, hyp):
+        sc, trials = population, 3
+        batch = dd.generate_observations(sc, sc.N, hyp, np.random.default_rng(5), trials=trials)
+        # one stream, drawn trial by trial and sensor by sensor, gives the same samples
+        rng = np.random.default_rng(5)
+        rows = np.array([[dd.generate_observations(s, sc.N, hyp, rng)[0] for s in sc.sensors]
+                         for _ in range(trials)])
+        assert np.array_equal(batch, rows)
+        energy = [[dd.energy_statistic(x) for x in row] for row in rows]
+        assert np.array_equal(dd.energy_statistic(batch), energy)
+        matched = [[dd.matched_filter_statistic(x, s) for x, s in zip(row, sc.sensors)]
+                   for row in rows]
+        assert np.array_equal(dd.matched_filter_statistic(batch, sc), matched)
+
+    def test_quantizers(self, population):
+        sc = population
+        t = np.random.default_rng(8).uniform(-2.0 * sc.U, 3.0 * sc.U, size=(50, sc.M))
+        bits = 1 + np.arange(sc.M) % 9
+        for quantize in (dd.quantize_array, dd.quantize_centered):
+            columns = np.stack([quantize(t[:, i], int(b), sc.U) for i, b in enumerate(bits)],
+                               axis=1)
+            assert np.array_equal(quantize(t, bits, sc.U), columns)
+            assert np.array_equal(quantize(t.T, bits[:, None], sc.U), columns.T)
+
+    def test_quantized_gaussian_moments(self, population):
+        sc = population
+        mom = dd.statistic_moments(sc, sc.N)
+        bits = 1 + np.arange(sc.M) % 17   # at M=200, every count up to 17 occurs
+        bits[-1] = 20
+        mean, var = dd.quantized_gaussian_moments(mom.mean_h1, mom.var_h1, bits, sc.U)
+        scalar = [dd.quantized_gaussian_moments(float(m), float(v), int(b), sc.U)
+                  for m, v, b in zip(mom.mean_h1, mom.var_h1, bits)]
+        assert np.array_equal(mean, [m for m, _ in scalar])
+        assert np.array_equal(var, [v for _, v in scalar])
+
+    def test_fuse(self, population):
+        sc = population
+        t = np.random.default_rng(9).uniform(0.0, 2.0 * sc.U, size=(sc.M, 40))
+        w = dd.FusionWeights(np.random.default_rng(10).uniform(0.1, 2.0, size=sc.M))
+        censored = np.arange(sc.M) % 3 == 0
+        w_kept = dd.FusionWeights(np.where(censored, 0.0, w.alpha))
+        for weights, mask in ((w, None), (w_kept, censored)):
+            fused = dd.fuse(t, weights, mask)
+            assert np.array_equal(fused, [dd.fuse(col, weights, mask) for col in t.T])
+            # sensors are added one after another, in index order
+            total = np.zeros(t.shape[1])
+            for i in np.flatnonzero(weights.alpha):
+                total += weights.alpha[i] * t[i]
+            assert np.array_equal(fused, total)
+
 
 class TestStreams:
     def test_same_key_same_stream(self):

@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose
 from scipy.stats import norm
 
 import distdetect as dd
+from distdetect import montecarlo
 from distdetect.model import Hypothesis
 from distdetect.montecarlo import (
     Scheme,
@@ -208,17 +209,66 @@ class TestSweepBudget:
         assert [e.pt for e in ests] == [0.5, 0.5, 5.0, 5.0]
 
     def test_shared_draws_match_single_runs(self, small_scenario):
-        scheme = Scheme.ED_opt_weights_opt_power
-        ests = dd.sweep_budget(small_scenario, [scheme], [2.0, 5.0], 2000)
-        solo = dd.run_trials(small_scenario, None, None, scheme, 2000, pt=5.0)
-        tail = ests[-1]
-        assert tail.pfa_hat == solo.pfa_hat and tail.pd_hat == solo.pd_hat
+        grid = [1e-6, 2.0, 5.0]   # the first budget starves the equal-power schemes
+        ests = dd.sweep_budget(small_scenario, list(Scheme), grid, 2000)
+        solo = [dd.run_trials(small_scenario, None, None, scheme, 2000, pt=pt)
+                for pt in grid for scheme in Scheme]
+        assert ests == solo
+        assert any(e.n_transmit == 0 for e in ests) and any(e.n_transmit > 0 for e in ests)
 
     def test_starved_budget_rows_report_zero(self, small_scenario):
         ests = dd.sweep_budget(small_scenario, [Scheme.ED_opt_weights_equal_power],
                                [1e-6], 100)
         assert ests[0].n_transmit == 0
         assert ests[0].pd_hat == 0.0 and ests[0].pfa_hat == 0.0
+
+
+def _count_draws(monkeypatch) -> list:
+    """Patch montecarlo.derive_stream; the list gets the shape of every normal() batch."""
+    shapes = []
+    derive = montecarlo.derive_stream
+
+    class Stream:
+        def __init__(self, rng):
+            self._rng = rng
+
+        def normal(self, *args, **kwargs):
+            out = self._rng.normal(*args, **kwargs)
+            shapes.append(out.shape)
+            return out
+
+    monkeypatch.setattr(montecarlo, "derive_stream", lambda *key: Stream(derive(*key)))
+    return shapes
+
+
+class TestChunking:
+    GRID = [1e-6, 2.0, 5.0]
+
+    def _sweep(self, sc):
+        diag: list = []
+        ests = dd.sweep_budget(sc, list(Scheme), self.GRID, 1000, diagnostics=diag)
+        return ests, diag
+
+    def test_results_do_not_depend_on_chunk_size(self, small_scenario, monkeypatch):
+        whole, whole_diag = self._sweep(small_scenario)
+        # the 256-trial floor then splits the 1000 trials into four chunks
+        monkeypatch.setattr(montecarlo, "CHUNK_SAMPLES", 1)
+        shapes = _count_draws(monkeypatch)
+        chunked, chunked_diag = self._sweep(small_scenario)
+        assert len(shapes) >= 3
+        assert chunked == whole
+        assert chunked_diag == whole_diag   # clip rates over the same trial count
+        assert any(row["clip_hi_h0"] > 0 for rows in whole_diag for row in rows)
+
+    def test_a_sweep_draws_each_chunk_once(self, small_scenario, monkeypatch):
+        sc = small_scenario
+        shapes = _count_draws(monkeypatch)
+        self._sweep(sc)
+        assert shapes == [(1000, sc.M, sc.N)]
+        shapes.clear()
+        monkeypatch.setattr(montecarlo, "CHUNK_SAMPLES", 1)
+        self._sweep(sc)
+        assert shapes == [(c, sc.M, sc.N) for c in (256, 256, 256, 232)]
 
 
 class TestResultsCsv:
