@@ -17,7 +17,7 @@ import time
 
 import numpy as np
 
-from .consensus import ConsensusError, TopologyError, save_edge_list
+from .consensus import TopologyError, save_edge_list
 from .model import Scenario, SolverConfig, make_scenario
 from .montecarlo import (
     Scheme,
@@ -267,6 +267,23 @@ def write_allocation_csv(path, scenario: Scenario, p_central, p_distributed) -> 
             fh.write(",".join(row) + "\n")
 
 
+def _solve_distributed(scenario: Scenario, outdir: str):
+    """solve_distributed; on ConvergenceError, write the partial trace.csv, then re-raise.
+
+    The partial trace holds every outer iteration completed before the
+    failure: none, if the first consensus run already failed, which
+    leaves only the header.
+    """
+    try:
+        return solve_distributed(scenario)
+    except ConvergenceError as e:
+        if e.trace is not None:
+            trace_path = os.path.join(outdir, "trace.csv")
+            write_trace_csv(e.trace, trace_path)
+            print(f"partial trace written to {trace_path}", file=sys.stderr)
+        raise
+
+
 def cmd_allocate(args) -> int:
     cfg = load_config(args.config)
     outdir = _outdir(args)
@@ -281,14 +298,7 @@ def cmd_allocate(args) -> int:
         timings["solve_centralized"] = time.perf_counter() - t0
     if args.method in ("distributed", "both"):
         t0 = time.perf_counter()
-        try:
-            alloc, trace = solve_distributed(scenario)
-        except ConvergenceError as e:
-            if e.trace is not None and e.trace.iterations > 0:
-                trace_path = os.path.join(outdir, "trace.csv")
-                write_trace_csv(e.trace, trace_path)
-                print(f"partial trace written to {trace_path}", file=sys.stderr)
-            raise
+        alloc, _ = _solve_distributed(scenario, outdir)
         p_dist = alloc.p
         timings["solve_distributed"] = time.perf_counter() - t0
 
@@ -373,14 +383,7 @@ def cmd_trace(args) -> int:
     outdir = _outdir(args)
     scenario = scenario_from_config(cfg)
     t0 = time.perf_counter()
-    try:
-        alloc, trace = solve_distributed(scenario)
-    except ConvergenceError as e:
-        if e.trace is not None and e.trace.iterations > 0:
-            trace_path = os.path.join(outdir, "trace.csv")
-            write_trace_csv(e.trace, trace_path)
-            print(f"partial trace written to {trace_path}", file=sys.stderr)
-        raise
+    alloc, trace = _solve_distributed(scenario, outdir)
     elapsed = time.perf_counter() - t0
     trace_path = os.path.join(outdir, "trace.csv")
     write_trace_csv(trace, trace_path)
@@ -431,7 +434,7 @@ def main(argv=None) -> int:
     except (ConfigError, TopologyError, NoSignalError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except (ConvergenceError, ConsensusError, BisectionError) as e:
+    except (ConvergenceError, BisectionError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
 

@@ -9,6 +9,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
+
+# consensus rounds run between two tests of the stopping rule
+BLOCK_ROUNDS = 64
 
 
 class TopologyError(ValueError):
@@ -169,6 +173,12 @@ def consensus_average(
     than tol over a sliding window of `window` rounds, information a
     real node actually has. Raises ConsensusError (carrying the last
     state) if max_iter rounds are not enough.
+
+    Rounds run in blocks of BLOCK_ROUNDS, each written into one row of
+    a buffer, and the stopping rule is tested once per block for every
+    round in it. Each round is the same matrix-vector product as
+    x = W @ x and the tests are exact comparisons, so values and round
+    counts are those of testing after every round.
     """
     x = np.asarray(x0, dtype=float)
     if x.shape != (graph.M,):
@@ -177,44 +187,46 @@ def consensus_average(
         raise ValueError("x0 must be finite")
     if tol <= 0:
         raise ValueError("tol must be positive")
+    if max_iter < 0:
+        raise ValueError("max_iter must be >= 0")
     if mode not in ("oracle", "local"):
         raise ValueError(f"unknown mode {mode!r}")
-    w = metropolis_matrix(graph) if weights is None else weights
+    if mode == "local" and window < 1:
+        raise ValueError("window must be >= 1")
+    w = metropolis_matrix(graph) if weights is None else np.asarray(weights, dtype=float)
     target = x.mean()
 
-    if mode == "oracle":
-        k = 0
-        while np.max(np.abs(x - target)) > tol:
-            if k >= max_iter:
-                raise ConsensusError(
-                    f"no consensus after {max_iter} rounds (tol={tol})",
-                    values=x, iterations=k,
-                )
-            x = w @ x
-            k += 1
-        return ConsensusResult(values=x, iterations=k,
-                               max_deviation=float(np.max(np.abs(x - target))))
-
-    # local stopping: each node watches only its own recent trajectory
-    if window < 1:
-        raise ValueError("window must be >= 1")
-    hist = [x]
-    k = 0
+    # rows kept in front of each block: the current state, and for the
+    # local rule the `window` states before it (no more than can exist)
+    lead = min(window, max_iter) if mode == "local" else 0
+    buf = np.zeros((lead + 1 + BLOCK_ROUNDS, graph.M))
+    rows = list(buf)
+    buf[lead] = x
+    k = 0   # rounds done; buf[lead] holds the state after k rounds
     while True:
-        if len(hist) == window + 1 and float(np.max(np.ptp(np.stack(hist), axis=0))) <= tol:
-            break
+        n = min(BLOCK_ROUNDS, max_iter - k)
+        for r in range(lead + 1, lead + 1 + n):
+            w.dot(rows[r - 1], out=rows[r])
+        states = buf[:lead + 1 + n]
+        # done[j]: the state after k + j rounds meets the stopping rule
+        if mode == "oracle":
+            done = np.abs(states - target).max(axis=1) <= tol
+        else:
+            spans = sliding_window_view(states, lead + 1, axis=0)
+            done = np.ptp(spans, axis=2).max(axis=1) <= tol
+            done[:max(window - k, 0)] = False   # fewer than window + 1 states so far
+        if done.any():
+            j = int(np.argmax(done))
+            x = buf[lead + j].copy()
+            return ConsensusResult(values=x, iterations=k + j,
+                                   max_deviation=float(np.max(np.abs(x - target))))
+        k += n
         if k >= max_iter:
             raise ConsensusError(
                 f"no consensus after {max_iter} rounds (tol={tol})",
-                values=x, iterations=k,
+                values=buf[lead + n].copy(), iterations=k,
             )
-        x = w @ x
-        k += 1
-        hist.append(x)
-        if len(hist) > window + 1:
-            hist.pop(0)
-    return ConsensusResult(values=x, iterations=k,
-                           max_deviation=float(np.max(np.abs(x - target))))
+        buf[:lead + 1] = buf[n:n + lead + 1]
 
 
 def save_edge_list(graph: Graph, path) -> None:

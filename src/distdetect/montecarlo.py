@@ -318,8 +318,9 @@ def simulate_plans(
     (run_h0, run_h1). Observations come from one PRNG stream derived
     from the scenario seed and are drawn in chunks of at most
     CHUNK_SAMPLES samples. Each chunk is drawn and reduced to per-sensor
-    statistics once, then quantized and fused for every plan. Counts are
-    integers summed in a fixed order, so a given seed is fully
+    statistics once, quantized once for every group of plans with the
+    same statistic, senders and bit loads, and fused for every plan.
+    Counts are integers summed in a fixed order, so a given seed is fully
     deterministic, whatever the chunk size.
 
     clip_counts, if supplied, is filled with per-sensor counts of raw
@@ -331,11 +332,18 @@ def simulate_plans(
     m, n, u = scenario.M, scenario.N, scenario.U
 
     counts = [np.zeros((2, len(thr)), dtype=np.int64) for thr in thresholds]
-    live = [(j, plan, plan.alpha_tx != 0.0) for j, plan in enumerate(plans) if not plan.degenerate]
     hyps = [(i, hyp) for i, (hyp, run) in enumerate(zip(Hypothesis, hypotheses)) if run]
-    if not live or not hyps:
+    # plans that quantize the same statistics of the same senders at the
+    # same bit loads share one quantized array: (kind, senders, bits) -> (senders, plans)
+    groups: dict[tuple, tuple[np.ndarray, list[tuple[int, SchemePlan]]]] = {}
+    for j, plan in enumerate(plans):
+        if not plan.degenerate:
+            senders = plan.alpha_tx != 0.0
+            key = (_kind(plan), senders.tobytes(), plan.bits_int[senders].tobytes())
+            groups.setdefault(key, (senders, []))[1].append((j, plan))
+    if not groups or not hyps:
         return counts   # nothing to draw: nobody transmits, or no hypothesis is run
-    kinds = {_kind(plan) for _, plan, _ in live}
+    kinds = {kind for kind, _, _ in groups}
 
     chunk_cap = max(256, CHUNK_SAMPLES // max(m * n, 1))
     # the key fixes every draw: changing it changes every results CSV
@@ -360,14 +368,15 @@ def simulate_plans(
                                                    np.zeros((2, m), dtype=np.int64))
                     tally[0] += (st < lo).sum(axis=1)
                     tally[1] += (st > lo + 2.0 * u).sum(axis=1)
-            for j, plan, senders in live:
-                bits = plan.bits_int[senders, None]
-                if plan.scheme.matched_filter:
+            for (kind, _, _), (senders, members) in groups.items():
+                bits = members[0][1].bits_int[senders, None]
+                if kind == "matched":
                     q = quantize_centered(stats["matched"][senders], bits, u)
                 else:
                     q = quantize_array(stats["energy"][senders], bits, u)
-                fused = fuse(q, FusionWeights(plan.alpha_tx[senders]))
-                counts[j][hyp_idx] += (fused[:, None] > thresholds[j][None, :]).sum(axis=0)
+                for j, plan in members:
+                    fused = fuse(q, FusionWeights(plan.alpha_tx[senders]))
+                    counts[j][hyp_idx] += (fused[:, None] > thresholds[j][None, :]).sum(axis=0)
     return counts
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .consensus import consensus_average, metropolis_matrix
+from .consensus import ConsensusError, consensus_average, metropolis_matrix
 from .model import Scenario
 from .solver_central import PowerAllocation, power_closed_form
 
@@ -28,7 +28,7 @@ LAMBDA_MIN = 1e-16   # dual variable floor; the closed form needs sqrt(lambda0) 
 
 
 class ConvergenceError(RuntimeError):
-    """Outer loop exhausted its budget; carries the partial trace."""
+    """Outer loop exhausted its budget or a consensus run failed; carries the partial trace."""
 
     def __init__(self, msg: str, trace: "DualAscentTrace | None" = None):
         super().__init__(msg)
@@ -82,6 +82,8 @@ def solve_distributed(scenario: Scenario) -> tuple[PowerAllocation, DualAscentTr
     The returned allocation approaches the budget from above as the
     multiplier climbs, so its residual is bounded by the coarser
     distributed tolerance (1e-3 relative), not the centralized one.
+    A consensus run that fails raises ConvergenceError with the trace
+    of the outer iterations completed before it.
     """
     cfg = scenario.solver
     graph = scenario.topology
@@ -94,12 +96,28 @@ def solve_distributed(scenario: Scenario) -> tuple[PowerAllocation, DualAscentTr
 
     ks, lams, prows, crows, rels, spreads = [], [], [], [], [], []
     converged = False
+
+    def trace_so_far(converged: bool) -> DualAscentTrace:
+        return DualAscentTrace(
+            k=np.array(ks, dtype=int),
+            lambda0=np.array(lams),
+            powers=np.array(prows).reshape(len(prows), m),
+            consensus_iters=np.array(crows, dtype=int),
+            rel_step=np.array(rels),
+            lambda0_spread=np.array(spreads),
+            converged=converged,
+        )
+
     for k in range(cfg.outer_max_iter):
         p = local_power_update(lam, scenario, n, u)
-        cres = consensus_average(
-            graph, p, tol=cfg.consensus_tol, max_iter=cfg.consensus_max_iter,
-            mode=cfg.consensus_mode, window=cfg.consensus_window, weights=w,
-        )
+        try:
+            cres = consensus_average(
+                graph, p, tol=cfg.consensus_tol, max_iter=cfg.consensus_max_iter,
+                mode=cfg.consensus_mode, window=cfg.consensus_window, weights=w,
+            )
+        except ConsensusError as e:
+            raise ConvergenceError(f"outer iteration {k + 1}: {e}",
+                                   trace=trace_so_far(False)) from e
         # every sensor applies the same rule to its own multiplier copy
         eps = lam if k == 0 else lam / k
         lam_used = float(np.mean(lam))
@@ -124,15 +142,7 @@ def solve_distributed(scenario: Scenario) -> tuple[PowerAllocation, DualAscentTr
             break
         p_prev = p
 
-    trace = DualAscentTrace(
-        k=np.array(ks, dtype=int),
-        lambda0=np.array(lams),
-        powers=np.array(prows),
-        consensus_iters=np.array(crows, dtype=int),
-        rel_step=np.array(rels),
-        lambda0_spread=np.array(spreads),
-        converged=converged,
-    )
+    trace = trace_so_far(converged)
     if not converged:
         raise ConvergenceError(
             f"no convergence to kappa={cfg.kappa} within {cfg.outer_max_iter} outer iterations",

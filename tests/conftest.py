@@ -38,6 +38,35 @@ def rng():
     return np.random.default_rng(0)
 
 
+def reference_consensus_average(graph, x0, tol=1e-10, max_iter=10000, mode="oracle",
+                                window=5, weights=None):
+    """consensus_average as a plain x = W @ x loop that tests the stopping rule every round."""
+    w = dd.metropolis_matrix(graph) if weights is None else weights
+    x = np.asarray(x0, dtype=float)
+    target = x.mean()
+    hist = [x]
+    k = 0
+    while True:
+        if mode == "oracle":
+            done = np.max(np.abs(x - target)) <= tol
+        else:
+            done = len(hist) == window + 1 and np.max(np.ptp(np.stack(hist), axis=0)) <= tol
+        if done:
+            return dd.ConsensusResult(values=x, iterations=k,
+                                      max_deviation=float(np.max(np.abs(x - target))))
+        if k >= max_iter:
+            raise dd.ConsensusError(f"no consensus after {max_iter} rounds (tol={tol})",
+                                    values=x, iterations=k)
+        x = w @ x
+        k += 1
+        hist = (hist + [x])[-(window + 1):]
+
+
+@pytest.fixture(name="reference_consensus_average")
+def _reference_consensus_average():
+    return reference_consensus_average
+
+
 def write_config(tmpdir, overrides=None, **kw) -> Path:
     """Drop a minimal valid config file into tmpdir and return its path."""
     cfg = {

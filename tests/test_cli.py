@@ -224,6 +224,18 @@ class TestTraceCommand:
         # the partial trace still lands on disk for post-mortems
         assert len(read_csv(out / "trace.csv")) == 4
 
+    @pytest.mark.parametrize("command", [("trace",), ("allocate", "--method", "distributed")])
+    def test_consensus_failure_writes_the_partial_trace(self, tmp_path, capsys, command):
+        # the fig1 network needs 249 rounds in its first consensus run
+        path = write_config(tmp_path, seed=1, M=10, radius=0.5,
+                            overrides={"solver": {"consensus_max_iter": 50}})
+        out = tmp_path / "out"
+        assert run_cli(*command, path, "--out", out) == 3
+        assert "no consensus after 50 rounds" in capsys.readouterr().err
+        # no outer iteration completed: the header alone
+        assert read_csv(out / "trace.csv") == [
+            ["k", "lambda0"] + [f"p_{i}" for i in range(1, 11)] + ["consensus_iters", "rel_step"]]
+
     def test_bisection_failure_maps_to_exit_3(self, tmp_path, capsys):
         # a budget this far below the constant terms cannot be met to 1e-9 relative
         path = write_config(tmp_path, Pt=1e-12)

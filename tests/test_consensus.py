@@ -4,6 +4,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import distdetect as dd
+from distdetect.consensus import BLOCK_ROUNDS
 
 
 def path_graph(m):
@@ -150,6 +151,90 @@ class TestConsensusAverage:
         with pytest.raises(ValueError):
             dd.consensus_average(g, np.zeros(3), tol=1e-9, max_iter=10,
                                  mode="local", window=0)
+
+
+def _run(fn, graph, x0, **kw):
+    """(values, iterations, failed) of one consensus run, success or ConsensusError."""
+    try:
+        res = fn(graph, x0, **kw)
+    except dd.ConsensusError as e:
+        return e.values, e.iterations, True
+    return res.values, res.iterations, False
+
+
+def _stop_statistics(graph, x0, rounds, window):
+    """Per round k: the oracle deviation and, from k = window on, the local window spread."""
+    w = dd.metropolis_matrix(graph)
+    xs = [np.asarray(x0, dtype=float)]
+    for _ in range(rounds):
+        xs.append(w @ xs[-1])
+    xs = np.array(xs)
+    dev = np.max(np.abs(xs - xs[0].mean()), axis=1)
+    spread = np.array([np.max(np.ptp(xs[k - window:k + 1], axis=0)) if k >= window else np.inf
+                       for k in range(rounds + 1)])
+    return dev, spread
+
+
+class TestBlockedRounds:
+    """The blocked loop against a per-round x = W @ x reference: equal bits, equal counts."""
+
+    def test_random_graphs_both_modes(self, reference_consensus_average):
+        rng = np.random.default_rng(23)
+        for t in range(60):
+            m = int(rng.integers(1, 30))
+            g = dd.random_geometric_graph(m, float(rng.uniform(0.3, 0.9)), rng)
+            x0 = rng.normal(size=m) * 10.0 ** rng.uniform(-3, 3)
+            kw = dict(tol=10.0 ** rng.uniform(-12, -3), max_iter=int(rng.integers(0, 400)),
+                      mode=("oracle", "local")[t % 2], window=int(rng.integers(1, 80)))
+            got = _run(dd.consensus_average, g, x0, **kw)
+            ref = _run(reference_consensus_average, g, x0, **kw)
+            assert got[1:] == ref[1:], kw
+            assert np.all(got[0] == ref[0]), kw
+
+    @pytest.mark.parametrize("mode", ["oracle", "local"])
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_stops_at_the_block_boundary(self, mode, offset, reference_consensus_average):
+        rounds = BLOCK_ROUNDS + offset
+        g = path_graph(8)
+        x0 = np.arange(8, dtype=float) ** 2
+        dev, spread = _stop_statistics(g, x0, rounds, window=5)
+        stat = dev if mode == "oracle" else spread
+        # the rule is first met after exactly `rounds` rounds
+        assert np.all(stat[:rounds] > stat[rounds])
+        kw = dict(tol=float(stat[rounds]), max_iter=10_000, mode=mode, window=5)
+        res = dd.consensus_average(g, x0, **kw)
+        ref = reference_consensus_average(g, x0, **kw)
+        assert res.iterations == ref.iterations == rounds
+        assert np.all(res.values == ref.values)
+        assert res.max_deviation == ref.max_deviation
+
+    @pytest.mark.parametrize("mode", ["oracle", "local"])
+    @pytest.mark.parametrize("max_iter", [0, 3, BLOCK_ROUNDS - 1, BLOCK_ROUNDS,
+                                          BLOCK_ROUNDS + 1, 2 * BLOCK_ROUNDS + 3])
+    def test_budget_error_at_exactly_max_iter(self, mode, max_iter,
+                                              reference_consensus_average):
+        g = path_graph(8)
+        x0 = np.arange(8, dtype=float)
+        kw = dict(tol=1e-12, max_iter=max_iter, mode=mode, window=5)
+        with pytest.raises(dd.ConsensusError) as exc:
+            dd.consensus_average(g, x0, **kw)
+        with pytest.raises(dd.ConsensusError) as ref:
+            reference_consensus_average(g, x0, **kw)
+        assert exc.value.iterations == ref.value.iterations == max_iter
+        assert np.all(exc.value.values == ref.value.values)
+        assert str(exc.value) == str(ref.value)
+
+    def test_window_longer_than_the_budget_never_stops(self):
+        g = dd.complete_graph(4)
+        with pytest.raises(dd.ConsensusError) as exc:
+            dd.consensus_average(g, np.arange(4.0), tol=1e-9, max_iter=10,
+                                 mode="local", window=10**9)
+        assert exc.value.iterations == 10
+        assert_allclose(exc.value.values, 1.5)
+
+    def test_negative_budget_rejected(self):
+        with pytest.raises(ValueError):
+            dd.consensus_average(path_graph(3), np.arange(3.0), max_iter=-1)
 
 
 class TestEdgeListRoundTrip:

@@ -271,6 +271,26 @@ class TestChunking:
         assert shapes == [(c, sc.M, sc.N) for c in (256, 256, 256, 232)]
 
 
+    def test_plans_sharing_bit_loads_quantize_once(self, small_scenario, monkeypatch):
+        sc = small_scenario
+        plans = [plan_scheme(sc, s, pt=pt) for pt in self.GRID for s in Scheme]
+        # one group per (statistic, senders, bit loads); equal-power ED schemes share one
+        groups = {(p.scheme.matched_filter, tuple(p.alpha_tx != 0.0),
+                   tuple(p.bits_int[p.alpha_tx != 0.0])) for p in plans if not p.degenerate}
+        assert len(groups) < sum(not p.degenerate for p in plans)
+        calls = []
+
+        def counted(real):
+            def wrapper(*args):
+                calls.append(real.__name__)
+                return real(*args)
+            return wrapper
+
+        for name in ("quantize_array", "quantize_centered"):
+            monkeypatch.setattr(montecarlo, name, counted(getattr(montecarlo, name)))
+        self._sweep(sc)
+        assert len(calls) == 2 * len(groups)   # one chunk, two hypotheses
+
 class TestResultsCsv:
     def test_schema_and_formatting(self, tmp_path, small_scenario):
         p = equal_power(small_scenario)

@@ -6,6 +6,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import distdetect as dd
+from distdetect import solver_dist
 from distdetect.solver_dist import write_trace_csv
 
 
@@ -98,6 +99,55 @@ class TestSolveDistributed:
         assert np.isnan(trace.rel_step[0])
         assert trace.powers.shape == (trace.iterations, 4)
         assert trace.total_consensus_rounds == int(np.sum(trace.consensus_iters))
+
+
+def _trace_arrays(trace):
+    return [trace.k, trace.lambda0, trace.powers, trace.consensus_iters, trace.rel_step,
+            trace.lambda0_spread]
+
+
+class TestBlockedConsensusInTheSolver:
+    def test_fig1_trace_equals_the_per_round_loop(self, fig1_scenario, monkeypatch,
+                                                  reference_consensus_average):
+        _, blocked = dd.solve_distributed(fig1_scenario)
+        monkeypatch.setattr(solver_dist, "consensus_average", reference_consensus_average)
+        _, reference = dd.solve_distributed(fig1_scenario)
+        assert blocked.total_consensus_rounds == reference.total_consensus_rounds
+        for a, b in zip(_trace_arrays(blocked), _trace_arrays(reference)):
+            assert np.array_equal(a, b, equal_nan=True)
+
+    def test_consensus_failure_keeps_the_partial_trace(self, monkeypatch):
+        sc = _identical_scenario()
+        _, full = dd.solve_distributed(sc)
+        real = solver_dist.consensus_average
+        calls = []
+
+        def fails_on_third_call(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 3:
+                raise dd.ConsensusError("no consensus after 7 rounds (tol=1e-10)",
+                                        values=np.zeros(sc.M), iterations=7)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(solver_dist, "consensus_average", fails_on_third_call)
+        with pytest.raises(dd.ConvergenceError) as exc:
+            dd.solve_distributed(sc)
+        assert "no consensus after 7 rounds" in str(exc.value)
+        assert isinstance(exc.value.__cause__, dd.ConsensusError)
+        partial = exc.value.trace
+        assert partial.iterations == 2 and not partial.converged
+        for a, b in zip(_trace_arrays(partial), _trace_arrays(full)):
+            assert np.array_equal(a, b[:2], equal_nan=True)
+
+    def test_consensus_failure_on_the_first_iteration_leaves_an_empty_trace(self):
+        # the fig1 network needs 249 rounds in its first consensus run
+        sc = dd.make_scenario(m=10, n=10, seed=1, radius=0.5,
+                              solver=dd.SolverConfig(consensus_max_iter=50))
+        with pytest.raises(dd.ConvergenceError) as exc:
+            dd.solve_distributed(sc)
+        assert "outer iteration 1: no consensus after 50 rounds" in str(exc.value)
+        assert exc.value.trace.iterations == 0
+        assert exc.value.trace.powers.shape == (0, 10)
 
 
 class TestTraceCsv:
