@@ -1,7 +1,7 @@
 """Solve one power allocation problem both ways and compare the answers.
 
-Ten sensors share a unit transmit budget. The centralized solver bisects
-on the price until the budget binds; the distributed one runs dual ascent
+Ten sensors share a unit transmit budget. The centralized solver finds
+the water level that spends it exactly; the distributed one runs dual ascent
 where each sensor only ever talks to its graph neighbors. The two
 allocations should agree to a fraction of a percent, and the weakest
 channel should be censored outright (zero power, zero bits).

@@ -73,10 +73,10 @@ from .quantize import (
     specs_for_allocation,
 )
 from .solver_central import (
-    BisectionError,
     KktReport,
     NoSignalError,
     PowerAllocation,
+    ScaleError,
     kkt_check,
     objective_value,
     power_closed_form,

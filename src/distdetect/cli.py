@@ -3,7 +3,7 @@
 Configs are JSON documents with a schema_version field; every command
 takes one config path plus an output directory and writes plot-ready
 CSV files and a manifest. Exit codes are a stable contract: 0 success,
-2 config problems, 3 solver non-convergence.
+2 config problems, 3 distributed-solver non-convergence.
 """
 from __future__ import annotations
 
@@ -31,7 +31,7 @@ from .montecarlo import (
     write_results_csv,
 )
 from .quantize import specs_for_allocation
-from .solver_central import BisectionError, NoSignalError, solve_centralized
+from .solver_central import NoSignalError, ScaleError, solve_centralized
 from .solver_dist import ConvergenceError, solve_distributed, write_trace_csv
 
 SCHEMA_VERSION = 1
@@ -431,10 +431,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, TopologyError, NoSignalError) as e:
+    except (ConfigError, TopologyError, NoSignalError, ScaleError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except (ConvergenceError, BisectionError) as e:
+    except ConvergenceError as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
 

@@ -3,10 +3,12 @@
 The network-wide problem is to split a total transmit budget Pt across
 sensors to maximize the best achievable deflection of the fused
 detector, sum_i b_i^2 / R_ii(p_i). The problem separates per sensor
-given the Lagrange multiplier lambda0 of the budget constraint, each
-sensor's optimum has a closed form with a water-filling [.]+ clamp, and
-the multiplier itself is found by bisection on the (strictly
-decreasing) total power curve.
+given the Lagrange multiplier lambda0 of the budget constraint, and
+each sensor's optimum has a closed form with a water-filling [.]+
+clamp. Total power is piecewise linear in the water level
+lambda0^(-1/2), so the multiplier is found exactly by sorting the
+breakpoints (Palomar & Fonollosa, "Practical algorithms for a family
+of waterfilling solutions", IEEE TSP 53(2), 2005).
 """
 from __future__ import annotations
 
@@ -23,8 +25,8 @@ class NoSignalError(ValueError):
     """Every sensor has xi = 0: the objective does not depend on power."""
 
 
-class BisectionError(RuntimeError):
-    """The multiplier search failed to meet the budget tolerance."""
+class ScaleError(ValueError):
+    """The closed form's coefficients or water level overflow or underflow float64."""
 
 
 @dataclass(frozen=True)
@@ -60,16 +62,31 @@ class PowerAllocation:
         """Raise unless the allocation is budget-feasible and slack-consistent.
 
         budget_rtol bounds sum(p) - Pt from above; slack_rtol bounds
-        |sum(p) - Pt| whenever lambda0 > 0 (a positive multiplier means
-        the budget constraint is active).
+        |sum(p) - Pt|, since lambda0 > 0 means the budget constraint is
+        active.
         """
         tot = self.total()
         if tot > pt + budget_rtol * pt:
             raise ValueError(f"budget violated: sum(p)={tot} > Pt={pt}")
-        if self.lambda0 > 0 and abs(tot - pt) > slack_rtol * pt:
+        if abs(tot - pt) > slack_rtol * pt:
             raise ValueError(
                 f"complementary slackness violated: |sum(p)-Pt|={abs(tot - pt)} with lambda0={self.lambda0}"
             )
+
+
+def _closed_form_terms(sensor, n: int, u: float):
+    """num, den, t2, t3 of the closed form p = [num / (den sqrt(lambda0)) - t2 - t3]+."""
+    if n < 1 or u <= 0:
+        raise ValueError("need n >= 1 and U > 0")
+    g = sensor.h * sensor.h / sensor.zeta
+    s2 = sensor.sigma2
+    xi = sensor.xi
+    one = 1.0 + 2.0 * xi
+    num = xi * u * np.sqrt(3.0)
+    den = 6.0 * s2 * one * np.sqrt(g)
+    t2 = u * u / (6.0 * n * s2 * s2 * one * g)
+    t3 = 1.0 / g
+    return num, den, t2, t3
 
 
 def power_closed_form(lambda0, sensor, n: int, u: float):
@@ -85,24 +102,12 @@ def power_closed_form(lambda0, sensor, n: int, u: float):
     """
     if np.any(np.less_equal(lambda0, 0)):
         raise ValueError("lambda0 must be positive")
-    if n < 1 or u <= 0:
-        raise ValueError("need n >= 1 and U > 0")
-    g = sensor.h * sensor.h / sensor.zeta
-    s2 = sensor.sigma2
-    xi = sensor.xi
-    one = 1.0 + 2.0 * xi
-    t1 = xi * u * np.sqrt(3.0) / (6.0 * s2 * one * np.sqrt(g) * np.sqrt(lambda0))
-    t2 = u * u / (6.0 * n * s2 * s2 * one * g)
-    t3 = 1.0 / g
-    return np.maximum(t1 - t2 - t3, 0.0)
+    num, den, t2, t3 = _closed_form_terms(sensor, n, u)
+    return np.maximum(num / (den * np.sqrt(lambda0)) - t2 - t3, 0.0)
 
 
 def total_power(lambda0: float, scenario: Scenario) -> float:
     return float(np.sum(power_closed_form(lambda0, scenario, scenario.N, scenario.U)))
-
-
-def allocation_powers(lambda0: float, scenario: Scenario) -> np.ndarray:
-    return power_closed_form(lambda0, scenario, scenario.N, scenario.U)
 
 
 def objective_value(powers: np.ndarray, scenario: Scenario) -> float:
@@ -116,18 +121,17 @@ def objective_value(powers: np.ndarray, scenario: Scenario) -> float:
     return float(np.sum(d.b * d.b / d.R_diag))
 
 
-def solve_centralized(
-    scenario: Scenario,
-    pt: float | None = None,
-    budget_rtol: float = 1e-9,
-    max_bisect: int = 2000,
-) -> PowerAllocation:
-    """Find lambda0 by bisection so the closed-form powers spend exactly pt.
+def solve_centralized(scenario: Scenario, pt: float | None = None) -> PowerAllocation:
+    """Water-fill exactly pt by sorting the breakpoints of total power.
 
-    Total power is continuous and strictly decreasing in lambda0
-    wherever positive, diverges as lambda0 -> 0+ and dies to 0 as
-    lambda0 -> inf, so a bracket always exists: halve from 1 until the
-    total exceeds pt, double until it falls below.
+    With s = lambda0^(-1/2), sensor i gets a_i [s - b_i]+, where a = num / den
+    and b = (t2 + t3) / a, so total power is piecewise linear in s. At the
+    k-th smallest breakpoint the power spent is
+    spent_k = spent_{k-1} + A_{k-1} (b_k - b_{k-1}), A the running sum of a;
+    the last k with spent_k < pt fixes the active set and
+    s - b_k = (pt - spent_k) / A_k. Active powers a_i ((s - b_k) + (b_k - b_i))
+    cancel no large terms. Sensors with a_i = 0 (xi = 0) never transmit.
+    Raises ScaleError when a, b or the water level are not finite floats.
     """
     if pt is None:
         pt = scenario.Pt
@@ -136,33 +140,27 @@ def solve_centralized(
     if np.all(scenario.xi == 0.0):
         raise NoSignalError("all sensors have xi = 0; power does not affect the objective")
 
-    lo = 1.0
-    while total_power(lo, scenario) <= pt:
-        lo *= 0.5
-        if lo < 1e-300:
-            raise BisectionError("no lower bracket: total power never exceeds the budget")
-    hi = max(lo * 2.0, 1.0)
-    while total_power(hi, scenario) >= pt:
-        hi *= 2.0
-        if hi > 1e300:
-            raise BisectionError("no upper bracket: total power never falls below the budget")
-
-    lam = 0.5 * (lo + hi)
-    for _ in range(max_bisect):
-        lam = 0.5 * (lo + hi)
-        tot = total_power(lam, scenario)
-        if abs(tot - pt) <= budget_rtol * pt:
-            break
-        if tot > pt:
-            lo = lam
-        else:
-            hi = lam
-    else:
-        raise BisectionError(
-            f"budget not met to {budget_rtol} relative after {max_bisect} bisections"
-        )
-    alloc = PowerAllocation(p=allocation_powers(lam, scenario), lambda0=lam)
-    alloc.validate(pt, budget_rtol=budget_rtol)
+    with np.errstate(all="ignore"):  # out-of-range values are caught below
+        num, den, t2, t3 = _closed_form_terms(scenario, scenario.N, scenario.U)
+        a = num / den
+        cand = np.flatnonzero(a > 0)
+        b = (t2 + t3)[cand] / a[cand]
+        if not (cand.size and np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
+            raise ScaleError("the closed form's coefficients are not finite positive floats")
+        order = np.argsort(b, kind="stable")
+        idx, b = cand[order], b[order]
+        a_sum = np.cumsum(a[idx])
+        spent = np.concatenate(([0.0], np.cumsum(a_sum[:-1] * np.diff(b))))
+        k = int(np.searchsorted(spent, pt)) - 1
+        level = (pt - spent[k]) / a_sum[k]
+        s = b[k] + level
+        lam = 1.0 / (s * s)
+        p = np.zeros(scenario.M)
+        p[idx[:k + 1]] = a[idx[:k + 1]] * (level + (b[k] - b[:k + 1]))
+    if not (0.0 < lam < np.inf and np.all(np.isfinite(p))):
+        raise ScaleError(f"the water level for Pt={pt} is not a finite float")
+    alloc = PowerAllocation(p=p, lambda0=float(lam))
+    alloc.validate(pt)
     return alloc
 
 

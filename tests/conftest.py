@@ -67,6 +67,42 @@ def _reference_consensus_average():
     return reference_consensus_average
 
 
+def reference_water_filling(scenario, pt=None, budget_rtol=1e-9, max_bisect=2000):
+    """solve_centralized as a bracket-plus-bisection search on total power over lambda0.
+
+    Total power is continuous and strictly decreasing in lambda0 wherever
+    positive, so halving from 1 until it exceeds pt, doubling until it
+    falls below, then bisecting meets pt to budget_rtol.
+    """
+    pt = scenario.Pt if pt is None else pt
+    lo = 1.0
+    while dd.total_power(lo, scenario) <= pt:
+        lo *= 0.5
+        assert lo >= 1e-300, "no lower bracket: total power never exceeds the budget"
+    hi = max(lo * 2.0, 1.0)
+    while dd.total_power(hi, scenario) >= pt:
+        hi *= 2.0
+        assert hi <= 1e300, "no upper bracket: total power never falls below the budget"
+    for _ in range(max_bisect):
+        lam = 0.5 * (lo + hi)
+        tot = dd.total_power(lam, scenario)
+        if abs(tot - pt) <= budget_rtol * pt:
+            break
+        if tot > pt:
+            lo = lam
+        else:
+            hi = lam
+    else:
+        raise AssertionError(f"budget not met to {budget_rtol} relative after {max_bisect} bisections")
+    return dd.PowerAllocation(
+        p=dd.power_closed_form(lam, scenario, scenario.N, scenario.U), lambda0=lam)
+
+
+@pytest.fixture(name="reference_water_filling")
+def _reference_water_filling():
+    return reference_water_filling
+
+
 def write_config(tmpdir, overrides=None, **kw) -> Path:
     """Drop a minimal valid config file into tmpdir and return its path."""
     cfg = {

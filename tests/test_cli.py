@@ -1,6 +1,7 @@
 """Config validation and the allocate / detect / trace commands."""
 import csv
 import json
+import math
 
 import numpy as np
 import pytest
@@ -108,6 +109,37 @@ class TestAllocateCommand:
         pc = np.array([float(r[4]) for r in rows[1:]])
         pdist = np.array([float(r[5]) for r in rows[1:]])
         assert np.linalg.norm(pdist - pc) / np.linalg.norm(pc) < 1e-3
+
+    @pytest.mark.parametrize("config, overrides", [
+        ("fig1.cfg", {"Pt": 1e-300}),
+        ("fig1.cfg", {"Pt": 1e-12}),
+        ("fig1.cfg", {"Pt": 1e-9}),
+        ("fig1.cfg", {"Pt": 1e12}),
+        ("fig1.cfg", {"U": 1e6}),
+        ("fig1.cfg", {"zeta": 1e300}),
+        ("fig5.cfg", {"Pt": 1e-9}),
+    ], ids=["fig1_pt_1e-300", "fig1_pt_1e-12", "fig1_pt_1e-9", "fig1_pt_1e12", "fig1_u_1e6",
+            "fig1_zeta_1e300", "fig5_pt_1e-9"])
+    def test_extreme_scales_meet_the_budget(self, tmp_path, config, overrides):
+        cfg = {**json.loads(bundled_config(config).read_text()), **overrides}
+        out = tmp_path / "out"
+        assert run_cli("allocate", write_config(tmp_path, overrides=cfg),
+                       "--method", "central", "--out", out) == 0
+        rows = read_csv(out / "allocation.csv")
+        p = [float(r[4]) for r in rows[1:]]
+        assert abs(math.fsum(p) - cfg["Pt"]) <= 1e-9 * cfg["Pt"]
+
+    @pytest.mark.parametrize("overrides", [
+        {"Pt": 1e300},
+        {"sigma2_range": [1e-300, 1e-300]},
+        {"sigma2_range": [1e300, 1e300]},
+    ], ids=["pt_1e300", "sigma2_1e-300", "sigma2_1e300"])
+    def test_unrepresentable_scales_exit_2(self, tmp_path, capsys, overrides):
+        cfg = {**json.loads(bundled_config("fig1.cfg").read_text()), **overrides}
+        assert run_cli("allocate", write_config(tmp_path, overrides=cfg),
+                       "--method", "central", "--out", tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "Traceback" not in err
 
     def test_manifest_lists_only_real_outputs(self, tmp_path):
         path = write_config(tmp_path)
@@ -235,13 +267,6 @@ class TestTraceCommand:
         # no outer iteration completed: the header alone
         assert read_csv(out / "trace.csv") == [
             ["k", "lambda0"] + [f"p_{i}" for i in range(1, 11)] + ["consensus_iters", "rel_step"]]
-
-    def test_bisection_failure_maps_to_exit_3(self, tmp_path, capsys):
-        # a budget this far below the constant terms cannot be met to 1e-9 relative
-        path = write_config(tmp_path, Pt=1e-12)
-        assert run_cli("allocate", path, "--method", "central",
-                       "--out", tmp_path / "out") == 3
-        assert "error:" in capsys.readouterr().err
 
     def test_zero_signal_config_maps_to_exit_2(self, tmp_path, capsys):
         path = write_config(tmp_path, overrides={"amplitude": 0.0})

@@ -1,4 +1,6 @@
-"""Closed-form water filling, budget bisection, KKT residuals."""
+"""Closed-form water filling, the exact water-level solve, KKT residuals."""
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -108,6 +110,27 @@ class TestSolveCentralized:
         for _ in range(1000):
             raw = rng.dirichlet(np.ones(10)) * 1.0
             assert dd.objective_value(raw, fig1_scenario) <= best * (1 + 1e-9)
+
+
+class TestAgainstTheBisectionReference:
+    def test_seeded_scenarios(self, reference_water_filling):
+        rng = np.random.default_rng(2005)
+        for _ in range(200):
+            m = int(rng.integers(1, 201))
+            pt = float(10.0 ** rng.uniform(-2.0, 2.0))
+            n = int(rng.integers(1, 51))
+            seed = int(rng.integers(2 ** 31))
+            case = f"m={m} n={n} seed={seed} pt={pt!r}"
+            sc = dd.make_scenario(m=m, n=n, seed=seed, pt=pt, radius=1.5)
+            alloc = dd.solve_centralized(sc)
+            ref = reference_water_filling(sc)
+            assert abs(alloc.lambda0 - ref.lambda0) <= 1e-8 * ref.lambda0, case
+            assert np.array_equal(alloc.p == 0, ref.p == 0), case
+            assert abs(math.fsum(alloc.p) - pt) <= 1e-12 * pt, case
+            report = dd.kkt_check(alloc, sc)
+            assert report.max_abs_residual_active <= 1e-6, case
+            assert abs(report.complementary_slackness) <= 1e-9, case
+            assert report.budget_feasible and report.powers_nonnegative, case
 
 
 class TestPowerAllocationType:
