@@ -18,7 +18,7 @@ def main():
     central = dd.solve_centralized(sc)
     distributed, trace = dd.solve_distributed(sc)
 
-    specs = specs_for_allocation(central.p, sc.h, sc.zeta, sc.U)
+    spec = specs_for_allocation(central.p, sc.h, sc.zeta, sc.U)
     print(f"budget Pt = {sc.Pt}, price lambda0 = {central.lambda0:.6e}")
     print(f"dual ascent: {trace.iterations} outer iterations, "
           f"{trace.total_consensus_rounds} consensus rounds")
@@ -26,7 +26,7 @@ def main():
     print(" i   |h|^2/zeta     xi_i   p_central   p_distributed  capacity")
     gain = sc.h ** 2 / sc.zeta
     for i in range(sc.M):
-        tag = "censored" if specs[i].censored else f"{specs[i].bits_real:.2f} bits"
+        tag = "censored" if spec.censored[i] else f"{spec.bits_real[i]:.2f} bits"
         print(f"{i:2d}   {gain[i]:9.3f}   {sc.xi[i]:6.3f}   {central.p[i]:9.5f}   "
               f"{distributed.p[i]:13.5f}  {tag}")
 

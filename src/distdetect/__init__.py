@@ -66,10 +66,8 @@ from .quantize import (
     QuantSpec,
     capacity_bits,
     quant_noise_var,
-    quant_spec,
     quantize_array,
     quantize_centered,
-    quantize_statistic,
     specs_for_allocation,
 )
 from .solver_central import (

@@ -252,17 +252,18 @@ def write_allocation_csv(path, scenario: Scenario, p_central, p_distributed) -> 
     the distributed ones.
     """
     basis = p_central if p_central is not None else p_distributed
-    specs = specs_for_allocation(np.asarray(basis), scenario.h, scenario.zeta, scenario.U)
-    columns = zip(scenario.h.tolist(), scenario.sigma2.tolist(), scenario.xi.tolist())
+    spec = specs_for_allocation(basis, scenario.h, scenario.zeta, scenario.U)
+    # .tolist() gives the Python floats, ints and bools that _fmt writes
+    columns = zip(scenario.h.tolist(), scenario.sigma2.tolist(), scenario.xi.tolist(),
+                  spec.bits_real.tolist(), spec.bits_int.tolist(), spec.censored.tolist())
     with open(path, "w") as fh:
         fh.write("i,h_i,sigma2_i,xi_i,p_central,p_distributed,bits_real,bits_int,censored\n")
-        for i, (h, sigma2, xi) in enumerate(columns):
+        for i, (h, sigma2, xi, bits_real, bits_int, censored) in enumerate(columns):
             row = [
                 str(i), _fmt(h), _fmt(sigma2), _fmt(xi),
                 _fmt(None if p_central is None else float(p_central[i])),
                 _fmt(None if p_distributed is None else float(p_distributed[i])),
-                _fmt(specs[i].bits_real), str(specs[i].bits_int),
-                _fmt(specs[i].censored),
+                _fmt(bits_real), str(bits_int), _fmt(censored),
             ]
             fh.write(",".join(row) + "\n")
 

@@ -47,6 +47,11 @@ def _normalize_edges(m: int, edges) -> tuple[tuple[int, int], ...]:
     return tuple(out)
 
 
+def _edge_array(edges) -> np.ndarray:
+    """The edge list as an (E, 2) integer array, (0, 2) when there are no edges."""
+    return np.array(edges, dtype=np.intp).reshape(-1, 2)
+
+
 @dataclass(frozen=True)
 class Graph:
     """Undirected connected graph on vertices 0..M-1.
@@ -65,11 +70,8 @@ class Graph:
             raise TopologyError("graph needs at least one vertex")
         edges = _normalize_edges(self.M, self.edges)
         object.__setattr__(self, "edges", edges)
-        deg = [0] * self.M
-        for u, v in edges:
-            deg[u] += 1
-            deg[v] += 1
-        object.__setattr__(self, "degrees", tuple(deg))
+        deg = np.bincount(_edge_array(edges).ravel(), minlength=self.M)
+        object.__setattr__(self, "degrees", tuple(deg.tolist()))
         if not self._connected():
             raise TopologyError("graph is disconnected")
 
@@ -140,11 +142,9 @@ def metropolis_matrix(graph: Graph) -> np.ndarray:
     """
     m = graph.M
     w = np.zeros((m, m))
-    deg = graph.degrees
-    for u, v in graph.edges:
-        wij = 1.0 / (1.0 + max(deg[u], deg[v]))
-        w[u, v] = wij
-        w[v, u] = wij
+    deg = np.array(graph.degrees)
+    u, v = _edge_array(graph.edges).T
+    w[u, v] = w[v, u] = 1.0 / (1.0 + np.maximum(deg[u], deg[v]))
     w[np.diag_indices(m)] = 1.0 - w.sum(axis=1)
     return w
 

@@ -22,50 +22,55 @@ class Hypothesis(enum.Enum):
     H1 = "h1"   # signal present
 
 
-@dataclass(frozen=True)
+def _read_only(values) -> np.ndarray:
+    arr = np.array(values, dtype=float)
+    arr.setflags(write=False)
+    return arr
+
+
+@dataclass(frozen=True, eq=False)
 class SensorParams:
-    """One sensor: noise power, reporting channel, and the known signal.
+    """Noise power, reporting channel and known signal of one sensor or of many.
+
+    Elementwise, like StatisticMoments: floats with an (N,) signal
+    describe one sensor; (M,) arrays, or scalars that broadcast, with an
+    (M, N) signal describe a population of M sensors. Fields are stored
+    read-only, as floats for one sensor and as arrays for a population.
 
     sigma2  observation noise variance
     h       reporting channel gain to the fusion center (amplitude)
     zeta    receiver noise power on that reporting channel
-    signal  the deterministic signal samples this sensor would see under H1
-    es      signal energy sum(signal^2); derived, never passed
+    signal  the deterministic signal samples each sensor would see under H1
+    es      signal energy sum(signal^2) per sensor; derived, never passed
     xi      per-sensor SNR, es / (N * sigma2); derived, never passed
     """
 
-    sigma2: float
-    h: float
-    zeta: float
+    sigma2: float | np.ndarray
+    h: float | np.ndarray
+    zeta: float | np.ndarray
     signal: np.ndarray
-    es: float = field(init=False)
-    xi: float = field(init=False)
+    es: float | np.ndarray = field(init=False)
+    xi: float | np.ndarray = field(init=False)
 
     def __post_init__(self):
-        if self.sigma2 <= 0:
-            raise ValueError("sigma2 must be positive")
-        if self.h <= 0:
-            raise ValueError("h must be positive")
-        if self.zeta <= 0:
-            raise ValueError("zeta must be positive")
-        sig = np.asarray(self.signal, dtype=float)
-        if sig.ndim != 1 or sig.size < 1:
-            raise ValueError("signal must be a nonempty 1-d array")
+        sig = _read_only(self.signal)
+        if sig.ndim not in (1, 2) or 0 in sig.shape:
+            raise ValueError("signal must be a nonempty (N,) or (M, N) array")
         if not np.all(np.isfinite(sig)):
             raise ValueError("signal must be finite")
-        sig = sig.copy()
-        sig.setflags(write=False)
-        es = float(np.sum(sig * sig))
+        values = {}
+        for name in ("sigma2", "h", "zeta"):
+            values[name] = _read_only(np.broadcast_to(getattr(self, name), sig.shape[:-1]))
+            if not np.all(values[name] > 0):
+                raise ValueError(f"{name} must be positive")
+        # a finite signal can still square past float range; es and xi are
+        # then inf, which calibrate_average_snr rejects
+        with np.errstate(over="ignore"):
+            values["es"] = _read_only(np.sum(sig * sig, axis=-1))
+            values["xi"] = _read_only(values["es"] / (sig.shape[-1] * values["sigma2"]))
         object.__setattr__(self, "signal", sig)
-        object.__setattr__(self, "es", es)
-        object.__setattr__(self, "xi", es / (sig.size * self.sigma2))
-
-    @property
-    def n_samples(self) -> int:
-        return self.signal.size
-
-    def scaled_signal(self, factor: float) -> "SensorParams":
-        return SensorParams(self.sigma2, self.h, self.zeta, self.signal * factor)
+        for name, value in values.items():
+            object.__setattr__(self, name, value if value.ndim else float(value))
 
 
 @dataclass(frozen=True)
@@ -140,29 +145,24 @@ class SolverConfig:
             raise ValueError("consensus_window must be >= 1")
 
 
-def _read_only(values) -> np.ndarray:
-    arr = np.array(values, dtype=float)
-    arr.setflags(write=False)
-    return arr
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Scenario:
     """Everything a run needs: sensors, sampling, budget, target, topology.
 
+    sensors  the population, one SensorParams with an (M, N) signal
     N     samples per local statistic (every sensor's signal has length N)
     U     half-range of the quantizer input; statistics are clipped to [0, 2U]
     Pt    total transmit power budget across the network
     Pfa   target false-alarm probability at the fusion center
 
-    The sensor population is also held as read-only arrays named like
-    the SensorParams fields: sigma2, h, zeta, xi, es of shape (M,) and
-    signal of shape (M, N). A Scenario therefore stands in for a
-    SensorParams wherever a per-sensor formula reads those fields, and
-    the formula then runs over the whole population at once.
+    The population's read-only arrays are also fields of the Scenario
+    itself, the same objects and not copies: sigma2, h, zeta, xi, es of
+    shape (M,) and signal of shape (M, N). A Scenario therefore stands in
+    for a SensorParams wherever a per-sensor formula reads those fields,
+    and the formula then runs over the whole population at once.
     """
 
-    sensors: tuple[SensorParams, ...]
+    sensors: SensorParams
     N: int
     U: float
     Pt: float
@@ -170,39 +170,33 @@ class Scenario:
     topology: Graph
     seed: int
     solver: SolverConfig = field(default_factory=SolverConfig)
-    sigma2: np.ndarray = field(init=False, repr=False, compare=False)
-    h: np.ndarray = field(init=False, repr=False, compare=False)
-    zeta: np.ndarray = field(init=False, repr=False, compare=False)
-    xi: np.ndarray = field(init=False, repr=False, compare=False)
-    es: np.ndarray = field(init=False, repr=False, compare=False)
-    signal: np.ndarray = field(init=False, repr=False, compare=False)
+    sigma2: np.ndarray = field(init=False, repr=False)
+    h: np.ndarray = field(init=False, repr=False)
+    zeta: np.ndarray = field(init=False, repr=False)
+    xi: np.ndarray = field(init=False, repr=False)
+    es: np.ndarray = field(init=False, repr=False)
+    signal: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "sensors", tuple(self.sensors))
-        if len(self.sensors) < 1:
-            raise ValueError("need at least one sensor")
-        if self.N < 1:
-            raise ValueError("N must be >= 1")
-        for i, s in enumerate(self.sensors):
-            if s.n_samples != self.N:
-                raise ValueError(f"sensor {i} signal length {s.n_samples} != N={self.N}")
+        shape = self.sensors.signal.shape
+        if len(shape) != 2:
+            raise ValueError(f"sensors must have an (M, N) signal, got shape {shape}")
+        if shape[1] != self.N:
+            raise ValueError(f"sensor signal length {shape[1]} != N={self.N}")
         if self.U <= 0:
             raise ValueError("U must be positive")
         if self.Pt <= 0:
             raise ValueError("Pt must be positive")
         if not 0.0 < self.Pfa < 1.0:
             raise ValueError("Pfa must be in (0, 1)")
-        if self.topology.M != len(self.sensors):
-            raise ValueError(
-                f"topology has {self.topology.M} nodes for {len(self.sensors)} sensors"
-            )
-        for name in ("sigma2", "h", "zeta", "xi", "es"):
-            object.__setattr__(self, name, _read_only([getattr(s, name) for s in self.sensors]))
-        object.__setattr__(self, "signal", _read_only([s.signal for s in self.sensors]))
+        if self.topology.M != shape[0]:
+            raise ValueError(f"topology has {self.topology.M} nodes for {shape[0]} sensors")
+        for name in ("sigma2", "h", "zeta", "xi", "es", "signal"):
+            object.__setattr__(self, name, getattr(self.sensors, name))
 
     @property
     def M(self) -> int:
-        return len(self.sensors)
+        return self.signal.shape[0]
 
     def stream(self, *key: str | int) -> np.random.Generator:
         """Deterministic named RNG stream derived from the scenario seed.
@@ -236,7 +230,7 @@ def generate_observations(
     rng: np.random.Generator,
     trials: int = 1,
 ) -> np.ndarray:
-    """Draw observation rows: (trials, n) for one SensorParams, (trials, M, n) for a Scenario.
+    """Draw observation rows: (trials, n) for one sensor, (trials, M, n) for a population.
 
     Under H1 each sensor's known signal is added sample for sample, so n
     must match the stored signal length.
@@ -269,8 +263,8 @@ def energy_statistic(x: np.ndarray) -> np.ndarray | float:
 def statistic_moments(sensor, n: int) -> StatisticMoments:
     """Gaussian moments of the energy statistic under both hypotheses.
 
-    sensor is one SensorParams (float moments) or a Scenario (arrays
-    over its sensors); see StatisticMoments.energy for the formulas.
+    sensor is one sensor (float moments), or a population or Scenario
+    (arrays over its sensors); see StatisticMoments.energy for the formulas.
     """
     samples = np.shape(sensor.signal)[-1]
     if n != samples:
@@ -278,25 +272,28 @@ def statistic_moments(sensor, n: int) -> StatisticMoments:
     return StatisticMoments.energy(n, sensor.sigma2, sensor.xi)
 
 
-def calibrate_average_snr(
-    sensors: tuple[SensorParams, ...] | list[SensorParams],
-    target_xa_db: float,
-) -> tuple[SensorParams, ...]:
+def calibrate_average_snr(sensors: SensorParams, target_xa_db: float) -> SensorParams:
     """Scale every signal by one common factor so mean(xi) hits a dB target.
 
     Per-sensor SNR ratios are preserved: xi scales with the square of
     the amplitude factor, so a single multiplier moves the average
-    without reshuffling who is strong and who is weak.
+    without reshuffling who is strong and who is weak. Raises ValueError
+    when the current mean SNR or the target is not a finite positive float.
     """
-    sensors = tuple(sensors)
-    if not sensors:
-        raise ValueError("no sensors to calibrate")
-    current = float(np.mean([s.xi for s in sensors]))
-    if current <= 0:
-        raise ValueError("cannot calibrate: all signals are zero")
-    target = 10.0 ** (target_xa_db / 10.0)
-    factor = math.sqrt(target / current)
-    return tuple(s.scaled_signal(factor) for s in sensors)
+    current = float(np.mean(sensors.xi))
+    if not 0.0 < current < math.inf:
+        raise ValueError(f"cannot calibrate: mean SNR is {current!r}, not a finite positive float")
+    try:
+        target = 10.0 ** (target_xa_db / 10.0)
+    except OverflowError:
+        target = math.inf
+    if not 0.0 < target < math.inf:
+        raise ValueError(f"cannot calibrate: a mean SNR of {target_xa_db!r} dB "
+                         "is not a finite positive float")
+    # a factor or signal past float range becomes inf, which SensorParams rejects
+    with np.errstate(over="ignore"):
+        signal = sensors.signal * math.sqrt(target / current)
+    return SensorParams(sensors.sigma2, sensors.h, sensors.zeta, signal)
 
 
 def build_sensors(
@@ -308,7 +305,7 @@ def build_sensors(
     sigma2_range: tuple[float, float] = (0.5, 2.0),
     zeta: float = 0.1,
     deterministic_channel: bool = False,
-) -> tuple[SensorParams, ...]:
+) -> SensorParams:
     """Draw a heterogeneous sensor population, then calibrate mean SNR.
 
     Noise powers are log-uniform over sigma2_range, reporting channels
@@ -330,8 +327,7 @@ def build_sensors(
         re_im = rng_chan.normal(0.0, math.sqrt(0.5), size=(m, 2))
         h = np.hypot(re_im[:, 0], re_im[:, 1])
         h = np.maximum(h, 1e-6)   # a literally dead channel breaks nothing downstream but is unphysical
-    base = np.full(n, amplitude)
-    sensors = tuple(SensorParams(float(sigma2[i]), float(h[i]), zeta, base) for i in range(m))
+    sensors = SensorParams(sigma2, h, zeta, np.full((m, n), amplitude))
     return calibrate_average_snr(sensors, xa_db)
 
 
@@ -369,18 +365,11 @@ def make_scenario(
     )
 
 
-def suggest_statistic_halfrange(
-    sensors: tuple[SensorParams, ...] | list[SensorParams],
-    n: int,
-    n_sigmas: float = 8.0,
-) -> float:
+def suggest_statistic_halfrange(sensors: SensorParams, n: int, n_sigmas: float = 8.0) -> float:
     """Half-range U wide enough that clipping at 2U is negligible.
 
     Covers the largest per-sensor H1 mean plus n_sigmas standard
     deviations, then halves (the quantizer spans [0, 2U]).
     """
-    top = 0.0
-    for s in sensors:
-        mom = statistic_moments(s, n)
-        top = max(top, mom.mean_h1 + n_sigmas * math.sqrt(mom.var_h1))
-    return 0.5 * top
+    mom = statistic_moments(sensors, n)
+    return 0.5 * float(np.max(mom.mean_h1 + n_sigmas * np.sqrt(mom.var_h1)))

@@ -52,34 +52,30 @@ def quant_noise_var(p, h, zeta, u: float):
     return u * u / (3.0 * (1.0 + p * h * h / zeta))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuantSpec:
-    """Rate and noise budget of one sensor's quantizer.
+    """Rate and noise budget of each sensor's quantizer, one entry per sensor.
+
+    Arrays shaped like the powers given to specs_for_allocation.
 
     bits_real  capacity at the allocated power, real-valued (analysis)
-    bits_int   floor(bits_real), what a transmission actually uses
+    bits_int   floor(bits_real) as integers, what a transmission actually uses
     noise_var  U^2 / (3 * 2^(2 bits_real)), the analytic noise variance
-    censored   True when the sensor got zero power and transmits nothing
+    censored   True where the sensor got zero power and transmits nothing
     """
 
-    bits_real: float
-    bits_int: int
-    noise_var: float
-    censored: bool
+    bits_real: np.ndarray
+    bits_int: np.ndarray
+    noise_var: np.ndarray
+    censored: np.ndarray
 
 
-def quant_spec(p: float, h: float, zeta: float, u: float) -> QuantSpec:
-    (spec,) = specs_for_allocation([p], [h], [zeta], u)
-    return spec
-
-
-def specs_for_allocation(powers, h, zeta, u: float) -> list[QuantSpec]:
+def specs_for_allocation(powers, h, zeta, u: float) -> QuantSpec:
+    """Quantizer specs at the allocated powers; elementwise over powers and channels."""
     p = np.asarray(powers, dtype=float)
-    h, zeta = np.asarray(h, dtype=float), np.asarray(zeta, dtype=float)
     bits = capacity_bits(p, h, zeta)
-    noise = quant_noise_var(p, h, zeta, u)
-    return [QuantSpec(bits_real=b, bits_int=math.floor(b), noise_var=v, censored=(pi == 0.0))
-            for pi, b, v in zip(p.tolist(), bits.tolist(), noise.tolist())]
+    return QuantSpec(bits_real=bits, bits_int=np.floor(bits).astype(int),
+                     noise_var=quant_noise_var(p, h, zeta, u), censored=(p == 0.0))
 
 
 def quantize_array(t: np.ndarray, bits_int, u: float) -> np.ndarray:
@@ -88,7 +84,9 @@ def quantize_array(t: np.ndarray, bits_int, u: float) -> np.ndarray:
     2^bits_int cells of width 2U / 2^bits_int; values are clipped into
     range and mapped to their cell midpoint. Vectorized over t; bits_int
     is one count or an integer array broadcasting against t, such as
-    one count per row of a (sensors, trials) array.
+    one count per row of a (sensors, trials) array. Zero bits, what a
+    censored sensor has, are refused: nothing is sent, so there is no
+    value to reconstruct.
     """
     bits_int = np.asarray(bits_int)
     if np.any(bits_int < 1):
@@ -100,19 +98,6 @@ def quantize_array(t: np.ndarray, bits_int, u: float) -> np.ndarray:
     tc = np.clip(np.asarray(t, dtype=float), 0.0, 2.0 * u)
     idx = np.minimum(np.floor(tc / delta), cells - 1)
     return (idx + 0.5) * delta
-
-
-def quantize_statistic(t: float, spec: QuantSpec, u: float) -> float:
-    """Quantize one statistic under a sensor's QuantSpec.
-
-    Refuses censored sensors and zero-bit specs: neither puts anything
-    on the air, so there is no value to reconstruct.
-    """
-    if spec.censored:
-        raise ValueError("sensor is censored (zero power), nothing is transmitted")
-    if spec.bits_int < 1:
-        raise ValueError("bits_int = 0: no codeword to send")
-    return float(quantize_array(np.asarray([t]), spec.bits_int, u)[0])
 
 
 def quantize_centered(t: np.ndarray, bits_int, u: float) -> np.ndarray:

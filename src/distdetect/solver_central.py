@@ -95,9 +95,9 @@ def power_closed_form(lambda0, sensor, n: int, u: float):
     [ (1/sqrt(lambda0)) * xi U sqrt(3) / (6 sigma^2 (1+2xi) sqrt(g))
       - U^2 / (6 N sigma^4 (1+2xi) g) - 1/g ]+          with g = h^2/zeta
 
-    sensor is one SensorParams or a whole Scenario, whose array fields
-    give every sensor's power at once; lambda0 may be one multiplier
-    or one per sensor. The clamp censors sensors whose channel or SNR
+    sensor is a SensorParams for one sensor, or a population
+    SensorParams or Scenario, whose array fields give every sensor's
+    power at once; lambda0 may be one multiplier or one per sensor. The clamp censors sensors whose channel or SNR
     cannot pay for even the constant terms; xi = 0 always lands at 0.
     """
     if np.any(np.less_equal(lambda0, 0)):

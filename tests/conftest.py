@@ -22,6 +22,17 @@ def bundled_config(name: str) -> Path:
     return path
 
 
+def sensor(population, i: int) -> dd.SensorParams:
+    """Sensor i of a population (a Scenario or a SensorParams with an (M, N) signal)."""
+    return dd.SensorParams(population.sigma2[i], population.h[i], population.zeta[i],
+                           population.signal[i])
+
+
+def each_sensor(population) -> list:
+    """Every sensor of a population, one SensorParams each, in index order."""
+    return [sensor(population, i) for i in range(len(population.signal))]
+
+
 @pytest.fixture(scope="session")
 def fig1_scenario():
     return dd.make_scenario(m=10, n=10, seed=1, u=3.0, pt=1.0, pfa=0.1,

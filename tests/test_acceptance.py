@@ -16,7 +16,7 @@ from distdetect.fusion import deflection_inputs
 from distdetect.model import Hypothesis
 from distdetect.montecarlo import Scheme, equal_power, weights_for_scheme
 
-from conftest import bundled_config, run_cli
+from conftest import bundled_config, each_sensor, run_cli, sensor
 
 RUNS = {
     "fig1_alloc": ("fig1.cfg", ("allocate", "--method", "both")),
@@ -87,7 +87,7 @@ def test_closed_form_power_matches_grid_search():
             amplitude=float(rng.uniform(0.1, 0.5)),
             xa_db=float(rng.uniform(-8.0, 0.0)))
         alloc = dd.solve_centralized(sc)
-        s = sc.sensors[0]
+        s = sensor(sc, 0)
         p_cf = dd.power_closed_form(alloc.lambda0, s, n, sc.U)
         # independent maximizer of the per-sensor payoff at the solved price
         g = s.h ** 2 / s.zeta
@@ -232,7 +232,7 @@ def test_power_ranking_and_censoring(study_runs, fig1_scenario, fig1_central):
     bits_int = np.array([int(v) for v in _column(rows, "bits_int")])
     p_cf = np.array([
         dd.power_closed_form(fig1_central.lambda0, s, fig1_scenario.N, fig1_scenario.U)
-        for s in fig1_scenario.sensors])
+        for s in each_sensor(fig1_scenario)])
     active_csv = p_csv > 0
     active_cf = p_cf > 0
     same_support = bool(np.array_equal(active_csv, active_cf))

@@ -141,6 +141,15 @@ class TestAllocateCommand:
         err = capsys.readouterr().err
         assert "error:" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("overrides", [{"xa_db": 4000}, {"amplitude": 1e300}],
+                             ids=["xa_db_4000", "amplitude_1e300"])
+    def test_snr_calibration_outside_float_range_exits_2(self, tmp_path, capsys, overrides):
+        cfg = {**json.loads(bundled_config("fig1.cfg").read_text()), **overrides}
+        assert run_cli("allocate", write_config(tmp_path, overrides=cfg),
+                       "--out", tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "cannot calibrate" in err and "Traceback" not in err
+
     def test_manifest_lists_only_real_outputs(self, tmp_path):
         path = write_config(tmp_path)
         out = tmp_path / "out"

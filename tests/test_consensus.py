@@ -84,6 +84,22 @@ class TestMetropolisMatrix:
         w = dd.metropolis_matrix(dd.complete_graph(4))
         assert_allclose(w, np.full((4, 4), 0.25), rtol=1e-12)
 
+    @pytest.mark.parametrize("m, radius, seed", [(1, 0.5, 0), (10, 0.5, 1), (60, 0.3, 2)])
+    def test_matches_the_per_edge_reference(self, m, radius, seed):
+        g = dd.random_geometric_graph(m, radius, np.random.default_rng(seed))
+        # degrees and weights edge by edge, as plain Python
+        deg = [0] * m
+        for u, v in g.edges:
+            deg[u] += 1
+            deg[v] += 1
+        ref = np.zeros((m, m))
+        for u, v in g.edges:
+            ref[u, v] = ref[v, u] = 1.0 / (1.0 + max(deg[u], deg[v]))
+        ref[np.diag_indices(m)] = 1.0 - ref.sum(axis=1)
+        assert g.degrees == tuple(deg)
+        assert all(type(d) is int for d in g.degrees)
+        assert np.array_equal(dd.metropolis_matrix(g), ref)
+
 
 class TestConsensusAverage:
     def test_already_agreed_needs_no_iterations(self):

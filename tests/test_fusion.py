@@ -8,6 +8,8 @@ import distdetect as dd
 from distdetect.fusion import combined_moments
 from distdetect.model import Hypothesis
 
+from conftest import each_sensor
+
 
 class TestQFunction:
     def test_tabulated_tail_values(self):
@@ -64,7 +66,7 @@ class TestCombinedMoments:
     def test_psi_does_not_depend_on_halfrange(self, fig1_scenario):
         alloc = dd.solve_centralized(fig1_scenario)
         w = dd.optimal_weights(dd.deflection_inputs(fig1_scenario, alloc.p))
-        sens = fig1_scenario.sensors
+        sens = each_sensor(fig1_scenario)
         sigma2 = np.array([s.sigma2 for s in sens])
         xi = np.array([s.xi for s in sens])
         nv = np.array([dd.quant_noise_var(p, s.h, s.zeta, 1.0)
@@ -76,7 +78,7 @@ class TestCombinedMoments:
     def test_psi_identity(self, fig1_scenario, fig1_central):
         w = dd.optimal_weights(dd.deflection_inputs(fig1_scenario, fig1_central.p))
         m = dd.fusion_moments(fig1_scenario, w, fig1_central.p)
-        sens = fig1_scenario.sensors
+        sens = each_sensor(fig1_scenario)
         expected = 10 * sum(a * s.sigma2 * s.xi for a, s in zip(w.alpha, sens))
         assert_allclose(m.psi, expected, rtol=1e-12)
 
@@ -183,16 +185,16 @@ class TestMatchedFilter:
     def test_weight_formula_hand_value(self):
         # Es = 0.4, sigma2 = 1, sigma_v^2 = 9/33:
         # alpha = Es / (sigma2 * Es + sigma_v^2)
-        s = dd.SensorParams(1.0, 1.0, 0.1, np.full(10, 0.2))
-        sc = dd.Scenario(sensors=[s], N=10, U=3.0, Pt=1.0, Pfa=0.1,
+        s = dd.SensorParams(1.0, 1.0, 0.1, np.full((1, 10), 0.2))
+        sc = dd.Scenario(sensors=s, N=10, U=3.0, Pt=1.0, Pfa=0.1,
                          topology=dd.complete_graph(1), seed=0, solver=dd.SolverConfig())
         w = dd.matched_filter_weights(sc, np.array([1.0]))
         nv = 9.0 / 33.0
         assert_allclose(w.alpha[0], 0.4 / (0.4 + nv), rtol=1e-12)
 
     def test_weight_tends_to_one_as_noise_var_vanishes(self):
-        s = dd.SensorParams(1.0, 1.0, 0.1, np.full(10, 0.2))
-        sc = dd.Scenario(sensors=[s], N=10, U=3.0, Pt=1e9, Pfa=0.1,
+        s = dd.SensorParams(1.0, 1.0, 0.1, np.full((1, 10), 0.2))
+        sc = dd.Scenario(sensors=s, N=10, U=3.0, Pt=1e9, Pfa=0.1,
                          topology=dd.complete_graph(1), seed=0, solver=dd.SolverConfig())
         w = dd.matched_filter_weights(sc, np.array([1e9]))
         assert_allclose(w.alpha[0], 1.0, rtol=1e-6)
@@ -227,13 +229,12 @@ def test_fused_h0_variance_monte_carlo(fig1_scenario):
                      topology=fig1_scenario.topology, seed=2, solver=dd.SolverConfig())
     w = dd.optimal_weights(dd.deflection_inputs(sc, powers))
     m = dd.fusion_moments(sc, w, powers)
-    specs = dd.specs_for_allocation(powers, np.array([s.h for s in sensors]),
-                                    np.array([s.zeta for s in sensors]), u)
+    spec = dd.specs_for_allocation(powers, sensors.h, sensors.zeta, u)
     rng = np.random.default_rng(23)
     trials = 40_000
     fused = np.zeros(trials)
-    for i, (s, spec) in enumerate(zip(sensors, specs)):
+    for i, s in enumerate(each_sensor(sensors)):
         x = dd.generate_observations(s, n, Hypothesis.H0, rng, trials=trials)
-        t_hat = dd.quantize_array(dd.energy_statistic(x), spec.bits_int, u)
+        t_hat = dd.quantize_array(dd.energy_statistic(x), spec.bits_int[i], u)
         fused += w.alpha[i] * t_hat
     assert abs(float(np.var(fused)) / m.var_h0 - 1.0) < 0.05

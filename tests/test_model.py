@@ -1,4 +1,6 @@
 """Signal model: sample generation, energy statistic, moment formulas."""
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -6,6 +8,8 @@ from numpy.testing import assert_allclose
 
 import distdetect as dd
 from distdetect.model import Hypothesis
+
+from conftest import each_sensor
 
 
 def _sensor(sigma2=1.0, h=1.0, zeta=0.1, signal=None, n=10, amp=0.2):
@@ -124,47 +128,55 @@ class TestStatisticMoments:
 
 class TestCalibrateAverageSnr:
     def test_target_minus_4_db(self):
-        sensors = [_sensor(sigma2=v, amp=0.2) for v in (0.5, 1.0, 2.0)]
+        sensors = dd.SensorParams([0.5, 1.0, 2.0], 1.0, 0.1, np.full((3, 10), 0.2))
         out = dd.calibrate_average_snr(sensors, -4.0)
-        mean_xi = np.mean([s.xi for s in out])
-        assert_allclose(mean_xi, 10 ** (-0.4), rtol=1e-9)
+        assert_allclose(np.mean(out.xi), 10 ** (-0.4), rtol=1e-9)
 
     def test_sensor_already_at_target_unchanged(self):
         s = _sensor(sigma2=1.0, n=10, amp=np.sqrt(10 ** (-0.4)))  # xi = 10^-0.4
-        out = dd.calibrate_average_snr([s], -4.0)
-        assert_allclose(out[0].signal, s.signal, rtol=1e-9)
+        out = dd.calibrate_average_snr(s, -4.0)
+        assert_allclose(out.signal, s.signal, rtol=1e-9)
 
     def test_ratios_preserved(self):
-        a = _sensor(sigma2=1.0, amp=0.4)
-        b = _sensor(sigma2=1.0, amp=0.4 / np.sqrt(2))
-        out = dd.calibrate_average_snr([a, b], -2.0)
-        assert_allclose(out[0].xi / out[1].xi, 2.0, rtol=1e-9)
+        signal = np.repeat([[0.4], [0.4 / np.sqrt(2)]], 10, axis=1)
+        out = dd.calibrate_average_snr(dd.SensorParams(1.0, 1.0, 0.1, signal), -2.0)
+        assert_allclose(out.xi[0] / out.xi[1], 2.0, rtol=1e-9)
 
     def test_all_zero_signals_rejected(self):
         with pytest.raises(ValueError):
-            dd.calibrate_average_snr([_sensor(signal=np.zeros(10))], -4.0)
+            dd.calibrate_average_snr(_sensor(signal=np.zeros(10)), -4.0)
+
+    @pytest.mark.parametrize("xa_db", [4000.0, -4000.0])
+    def test_target_outside_float_range_rejected(self, xa_db):
+        with pytest.raises(ValueError, match="dB"):
+            dd.calibrate_average_snr(_sensor(), xa_db)
+
+    def test_signal_energy_past_float_range_rejected(self):
+        s = _sensor(amp=1e300)
+        assert s.es == np.inf
+        with pytest.raises(ValueError, match="mean SNR is inf"):
+            dd.calibrate_average_snr(s, -4.0)
 
 
 class TestBuildSensors:
     def test_sigma2_within_documented_range(self):
-        sensors = dd.build_sensors(50, 10, seed=4)
-        v = np.array([s.sigma2 for s in sensors])
+        v = dd.build_sensors(50, 10, seed=4).sigma2
+        assert v.shape == (50,)
         assert np.all(v >= 0.5) and np.all(v <= 2.0)
 
     def test_deterministic_given_seed(self):
         a = dd.build_sensors(8, 10, seed=12)
         b = dd.build_sensors(8, 10, seed=12)
-        for x, y in zip(a, b):
-            assert x.sigma2 == y.sigma2 and x.h == y.h
-            assert_allclose(x.signal, y.signal)
+        assert np.array_equal(a.sigma2, b.sigma2) and np.array_equal(a.h, b.h)
+        assert_allclose(a.signal, b.signal)
 
     def test_deterministic_channel_flag(self):
         sensors = dd.build_sensors(5, 10, seed=1, deterministic_channel=True)
-        assert all(s.h == 1.0 for s in sensors)
+        assert np.all(sensors.h == 1.0)
 
     def test_average_snr_hits_target(self):
         sensors = dd.build_sensors(20, 10, seed=6, xa_db=-1.0)
-        assert_allclose(np.mean([s.xi for s in sensors]), 10 ** (-0.1), rtol=1e-9)
+        assert_allclose(np.mean(sensors.xi), 10 ** (-0.1), rtol=1e-9)
 
 
 class TestScenario:
@@ -189,12 +201,51 @@ class TestScenario:
         sc = fig1_scenario
         for name in ("sigma2", "h", "zeta", "xi", "es"):
             arr = getattr(sc, name)
+            assert arr is getattr(sc.sensors, name)
             assert arr.shape == (sc.M,)
-            assert arr.tolist() == [getattr(s, name) for s in sc.sensors]
             assert not arr.flags.writeable
+        assert sc.signal is sc.sensors.signal
         assert sc.signal.shape == (sc.M, sc.N)
-        assert np.array_equal(sc.signal, [s.signal for s in sc.sensors])
         assert not sc.signal.flags.writeable
+
+    def test_population_build_matches_the_per_sensor_reference(self, population):
+        sc = population
+        ref = _reference_population(sc.M, sc.N, sc.seed)
+        for name in ("sigma2", "h", "zeta", "es", "xi", "signal"):
+            assert np.array_equal(getattr(sc, name), ref[name]), name
+
+    def test_equality_is_identity(self, fig1_scenario):
+        a = dd.make_scenario(m=10, n=10, seed=1)
+        b = dd.make_scenario(m=10, n=10, seed=1)
+        assert fig1_scenario == fig1_scenario
+        assert a != b and not a == b
+        assert a.sensors == a.sensors and a.sensors != b.sensors
+        assert len({a, b, a.sensors, b.sensors}) == 4   # hashable, by identity
+        spec = dd.specs_for_allocation(np.ones(3), 1.0, 0.1, 3.0)
+        assert spec == spec and spec != dd.specs_for_allocation(np.ones(3), 1.0, 0.1, 3.0)
+
+
+def _reference_population(m, n, seed, xa_db=-4.0, amplitude=0.2, sigma2_range=(0.5, 2.0),
+                          zeta=0.1):
+    """build_sensors sensor by sensor, in plain Python floats, then stacked.
+
+    The draws are build_sensors' own. Each sensor is one record whose
+    es and xi are computed from its own (N,) signal, as the per-sensor
+    SensorParams did; calibration scales each record on its own.
+    """
+    def record(sigma2, h, signal):
+        es = float(np.sum(signal * signal))
+        return {"sigma2": sigma2, "h": h, "zeta": zeta, "signal": signal,
+                "es": es, "xi": es / (signal.size * sigma2)}
+
+    sigma2 = np.exp(dd.derive_stream(seed, "sigma2").uniform(
+        math.log(sigma2_range[0]), math.log(sigma2_range[1]), size=m))
+    re_im = dd.derive_stream(seed, "channel").normal(0.0, math.sqrt(0.5), size=(m, 2))
+    h = np.maximum(np.hypot(re_im[:, 0], re_im[:, 1]), 1e-6)
+    sensors = [record(float(sigma2[i]), float(h[i]), np.full(n, amplitude)) for i in range(m)]
+    factor = math.sqrt(10.0 ** (xa_db / 10.0) / float(np.mean([s["xi"] for s in sensors])))
+    sensors = [record(s["sigma2"], s["h"], s["signal"] * factor) for s in sensors]
+    return {name: np.array([s[name] for s in sensors]) for name in sensors[0]}
 
 
 @pytest.fixture(scope="module", params=["fig1", "m200"])
@@ -210,25 +261,26 @@ class TestPopulationArrays:
     def test_power_closed_form(self, population):
         sc = population
         for lam in (1e-6, 1e-2, 1.0):
-            scalar = [dd.power_closed_form(lam, s, sc.N, sc.U) for s in sc.sensors]
+            scalar = [dd.power_closed_form(lam, s, sc.N, sc.U) for s in each_sensor(sc)]
             assert np.array_equal(dd.power_closed_form(lam, sc, sc.N, sc.U), scalar)
         lams = np.logspace(-6, 0, sc.M)   # one multiplier copy per sensor
         scalar = [dd.local_power_update(float(v), s, sc.N, sc.U)
-                  for v, s in zip(lams, sc.sensors)]
+                  for v, s in zip(lams, each_sensor(sc))]
         assert np.array_equal(dd.local_power_update(lams, sc, sc.N, sc.U), scalar)
 
     def test_quantizer_rate_and_noise(self, population):
         sc = population
         p = np.linspace(0.0, 3.0, sc.M)
-        bits = [dd.capacity_bits(float(v), s.h, s.zeta) for v, s in zip(p, sc.sensors)]
-        noise = [dd.quant_noise_var(float(v), s.h, s.zeta, sc.U) for v, s in zip(p, sc.sensors)]
+        bits = [dd.capacity_bits(float(v), s.h, s.zeta) for v, s in zip(p, each_sensor(sc))]
+        noise = [dd.quant_noise_var(float(v), s.h, s.zeta, sc.U)
+                 for v, s in zip(p, each_sensor(sc))]
         assert np.array_equal(dd.capacity_bits(p, sc.h, sc.zeta), bits)
         assert np.array_equal(dd.quant_noise_var(p, sc.h, sc.zeta, sc.U), noise)
 
     def test_statistic_moments(self, population):
         sc = population
         arrays = dd.statistic_moments(sc, sc.N)
-        per_sensor = [dd.statistic_moments(s, sc.N) for s in sc.sensors]
+        per_sensor = [dd.statistic_moments(s, sc.N) for s in each_sensor(sc)]
         for name in ("mean_h0", "var_h0", "mean_h1", "var_h1"):
             assert np.array_equal(getattr(arrays, name), [getattr(m, name) for m in per_sensor])
 
@@ -249,12 +301,12 @@ class TestPopulationArrays:
         batch = dd.generate_observations(sc, sc.N, hyp, np.random.default_rng(5), trials=trials)
         # one stream, drawn trial by trial and sensor by sensor, gives the same samples
         rng = np.random.default_rng(5)
-        rows = np.array([[dd.generate_observations(s, sc.N, hyp, rng)[0] for s in sc.sensors]
-                         for _ in range(trials)])
+        rows = np.array([[dd.generate_observations(s, sc.N, hyp, rng)[0]
+                          for s in each_sensor(sc)] for _ in range(trials)])
         assert np.array_equal(batch, rows)
         energy = [[dd.energy_statistic(x) for x in row] for row in rows]
         assert np.array_equal(dd.energy_statistic(batch), energy)
-        matched = [[dd.matched_filter_statistic(x, s) for x, s in zip(row, sc.sensors)]
+        matched = [[dd.matched_filter_statistic(x, s) for x, s in zip(row, each_sensor(sc))]
                    for row in rows]
         assert np.array_equal(dd.matched_filter_statistic(batch, sc), matched)
 
@@ -310,6 +362,6 @@ class TestStreams:
 def test_halfrange_covers_h1_spread():
     sensors = dd.build_sensors(10, 10, seed=3)
     u = dd.suggest_statistic_halfrange(sensors, 10)
-    for s in sensors:
+    for s in each_sensor(sensors):
         m = dd.statistic_moments(s, 10)
         assert 2 * u >= m.mean_h1 + 3 * np.sqrt(m.var_h1)

@@ -22,7 +22,7 @@ from distdetect.montecarlo import (
 
 def _chance_scenario(m=4, n=10):
     """All-zero signals: H1 is literally H0, so any detector sits at chance."""
-    sensors = [dd.SensorParams(1.0, 1.0, 0.1, np.zeros(n)) for _ in range(m)]
+    sensors = dd.SensorParams(1.0, 1.0, 0.1, np.zeros((m, n)))
     return dd.Scenario(sensors=sensors, N=n, U=8.0, Pt=4.0, Pfa=0.1,
                        topology=dd.complete_graph(m), seed=5, solver=dd.SolverConfig())
 

@@ -57,12 +57,12 @@ class TestQuantNoiseVar:
 class TestQuantSpec:
     @given(st.floats(0.0, 100.0))
     def test_bit_floor_bracket(self, p):
-        spec = dd.quant_spec(p, 1.0, 0.1, 3.0)
+        spec = dd.specs_for_allocation(p, 1.0, 0.1, 3.0)
         assert spec.bits_int <= spec.bits_real < spec.bits_int + 1
         assert spec.censored == (p == 0.0)
 
     def test_censored_spec_has_full_noise_var(self):
-        spec = dd.quant_spec(0.0, 1.0, 0.1, 3.0)
+        spec = dd.specs_for_allocation(0.0, 1.0, 0.1, 3.0)
         assert spec.censored and spec.bits_int == 0
         assert_allclose(spec.noise_var, 3.0)
 
@@ -70,24 +70,26 @@ class TestQuantSpec:
         p = np.array([0.0, 0.5, 1.0])
         h = np.ones(3)
         zeta = np.full(3, 0.1)
-        specs = dd.specs_for_allocation(p, h, zeta, 3.0)
-        assert [s.censored for s in specs] == [True, False, False]
-        assert specs[1].bits_int == 1  # capacity 0.5*log2(6) = 1.29 bits
+        spec = dd.specs_for_allocation(p, h, zeta, 3.0)
+        assert spec.censored.tolist() == [True, False, False]
+        assert spec.bits_int.tolist() == [0, 1, 1]  # capacity 0.5*log2(6) = 1.29 bits at p=0.5
 
 
 class TestQuantizeStatistic:
     def test_two_level_lower_midpoint(self):
-        spec = dd.quant_spec(0.5, 1.0, 0.1, 3.0)  # one whole bit
-        assert dd.quantize_statistic(0.0, spec, 3.0) == 1.5
+        spec = dd.specs_for_allocation(0.5, 1.0, 0.1, 3.0)  # one whole bit
+        assert dd.quantize_array(0.0, spec.bits_int, 3.0) == 1.5
 
     def test_clipping_saturates(self):
-        spec = dd.quant_spec(0.5, 1.0, 0.1, 3.0)
-        assert dd.quantize_statistic(2 * 3.0 + 5.0, spec, 3.0) == dd.quantize_statistic(2 * 3.0, spec, 3.0)
+        spec = dd.specs_for_allocation(0.5, 1.0, 0.1, 3.0)
+        assert dd.quantize_array(2 * 3.0 + 5.0, spec.bits_int, 3.0) == dd.quantize_array(
+            2 * 3.0, spec.bits_int, 3.0)
 
     def test_censored_spec_rejected(self):
-        spec = dd.quant_spec(0.0, 1.0, 0.1, 3.0)
+        spec = dd.specs_for_allocation(0.0, 1.0, 0.1, 3.0)
+        assert spec.censored
         with pytest.raises(ValueError):
-            dd.quantize_statistic(1.0, spec, 3.0)
+            dd.quantize_array(1.0, spec.bits_int, 3.0)
 
     @given(st.floats(-5.0, 15.0), st.integers(1, 10))
     def test_cell_error_bound(self, t, bits):
@@ -98,10 +100,10 @@ class TestQuantizeStatistic:
         assert 0.0 <= q <= 2 * u
 
     def test_scalar_and_array_paths_agree(self):
-        spec = dd.quant_spec(2.0, 1.0, 0.1, 3.0)
+        spec = dd.specs_for_allocation(2.0, 1.0, 0.1, 3.0)
         t = np.linspace(0, 6, 23)
         arr = dd.quantize_array(t, spec.bits_int, 3.0)
-        scalars = [dd.quantize_statistic(float(v), spec, 3.0) for v in t]
+        scalars = [float(dd.quantize_array(float(v), spec.bits_int, 3.0)) for v in t]
         assert_allclose(arr, scalars)
 
     def test_quantization_noise_variance_oracle(self):

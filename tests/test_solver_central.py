@@ -17,8 +17,9 @@ FIG1_POWERS = np.array([
 ])
 
 
-def _sensor(sigma2=1.0, h=1.0, zeta=0.1, xi_amp=0.2, n=10):
-    return dd.SensorParams(sigma2, h, zeta, np.full(n, xi_amp))
+def _sensor(sigma2=1.0, h=1.0, zeta=0.1, xi_amp=0.2, n=10, m=None):
+    """One sensor, or m identical sensors when m is given."""
+    return dd.SensorParams(sigma2, h, zeta, np.full(n if m is None else (m, n), xi_amp))
 
 
 def _lagrangian_argmax_grid(sensor, n, u, lam, p_max, points=1_000_001):
@@ -64,14 +65,13 @@ class TestPowerClosedForm:
 
 class TestSolveCentralized:
     def test_single_sensor_absorbs_the_budget(self):
-        sc = dd.Scenario(sensors=[_sensor()], N=10, U=3.0, Pt=1.0, Pfa=0.1,
+        sc = dd.Scenario(sensors=_sensor(m=1), N=10, U=3.0, Pt=1.0, Pfa=0.1,
                          topology=dd.complete_graph(1), seed=0, solver=dd.SolverConfig())
         alloc = dd.solve_centralized(sc)
         assert_allclose(alloc.p[0], 1.0, rtol=1e-9)
 
     def test_identical_sensors_split_evenly(self):
-        sensors = [_sensor() for _ in range(5)]
-        sc = dd.Scenario(sensors=sensors, N=10, U=3.0, Pt=2.0, Pfa=0.1,
+        sc = dd.Scenario(sensors=_sensor(m=5), N=10, U=3.0, Pt=2.0, Pfa=0.1,
                          topology=dd.complete_graph(5), seed=0, solver=dd.SolverConfig())
         alloc = dd.solve_centralized(sc)
         assert_allclose(alloc.p, 0.4, rtol=1e-9)
@@ -89,7 +89,7 @@ class TestSolveCentralized:
         assert_allclose(alloc.total(), 2.5, rtol=1e-9)
 
     def test_no_signal_raises(self):
-        sensors = [dd.SensorParams(1.0, 1.0, 0.1, np.zeros(10)) for _ in range(3)]
+        sensors = dd.SensorParams(1.0, 1.0, 0.1, np.zeros((3, 10)))
         sc = dd.Scenario(sensors=sensors, N=10, U=3.0, Pt=1.0, Pfa=0.1,
                          topology=dd.complete_graph(3), seed=0, solver=dd.SolverConfig())
         with pytest.raises(dd.NoSignalError):
@@ -97,9 +97,8 @@ class TestSolveCentralized:
 
     def test_better_joint_channel_and_snr_gets_more_power(self):
         # sensor 0 dominates sensor 1 in both xi and h^2/zeta at equal sigma2
-        a = dd.SensorParams(1.0, 1.5, 0.1, np.full(10, 0.4))
-        b = dd.SensorParams(1.0, 0.8, 0.1, np.full(10, 0.2))
-        sc = dd.Scenario(sensors=[a, b], N=10, U=3.0, Pt=1.0, Pfa=0.1,
+        sensors = dd.SensorParams(1.0, [1.5, 0.8], 0.1, np.repeat([[0.4], [0.2]], 10, axis=1))
+        sc = dd.Scenario(sensors=sensors, N=10, U=3.0, Pt=1.0, Pfa=0.1,
                          topology=dd.complete_graph(2), seed=0, solver=dd.SolverConfig())
         alloc = dd.solve_centralized(sc)
         assert alloc.p[0] >= alloc.p[1]

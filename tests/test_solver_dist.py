@@ -9,9 +9,11 @@ import distdetect as dd
 from distdetect import solver_dist
 from distdetect.solver_dist import write_trace_csv
 
+from conftest import each_sensor
+
 
 def _identical_scenario(m=4, pt=2.0, n=10, outer_max=100_000):
-    sensors = [dd.SensorParams(1.0, 1.0, 0.1, np.full(n, 0.2)) for _ in range(m)]
+    sensors = dd.SensorParams(1.0, 1.0, 0.1, np.full((m, n), 0.2))
     return dd.Scenario(sensors=sensors, N=n, U=3.0, Pt=pt, Pfa=0.1,
                        topology=dd.complete_graph(m), seed=0,
                        solver=dd.SolverConfig(outer_max_iter=outer_max))
@@ -33,7 +35,7 @@ class TestLocalPowerUpdate:
 
     def test_at_the_solved_multiplier_reproduces_central(self, fig1_scenario, fig1_central):
         p = np.array([dd.local_power_update(fig1_central.lambda0, s, 10, 3.0)
-                      for s in fig1_scenario.sensors])
+                      for s in each_sensor(fig1_scenario)])
         assert_allclose(p, fig1_central.p, rtol=1e-12)
 
 
