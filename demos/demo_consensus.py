@@ -14,7 +14,7 @@ def main():
     rng = np.random.default_rng(42)
     m = 10
     graph = dd.random_geometric_graph(m, 0.5, rng)
-    print(f"{m} nodes, {len(graph.edges)} links, degrees {list(graph.degrees)}")
+    print(f"{m} nodes, {len(graph.edges)} links, degrees {graph.degrees.tolist()}")
 
     x0 = rng.uniform(0.0, 100.0, size=m)
     target = float(np.mean(x0))

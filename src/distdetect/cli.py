@@ -175,7 +175,7 @@ def validate_config(raw: dict) -> dict:
             raise ConfigError(
                 f"field 'detect.schemes': unknown scheme {s!r}; valid: {[x.value for x in Scheme]}"
             ) from None
-    for gname, positive in (("pt_grid", True), ("pfa_grid", True), ("n_grid", True)):
+    for gname in ("pt_grid", "pfa_grid", "n_grid"):
         grid = detect[gname]
         _expect(isinstance(grid, list), f"field 'detect.{gname}' must be a list")
         vals = [_num(v, f"detect.{gname}", int if gname == "n_grid" else float) for v in grid]
@@ -307,7 +307,7 @@ def cmd_allocate(args) -> int:
     write_allocation_csv(alloc_path, scenario, p_central, p_dist)
     outputs.append("allocation.csv")
     save_edge_list(scenario.topology, os.path.join(outdir, "topology.txt"))
-    if scenario.topology.edges:
+    if scenario.topology.edges.size:
         outputs.append("topology.txt")
     _write_manifest(outdir, cfg, "allocate", outputs, timings)
     if p_central is not None and p_dist is not None:
@@ -390,7 +390,7 @@ def cmd_trace(args) -> int:
     write_trace_csv(trace, trace_path)
     outputs = ["trace.csv"]
     save_edge_list(scenario.topology, os.path.join(outdir, "topology.txt"))
-    if scenario.topology.edges:
+    if scenario.topology.edges.size:
         outputs.append("topology.txt")
     _write_manifest(outdir, cfg, "trace", outputs, {"solve_distributed": elapsed})
     print(f"trace: converged in {trace.iterations} outer iterations, "

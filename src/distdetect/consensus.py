@@ -28,77 +28,89 @@ class ConsensusError(RuntimeError):
         self.iterations = iterations
 
 
-def _normalize_edges(m: int, edges) -> tuple[tuple[int, int], ...]:
-    seen = set()
-    out = []
-    for e in edges:
-        u, v = int(e[0]), int(e[1])
-        if u == v:
-            raise TopologyError(f"self loop at vertex {u}")
-        if not (0 <= u < m and 0 <= v < m):
-            raise TopologyError(f"edge ({u}, {v}) out of range for M={m}")
-        if u > v:
-            u, v = v, u
-        if (u, v) in seen:
-            raise TopologyError(f"duplicate edge ({u}, {v})")
-        seen.add((u, v))
-        out.append((u, v))
-    out.sort()
-    return tuple(out)
-
-
-def _edge_array(edges) -> np.ndarray:
-    """The edge list as an (E, 2) integer array, (0, 2) when there are no edges."""
-    return np.array(edges, dtype=np.intp).reshape(-1, 2)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Graph:
     """Undirected connected graph on vertices 0..M-1.
 
-    Edges are stored normalized (u < v, sorted, no duplicates) so two
-    graphs with the same edge set compare equal. Construction fails on
-    a disconnected graph: consensus cannot mix across components.
+    edges    read-only (E, 2) intp array, normalized: u < v in each row,
+             rows sorted lexicographically, no duplicates
+    degrees  read-only (M,) integer array; derived, never passed
+
+    Construction fails, naming the first offending edge in the order
+    given, on a row that is not a pair, a self loop, a vertex outside
+    0..M-1 or a duplicate; and it fails on a disconnected graph, since
+    consensus cannot mix across components. Like the other array-backed
+    records, two graphs compare equal only if they are the same object.
     """
 
     M: int
-    edges: tuple[tuple[int, int], ...]
-    degrees: tuple[int, ...] = field(init=False)
+    edges: np.ndarray
+    degrees: np.ndarray = field(init=False)
 
     def __post_init__(self):
         if self.M < 1:
             raise TopologyError("graph needs at least one vertex")
-        edges = _normalize_edges(self.M, self.edges)
-        object.__setattr__(self, "edges", edges)
-        deg = np.bincount(_edge_array(edges).ravel(), minlength=self.M)
-        object.__setattr__(self, "degrees", tuple(deg.tolist()))
+        try:
+            e = np.array(self.edges, dtype=np.intp)
+        except ValueError:
+            # rows of unequal length: numpy keeps each row as one object
+            rows = np.array(self.edges, dtype=object)
+            if rows.ndim != 1:
+                raise
+            sizes = np.vectorize(np.size, otypes=[np.intp])(rows)
+            raise TopologyError(f"edge {rows[np.argmax(sizes != 2)]!r} is not a pair") from None
+        if e.shape == (0,):
+            e = e.reshape(0, 2)
+        if e.ndim != 2 or e.shape[1] != 2:
+            raise TopologyError(f"edge {e[0].tolist()!r} is not a pair")
+        u, v = e.min(axis=1), e.max(axis=1)
+        order = np.lexsort((v, u))   # stable: repeats keep the order given
+        repeat = np.zeros(len(e), dtype=bool)
+        repeat[order[1:]] = (np.diff(u[order]) == 0) & (np.diff(v[order]) == 0)
+        loop, outside = u == v, (u < 0) | (v >= self.M)
+        bad = loop | outside | repeat
+        if bad.any():
+            i = int(np.argmax(bad))
+            if loop[i]:
+                raise TopologyError(f"self loop at vertex {u[i]}")
+            if outside[i]:
+                raise TopologyError(f"edge ({e[i, 0]}, {e[i, 1]}) out of range for M={self.M}")
+            raise TopologyError(f"duplicate edge ({u[i]}, {v[i]})")
+        edges = np.stack((u[order], v[order]), axis=1)
+        degrees = np.bincount(edges.ravel(), minlength=self.M)
+        for name, value in (("edges", edges), ("degrees", degrees)):
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
         if not self._connected():
             raise TopologyError("graph is disconnected")
 
     def _connected(self) -> bool:
-        if self.M == 1:
-            return True
-        adj = self.neighbors()
-        seen = {0}
-        stack = [0]
-        while stack:
-            u = stack.pop()
-            for v in adj[u]:
-                if v not in seen:
-                    seen.add(v)
-                    stack.append(v)
-        return len(seen) == self.M
+        """Shiloach-Vishkin connectivity: hook roots onto smaller roots, then pointer-jump.
 
-    def neighbors(self) -> list[list[int]]:
-        adj: list[list[int]] = [[] for _ in range(self.M)]
-        for u, v in self.edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        return adj
+        root[x] <= x throughout, so every tree is rooted at its smallest
+        vertex and the graph is connected iff every vertex ends at root 0.
+        Each pass joins every root to its smallest neighbouring root, so
+        passes are few even on long paths (Shiloach & Vishkin, "An
+        O(log n) parallel connectivity algorithm", J. Algorithms 3, 1982).
+        """
+        u, v = self.edges.T
+        root = np.arange(self.M)
+        while True:
+            ru, rv = root[u], root[v]
+            split = ru != rv
+            if not split.any():
+                return not root.any()
+            np.minimum.at(root, ru[split], rv[split])
+            np.minimum.at(root, rv[split], ru[split])
+            while True:
+                jumped = root[root]
+                if np.array_equal(jumped, root):
+                    break
+                root = jumped
 
 
 def complete_graph(m: int) -> Graph:
-    return Graph(m, tuple((u, v) for u in range(m) for v in range(u + 1, m)))
+    return Graph(m, np.argwhere(np.triu(np.ones((m, m), dtype=bool), k=1)))
 
 
 def random_geometric_graph(
@@ -121,11 +133,8 @@ def random_geometric_graph(
     for _ in range(max_tries):
         pts = rng.uniform(0.0, 1.0, size=(m, 2))
         d2 = np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=-1)
-        iu, ju = np.triu_indices(m, k=1)
-        mask = d2[iu, ju] <= radius * radius
-        edges = tuple(zip(iu[mask].tolist(), ju[mask].tolist()))
         try:
-            return Graph(m, edges)
+            return Graph(m, np.argwhere(np.triu(d2 <= radius * radius, k=1)))
         except TopologyError:
             continue
     raise TopologyError(
@@ -142,8 +151,8 @@ def metropolis_matrix(graph: Graph) -> np.ndarray:
     """
     m = graph.M
     w = np.zeros((m, m))
-    deg = np.array(graph.degrees)
-    u, v = _edge_array(graph.edges).T
+    deg = graph.degrees
+    u, v = graph.edges.T
     w[u, v] = w[v, u] = 1.0 / (1.0 + np.maximum(deg[u], deg[v]))
     w[np.diag_indices(m)] = 1.0 - w.sum(axis=1)
     return w
@@ -232,8 +241,8 @@ def consensus_average(
 def save_edge_list(graph: Graph, path) -> None:
     """Write one "u v" pair per line, 0-indexed. No header."""
     with open(path, "w") as fh:
-        for u, v in graph.edges:
-            fh.write(f"{u} {v}\n")
+        # one format operation, not one write per edge
+        fh.write(("%d %d\n" * len(graph.edges)) % tuple(graph.edges.ravel().tolist()))
 
 
 def load_edge_list(path, m: int | None = None) -> Graph:
@@ -259,5 +268,5 @@ def load_edge_list(path, m: int | None = None) -> Graph:
     if m is None:
         if not edges:
             raise TopologyError(f"{path}: empty edge list needs an explicit vertex count")
-        m = max(max(u, v) for u, v in edges) + 1
-    return Graph(m, tuple(edges))
+        m = int(np.max(edges)) + 1
+    return Graph(m, edges)

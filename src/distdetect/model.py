@@ -198,14 +198,6 @@ class Scenario:
     def M(self) -> int:
         return self.signal.shape[0]
 
-    def stream(self, *key: str | int) -> np.random.Generator:
-        """Deterministic named RNG stream derived from the scenario seed.
-
-        Same scenario and key give the same stream; distinct keys give
-        statistically independent streams (SeedSequence spawn keys).
-        """
-        return derive_stream(self.seed, *key)
-
 
 def _key_ints(key) -> tuple[int, ...]:
     out = []
@@ -354,13 +346,10 @@ def make_scenario(
         sigma2_range=sigma2_range, zeta=zeta,
         deterministic_channel=deterministic_channel,
     )
-    if m == 1:
-        topo = Graph(1, ())
-    else:
-        topo = random_geometric_graph(m, radius, derive_stream(seed, "topology"))
+    topology = random_geometric_graph(m, radius, derive_stream(seed, "topology"))
     return Scenario(
         sensors=sensors, N=n, U=u, Pt=pt, Pfa=pfa,
-        topology=topo, seed=seed,
+        topology=topology, seed=seed,
         solver=solver if solver is not None else SolverConfig(),
     )
 

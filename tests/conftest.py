@@ -114,6 +114,42 @@ def _reference_water_filling():
     return reference_water_filling
 
 
+def reference_graph(m, edges):
+    """Graph's checks as a per-edge loop plus a depth-first search.
+
+    Returns (sorted edge tuple, degree tuple, connected). Raises
+    TopologyError, with Graph's message, at the first malformed edge in
+    the order given.
+    """
+    seen = set()
+    for u, v in edges:
+        if u == v:
+            raise dd.TopologyError(f"self loop at vertex {u}")
+        if not (0 <= u < m and 0 <= v < m):
+            raise dd.TopologyError(f"edge ({u}, {v}) out of range for M={m}")
+        u, v = min(u, v), max(u, v)
+        if (u, v) in seen:
+            raise dd.TopologyError(f"duplicate edge ({u}, {v})")
+        seen.add((u, v))
+    adj = [[] for _ in range(m)]
+    for u, v in seen:
+        adj[u].append(v)
+        adj[v].append(u)
+    reached = {0}
+    stack = [0]
+    while stack:
+        for v in adj[stack.pop()]:
+            if v not in reached:
+                reached.add(v)
+                stack.append(v)
+    return tuple(sorted(seen)), tuple(len(a) for a in adj), len(reached) == m
+
+
+@pytest.fixture(name="reference_graph")
+def _reference_graph():
+    return reference_graph
+
+
 def write_config(tmpdir, overrides=None, **kw) -> Path:
     """Drop a minimal valid config file into tmpdir and return its path."""
     cfg = {

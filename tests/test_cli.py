@@ -1,5 +1,6 @@
 """Config validation and the allocate / detect / trace commands."""
 import csv
+import hashlib
 import json
 import math
 
@@ -182,6 +183,21 @@ class TestAllocateCommand:
         monkeypatch.setenv(cli.OUTDIR_ENV, str(out))
         assert run_cli("allocate", path, "--method", "central") == 0
         assert (out / "allocation.csv").is_file()
+
+    @pytest.mark.parametrize("overrides, sha256", [
+        (None, "efed3ee78dfdc725a787a9f28f2d892dfa3520165c2f51fcd6dacd6239dd028b"),
+        # the large_network benchmark shape at seed 1: 94,859 edges
+        ({"seed": 1, "M": 5000, "Pt": 500.0, "radius": 0.05},
+         "3aca0fc81bb77a092c78d28241b43c9b89c514763ea8e7c92a05340e275d5b48"),
+    ], ids=["fig1", "large_network"])
+    def test_topology_bytes_are_pinned(self, tmp_path, overrides, sha256):
+        # PCG64 draws and elementwise float operations only, no BLAS, so
+        # the bytes are the same on every platform
+        path = bundled_config("fig1.cfg") if overrides is None else write_config(
+            tmp_path, overrides)
+        out = tmp_path / "out"
+        assert run_cli("allocate", path, "--method", "central", "--out", out) == 0
+        assert hashlib.sha256((out / "topology.txt").read_bytes()).hexdigest() == sha256
 
 
 class TestDetectCommand:

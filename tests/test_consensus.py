@@ -1,4 +1,7 @@
 """Graphs, Metropolis weights, and the average-consensus iteration."""
+import collections
+import re
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -11,11 +14,39 @@ def path_graph(m):
     return dd.Graph(M=m, edges=tuple((i, i + 1) for i in range(m - 1)))
 
 
+def random_edge_list(rng):
+    """A vertex count and a shuffled edge list, some rows reversed.
+
+    A random spanning tree plus random chords, thinned in half the cases
+    so that some lists are disconnected; a quarter of the lists also get
+    one self loop, out-of-range vertex or repeated pair at a random place.
+    """
+    m = int(rng.integers(1, 61))
+    perm = rng.permutation(m)
+    parents = perm[(rng.random(m - 1) * np.arange(1, m)).astype(int)]
+    chords = rng.integers(0, m, size=(int(rng.integers(0, m + 1)), 2))
+    pairs = np.concatenate((np.stack((perm[1:], parents), axis=1), chords))
+    pairs = np.unique(np.sort(pairs[pairs[:, 0] != pairs[:, 1]], axis=1), axis=0)
+    if rng.random() < 0.5:
+        pairs = pairs[rng.random(len(pairs)) < 0.8]
+    pairs = pairs[rng.permutation(len(pairs))]
+    flip = rng.random(len(pairs)) < 0.5
+    pairs[flip] = pairs[flip, ::-1]
+    edges = [tuple(row) for row in pairs.tolist()]
+    if rng.random() < 0.25:
+        k = int(rng.integers(m))
+        bad = [(k, k), (k, m + int(rng.integers(3))), (-1, k)]
+        if edges:
+            bad.append(edges[int(rng.integers(len(edges)))][::-1])
+        edges.insert(int(rng.integers(len(edges) + 1)), bad[int(rng.integers(len(bad)))])
+    return m, edges
+
+
 class TestGraph:
     def test_edges_normalized_sorted(self):
         g = dd.Graph(M=3, edges=((2, 1), (1, 0)))
-        assert g.edges == ((0, 1), (1, 2))
-        assert g.degrees == (1, 2, 1)
+        assert g.edges.tolist() == [[0, 1], [1, 2]]
+        assert g.degrees.tolist() == [1, 2, 1]
 
     def test_duplicate_edge_rejected(self):
         with pytest.raises(dd.TopologyError):
@@ -35,8 +66,71 @@ class TestGraph:
 
     def test_single_vertex_graph(self):
         g = dd.Graph(M=1, edges=())
-        assert g.M == 1 and g.edges == ()
+        assert g.M == 1 and g.edges.shape == (0, 2) and g.degrees.tolist() == [0]
 
+
+    @pytest.mark.parametrize("edges, first", [
+        (((0, 1, 2),), "[0, 1, 2]"),
+        (((0, 1), (1, 2, 0)), "(1, 2, 0)"),
+        (((0,), (1,)), "[0]"),
+        ((0, 1), "0"),
+    ])
+    def test_rows_that_are_not_pairs_rejected(self, edges, first):
+        with pytest.raises(dd.TopologyError, match=re.escape(f"edge {first} is not a pair")):
+            dd.Graph(M=3, edges=edges)
+
+    @pytest.mark.parametrize("edges, message", [
+        (((0, 1), (2, 2), (5, 1), (1, 0)), "self loop at vertex 2"),
+        (((0, 1), (5, 1), (2, 2), (1, 0)), "edge (5, 1) out of range for M=4"),
+        (((0, 1), (1, -1), (2, 2)), "edge (1, -1) out of range for M=4"),
+        (((1, 2), (3, 2), (2, 1), (2, 2)), "duplicate edge (1, 2)"),
+    ])
+    def test_error_names_the_first_offending_edge(self, edges, message):
+        with pytest.raises(dd.TopologyError, match=f"^{re.escape(message)}$"):
+            dd.Graph(M=4, edges=edges)
+
+    def test_arrays_are_read_only_and_equality_is_identity(self):
+        g = path_graph(4)
+        assert g.edges.dtype == np.intp and g.edges.shape == (3, 2)
+        assert not g.edges.flags.writeable and not g.degrees.flags.writeable
+        assert g == g and g != path_graph(4)
+
+    def test_matches_the_reference_on_random_edge_lists(self, reference_graph):
+        rng = np.random.default_rng(2024)
+        verdicts = collections.Counter()
+        for _ in range(3000):
+            m, edges = random_edge_list(rng)
+            try:
+                ref_edges, ref_degrees, connected = reference_graph(m, edges)
+                want = (ref_edges, ref_degrees) if connected else "graph is disconnected"
+            except dd.TopologyError as e:
+                want = str(e)
+            try:
+                g = dd.Graph(M=m, edges=edges)
+                got = (tuple(map(tuple, g.edges.tolist())), tuple(g.degrees.tolist()))
+            except dd.TopologyError as e:
+                got = str(e)
+            assert got == want, (m, edges)
+            verdicts[want.split(" ")[0] if isinstance(want, str) else "accepted"] += 1
+        # every verdict is well represented
+        assert set(verdicts) == {"accepted", "graph", "self", "edge", "duplicate"}
+        assert min(verdicts.values()) >= 100, verdicts
+
+    @pytest.mark.parametrize("shape", ["path", "star"])
+    def test_large_relabeled_graphs(self, shape):
+        m = 20_000
+        rng = np.random.default_rng(7)
+        perm = rng.permutation(m)
+        if shape == "path":
+            edges = np.stack((perm[:-1], perm[1:]), axis=1)
+        else:
+            edges = np.stack((np.full(m - 1, perm[0]), perm[1:]), axis=1)
+        edges = edges[rng.permutation(m - 1)]
+        g = dd.Graph(M=m, edges=edges)
+        assert len(g.edges) == m - 1 and np.all(g.edges[:, 0] < g.edges[:, 1])
+        assert g.degrees.max() == (2 if shape == "path" else m - 1)
+        with pytest.raises(dd.TopologyError, match="disconnected"):
+            dd.Graph(M=m, edges=np.delete(edges, rng.integers(m - 1), axis=0))
 
 class TestRandomGeometricGraph:
     def test_single_vertex(self):
@@ -50,12 +144,12 @@ class TestRandomGeometricGraph:
     def test_golden_edge_set(self):
         rng = dd.derive_stream(42, "graph")
         g = dd.random_geometric_graph(10, 0.5, rng)
-        assert g.edges == (
+        assert np.array_equal(g.edges, (
             (0, 1), (0, 2), (0, 5), (0, 6), (0, 8), (1, 2), (1, 3), (1, 5),
             (1, 6), (1, 7), (1, 8), (2, 5), (2, 8), (3, 5), (3, 7), (3, 8),
             (4, 7), (4, 9), (5, 6), (5, 7), (5, 8), (6, 7), (7, 8),
-        )
-        assert g.degrees == (5, 7, 4, 4, 2, 7, 4, 6, 6, 1)
+        ))
+        assert g.degrees.tolist() == [5, 7, 4, 4, 2, 7, 4, 6, 6, 1]
 
     def test_unreachable_radius_raises(self):
         with pytest.raises(dd.TopologyError):
@@ -89,15 +183,15 @@ class TestMetropolisMatrix:
         g = dd.random_geometric_graph(m, radius, np.random.default_rng(seed))
         # degrees and weights edge by edge, as plain Python
         deg = [0] * m
-        for u, v in g.edges:
+        for u, v in g.edges.tolist():
             deg[u] += 1
             deg[v] += 1
         ref = np.zeros((m, m))
-        for u, v in g.edges:
+        for u, v in g.edges.tolist():
             ref[u, v] = ref[v, u] = 1.0 / (1.0 + max(deg[u], deg[v]))
         ref[np.diag_indices(m)] = 1.0 - ref.sum(axis=1)
-        assert g.degrees == tuple(deg)
-        assert all(type(d) is int for d in g.degrees)
+        assert g.degrees.tolist() == deg
+        assert g.degrees.dtype == np.intp
         assert np.array_equal(dd.metropolis_matrix(g), ref)
 
 
@@ -259,7 +353,7 @@ class TestEdgeListRoundTrip:
         path = tmp_path / "topology.txt"
         dd.save_edge_list(g, path)
         back = dd.load_edge_list(path)
-        assert back.edges == g.edges
+        assert np.array_equal(back.edges, g.edges)
         assert back.M == g.M
 
     def test_file_format_is_plain_pairs(self, tmp_path):
