@@ -21,7 +21,6 @@ from .consensus import TopologyError, save_edge_list
 from .model import Scenario, SolverConfig, make_scenario
 from .montecarlo import (
     Scheme,
-    _fmt,
     powers_for_scheme,
     roc_curve,
     run_trials,
@@ -253,19 +252,20 @@ def write_allocation_csv(path, scenario: Scenario, p_central, p_distributed) -> 
     """
     basis = p_central if p_central is not None else p_distributed
     spec = specs_for_allocation(basis, scenario.h, scenario.zeta, scenario.U)
-    # .tolist() gives the Python floats, ints and bools that _fmt writes
-    columns = zip(scenario.h.tolist(), scenario.sigma2.tolist(), scenario.xi.tolist(),
-                  spec.bits_real.tolist(), spec.bits_int.tolist(), spec.censored.tolist())
+    # montecarlo._fmt's format, a column at a time: repr of each Python
+    # float from .tolist(), str of each int, 1/0 for a bool, blank for None
+    blank = [""] * scenario.M
+    columns = (
+        map(str, range(scenario.M)),
+        *(map(repr, a.tolist()) for a in (scenario.h, scenario.sigma2, scenario.xi)),
+        *(blank if p is None else map(repr, p.tolist()) for p in (p_central, p_distributed)),
+        map(repr, spec.bits_real.tolist()),
+        map(str, spec.bits_int.tolist()),
+        np.where(spec.censored, "1", "0").tolist(),
+    )
     with open(path, "w") as fh:
-        fh.write("i,h_i,sigma2_i,xi_i,p_central,p_distributed,bits_real,bits_int,censored\n")
-        for i, (h, sigma2, xi, bits_real, bits_int, censored) in enumerate(columns):
-            row = [
-                str(i), _fmt(h), _fmt(sigma2), _fmt(xi),
-                _fmt(None if p_central is None else float(p_central[i])),
-                _fmt(None if p_distributed is None else float(p_distributed[i])),
-                _fmt(bits_real), str(bits_int), _fmt(censored),
-            ]
-            fh.write(",".join(row) + "\n")
+        fh.write("i,h_i,sigma2_i,xi_i,p_central,p_distributed,bits_real,bits_int,censored\n"
+                 + "".join(",".join(row) + "\n" for row in zip(*columns)))
 
 
 def _solve_distributed(scenario: Scenario, outdir: str):

@@ -113,6 +113,54 @@ def complete_graph(m: int) -> Graph:
     return Graph(m, np.argwhere(np.triu(np.ones((m, m), dtype=bool), k=1)))
 
 
+def geometric_edges(pts: np.ndarray, radius: float) -> np.ndarray:
+    """Every pair of points in the unit square at most `radius` apart.
+
+    Returns an (E, 2) intp array of indices into `pts`, one row per
+    pair, in no particular order; Graph normalizes and sorts it. A pair
+    is kept when the sum of (p_u - p_v) ** 2 over its two coordinates is
+    at most radius * radius, the same arithmetic as the full distance
+    matrix, so the pairs are exactly the ones that matrix would give.
+
+    Only candidates are measured. The points are binned into a grid of
+    square cells at least `radius` wide, so two points within `radius`
+    lie in the same or in adjacent cells. Each point is paired with the
+    later points of its own cell (in cell order) and with every point of
+    its 4 forward cells, (+1, -1), (+1, 0), (+1, +1) and (0, +1): every
+    adjacent pair of cells is met from exactly one side, so every pair
+    is a candidate exactly once. Cells are made wider than `radius` by a
+    relative 1e-9, far more than the rounding of the binning and of the
+    distance (a few 2**-53 times the cells a side), so no kept pair
+    lands two cells apart. A grid has at most about sqrt(M) cells a
+    side, so a tiny radius costs no more than one point per cell.
+    """
+    m = len(pts)
+    # m ** -0.5 first: a NaN radius then keeps the sqrt(M) grid and matches nothing
+    side = max(1, int(1 / max(max(m, 1) ** -0.5, radius * (1 + 1e-9))))
+    cx, cy = np.clip(pts * side, 0, side - 1).astype(np.intp).T
+    cell = cx * side + cy
+    order = np.argsort(cell, kind="stable")
+    counts = np.bincount(cell, minlength=side * side)
+    end = np.cumsum(counts)
+    start = end - counts
+    sorted_cell = cell[order]
+    cx, cy = cx[order], cy[order]
+    # the 4 forward cells of each point, in the cell order
+    nx, ny = cx[:, None] + (1, 1, 1, 0), cy[:, None] + (-1, 0, 1, 1)
+    inside = (nx < side) & (ny >= 0) & (ny < side)
+    forward = np.where(inside, nx * side + ny, 0)
+    # point k of the cell order is paired with count[k, s] points from first[k, s] on
+    k = np.arange(m)
+    first = np.column_stack((k + 1, start[forward])).ravel()
+    count = np.column_stack((end[sorted_cell] - k - 1,
+                             np.where(inside, counts[forward], 0))).ravel()
+    offset = np.cumsum(count) - count
+    u = order[np.repeat(np.repeat(k, 5), count)]
+    v = order[np.arange(count.sum()) + np.repeat(first - offset, count)]
+    keep = np.sum((pts[u] - pts[v]) ** 2, axis=-1) <= radius * radius
+    return np.stack((u[keep], v[keep]), axis=1)
+
+
 def random_geometric_graph(
     m: int,
     radius: float,
@@ -122,9 +170,11 @@ def random_geometric_graph(
     """Connected random geometric graph on the unit square.
 
     M points are dropped uniformly at random and joined whenever their
-    euclidean distance is at most `radius`. Redraws everything until the
-    result is connected; gives up after `max_tries` attempts so a radius
-    that is too small fails loudly instead of looping forever.
+    euclidean distance is at most `radius`, found by `geometric_edges`
+    from a cell grid rather than from all M(M-1)/2 distances. Redraws
+    everything until the result is connected; gives up after
+    `max_tries` attempts so a radius that is too small fails loudly
+    instead of looping forever.
     """
     if m < 1:
         raise TopologyError("need at least one node")
@@ -132,9 +182,8 @@ def random_geometric_graph(
         raise TopologyError("radius must be positive")
     for _ in range(max_tries):
         pts = rng.uniform(0.0, 1.0, size=(m, 2))
-        d2 = np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=-1)
         try:
-            return Graph(m, np.argwhere(np.triu(d2 <= radius * radius, k=1)))
+            return Graph(m, geometric_edges(pts, radius))
         except TopologyError:
             continue
     raise TopologyError(

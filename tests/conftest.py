@@ -150,6 +150,21 @@ def _reference_graph():
     return reference_graph
 
 
+def reference_geometric_edges(pts, radius):
+    """random_geometric_graph's edge build as the full M x M x 2 difference tensor.
+
+    Returns the (E, 2) pairs u < v with d2 <= radius * radius, rows in
+    lexicographic order, as Graph stores them.
+    """
+    d2 = np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=-1)
+    return np.argwhere(np.triu(d2 <= radius * radius, k=1))
+
+
+@pytest.fixture(name="reference_geometric_edges")
+def _reference_geometric_edges():
+    return reference_geometric_edges
+
+
 def write_config(tmpdir, overrides=None, **kw) -> Path:
     """Drop a minimal valid config file into tmpdir and return its path."""
     cfg = {

@@ -199,6 +199,27 @@ class TestAllocateCommand:
         assert run_cli("allocate", path, "--method", "central", "--out", out) == 0
         assert hashlib.sha256((out / "topology.txt").read_bytes()).hexdigest() == sha256
 
+    def test_allocation_bytes_are_pinned(self, tmp_path):
+        # the large_network benchmark shape at seed 1. The sensor noise
+        # levels come from np.exp, whose last bit depends on the numpy
+        # kernel the CPU selects: one digest for the AVX-512 kernels, one
+        # for the baseline (libm) ones
+        path = write_config(tmp_path, {"seed": 1, "M": 5000, "Pt": 500.0, "radius": 0.05})
+        out = tmp_path / "out"
+        assert run_cli("allocate", path, "--method", "central", "--out", out) == 0
+        assert hashlib.sha256((out / "allocation.csv").read_bytes()).hexdigest() in (
+            "c9dc07bc829efe64e394caaf0d0f6a4a3d97713a895811fc0f0a84d36d0f8a7b",   # AVX-512
+            "e8f059b8be14e9856a454194774cbf47887d761c95309645c38997be7c4c4183",   # baseline
+        )
+
+    @pytest.mark.parametrize("radius", [1e-300, 1e-4])
+    def test_unreachable_radius_exits_2(self, tmp_path, capsys, radius):
+        path = write_config(tmp_path, M=50, radius=radius)
+        assert run_cli("allocate", path, "--method", "central", "--out", tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert "no connected geometric graph after 200 tries" in err
+        assert "Traceback" not in err
+
 
 class TestDetectCommand:
     def test_tiny_run_completes(self, tmp_path):

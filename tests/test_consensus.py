@@ -1,17 +1,25 @@
 """Graphs, Metropolis weights, and the average-consensus iteration."""
 import collections
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 import distdetect as dd
-from distdetect.consensus import BLOCK_ROUNDS
+from distdetect.consensus import BLOCK_ROUNDS, geometric_edges
 
 
 def path_graph(m):
     return dd.Graph(M=m, edges=tuple((i, i + 1) for i in range(m - 1)))
+
+
+def sorted_pairs(edges):
+    """Rows of an (E, 2) pair array as u < v, in lexicographic order."""
+    u, v = edges.min(axis=1), edges.max(axis=1)
+    order = np.lexsort((v, u))
+    return np.stack((u[order], v[order]), axis=1)
 
 
 def random_edge_list(rng):
@@ -138,8 +146,9 @@ class TestRandomGeometricGraph:
         assert g.M == 1
 
     def test_radius_beyond_diameter_gives_complete_graph(self):
-        g = dd.random_geometric_graph(6, 1.5, np.random.default_rng(1))
-        assert len(g.edges) == 6 * 5 // 2
+        for radius in (1.5, 1e300):   # 1e300 squares to inf: one cell, every pair kept
+            g = dd.random_geometric_graph(6, radius, np.random.default_rng(1))
+            assert np.array_equal(g.edges, dd.complete_graph(6).edges)
 
     def test_golden_edge_set(self):
         rng = dd.derive_stream(42, "graph")
@@ -154,6 +163,80 @@ class TestRandomGeometricGraph:
     def test_unreachable_radius_raises(self):
         with pytest.raises(dd.TopologyError):
             dd.random_geometric_graph(20, 0.01, np.random.default_rng(2), max_tries=5)
+
+    def test_edges_match_the_dense_reference(self, reference_geometric_edges):
+        rng = np.random.default_rng(2024)
+        at_radius = 0
+        for draw in range(2000):
+            # log-uniform: as many small grids and sparse graphs as dense ones
+            m = int(np.exp(rng.uniform(0.0, np.log(401))))
+            radius = float(np.exp(rng.uniform(np.log(0.01), np.log(1.5))))
+            if draw % 3:
+                pts = rng.uniform(0.0, 1.0, size=(m, 2))
+            else:
+                # a block of an exact lattice at multiples of radius / 2, inside
+                # the unit square: pairs exactly radius apart, points repeated,
+                # and points on the cell borders wherever those are multiples too
+                n = int(np.sum(np.arange(int(2 / radius) + 2) * (radius / 2) < 1))
+                k = min(n, int(np.sqrt(m)) + 2)
+                ij = rng.integers(0, k, size=(m, 2)) + rng.integers(0, n - k + 1, size=2)
+                pts = ij * (radius / 2)
+            ref = reference_geometric_edges(pts, radius)
+            assert np.array_equal(sorted_pairs(geometric_edges(pts, radius)), ref), (draw, m, radius)
+            d2 = np.sum((pts[ref[:, 0]] - pts[ref[:, 1]]) ** 2, axis=-1)
+            at_radius += int(np.sum(d2 == radius * radius))
+        assert at_radius >= 1000
+
+    def test_pairs_straddling_cell_borders(self, reference_geometric_edges):
+        # radius within a few ulps of 1/k, points within a few ulps of the
+        # multiples of 1/k and radius beyond them: a grid of k cells a side
+        # would be a hair narrower than radius and split such pairs
+        for k in range(2, 21):
+            for ulps in range(-2, 3):
+                radius = float(1 / k + ulps * np.spacing(1 / k))
+                x = np.arange(k + 1) / k
+                x = (x[:, None] + np.arange(-2, 3) * np.spacing(x)[:, None]).ravel()
+                x = np.concatenate((x, x + radius))
+                x = x[(x >= 0) & (x < 1)]
+                pts = np.concatenate((np.stack((x, np.full_like(x, 0.5)), axis=1),
+                                      np.stack((np.full_like(x, 0.25), x), axis=1)))
+                assert np.array_equal(sorted_pairs(geometric_edges(pts, radius)),
+                                      reference_geometric_edges(pts, radius)), (k, ulps)
+
+    def test_retries_match_a_loop_over_the_reference(self, reference_geometric_edges,
+                                                     reference_graph):
+        m, radius = 40, 0.2
+        tries = 0
+        for seed in range(10):
+            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            g = dd.random_geometric_graph(m, radius, rng)
+            while True:
+                tries += 1
+                ref = reference_geometric_edges(ref_rng.uniform(0.0, 1.0, size=(m, 2)), radius)
+                if reference_graph(m, ref.tolist())[2]:
+                    break
+            assert np.array_equal(g.edges, ref)
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+        assert tries > 15   # some tries were disconnected and redrawn
+
+    def test_giving_up_draws_max_tries_point_sets(self):
+        rng, ref_rng = np.random.default_rng(5), np.random.default_rng(5)
+        with pytest.raises(dd.TopologyError, match="after 7 tries"):
+            dd.random_geometric_graph(40, 0.05, rng, max_tries=7)
+        for _ in range(7):
+            ref_rng.uniform(0.0, 1.0, size=(40, 2))
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_memory_grows_with_the_edges_not_with_m_squared(self):
+        # the M x M x 2 difference tensor alone would be 6.4 GB here
+        tracemalloc.start()
+        try:
+            g = dd.random_geometric_graph(20_000, 0.015, np.random.default_rng(7))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert g.M == 20_000
+        assert peak < 100e6
 
 
 class TestMetropolisMatrix:
