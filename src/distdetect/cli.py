@@ -2,14 +2,18 @@
 
 Configs are JSON documents with a schema_version field; every command
 takes one config path plus an output directory and writes plot-ready
-CSV files and a manifest. Exit codes are a stable contract: 0 success,
-2 config problems, 3 distributed-solver non-convergence.
+CSV files and a manifest. The three detect sweeps (pt, pfa, n) share
+one path: a sweep_budget pass per window length N, which draws one
+batch of observations for every budget, scheme and pfa at that N.
+Exit codes are a stable contract: 0 success, 2 config problems or a
+model with nothing to fuse, 3 distributed-solver non-convergence.
 """
 from __future__ import annotations
 
 import argparse
 import dataclasses
 import hashlib
+import inspect
 import json
 import os
 import sys
@@ -18,17 +22,11 @@ import time
 import numpy as np
 
 from .consensus import TopologyError, save_edge_list
+from .fusion import DegenerateFusionError
 from .model import Scenario, SolverConfig, make_scenario
-from .montecarlo import (
-    Scheme,
-    powers_for_scheme,
-    roc_curve,
-    run_trials,
-    sweep_budget,
-    weights_for_scheme,
-    write_diagnostics_csv,
-    write_results_csv,
-)
+from .montecarlo import Scheme, sweep_budget, write_diagnostics_csv, write_results_csv
+# not called here; bench/tracer.py wraps them under these names
+from .montecarlo import powers_for_scheme, roc_curve, run_trials, weights_for_scheme
 from .quantize import specs_for_allocation
 from .solver_central import NoSignalError, ScaleError, solve_centralized
 from .solver_dist import ConvergenceError, solve_distributed, write_trace_csv
@@ -51,14 +49,16 @@ _DETECT_DEFAULTS = {
     "n_grid": [],
 }
 
+# the optional scenario fields are make_scenario's keywords; sigma2_range is a JSON list
+_SCENARIO_DEFAULTS = {
+    k: list(p.default) if isinstance(p.default, tuple) else p.default
+    for k, p in inspect.signature(make_scenario).parameters.items()
+    if k in ("xa_db", "amplitude", "sigma2_range", "zeta", "radius", "deterministic_channel")
+}
+
 _TOP_DEFAULTS = {
     "name": "scenario",
-    "xa_db": -4.0,
-    "amplitude": 0.2,
-    "sigma2_range": [0.5, 2.0],
-    "zeta": 0.1,
-    "radius": 0.5,
-    "deterministic_channel": False,
+    **_SCENARIO_DEFAULTS,
     "solver": _SOLVER_DEFAULTS,
     "detect": _DETECT_DEFAULTS,
 }
@@ -200,10 +200,8 @@ def scenario_from_config(cfg: dict, n: int | None = None) -> Scenario:
     try:
         return make_scenario(
             m=cfg["M"], n=n if n is not None else cfg["N"], seed=cfg["seed"],
-            u=cfg["U"], pt=cfg["Pt"], pfa=cfg["Pfa"], xa_db=cfg["xa_db"],
-            amplitude=cfg["amplitude"], sigma2_range=tuple(cfg["sigma2_range"]),
-            zeta=cfg["zeta"], radius=cfg["radius"],
-            deterministic_channel=cfg["deterministic_channel"], solver=solver,
+            u=cfg["U"], pt=cfg["Pt"], pfa=cfg["Pfa"], solver=solver,
+            **{k: cfg[k] for k in _SCENARIO_DEFAULTS},
         )
     except TopologyError:
         raise
@@ -321,60 +319,44 @@ def cmd_allocate(args) -> int:
 
 
 def cmd_detect(args) -> int:
+    """One sweep_budget call per window length N, every point of the sweep in its one pass.
+
+    `pt` sweeps detect.pt_grid at the config's N, `pfa` sweeps
+    detect.pfa_grid and `n` the config's Pfa, both at every N of
+    detect.n_grid (the config's N if it is empty). Rows come in (N,
+    budget, scheme, pfa) order; `pt` also writes diagnostics_pt.csv.
+    """
     cfg = load_config(args.config)
     outdir = _outdir(args)
     detect = cfg["detect"]
     trials = args.trials if args.trials is not None else detect["trials"]
     if trials < 1:
         raise ConfigError("trials must be >= 1")
+    sweep = args.sweep
+    grid = detect[f"{sweep}_grid"]
+    if not grid:
+        raise ConfigError(f"sweep '{sweep}' needs a nonempty 'detect.{sweep}_grid'")
     schemes = [Scheme(s) for s in detect["schemes"]]
-    timings: dict[str, float] = {}
-    outputs: list[str] = []
+    n_values = [cfg["N"]] if sweep == "pt" else detect["n_grid"] or [cfg["N"]]
+    pt_grid = grid if sweep == "pt" else [cfg["Pt"]]
+    pfa_grid = grid if sweep == "pfa" else [cfg["Pfa"]]
+    diag = [] if sweep == "pt" else None
     t0 = time.perf_counter()
-
-    if args.sweep == "pt":
-        if not detect["pt_grid"]:
-            raise ConfigError("sweep 'pt' needs a nonempty 'detect.pt_grid'")
-        scenario = scenario_from_config(cfg)
-        diag: list = []
-        ests = sweep_budget(scenario, schemes, detect["pt_grid"], trials, diagnostics=diag)
-        rows = [(e, scenario.N, scenario.M) for e in ests]
-        write_results_csv(os.path.join(outdir, "results_pt.csv"), rows)
-        outputs.append("results_pt.csv")
-        write_diagnostics_csv(os.path.join(outdir, "diagnostics_pt.csv"), diag)
+    rows = []
+    for n in n_values:
+        scenario = scenario_from_config(cfg, n=n)
+        ests = sweep_budget(scenario, schemes, pt_grid, trials, diagnostics=diag,
+                            pfa_grid=pfa_grid)
+        rows.extend((e, n, scenario.M) for e in ests)
+    outputs = [f"results_{sweep}.csv"]
+    write_results_csv(os.path.join(outdir, outputs[0]), rows)
+    if diag is not None:
         outputs.append("diagnostics_pt.csv")
-    elif args.sweep == "pfa":
-        if not detect["pfa_grid"]:
-            raise ConfigError("sweep 'pfa' needs a nonempty 'detect.pfa_grid'")
-        n_values = detect["n_grid"] or [cfg["N"]]
-        rows = []
-        for n in n_values:
-            scenario = scenario_from_config(cfg, n=n)
-            for scheme in schemes:
-                powers = powers_for_scheme(scenario, scheme)
-                weights = weights_for_scheme(scenario, scheme, powers)
-                for e in roc_curve(scenario, powers, weights, scheme,
-                                   detect["pfa_grid"], trials):
-                    rows.append((e, n, scenario.M))
-        write_results_csv(os.path.join(outdir, "results_pfa.csv"), rows)
-        outputs.append("results_pfa.csv")
-    else:  # sweep over n
-        if not detect["n_grid"]:
-            raise ConfigError("sweep 'n' needs a nonempty 'detect.n_grid'")
-        rows = []
-        for n in detect["n_grid"]:
-            scenario = scenario_from_config(cfg, n=n)
-            for scheme in schemes:
-                powers = powers_for_scheme(scenario, scheme)
-                weights = weights_for_scheme(scenario, scheme, powers)
-                e = run_trials(scenario, powers, weights, scheme, trials)
-                rows.append((e, n, scenario.M))
-        write_results_csv(os.path.join(outdir, "results_n.csv"), rows)
-        outputs.append("results_n.csv")
+        write_diagnostics_csv(os.path.join(outdir, outputs[1]), diag)
 
-    timings[f"sweep_{args.sweep}"] = time.perf_counter() - t0
-    _write_manifest(outdir, cfg, f"detect --sweep {args.sweep}", outputs, timings)
-    print(f"detect: sweep {args.sweep}, {trials} trials per point, "
+    timings = {f"sweep_{sweep}": time.perf_counter() - t0}
+    _write_manifest(outdir, cfg, f"detect --sweep {sweep}", outputs, timings)
+    print(f"detect: sweep {sweep}, {trials} trials per point, "
           f"{len(schemes)} schemes -> {', '.join(sorted(outputs))}")
     return 0
 
@@ -432,7 +414,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, TopologyError, NoSignalError, ScaleError) as e:
+    except (ConfigError, TopologyError, NoSignalError, ScaleError,
+            DegenerateFusionError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except ConvergenceError as e:

@@ -3,10 +3,10 @@
 Six schemes are compared: the energy detector with optimal or equal
 combining weights crossed with optimal or equal power allocation, and
 the matched-filter benchmark with optimal or equal power. One batch of
-raw observations is shared by every scheme and every budget of a run
-(common random numbers), so comparisons across schemes and budgets are
-not washed out by independent sampling noise. The batch is drawn,
-reduced, quantized and fused by the model, quantize and fusion stages.
+raw observations is shared by every scheme, budget and pfa of a sweep
+(common random numbers), so comparisons across them are not washed out
+by independent sampling noise. The batch is drawn, reduced, quantized
+and fused by the model, quantize and fusion stages.
 
 Thresholds come from an analytic Gaussian calibration, never from
 empirical quantiles: the Monte Carlo run is an audit of the Gaussian
@@ -398,9 +398,7 @@ def run_trials(
     pfa = scenario.Pfa if pfa is None else pfa
     plan = plan_scheme(scenario, scheme, pt=pt, powers=powers, weights=weights)
     hypotheses = (hypothesis in (None, Hypothesis.H0), hypothesis in (None, Hypothesis.H1))
-    (c,) = simulate_plans(scenario, [plan], [np.array([plan.threshold(pfa)])], trials,
-                          hypotheses=hypotheses)
-    return _estimate(plan, pfa, trials, c, 0, hypotheses)
+    return _simulate(scenario, [plan], [pfa], trials, hypotheses=hypotheses)[0]
 
 
 def roc_curve(
@@ -411,19 +409,15 @@ def roc_curve(
     pfa_grid,
     trials: int,
 ) -> list[DetectionEstimate]:
-    """One DetectionEstimate per pfa grid point, from a single simulation pass.
+    """One DetectionEstimate per pfa grid point for one scheme with given powers and weights.
 
-    All thresholds are evaluated against the same fused samples, so the
-    empirical pd column is exactly nondecreasing in pfa.
+    All thresholds are evaluated against the same fused samples of one
+    simulation pass, so the empirical pd column is exactly nondecreasing
+    in pfa. sweep_budget does the same for many schemes and budgets at once.
     """
-    grid = [float(v) for v in pfa_grid]
-    if not grid or any(not 0.0 < v < 1.0 for v in grid):
-        raise ValueError("pfa grid values must lie in (0, 1)")
-    if sorted(grid) != grid:
-        raise ValueError("pfa grid must be increasing")
+    grid = _pfa_grid(pfa_grid)
     plan = plan_scheme(scenario, scheme, powers=powers, weights=weights)
-    (c,) = simulate_plans(scenario, [plan], [np.array([plan.threshold(v) for v in grid])], trials)
-    return [_estimate(plan, v, trials, c, j) for j, v in enumerate(grid)]
+    return _simulate(scenario, [plan], grid, trials)
 
 
 def sweep_budget(
@@ -432,36 +426,54 @@ def sweep_budget(
     pt_grid,
     trials: int,
     diagnostics: list | None = None,
+    pfa_grid=None,
 ) -> list[DetectionEstimate]:
-    """All schemes across a grid of power budgets at the scenario's target pfa.
+    """All schemes across a grid of power budgets and a grid of false-alarm targets.
 
-    The observation stream is keyed independently of the budget, so
-    one batch is shared by every scheme and every budget: all
-    (budget, scheme) plans go through a single simulate_plans pass, and
-    pd curves move with the budget alone.
+    pfa_grid defaults to [scenario.Pfa]. The observation stream is keyed
+    independently of budget and scheme, so all (budget, scheme) plans go
+    through a single simulate_plans pass on one batch, each thresholded
+    at every pfa, and pd curves move with the operating point alone.
+    Estimates come in (budget, scheme, pfa) order. diagnostics, if given,
+    gets one list of per-sensor rows per plan; clips are counted only then.
     """
     grid = [float(v) for v in pt_grid]
     if not grid or any(v <= 0 for v in grid):
         raise ValueError("pt grid values must be positive")
+    pfas = _pfa_grid([scenario.Pfa] if pfa_grid is None else pfa_grid)
     plans = [plan_scheme(scenario, s, pt=pt) for pt in grid for s in schemes]
-    thresholds = [np.array([p.threshold(scenario.Pfa)]) for p in plans]
-    clip: dict = {}
-    counts = simulate_plans(scenario, plans, thresholds, trials, clip_counts=clip)
+    clip = {} if diagnostics is not None else None
+    ests = _simulate(scenario, plans, pfas, trials, clip_counts=clip)
     if diagnostics is not None:
         diagnostics.extend(_diagnostic_rows(scenario, p, clip, trials) for p in plans)
-    return [_estimate(p, scenario.Pfa, trials, c) for p, c in zip(plans, counts)]
+    return ests
 
 
-def _estimate(plan: SchemePlan, pfa: float, trials: int, counts: np.ndarray, j: int = 0,
-              hypotheses: tuple[bool, bool] = (True, True)) -> DetectionEstimate:
-    """Rates at threshold j of plan; a hypothesis that was not run reports None."""
+def _pfa_grid(values) -> list[float]:
+    grid = [float(v) for v in values]
+    if not grid or any(not 0.0 < v < 1.0 for v in grid):
+        raise ValueError("pfa grid values must lie in (0, 1)")
+    if sorted(grid) != grid:
+        raise ValueError("pfa grid must be increasing")
+    return grid
+
+
+def _simulate(scenario: Scenario, plans: list[SchemePlan], pfas: list[float], trials: int,
+              hypotheses: tuple[bool, bool] = (True, True),
+              clip_counts: dict | None = None) -> list[DetectionEstimate]:
+    """Every plan at every pfa from one simulate_plans pass, in (plan, pfa) order.
+
+    A hypothesis that was not run reports None.
+    """
+    thresholds = [np.array([p.threshold(v) for v in pfas]) for p in plans]
+    counts = simulate_plans(scenario, plans, thresholds, trials, hypotheses, clip_counts)
     run_h0, run_h1 = hypotheses
-    return DetectionEstimate(
-        scheme=plan.scheme, pfa_target=pfa,
-        pfa_hat=float(counts[0, j]) / trials if run_h0 else None,
-        pd_hat=float(counts[1, j]) / trials if run_h1 else None,
-        pd_analytic=plan.pd_analytic(pfa), trials=trials, pt=plan.pt,
-        n_transmit=plan.n_transmit)
+    return [DetectionEstimate(scheme=p.scheme, pfa_target=v,
+                              pfa_hat=float(c[0, j]) / trials if run_h0 else None,
+                              pd_hat=float(c[1, j]) / trials if run_h1 else None,
+                              pd_analytic=p.pd_analytic(v), trials=trials, pt=p.pt,
+                              n_transmit=p.n_transmit)
+            for p, c in zip(plans, counts) for j, v in enumerate(pfas)]
 
 
 def _kind(plan: SchemePlan) -> str:

@@ -10,6 +10,8 @@ from numpy.testing import assert_allclose
 
 import distdetect as dd
 from distdetect import cli
+from distdetect.montecarlo import (Scheme, powers_for_scheme, roc_curve, run_trials,
+                                   weights_for_scheme, write_results_csv)
 
 from conftest import bundled_config, run_cli, write_config
 
@@ -258,6 +260,41 @@ class TestDetectCommand:
         rows = read_csv(out / "results_pfa.csv")
         assert len(rows) == 1 + 2 * 2  # grid points x window lengths
         assert {r[2] for r in rows[1:]} == {"5", "8"}
+
+    @pytest.mark.parametrize("sweep", ["pfa", "n"])
+    def test_rows_equal_the_per_scheme_loop(self, tmp_path, sweep):
+        # the reference simulates one scheme at a time: its own powers, weights and pass
+        path = bundled_config("fig4.cfg")
+        out = tmp_path / "out"
+        assert run_cli("detect", path, "--sweep", sweep, "--trials", 2000, "--out", out) == 0
+        cfg = cli.load_config(path)
+        rows = []
+        for n in cfg["detect"]["n_grid"]:
+            sc = cli.scenario_from_config(cfg, n=n)
+            for scheme in map(Scheme, cfg["detect"]["schemes"]):
+                p = powers_for_scheme(sc, scheme)
+                w = weights_for_scheme(sc, scheme, p)
+                ests = (roc_curve(sc, p, w, scheme, cfg["detect"]["pfa_grid"], 2000)
+                        if sweep == "pfa" else [run_trials(sc, p, w, scheme, 2000)])
+                rows.extend((e, n, sc.M) for e in ests)
+        write_results_csv(tmp_path / "reference.csv", rows)
+        assert (out / f"results_{sweep}.csv").read_bytes() == \
+            (tmp_path / "reference.csv").read_bytes()
+
+    @pytest.mark.parametrize("config, sweep, top, detect", [
+        ("fig3.cfg", "pt", {}, {"pt_grid": [5e-324], "schemes": ["MFD_equal_power"]}),
+        ("fig4.cfg", "pfa", {"Pt": 5e-324}, {"schemes": ["ED_equal_weights_equal_power"]}),
+        ("fig4.cfg", "n", {"Pt": 5e-324}, {"schemes": ["ED_equal_weights_equal_power"]}),
+    ], ids=["pt", "pfa", "n"])
+    def test_budget_that_silences_every_sensor_exits_2(self, tmp_path, capsys, config, sweep,
+                                                       top, detect):
+        # Pt/M underflows to 0 under equal power, so no sensor has any power to send with
+        cfg = json.loads(bundled_config(config).read_text())
+        cfg = {**cfg, **top, "detect": {**cfg["detect"], **detect}}
+        assert run_cli("detect", write_config(tmp_path, overrides=cfg), "--sweep", sweep,
+                       "--trials", 10, "--out", tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "all sensors censored" in err and "Traceback" not in err
 
 
 class TestTraceCommand:

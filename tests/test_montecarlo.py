@@ -19,6 +19,8 @@ from distdetect.montecarlo import (
     write_results_csv,
 )
 
+from conftest import run_cli, write_config
+
 
 def _chance_scenario(m=4, n=10):
     """All-zero signals: H1 is literally H0, so any detector sits at chance."""
@@ -260,15 +262,23 @@ class TestChunking:
         assert chunked_diag == whole_diag   # clip rates over the same trial count
         assert any(row["clip_hi_h0"] > 0 for rows in whole_diag for row in rows)
 
-    def test_a_sweep_draws_each_chunk_once(self, small_scenario, monkeypatch):
+    def test_a_sweep_draws_each_chunk_once(self, small_scenario, monkeypatch, tmp_path):
         sc = small_scenario
+        path = write_config(tmp_path, M=sc.M, N=sc.N, seed=7, Pt=5.0, overrides={
+            "radius": 0.6,
+            "detect": {"trials": 1000, "pfa_grid": [0.05, 0.1, 0.5], "n_grid": [8, 12]}})
         shapes = _count_draws(monkeypatch)
-        self._sweep(sc)
-        assert shapes == [(1000, sc.M, sc.N)]
-        shapes.clear()
-        monkeypatch.setattr(montecarlo, "CHUNK_SAMPLES", 1)
-        self._sweep(sc)
-        assert shapes == [(c, sc.M, sc.N) for c in (256, 256, 256, 232)]
+        # whole, then in the four chunks the 256-trial floor splits 1000 trials into
+        for chunks in ((1000,), (256, 256, 256, 232)):
+            shapes.clear()
+            self._sweep(sc)
+            assert shapes == [(c, sc.M, sc.N) for c in chunks]
+            # the CLI's pfa and n sweeps: one batch per window length, shared by all six schemes
+            for sweep in ("pfa", "n"):
+                shapes.clear()
+                assert run_cli("detect", path, "--sweep", sweep, "--out", tmp_path / sweep) == 0
+                assert shapes == [(c, sc.M, n) for n in (8, 12) for c in chunks]
+            monkeypatch.setattr(montecarlo, "CHUNK_SAMPLES", 1)
 
 
     def test_plans_sharing_bit_loads_quantize_once(self, small_scenario, monkeypatch):
