@@ -2,7 +2,8 @@
 
 Configs are JSON documents with a schema_version field; every command
 takes one config path plus an output directory and writes plot-ready
-CSV files and a manifest. The three detect sweeps (pt, pfa, n) share
+CSV files and a manifest. Every CSV file is written here, through one
+column-wise cell formatter. The three detect sweeps (pt, pfa, n) share
 one path: a sweep_budget pass per window length N, which draws one
 batch of observations for every budget, scheme and pfa at that N.
 Exit codes are a stable contract: 0 success, 2 config problems or a
@@ -23,13 +24,13 @@ import numpy as np
 
 from .consensus import TopologyError, save_edge_list
 from .fusion import DegenerateFusionError
-from .model import Scenario, SolverConfig, make_scenario
-from .montecarlo import Scheme, sweep_budget, write_diagnostics_csv, write_results_csv
+from .model import Scenario, SolverConfig, build_sensors, make_scenario
+from .montecarlo import DetectionEstimate, Scheme, SchemePlan, sweep_budget
 # not called here; bench/tracer.py wraps them under these names
 from .montecarlo import powers_for_scheme, roc_curve, run_trials, weights_for_scheme
 from .quantize import specs_for_allocation
 from .solver_central import NoSignalError, ScaleError, solve_centralized
-from .solver_dist import ConvergenceError, solve_distributed, write_trace_csv
+from .solver_dist import ConvergenceError, DualAscentTrace, solve_distributed
 
 SCHEMA_VERSION = 1
 OUTDIR_ENV = "DISTDETECT_OUTDIR"
@@ -49,10 +50,12 @@ _DETECT_DEFAULTS = {
     "n_grid": [],
 }
 
-# the optional scenario fields are make_scenario's keywords; sigma2_range is a JSON list
+# the optional scenario fields are build_sensors' keywords and make_scenario's radius;
+# sigma2_range is a JSON list
 _SCENARIO_DEFAULTS = {
     k: list(p.default) if isinstance(p.default, tuple) else p.default
-    for k, p in inspect.signature(make_scenario).parameters.items()
+    for f in (build_sensors, make_scenario)
+    for k, p in inspect.signature(f).parameters.items()
     if k in ("xa_db", "amplitude", "sigma2_range", "zeta", "radius", "deterministic_channel")
 }
 
@@ -242,6 +245,35 @@ def _write_manifest(outdir: str, cfg: dict, command: str, outputs: list[str],
     return path
 
 
+def _cell(v) -> str:
+    """repr of a float, str of an int or a name, 1/0 for a bool, blank for None."""
+    if v is None:
+        return ""
+    if isinstance(v, (bool, np.bool_)):
+        return "1" if v else "0"
+    if isinstance(v, (float, np.floating)):
+        return repr(float(v))
+    return str(v)
+
+
+def _write_csv(path, header: str, columns) -> None:
+    """Write equal-length columns under a header line, in one write.
+
+    A column is a sequence of cells under _cell's rules. An array column
+    is formatted as a whole from .tolist(), which gives the same cells.
+    """
+    cells = []
+    for col in columns:
+        if not isinstance(col, np.ndarray):
+            cells.append(map(_cell, col))
+        elif col.dtype == bool:
+            cells.append(np.where(col, "1", "0").tolist())
+        else:
+            cells.append(map(repr if col.dtype.kind == "f" else str, col.tolist()))
+    with open(path, "w") as fh:
+        fh.write("\n".join([header, *map(",".join, zip(*cells))]) + "\n")
+
+
 def write_allocation_csv(path, scenario: Scenario, p_central, p_distributed) -> None:
     """Columns: i,h_i,sigma2_i,xi_i,p_central,p_distributed,bits_real,bits_int,censored.
 
@@ -250,20 +282,53 @@ def write_allocation_csv(path, scenario: Scenario, p_central, p_distributed) -> 
     """
     basis = p_central if p_central is not None else p_distributed
     spec = specs_for_allocation(basis, scenario.h, scenario.zeta, scenario.U)
-    # montecarlo._fmt's format, a column at a time: repr of each Python
-    # float from .tolist(), str of each int, 1/0 for a bool, blank for None
-    blank = [""] * scenario.M
-    columns = (
-        map(str, range(scenario.M)),
-        *(map(repr, a.tolist()) for a in (scenario.h, scenario.sigma2, scenario.xi)),
-        *(blank if p is None else map(repr, p.tolist()) for p in (p_central, p_distributed)),
-        map(repr, spec.bits_real.tolist()),
-        map(str, spec.bits_int.tolist()),
-        np.where(spec.censored, "1", "0").tolist(),
-    )
-    with open(path, "w") as fh:
-        fh.write("i,h_i,sigma2_i,xi_i,p_central,p_distributed,bits_real,bits_int,censored\n"
-                 + "".join(",".join(row) + "\n" for row in zip(*columns)))
+    blank = np.full(scenario.M, "")
+    _write_csv(path, "i,h_i,sigma2_i,xi_i,p_central,p_distributed,bits_real,bits_int,censored", (
+        np.arange(scenario.M), scenario.h, scenario.sigma2, scenario.xi,
+        *(blank if p is None else p for p in (p_central, p_distributed)),
+        spec.bits_real, spec.bits_int, spec.censored,
+    ))
+
+
+def write_trace_csv(trace: DualAscentTrace, path) -> None:
+    """Columns: k, lambda0, p_1..p_M, consensus_iters, rel_step."""
+    powers = [f"p_{i + 1}" for i in range(trace.powers.shape[1])]
+    _write_csv(path, ",".join(["k", "lambda0", *powers, "consensus_iters", "rel_step"]),
+               (trace.k, trace.lambda0, *trace.powers.T, trace.consensus_iters, trace.rel_step))
+
+
+def write_results_csv(path, rows: list[tuple[DetectionEstimate, int, int]]) -> None:
+    """Rows are (estimate, N, M) triples.
+
+    Pinned column order: scheme,Pt,N,M,pfa_target,pfa_hat,pd_hat,pd_analytic,trials,sigma_binomial.
+    """
+    _write_csv(path, "scheme,Pt,N,M,pfa_target,pfa_hat,pd_hat,pd_analytic,trials,sigma_binomial",
+               zip(*((e.scheme.value, e.pt, n, m, e.pfa_target, e.pfa_hat, e.pd_hat,
+                      e.pd_analytic, e.trials, e.sigma_binomial()) for e, n, m in rows)))
+
+
+def write_diagnostics_csv(path, diag: list[tuple[SchemePlan, np.ndarray]]) -> None:
+    """One row per sensor of each (plan, clip rates) pair that sweep_budget collected.
+
+    The rates are a (4, M) array, one row per clip column.
+    """
+    plans = [plan for plan, _ in diag]
+    m = plans[0].powers.size
+    _write_csv(path, "scheme,Pt,sensor,p,bits_real,bits_int,transmitting,"
+                     "clip_lo_h0,clip_hi_h0,clip_lo_h1,clip_hi_h1", (
+        np.repeat([p.scheme.value for p in plans], m),
+        np.repeat([p.pt for p in plans], m),
+        np.tile(np.arange(m), len(plans)),
+        *(np.concatenate([getattr(p, f) for p in plans])
+          for f in ("powers", "bits_real", "bits_int", "transmit")),
+        *np.hstack([rates for _, rates in diag]),
+    ))
+
+
+def _write_topology(outdir: str, scenario: Scenario) -> list[str]:
+    """Save the edge list; it counts as an output only when the graph has edges."""
+    save_edge_list(scenario.topology, os.path.join(outdir, "topology.txt"))
+    return ["topology.txt"] if scenario.topology.edges.size else []
 
 
 def _solve_distributed(scenario: Scenario, outdir: str):
@@ -288,7 +353,6 @@ def cmd_allocate(args) -> int:
     outdir = _outdir(args)
     scenario = scenario_from_config(cfg)
     timings: dict[str, float] = {}
-    outputs: list[str] = []
 
     p_central = p_dist = None
     if args.method in ("central", "both"):
@@ -303,10 +367,7 @@ def cmd_allocate(args) -> int:
 
     alloc_path = os.path.join(outdir, "allocation.csv")
     write_allocation_csv(alloc_path, scenario, p_central, p_dist)
-    outputs.append("allocation.csv")
-    save_edge_list(scenario.topology, os.path.join(outdir, "topology.txt"))
-    if scenario.topology.edges.size:
-        outputs.append("topology.txt")
+    outputs = ["allocation.csv", *_write_topology(outdir, scenario)]
     _write_manifest(outdir, cfg, "allocate", outputs, timings)
     if p_central is not None and p_dist is not None:
         nc = float(np.linalg.norm(p_central))
@@ -370,10 +431,7 @@ def cmd_trace(args) -> int:
     elapsed = time.perf_counter() - t0
     trace_path = os.path.join(outdir, "trace.csv")
     write_trace_csv(trace, trace_path)
-    outputs = ["trace.csv"]
-    save_edge_list(scenario.topology, os.path.join(outdir, "topology.txt"))
-    if scenario.topology.edges.size:
-        outputs.append("topology.txt")
+    outputs = ["trace.csv", *_write_topology(outdir, scenario)]
     _write_manifest(outdir, cfg, "trace", outputs, {"solve_distributed": elapsed})
     print(f"trace: converged in {trace.iterations} outer iterations, "
           f"{trace.total_consensus_rounds} consensus rounds total, "

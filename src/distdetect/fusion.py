@@ -108,9 +108,8 @@ class DeflectionInputs:
             object.__setattr__(self, name, arr)
 
 
-def fuse(t_hat: np.ndarray, weights: FusionWeights,
-         censored: np.ndarray | None = None) -> float | np.ndarray:
-    """Weighted sum of the received statistics over non-censored sensors.
+def fuse(t_hat: np.ndarray, weights: FusionWeights) -> float | np.ndarray:
+    """Weighted sum of the received statistics; a silent sensor carries weight 0.
 
     t_hat holds one statistic per sensor, or a (sensors, trials) array
     whose columns are fused into one value per trial. Either way the
@@ -120,15 +119,7 @@ def fuse(t_hat: np.ndarray, weights: FusionWeights,
     a = weights.alpha
     if t.ndim not in (1, 2) or t.shape[0] != a.size:
         raise ValueError("t_hat and weights must have matching length")
-    if censored is None:
-        censored = np.zeros(a.size, dtype=bool)
-    censored = np.asarray(censored, dtype=bool)
-    if np.all(censored):
-        raise DegenerateFusionError("all sensors censored")
-    if np.any(a[censored] != 0.0):
-        raise ValueError("censored sensors must have weight 0")
-    keep = ~censored
-    weighted = a[keep, None] * t.reshape(a.size, -1)[keep]
+    weighted = a[:, None] * t.reshape(a.size, -1)
     # numpy sums whole rows in order but a lone column pairwise, like a vector
     lone = weighted.shape[1] == 1
     fused = np.cumsum(weighted, axis=0)[-1] if lone else np.sum(weighted, axis=0)

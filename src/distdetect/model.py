@@ -16,6 +16,10 @@ import numpy as np
 
 from .consensus import Graph
 
+# libm's exp elementwise, as in quantize._log2: numpy's SIMD exp rounds
+# some last bits differently on different CPUs
+_exp = np.vectorize(math.exp, otypes=[float])
+
 
 class Hypothesis(enum.Enum):
     H0 = "h0"   # noise only
@@ -312,7 +316,7 @@ def build_sensors(
     lo, hi = sigma2_range
     if not 0 < lo <= hi:
         raise ValueError("sigma2_range must satisfy 0 < lo <= hi")
-    sigma2 = np.exp(rng_sigma.uniform(math.log(lo), math.log(hi), size=m))
+    sigma2 = _exp(rng_sigma.uniform(math.log(lo), math.log(hi), size=m))
     if deterministic_channel:
         h = np.ones(m)
     else:
@@ -330,22 +334,18 @@ def make_scenario(
     u: float = 3.0,
     pt: float = 1.0,
     pfa: float = 0.1,
-    xa_db: float = -4.0,
-    amplitude: float = 0.2,
-    sigma2_range: tuple[float, float] = (0.5, 2.0),
-    zeta: float = 0.1,
     radius: float = 0.5,
-    deterministic_channel: bool = False,
     solver: SolverConfig | None = None,
+    **sensor_options,
 ) -> Scenario:
-    """Standard seeded scenario: drawn sensors plus a connected geometric topology."""
+    """Standard seeded scenario: drawn sensors plus a connected geometric topology.
+
+    sensor_options are build_sensors' keywords (xa_db, amplitude,
+    sigma2_range, zeta, deterministic_channel), with its defaults.
+    """
     from .consensus import random_geometric_graph
 
-    sensors = build_sensors(
-        m, n, seed, xa_db=xa_db, amplitude=amplitude,
-        sigma2_range=sigma2_range, zeta=zeta,
-        deterministic_channel=deterministic_channel,
-    )
+    sensors = build_sensors(m, n, seed, **sensor_options)
     topology = random_geometric_graph(m, radius, derive_stream(seed, "topology"))
     return Scenario(
         sensors=sensors, N=n, U=u, Pt=pt, Pfa=pfa,

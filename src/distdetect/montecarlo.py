@@ -43,8 +43,8 @@ from .fusion import (
     optimal_weights,
     qfunc_inv,
 )
-from .model import (Hypothesis, Scenario, StatisticMoments, derive_stream, energy_statistic,
-                    generate_observations, statistic_moments)
+from .model import (Hypothesis, Scenario, StatisticMoments, _exp, derive_stream,
+                    energy_statistic, generate_observations, statistic_moments)
 # specs_for_allocation is not called here; bench/tracer.py wraps it under this name
 from .quantize import capacity_bits, quantize_array, quantize_centered, specs_for_allocation
 from .solver_central import solve_centralized
@@ -53,8 +53,6 @@ from .solver_central import solve_centralized
 CHUNK_SAMPLES = 4_000_000
 # cell probabilities (sensors x cells) held at a time by quantized_gaussian_moments
 _CELL_BLOCK = 1 << 16
-# libm's exp elementwise, as in quantize._log2: keeps the fallback's last bits
-_exp = np.vectorize(math.exp, otypes=[float])
 
 
 class Scheme(enum.Enum):
@@ -324,8 +322,9 @@ def simulate_plans(
     deterministic, whatever the chunk size.
 
     clip_counts, if supplied, is filled with per-sensor counts of raw
-    statistics falling outside the quantizer range, keyed by
-    (kind, hyp) with kind in {"energy", "matched"}.
+    statistics falling outside the quantizer range, keyed by kind
+    ("energy" or "matched"): a (4, M) array with rows below and above
+    the range under H0, then below and above under H1.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -364,10 +363,9 @@ def simulate_plans(
             if clip_counts is not None:
                 for kind, st in stats.items():
                     lo = -u if kind == "matched" else 0.0
-                    tally = clip_counts.setdefault((kind, hyp_idx),
-                                                   np.zeros((2, m), dtype=np.int64))
-                    tally[0] += (st < lo).sum(axis=1)
-                    tally[1] += (st > lo + 2.0 * u).sum(axis=1)
+                    tally = clip_counts.setdefault(kind, np.zeros((4, m), dtype=np.int64))
+                    tally[2 * hyp_idx] += (st < lo).sum(axis=1)
+                    tally[2 * hyp_idx + 1] += (st > lo + 2.0 * u).sum(axis=1)
             for (kind, _, _), (senders, members) in groups.items():
                 bits = members[0][1].bits_int[senders, None]
                 if kind == "matched":
@@ -435,7 +433,8 @@ def sweep_budget(
     through a single simulate_plans pass on one batch, each thresholded
     at every pfa, and pd curves move with the operating point alone.
     Estimates come in (budget, scheme, pfa) order. diagnostics, if given,
-    gets one list of per-sensor rows per plan; clips are counted only then.
+    gets one (plan, clip rates) pair per plan, the rates a (4, M) array
+    with rows lo/hi under H0, then lo/hi under H1; clips are counted only then.
     """
     grid = [float(v) for v in pt_grid]
     if not grid or any(v <= 0 for v in grid):
@@ -445,7 +444,10 @@ def sweep_budget(
     clip = {} if diagnostics is not None else None
     ests = _simulate(scenario, plans, pfas, trials, clip_counts=clip)
     if diagnostics is not None:
-        diagnostics.extend(_diagnostic_rows(scenario, p, clip, trials) for p in plans)
+        none = np.zeros((4, scenario.M), dtype=np.int64)
+        # a silent plan clips nothing
+        diagnostics.extend((p, (none if p.degenerate else clip.get(_kind(p), none)) / trials)
+                           for p in plans)
     return ests
 
 
@@ -478,51 +480,3 @@ def _simulate(scenario: Scenario, plans: list[SchemePlan], pfas: list[float], tr
 
 def _kind(plan: SchemePlan) -> str:
     return "matched" if plan.scheme.matched_filter else "energy"
-
-
-def _diagnostic_rows(scenario: Scenario, plan: SchemePlan, clip: dict, trials: int) -> list[dict]:
-    none = np.zeros((2, scenario.M), dtype=np.int64)
-    # per hypothesis, rows lo and hi of the clip rates; a silent plan clips nothing
-    rates = [(none if plan.degenerate else clip.get((_kind(plan), hyp), none)) / trials
-             for hyp in (0, 1)]
-    return [{"scheme": plan.scheme.value, "Pt": plan.pt, "sensor": i,
-             "p": float(plan.powers[i]), "bits_real": float(plan.bits_real[i]),
-             "bits_int": int(plan.bits_int[i]), "transmitting": bool(plan.transmit[i]),
-             **{f"clip_{side}_h{hyp}": float(rates[hyp][k, i])
-                for hyp in (0, 1) for k, side in enumerate(("lo", "hi"))}}
-            for i in range(scenario.M)]
-
-
-def _fmt(v) -> str:
-    if v is None:
-        return ""
-    if isinstance(v, bool):
-        return "1" if v else "0"
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
-
-
-def write_results_csv(path, rows: list[tuple[DetectionEstimate, int, int]]) -> None:
-    """Rows are (estimate, N, M) triples.
-
-    Pinned column order: scheme,Pt,N,M,pfa_target,pfa_hat,pd_hat,pd_analytic,trials,sigma_binomial.
-    """
-    header = "scheme,Pt,N,M,pfa_target,pfa_hat,pd_hat,pd_analytic,trials,sigma_binomial"
-    with open(path, "w") as fh:
-        fh.write(header + "\n")
-        for e, n, m in rows:
-            fields = [e.scheme.value, _fmt(e.pt), str(n), str(m), _fmt(e.pfa_target),
-                      _fmt(e.pfa_hat), _fmt(e.pd_hat), _fmt(e.pd_analytic),
-                      str(e.trials), _fmt(e.sigma_binomial())]
-            fh.write(",".join(fields) + "\n")
-
-
-def write_diagnostics_csv(path, diag_rows: list[list[dict]]) -> None:
-    cols = ["scheme", "Pt", "sensor", "p", "bits_real", "bits_int", "transmitting",
-            "clip_lo_h0", "clip_hi_h0", "clip_lo_h1", "clip_hi_h1"]
-    with open(path, "w") as fh:
-        fh.write(",".join(cols) + "\n")
-        for rows in diag_rows:
-            for row in rows:
-                fh.write(",".join(_fmt(row[c]) for c in cols) + "\n")

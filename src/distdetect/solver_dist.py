@@ -157,16 +157,3 @@ def solve_distributed(scenario: Scenario) -> tuple[PowerAllocation, DualAscentTr
             trace=trace,
         )
     return alloc, trace
-
-
-def write_trace_csv(trace: DualAscentTrace, path) -> None:
-    """Columns: k, lambda0, p_1..p_M, consensus_iters, rel_step."""
-    m = trace.powers.shape[1]
-    header = ["k", "lambda0"] + [f"p_{i + 1}" for i in range(m)] + ["consensus_iters", "rel_step"]
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for j in range(trace.iterations):
-            row = [str(int(trace.k[j])), repr(float(trace.lambda0[j]))]
-            row += [repr(float(v)) for v in trace.powers[j]]
-            row += [str(int(trace.consensus_iters[j])), repr(float(trace.rel_step[j]))]
-            fh.write(",".join(row) + "\n")

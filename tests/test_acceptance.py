@@ -6,6 +6,7 @@ study configs are run twice each through the real CLI so the trend
 and determinism gates see exactly what a user would produce.
 """
 import csv
+import re
 from collections import defaultdict
 
 import numpy as np
@@ -265,3 +266,25 @@ def test_repeated_runs_are_byte_identical(study_runs):
     _line("repeated runs byte-identical", not mismatches,
           f"{n_files} CSV files compared across {len(RUNS)} commands"
           + (f"; mismatches: {mismatches}" if mismatches else ""))
+
+
+def test_every_csv_cell_is_a_plain_value(study_runs):
+    # blank, an int (0/1 for a flag), a float's repr or a scheme name
+    names = {s.value for s in Scheme}
+
+    def plain(cell):
+        if cell == "" or cell in names or re.fullmatch(r"-?\d+", cell):
+            return True
+        try:
+            return repr(float(cell)) == cell
+        except ValueError:
+            return False
+
+    cells, bad = 0, []
+    for key in RUNS:
+        for path in sorted(study_runs[key, "a"].glob("*.csv")):
+            for row in _read(path)[1:]:
+                cells += len(row)
+                bad += [f"{key}/{path.name}: {c!r}" for c in row if not plain(c)]
+    _line("plain CSV cells", cells > 0 and not bad,
+          f"{cells} cells in {len(RUNS)} commands' CSV files, {len(bad)} not plain {bad[:3]}")

@@ -40,11 +40,6 @@ class TestFuse:
         w = dd.equal_weights(4)
         assert_allclose(dd.fuse(np.ones(4), w), 2.0, rtol=1e-12)
 
-    def test_all_censored_rejected(self):
-        w = dd.FusionWeights(np.zeros(3))
-        with pytest.raises(dd.DegenerateFusionError):
-            dd.fuse(np.ones(3), w, censored=np.array([True, True, True]))
-
 
 class TestCombinedMoments:
     def test_zero_snr_equalizes_variances(self):

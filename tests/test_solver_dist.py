@@ -7,7 +7,7 @@ from numpy.testing import assert_allclose
 
 import distdetect as dd
 from distdetect import solver_dist
-from distdetect.solver_dist import write_trace_csv
+from distdetect.cli import write_trace_csv
 
 from conftest import each_sensor
 
