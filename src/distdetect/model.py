@@ -229,7 +229,10 @@ def generate_observations(
     """Draw observation rows: (trials, n) for one sensor, (trials, M, n) for a population.
 
     Under H1 each sensor's known signal is added sample for sample, so n
-    must match the stored signal length.
+    must match the stored signal length. The Monte Carlo pass draws the
+    statistics' exact law from two variates per sensor and trial instead;
+    this sample path, with energy_statistic and
+    fusion.matched_filter_statistic, is the reference it is tested against.
     """
     if n < 1:
         raise ValueError("n must be >= 1")

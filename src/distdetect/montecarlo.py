@@ -3,10 +3,16 @@
 Six schemes are compared: the energy detector with optimal or equal
 combining weights crossed with optimal or equal power allocation, and
 the matched-filter benchmark with optimal or equal power. One batch of
-raw observations is shared by every scheme, budget and pfa of a sweep
-(common random numbers), so comparisons across them are not washed out
-by independent sampling noise. The batch is drawn, reduced, quantized
-and fused by the model, quantize and fusion stages.
+noise is shared by every scheme, budget and pfa of a sweep, and by both
+hypotheses (common random numbers), so comparisons across them are not
+washed out by independent sampling noise. Both local statistics depend
+on a sensor's N white-Gaussian samples only through two numbers, the
+noise along the known signal and the noise energy orthogonal to it, so
+the batch holds those two variates per trial and sensor rather than N
+samples (the exact law, not an approximation). The statistics follow
+in closed form and are quantized and fused by the quantize and fusion
+stages; model.generate_observations and the two statistic functions
+remain the sample-by-sample reference for that law.
 
 Thresholds come from an analytic Gaussian calibration, never from
 empirical quantiles: the Monte Carlo run is an audit of the Gaussian
@@ -22,6 +28,7 @@ rather than hidden by construction.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -38,19 +45,18 @@ from .fusion import (
     fuse,
     fusion_moments,
     matched_filter_moments,
-    matched_filter_statistic,
     matched_filter_weights,
     optimal_weights,
     qfunc_inv,
 )
-from .model import (Hypothesis, Scenario, StatisticMoments, _exp, derive_stream,
-                    energy_statistic, generate_observations, statistic_moments)
+from .model import Hypothesis, Scenario, StatisticMoments, _exp, derive_stream, statistic_moments
 # specs_for_allocation is not called here; bench/tracer.py wraps it under this name
 from .quantize import capacity_bits, quantize_array, quantize_centered, specs_for_allocation
 from .solver_central import solve_centralized
 
-# observation samples (trials x sensors x N) drawn and reduced at a time
-CHUNK_SAMPLES = 4_000_000
+# (trial, sensor) pairs drawn and simulated at a time: each (sensors, trials)
+# float array is then 512 KiB; larger chunks ran no faster and held more memory
+CHUNK_SAMPLES = 1 << 16
 # cell probabilities (sensors x cells) held at a time by quantized_gaussian_moments
 _CELL_BLOCK = 1 << 16
 
@@ -309,17 +315,21 @@ def simulate_plans(
     hypotheses: tuple[bool, bool] = (True, True),
     clip_counts: dict | None = None,
 ) -> list[np.ndarray]:
-    """Count threshold exceedances for every plan over shared observations.
+    """Count threshold exceedances for every plan over shared noise.
 
     thresholds[j] is the threshold grid for plans[j]; counts[j] holds its
     exceedances under H0 (row 0) and H1 (row 1). hypotheses flags
-    (run_h0, run_h1). Observations come from one PRNG stream derived
-    from the scenario seed and are drawn in chunks of at most
-    CHUNK_SAMPLES samples. Each chunk is drawn and reduced to per-sensor
-    statistics once, quantized once for every group of plans with the
-    same statistic, senders and bit loads, and fused for every plan.
-    Counts are integers summed in a fixed order, so a given seed is fully
-    deterministic, whatever the chunk size.
+    (run_h0, run_h1). Each sensor's N white-Gaussian noise samples enter
+    both statistics only through g ~ N(0, 1), their projection on the
+    unit signal direction, and R ~ chi2(N - 1), the energy left over,
+    independent of g. Per trial and sensor g and R are drawn from two
+    PRNG streams derived from the scenario seed, in chunks of at most
+    CHUNK_SAMPLES (trial, sensor) pairs, and both statistics follow in
+    closed form, under H0 and H1 from the same (g, R). Each chunk is
+    drawn once, each (statistic, sensor, bit load) used by some plan is
+    quantized once per hypothesis, and every plan fuses its senders'
+    rows. Counts are integers summed in a fixed order, so a given seed
+    is fully deterministic, whatever the chunk size.
 
     clip_counts, if supplied, is filled with per-sensor counts of raw
     statistics falling outside the quantizer range, keyed by kind
@@ -328,54 +338,97 @@ def simulate_plans(
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    m, n, u = scenario.M, scenario.N, scenario.U
+    m, u = scenario.M, scenario.U
 
     counts = [np.zeros((2, len(thr)), dtype=np.int64) for thr in thresholds]
-    hyps = [(i, hyp) for i, (hyp, run) in enumerate(zip(Hypothesis, hypotheses)) if run]
-    # plans that quantize the same statistics of the same senders at the
-    # same bit loads share one quantized array: (kind, senders, bits) -> (senders, plans)
-    groups: dict[tuple, tuple[np.ndarray, list[tuple[int, SchemePlan]]]] = {}
+    hyps = [i for i, run in enumerate(hypotheses) if run]
+    # kind -> {(sensor, bit load): its row in that kind's quantized array}
+    rows_of: dict[str, dict[tuple[int, int], int]] = {}
+    # plans with the same statistic, senders and bit loads fuse the same quantized
+    # rows: kind -> {(senders, bits): (senders, their rows, plans)}
+    groups: dict[str, dict[tuple, tuple[np.ndarray, np.ndarray, list]]] = {}
     for j, plan in enumerate(plans):
-        if not plan.degenerate:
-            senders = plan.alpha_tx != 0.0
-            key = (_kind(plan), senders.tobytes(), plan.bits_int[senders].tobytes())
-            groups.setdefault(key, (senders, []))[1].append((j, plan))
+        if plan.degenerate:
+            continue
+        kind = _kind(plan)
+        senders = np.flatnonzero(plan.alpha_tx != 0.0)
+        bits = plan.bits_int[senders]
+        key = (senders.tobytes(), bits.tobytes())
+        if key not in groups.setdefault(kind, {}):
+            index = rows_of.setdefault(kind, {})
+            rows = [index.setdefault(cell, len(index))
+                    for cell in zip(senders.tolist(), bits.tolist())]
+            groups[kind][key] = (senders, np.array(rows), [])
+        groups[kind][key][2].append((j, plan))
     if not groups or not hyps:
         return counts   # nothing to draw: nobody transmits, or no hypothesis is run
-    kinds = {kind for kind, _, _ in groups}
+    # kind -> (sensor, bit load) of each row, in row order
+    quantized_rows = {kind: (np.array([i for i, _ in index]), np.array([[b] for _, b in index]))
+                      for kind, index in rows_of.items()}
 
-    chunk_cap = max(256, CHUNK_SAMPLES // max(m * n, 1))
-    # the key fixes every draw: changing it changes every results CSV
-    rng = derive_stream(scenario.seed, "mc", "mc", 0)
+    chunk_cap = max(256, CHUNK_SAMPLES // m)
+    # the keys fix every draw: changing them changes every results CSV
+    rng_g = derive_stream(scenario.seed, "mc", "mc", 0)
+    rng_r = derive_stream(scenario.seed, "mc", "mc", 1)
     left = trials
     while left > 0:
         c = min(left, chunk_cap)
         left -= c
-        x = generate_observations(scenario, n, hyps[0][1], rng, trials=c)
-        for hyp_idx, hyp in hyps:
-            if hyp is not hyps[0][1]:
-                x += scenario.signal   # H1 after H0: the same noise plus the signal
-            stats = {}   # kind -> (sensors, trials)
-            if "energy" in kinds:
-                stats["energy"] = energy_statistic(x).T
-            if "matched" in kinds:
-                stats["matched"] = matched_filter_statistic(x, scenario).T
+        sg, rest = _noise(scenario, rng_g, rng_r, c)
+        # one statistic and its quantized rows held at a time
+        for hyp_idx, (kind, (sensors, bits)) in itertools.product(hyps, quantized_rows.items()):
+            st = _statistic(scenario, kind, sg, rest, h1=hyp_idx == 1)   # (sensors, trials)
             if clip_counts is not None:
-                for kind, st in stats.items():
-                    lo = -u if kind == "matched" else 0.0
-                    tally = clip_counts.setdefault(kind, np.zeros((4, m), dtype=np.int64))
-                    tally[2 * hyp_idx] += (st < lo).sum(axis=1)
-                    tally[2 * hyp_idx + 1] += (st > lo + 2.0 * u).sum(axis=1)
-            for (kind, _, _), (senders, members) in groups.items():
-                bits = members[0][1].bits_int[senders, None]
-                if kind == "matched":
-                    q = quantize_centered(stats["matched"][senders], bits, u)
-                else:
-                    q = quantize_array(stats["energy"][senders], bits, u)
+                lo = -u if kind == "matched" else 0.0
+                tally = clip_counts.setdefault(kind, np.zeros((4, m), dtype=np.int64))
+                tally[2 * hyp_idx] += (st < lo).sum(axis=1)
+                tally[2 * hyp_idx + 1] += (st > lo + 2.0 * u).sum(axis=1)
+            quantize = quantize_centered if kind == "matched" else quantize_array
+            quantized = quantize(st[sensors], bits, u)
+            del st
+            for senders, rows, members in groups[kind].values():
+                q = quantized[rows]
                 for j, plan in members:
                     fused = fuse(q, FusionWeights(plan.alpha_tx[senders]))
                     counts[j][hyp_idx] += (fused[:, None] > thresholds[j][None, :]).sum(axis=0)
     return counts
+
+
+def _noise(scenario: Scenario, rng_g: np.random.Generator, rng_r: np.random.Generator,
+           trials: int) -> tuple[np.ndarray, np.ndarray | float]:
+    """The two numbers each sensor's N noise samples enter both statistics through.
+
+    With z the unit-variance samples and e = s / |s|, g = e . z ~ N(0, 1)
+    is the noise along the signal and R = |z|^2 - g^2 ~ chi2(N - 1), the
+    noise energy orthogonal to it, independent of g (white Gaussian
+    noise is rotation-invariant; for an all-zero signal any direction
+    will do). Draws a (trials, M) batch of each, g from rng_g and R from
+    rng_r, so consecutive batches continue both streams whatever their
+    size. Returns sigma g and sigma^2 R as (M, trials) arrays; R is 0,
+    and nothing is drawn from rng_r, when N = 1.
+    """
+    m, n = scenario.M, scenario.N
+    sg = rng_g.normal(0.0, 1.0, size=(trials, m)).T * np.sqrt(scenario.sigma2)[:, None]
+    if n == 1:
+        return sg, 0.0
+    return sg, rng_r.chisquare(n - 1, size=(trials, m)).T * scenario.sigma2[:, None]
+
+
+def _statistic(scenario: Scenario, kind: str, sg: np.ndarray, rest, h1: bool) -> np.ndarray:
+    """One local statistic of every sensor, (M, trials), from _noise's two variates.
+
+    The sample path's law in closed form, with x = s + sigma z under H1
+    and sigma z under H0: the energy |x|^2 is (|s| + sigma g)^2 + sigma^2 R
+    under H1 and sigma^2 (g^2 + R) under H0 ("energy"); the matched
+    filter x . s is Es + |s| sigma g under H1 and |s| sigma g under H0
+    ("matched").
+    """
+    norm = np.sqrt(scenario.es)[:, None]
+    if kind == "matched":
+        mf = norm * sg
+        return mf + scenario.es[:, None] if h1 else mf
+    along = sg + norm if h1 else sg
+    return along * along + rest
 
 
 def run_trials(

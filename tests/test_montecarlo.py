@@ -4,7 +4,7 @@ import csv
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
-from scipy.stats import norm
+from scipy.stats import ks_2samp, norm
 
 import distdetect as dd
 from distdetect import montecarlo
@@ -226,7 +226,10 @@ class TestSweepBudget:
 
 
 def _count_draws(monkeypatch) -> list:
-    """Patch montecarlo.derive_stream; the list gets the shape of every normal() batch."""
+    """Patch montecarlo.derive_stream; the list gets the shape of every normal() batch.
+
+    Every other draw, such as chisquare(), passes through uncounted.
+    """
     shapes = []
     derive = montecarlo.derive_stream
 
@@ -238,6 +241,9 @@ def _count_draws(monkeypatch) -> list:
             out = self._rng.normal(*args, **kwargs)
             shapes.append(out.shape)
             return out
+
+        def __getattr__(self, name):
+            return getattr(self._rng, name)
 
     monkeypatch.setattr(montecarlo, "derive_stream", lambda *key: Stream(derive(*key)))
     return shapes
@@ -251,17 +257,27 @@ class TestChunking:
         ests = dd.sweep_budget(sc, list(Scheme), self.GRID, 1000, diagnostics=diag)
         return ests, diag
 
-    def test_results_do_not_depend_on_chunk_size(self, small_scenario, monkeypatch):
-        whole, whole_diag = self._sweep(small_scenario)
+    def _check_chunking(self, sc, monkeypatch):
+        whole, whole_diag = self._sweep(sc)
         # the 256-trial floor then splits the 1000 trials into four chunks
         monkeypatch.setattr(montecarlo, "CHUNK_SAMPLES", 1)
         shapes = _count_draws(monkeypatch)
-        chunked, chunked_diag = self._sweep(small_scenario)
+        chunked, chunked_diag = self._sweep(sc)
         assert len(shapes) >= 3
         assert chunked == whole
         # clip rates over the same trial count
         assert all(np.array_equal(a, b) for (_, a), (_, b) in zip(chunked_diag, whole_diag))
         assert any(rates[1].any() for _, rates in whole_diag)   # clip_hi_h0
+
+    def test_results_do_not_depend_on_chunk_size(self, small_scenario, monkeypatch):
+        self._check_chunking(small_scenario, monkeypatch)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_short_windows_do_not_depend_on_chunk_size(self, n, monkeypatch):
+        # N=1 draws no chi-square at all, N=2 one degree of freedom
+        sc = dd.make_scenario(m=5, n=n, seed=7, u=3.0, pt=5.0, pfa=0.1,
+                              xa_db=-4.0, amplitude=0.2, radius=0.6)
+        self._check_chunking(sc, monkeypatch)
 
     def test_a_sweep_draws_each_chunk_once(self, small_scenario, monkeypatch, tmp_path):
         sc = small_scenario
@@ -273,34 +289,104 @@ class TestChunking:
         for chunks in ((1000,), (256, 256, 256, 232)):
             shapes.clear()
             self._sweep(sc)
-            assert shapes == [(c, sc.M, sc.N) for c in chunks]
+            assert shapes == [(c, sc.M) for c in chunks]
             # the CLI's pfa and n sweeps: one batch per window length, shared by all six schemes
             for sweep in ("pfa", "n"):
                 shapes.clear()
                 assert run_cli("detect", path, "--sweep", sweep, "--out", tmp_path / sweep) == 0
-                assert shapes == [(c, sc.M, n) for n in (8, 12) for c in chunks]
+                assert shapes == [(c, sc.M) for n in (8, 12) for c in chunks]
             monkeypatch.setattr(montecarlo, "CHUNK_SAMPLES", 1)
 
+    def test_an_h1_run_sees_the_noise_of_the_full_run(self, small_scenario):
+        p = powers_for_scheme(small_scenario, Scheme.MFD_opt_power)
+        w = weights_for_scheme(small_scenario, Scheme.MFD_opt_power, p)
+        full = dd.run_trials(small_scenario, p, w, Scheme.MFD_opt_power, 1000)
+        h1 = dd.run_trials(small_scenario, p, w, Scheme.MFD_opt_power, 1000,
+                           hypothesis=Hypothesis.H1)
+        assert h1.pd_hat == full.pd_hat and 0.0 < h1.pd_hat < 1.0
 
     def test_plans_sharing_bit_loads_quantize_once(self, small_scenario, monkeypatch):
         sc = small_scenario
         plans = [plan_scheme(sc, s, pt=pt) for pt in self.GRID for s in Scheme]
-        # one group per (statistic, senders, bit loads); equal-power ED schemes share one
-        groups = {(p.scheme.matched_filter, tuple(p.alpha_tx != 0.0),
-                   tuple(p.bits_int[p.alpha_tx != 0.0])) for p in plans if not p.degenerate}
-        assert len(groups) < sum(not p.degenerate for p in plans)
-        calls = []
+        # one quantized row per (statistic, sensor, bit load) that some plan sends
+        cells = {(p.scheme.matched_filter, i, p.bits_int[i]) for p in plans
+                 if not p.degenerate for i in np.flatnonzero(p.alpha_tx)}
+        sent = sum(int(np.count_nonzero(p.alpha_tx)) for p in plans if not p.degenerate)
+        assert len(cells) < sent
+        rows = []
 
         def counted(real):
-            def wrapper(*args):
-                calls.append(real.__name__)
-                return real(*args)
+            def wrapper(t, *args):
+                rows.append(len(t))
+                return real(t, *args)
             return wrapper
 
         for name in ("quantize_array", "quantize_centered"):
             monkeypatch.setattr(montecarlo, name, counted(getattr(montecarlo, name)))
         self._sweep(sc)
-        assert len(calls) == 2 * len(groups)   # one chunk, two hypotheses
+        assert sum(rows) == 2 * len(cells)   # one chunk, two hypotheses
+        assert len(rows) == 2 * 2            # one call per statistic and hypothesis
+
+
+def _law_population(n, m=3):
+    """Three sensors with unequal noise and signals that are not constant over the window."""
+    signal = np.random.default_rng(100 + n).normal(0.0, 0.4, size=(m, n))
+    sensors = dd.SensorParams(np.array([0.5, 1.0, 2.0]), 1.0, 0.1, signal)
+    return dd.Scenario(sensors=sensors, N=n, U=3.0, Pt=1.0, Pfa=0.1,
+                       topology=dd.complete_graph(m), seed=5)
+
+
+class TestSufficientStatisticLaw:
+    """The two-variate draw against the sample path: generate_observations plus both statistics."""
+
+    TRIALS = 20_000
+
+    @staticmethod
+    def _within(estimates, exact, terms):
+        """Each sensor's mean of terms is within 5 standard errors of its exact value."""
+        se = np.std(terms, axis=1) / np.sqrt(terms.shape[1])
+        assert np.all(np.abs(estimates - exact) <= 5.0 * se), (estimates, exact, se)
+
+    @pytest.mark.parametrize("hyp", list(Hypothesis))
+    @pytest.mark.parametrize("n", [1, 2, 10, 50])
+    def test_moments_and_ks_against_the_sample_path(self, n, hyp):
+        sc, trials, h1 = _law_population(n), self.TRIALS, hyp is Hypothesis.H1
+        sg, rest = montecarlo._noise(sc, np.random.default_rng(1), np.random.default_rng(2),
+                                     trials)
+        drawn = [montecarlo._statistic(sc, kind, sg, rest, h1) for kind in ("energy", "matched")]
+        x = dd.generate_observations(sc, n, hyp, np.random.default_rng(3), trials=trials)
+        sampled = [dd.energy_statistic(x).T, dd.matched_filter_statistic(x, sc).T]
+        # exact: sigma^2 chi2_N, noncentral by Es / sigma^2 under H1, and N(h1 Es, sigma^2 Es)
+        s2, es = sc.sigma2, sc.es
+        mean = [n * s2 + h1 * es, h1 * es]
+        var = [2 * n * s2 * s2 + h1 * 4 * s2 * es, s2 * es]
+        cov = h1 * 2 * s2 * es
+        for ed, mf in (drawn, sampled):
+            assert ed.shape == mf.shape == (3, trials)
+            centered = []
+            for t, mu, v in zip((ed, mf), mean, var):
+                self._within(t.mean(axis=1), mu, t)
+                d = t - t.mean(axis=1, keepdims=True)
+                self._within(np.mean(d * d, axis=1), v, d * d)
+                centered.append(d)
+            prod = centered[0] * centered[1]
+            self._within(prod.mean(axis=1), cov, prod)
+        # the marginals and one joint projection, sensor by sensor, at fixed seeds
+        for a, b in ((drawn[0], sampled[0]), (drawn[1], sampled[1]),
+                     (drawn[0] + drawn[1], sampled[0] + sampled[1])):
+            for i in range(3):
+                assert ks_2samp(a[i], b[i]).pvalue > 1e-4
+
+    def test_detect_pt_sweep_runs_at_one_sample(self, tmp_path):
+        path = write_config(tmp_path, N=1, overrides={
+            "detect": {"trials": 500, "pt_grid": [20.0]}})
+        out = tmp_path / "out"
+        assert run_cli("detect", path, "--sweep", "pt", "--out", out) == 0
+        with open(out / "results_pt.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert {r["N"] for r in rows} == {"1"}
+        assert any(float(r["pd_hat"]) > 0.0 for r in rows)
+
 
 class TestResultsCsv:
     def test_schema_and_formatting(self, tmp_path, small_scenario):
