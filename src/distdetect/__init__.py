@@ -31,9 +31,7 @@ from .fusion import (
     equal_weights,
     fuse,
     fusion_moments,
-    matched_filter_moments,
     matched_filter_statistic,
-    matched_filter_weights,
     optimal_weights,
     qfunc,
     qfunc_inv,
@@ -43,7 +41,7 @@ from .model import (
     Scenario,
     SensorParams,
     SolverConfig,
-    StatisticMoments,
+    Statistic,
     build_sensors,
     calibrate_average_snr,
     derive_stream,
@@ -67,7 +65,6 @@ from .quantize import (
     capacity_bits,
     quant_noise_var,
     quantize_array,
-    quantize_centered,
     specs_for_allocation,
 )
 from .solver_central import (

@@ -4,8 +4,10 @@ The fusion center forms T_f = sum_i alpha_i * t_hat_i and compares it
 to a threshold. Everything analytic about that test lives here: the
 Gaussian moments of the fused statistic, the detection probability at a
 target false-alarm rate, the modified deflection coefficient, and the
-weights that maximize it. A matched-filter variant of the per-sensor
-statistic is included as the benchmark upper baseline.
+weights that maximize it. The moments and the weights read a
+model.Statistic record, so the energy detector and the matched-filter
+benchmark (the upper baseline) share one moment formula and one weight
+rule; the energy detector is the default.
 """
 from __future__ import annotations
 
@@ -14,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import special
 
-from .model import Scenario, StatisticMoments, statistic_moments
+from .model import Scenario, Statistic, statistic_moments
 from .quantize import quant_noise_var
 
 
@@ -60,12 +62,7 @@ class FusionWeights:
 class FusionMoments:
     """Gaussian moments of the fused statistic under both hypotheses.
 
-    psi is the mean separation mean_h1 - mean_h0. The reported means
-    carry a constant +U per weighted sensor (each quantizer midpoint
-    representation is analyzed around the interval center); mean_offset
-    records that constant so thresholding can place the decision level
-    on the physical zero-mean-noise scale. psi is offset-free either
-    way since the constant cancels in the difference.
+    psi is the mean separation mean_h1 - mean_h0.
     """
 
     mean_h0: float
@@ -73,7 +70,6 @@ class FusionMoments:
     mean_h1: float
     var_h1: float
     psi: float
-    mean_offset: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -126,43 +122,25 @@ def fuse(t_hat: np.ndarray, weights: FusionWeights) -> float | np.ndarray:
     return float(fused[0]) if t.ndim == 1 else fused
 
 
-def combined_moments(
-    n: int,
-    sigma2: np.ndarray,
-    xi: np.ndarray,
-    alpha: np.ndarray,
-    noise_var: np.ndarray,
-    u: float,
-) -> FusionMoments:
-    """Fused-statistic moments from per-sensor pieces.
+def fusion_moments(scenario: Scenario, weights: FusionWeights, powers: np.ndarray,
+                   statistic: Statistic | None = None) -> FusionMoments:
+    """Moments of the fused statistic at a given power allocation.
 
-    mean_h0 = sum alpha_i (N sigma_i^2 + U)
-    mean_h1 = sum alpha_i (N sigma_i^2 (1 + xi_i) + U)
-    var_h0  = sum alpha_i^2 (2 N sigma_i^4 + noise_var_i)
-    var_h1  = sum alpha_i^2 (2 N sigma_i^4 (1 + 2 xi_i) + noise_var_i)
+    statistic is the sensors' local statistic over the scenario's
+    population, the energy detector's by default. With noise_var_i the
+    capacity-matched quantization noise at the allocated power:
+
+    mean_h0 = sum alpha_i mean_h0_i
+    mean_h1 = sum alpha_i mean_h1_i
+    var_h0  = sum alpha_i^2 (var_h0_i + noise_var_i)
+    var_h1  = sum alpha_i^2 (var_h1_i + noise_var_i)
+    psi     = sum alpha_i b_i, as c sum alpha_i f1_i f2_i (Statistic.b_factors)
+
+    Censored sensors (zero power) are excluded; their weights must
+    already be zero.
     """
-    sigma2 = np.asarray(sigma2, dtype=float)
-    xi = np.asarray(xi, dtype=float)
-    alpha = np.asarray(alpha, dtype=float)
-    noise_var = np.asarray(noise_var, dtype=float)
-    mom = StatisticMoments.energy(n, sigma2, xi)
-    a2 = alpha * alpha
-    mean_h0 = float(np.sum(alpha * (mom.mean_h0 + u)))
-    mean_h1 = float(np.sum(alpha * (mom.mean_h1 + u)))
-    var_h0 = float(np.sum(a2 * (mom.var_h0 + noise_var)))
-    var_h1 = float(np.sum(a2 * (mom.var_h1 + noise_var)))
-    psi = float(n * np.sum(alpha * sigma2 * xi))
-    return FusionMoments(mean_h0, var_h0, mean_h1, var_h1, psi,
-                         mean_offset=float(u * np.sum(alpha)))
-
-
-def fusion_moments(scenario: Scenario, weights: FusionWeights, powers: np.ndarray) -> FusionMoments:
-    """Moments of the fused energy statistic at a given power allocation.
-
-    Quantization noise per sensor follows the capacity-matched model at
-    the allocated power. Censored sensors (zero power) are excluded;
-    their weights must already be zero.
-    """
+    if statistic is None:
+        statistic = statistic_moments(scenario, scenario.N)
     p = np.asarray(powers, dtype=float)
     a = weights.alpha
     if p.size != scenario.M or a.size != scenario.M:
@@ -172,8 +150,13 @@ def fusion_moments(scenario: Scenario, weights: FusionWeights, powers: np.ndarra
         raise ValueError("censored sensors must have weight 0")
     noise_var = quant_noise_var(p, scenario.h, scenario.zeta, scenario.U)
     alpha = np.where(censored, 0.0, a)
-    return combined_moments(scenario.N, scenario.sigma2, scenario.xi,
-                            alpha, noise_var, scenario.U)
+    a2 = alpha * alpha
+    c, f1, f2 = statistic.b_factors
+    return FusionMoments(mean_h0=float(np.sum(alpha * statistic.mean_h0)),
+                         var_h0=float(np.sum(a2 * (statistic.var_h0 + noise_var))),
+                         mean_h1=float(np.sum(alpha * statistic.mean_h1)),
+                         var_h1=float(np.sum(a2 * (statistic.var_h1 + noise_var))),
+                         psi=float(c * np.sum(alpha * f1 * f2)))
 
 
 def analytic_pd(moments: FusionMoments, pfa: float) -> float:
@@ -219,15 +202,21 @@ def equal_weights(m: int, censored: np.ndarray | None = None) -> FusionWeights:
     return FusionWeights(a)
 
 
-def deflection_inputs(scenario: Scenario, powers: np.ndarray) -> DeflectionInputs:
-    """Assemble b, R_diag, and the censor mask from a power allocation."""
+def deflection_inputs(scenario: Scenario, powers: np.ndarray,
+                      statistic: Statistic | None = None) -> DeflectionInputs:
+    """Assemble b, R_diag, and the censor mask from a power allocation.
+
+    statistic is the sensors' local statistic, the energy detector's by
+    default. R_diag is its H1 variance plus the quantization noise, so
+    optimal_weights gives b / (var_h1 + noise_var) for either statistic.
+    """
+    if statistic is None:
+        statistic = statistic_moments(scenario, scenario.N)
     p = np.asarray(powers, dtype=float)
     if p.size != scenario.M:
         raise ValueError("powers must have one entry per sensor")
-    n = scenario.N
     noise_var = quant_noise_var(p, scenario.h, scenario.zeta, scenario.U)
-    return DeflectionInputs(b=n * scenario.sigma2 * scenario.xi,
-                            R_diag=statistic_moments(scenario, n).var_h1 + noise_var,
+    return DeflectionInputs(b=statistic.b, R_diag=statistic.var_h1 + noise_var,
                             censored=(p == 0.0))
 
 
@@ -246,29 +235,3 @@ def matched_filter_statistic(x: np.ndarray, sensor) -> np.ndarray | float:
         raise ValueError("observation length must match the signal")
     t = np.einsum("...n,...n->...", x, s)
     return float(t) if t.ndim == 0 else t
-
-
-def matched_filter_weights(scenario: Scenario, powers: np.ndarray) -> FusionWeights:
-    """Benchmark combining rule alpha_i = Es_i / (sigma_i^2 Es_i + noise_var_i).
-
-    Es_i is the signal energy sum(s_i^2). Censored sensors get 0.
-    """
-    p = np.asarray(powers, dtype=float)
-    if p.size != scenario.M:
-        raise ValueError("powers must have one entry per sensor")
-    mom = StatisticMoments.matched(scenario.sigma2, scenario.es)
-    nv = quant_noise_var(p, scenario.h, scenario.zeta, scenario.U)
-    return FusionWeights(np.where(p == 0.0, 0.0, mom.mean_h1 / (mom.var_h0 + nv)))
-
-
-def matched_filter_moments(scenario: Scenario, weights: FusionWeights, powers: np.ndarray) -> FusionMoments:
-    """Fused matched-filter moments: mean 0 / sum(alpha Es) and equal variances."""
-    p = np.asarray(powers, dtype=float)
-    a = weights.alpha
-    mom = StatisticMoments.matched(scenario.sigma2, scenario.es)
-    noise_var = quant_noise_var(p, scenario.h, scenario.zeta, scenario.U)
-    alpha = np.where(p == 0.0, 0.0, a)
-    var = float(np.sum(alpha ** 2 * (mom.var_h0 + noise_var)))
-    psi = float(np.sum(alpha * mom.mean_h1))
-    return FusionMoments(mean_h0=0.0, var_h0=var, mean_h1=psi, var_h1=var,
-                         psi=psi, mean_offset=0.0)

@@ -1,15 +1,19 @@
-"""Sensing model: per-sensor signals, noise, energy statistics and their moments.
+"""Sensing model: per-sensor signals, noise, local statistics and their laws.
 
 Each sensor i observes N samples that are either pure Gaussian noise
 (null hypothesis) or a known deterministic signal plus that noise
 (alternative). The local test statistic is the sample energy; for large
 N it is treated as Gaussian with moments that follow from the chi-square
 exactly, which is what every analytic expression downstream builds on.
+The matched-filter correlation is the benchmark statistic. One Statistic
+record describes either: moments, deflection numerator, quantizer window
+and closed-form law.
 """
 from __future__ import annotations
 
 import enum
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,7 +40,7 @@ def _read_only(values) -> np.ndarray:
 class SensorParams:
     """Noise power, reporting channel and known signal of one sensor or of many.
 
-    Elementwise, like StatisticMoments: floats with an (N,) signal
+    Elementwise, like Statistic: floats with an (N,) signal
     describe one sensor; (M,) arrays, or scalars that broadcast, with an
     (M, N) signal describe a population of M sensors. Fields are stored
     read-only, as floats for one sensor and as arrays for a population.
@@ -77,42 +81,87 @@ class SensorParams:
             object.__setattr__(self, name, value if value.ndim else float(value))
 
 
-@dataclass(frozen=True)
-class StatisticMoments:
-    """Gaussian-approximation moments of a sensor's local statistic.
+@dataclass(frozen=True, eq=False)
+class Statistic:
+    """The local statistic a sensor sends: its law, its deflection numerator, its window.
 
-    Each field is a float for one sensor or an (M,) array for a whole
-    population, matching what statistic_moments was given.
+    Built by one of two constructors, energy (the paper's energy
+    detector) and matched (the matched-filter benchmark); the layers
+    downstream read the record and never ask which one they hold. Each
+    moment is a float for one sensor or an (M,) array for a population,
+    matching the sensor given.
+
+    mean_h0, var_h0, mean_h1, var_h1  Gaussian-approximation moments
+    b_factors   (c, f1, f2), whose product is the deflection numerator b,
+                the mean gap mean_h1 - mean_h0 of one sensor: (N, sigma^2, xi)
+                for the energy and (1.0, Es, 1.0) for the matched filter; kept
+                as factors so that each sum over them rounds as the formula reads
+    lo          lower edge of the quantizer window [lo, lo + 2U]
+    from_noise  from_noise(sigma g, sigma^2 R, h1) is the statistic under H1
+                (h1 true) or H0, in closed form from the two variates that
+                montecarlo._noise draws for every sensor and trial
     """
 
     mean_h0: float | np.ndarray
     var_h0: float | np.ndarray
     mean_h1: float | np.ndarray
     var_h1: float | np.ndarray
+    b_factors: tuple
+    lo: float
+    from_noise: Callable = field(repr=False)
+
+    @property
+    def b(self):
+        c, f1, f2 = self.b_factors
+        return c * f1 * f2
 
     @classmethod
-    def energy(cls, n: int, sigma2, xi) -> "StatisticMoments":
-        """Exact chi-square moments from the noise power and SNR.
+    def energy(cls, sensor, n: int, u: float | None = None) -> "Statistic":
+        """The energy |x|^2 of N samples, exact chi-square moments, window [0, 2U].
 
-        Mean N sigma^2 and variance 2 N sigma^4 under H0, inflated by
-        the SNR xi under H1. Elementwise over arrays.
+        Mean N sigma^2 and variance 2 N sigma^4 under H0, inflated by the
+        SNR xi under H1. With x = s + sigma z under H1 and sigma z under H0,
+        the energy is (|s| + sigma g)^2 + sigma^2 R under H1 and
+        sigma^2 (g^2 + R) under H0. u is not needed: the window starts at
+        0 for every U.
         """
+        _check_samples(sensor, n)
+        sigma2, xi = sensor.sigma2, sensor.xi
         var_h0 = 2.0 * n * np.square(sigma2)
-        return cls(
-            mean_h0=n * sigma2,
-            var_h0=var_h0,
-            mean_h1=n * sigma2 * (1.0 + xi),
-            var_h1=var_h0 * (1.0 + 2.0 * xi),
-        )
+        norm = np.sqrt(sensor.es)[..., None]
+
+        def from_noise(sg, rest, h1: bool):
+            along = sg + norm if h1 else sg
+            return along * along + rest
+
+        return cls(mean_h0=n * sigma2, var_h0=var_h0, mean_h1=n * sigma2 * (1.0 + xi),
+                   var_h1=var_h0 * (1.0 + 2.0 * xi), b_factors=(n, sigma2, xi), lo=0.0,
+                   from_noise=from_noise)
 
     @classmethod
-    def matched(cls, sigma2, es) -> "StatisticMoments":
-        """Moments of the matched-filter statistic x . s from signal energy Es.
+    def matched(cls, sensor, n: int, u: float) -> "Statistic":
+        """The correlation x . s with the known signal, Gaussian, window [-U, U].
 
         Mean 0 under H0 and Es under H1, variance sigma^2 Es under both.
+        It is |s| sigma g under H0 and Es + |s| sigma g under H1.
         """
-        var = sigma2 * es
-        return cls(mean_h0=np.zeros_like(es), var_h0=var, mean_h1=es, var_h1=var)
+        _check_samples(sensor, n)
+        es = sensor.es
+        var = sensor.sigma2 * es
+        norm, shift = np.sqrt(es)[..., None], np.asarray(es)[..., None]
+
+        def from_noise(sg, rest, h1: bool):
+            mf = norm * sg
+            return mf + shift if h1 else mf
+
+        return cls(mean_h0=np.zeros_like(es), var_h0=var, mean_h1=es, var_h1=var,
+                   b_factors=(1.0, es, 1.0), lo=-u, from_noise=from_noise)
+
+
+def _check_samples(sensor, n: int) -> None:
+    samples = np.shape(sensor.signal)[-1]
+    if n != samples:
+        raise ValueError(f"n={n} but sensor signal has {samples} samples")
 
 
 @dataclass(frozen=True)
@@ -259,16 +308,12 @@ def energy_statistic(x: np.ndarray) -> np.ndarray | float:
     return float(t) if t.ndim == 0 else t
 
 
-def statistic_moments(sensor, n: int) -> StatisticMoments:
-    """Gaussian moments of the energy statistic under both hypotheses.
+def statistic_moments(sensor, n: int) -> Statistic:
+    """The energy statistic of one sensor (float moments) or of a population or Scenario.
 
-    sensor is one sensor (float moments), or a population or Scenario
-    (arrays over its sensors); see StatisticMoments.energy for the formulas.
+    Arrays over the population's sensors; see Statistic.energy for the formulas.
     """
-    samples = np.shape(sensor.signal)[-1]
-    if n != samples:
-        raise ValueError(f"n={n} but sensor signal has {samples} samples")
-    return StatisticMoments.energy(n, sensor.sigma2, sensor.xi)
+    return Statistic.energy(sensor, n)
 
 
 def calibrate_average_snr(sensors: SensorParams, target_xa_db: float) -> SensorParams:

@@ -12,7 +12,11 @@ the batch holds those two variates per trial and sensor rather than N
 samples (the exact law, not an approximation). The statistics follow
 in closed form and are quantized and fused by the quantize and fusion
 stages; model.generate_observations and the two statistic functions
-remain the sample-by-sample reference for that law.
+remain the sample-by-sample reference for that law. The two detectors
+differ only in their model.Statistic record (moments, deflection
+numerator, quantizer window and closed-form law), which each scheme
+names through Scheme.statistic; planning, simulation and the sweeps
+run one code path for both.
 
 Thresholds come from an analytic Gaussian calibration, never from
 empirical quantiles: the Monte Carlo run is an audit of the Gaussian
@@ -44,15 +48,18 @@ from .fusion import (
     equal_weights,
     fuse,
     fusion_moments,
-    matched_filter_moments,
-    matched_filter_weights,
     optimal_weights,
     qfunc_inv,
 )
-from .model import Hypothesis, Scenario, StatisticMoments, _exp, derive_stream, statistic_moments
+from .model import Hypothesis, Scenario, Statistic, _exp, derive_stream
 # specs_for_allocation is not called here; bench/tracer.py wraps it under this name
-from .quantize import capacity_bits, quantize_array, quantize_centered, specs_for_allocation
+from .quantize import capacity_bits, quantize_array, specs_for_allocation
 from .solver_central import solve_centralized
+
+# not called here either: bench/tracer.py wraps these three names, which now
+# stand for the one weight rule, moment formula and quantizer of both statistics
+matched_filter_weights, matched_filter_moments, quantize_centered = (
+    optimal_weights, fusion_moments, quantize_array)
 
 # (trial, sensor) pairs drawn and simulated at a time: each (sensors, trials)
 # float array is then 512 KiB; larger chunks ran no faster and held more memory
@@ -80,6 +87,14 @@ class Scheme(enum.Enum):
     @property
     def equal_combining(self) -> bool:
         return "equal_weights" in self.value
+
+    @property
+    def statistic(self):
+        """The Statistic constructor of what this scheme's sensors send.
+
+        Called as scheme.statistic(sensors, n, u), like either constructor.
+        """
+        return Statistic.matched if self.matched_filter else Statistic.energy
 
 
 @dataclass(frozen=True)
@@ -116,17 +131,12 @@ class DetectionEstimate:
 
 
 def detection_threshold(moments: FusionMoments, pfa: float) -> float:
-    """Gaussian H0 threshold: exceeded with probability pfa under the model.
-
-    mean_offset is subtracted first so moments carrying the
-    interval-center constant calibrate on the physical scale.
-    """
+    """Gaussian H0 threshold: exceeded with probability pfa under the model."""
     if not 0.0 < pfa < 1.0:
         raise ValueError("pfa must be in (0, 1)")
     if moments.var_h0 <= 0:
         raise ValueError("var_h0 must be positive")
-    return float(moments.mean_h0 - moments.mean_offset
-                 + qfunc_inv(pfa) * math.sqrt(moments.var_h0))
+    return float(moments.mean_h0 + qfunc_inv(pfa) * math.sqrt(moments.var_h0))
 
 
 def quantized_gaussian_moments(mu, var, bits_int, u: float, lo: float = 0.0):
@@ -193,12 +203,6 @@ def _clipped_gaussian_moments(mu, sd, lo: float, hi: float):
     return mean, np.maximum(second - mean * mean, 0.0)
 
 
-def clip_probabilities(mu: float, var: float, lo: float, hi: float) -> tuple[float, float]:
-    """Model probabilities of the statistic landing below lo / above hi."""
-    sd = math.sqrt(var)
-    return float(special.ndtr((lo - mu) / sd)), float(1.0 - special.ndtr((hi - mu) / sd))
-
-
 def equal_power(scenario: Scenario, pt: float | None = None) -> np.ndarray:
     pt = scenario.Pt if pt is None else pt
     return np.full(scenario.M, pt / scenario.M)
@@ -211,12 +215,10 @@ def powers_for_scheme(scenario: Scenario, scheme: Scheme, pt: float | None = Non
 
 
 def weights_for_scheme(scenario: Scenario, scheme: Scheme, powers: np.ndarray) -> FusionWeights:
-    censored = np.asarray(powers) == 0.0
-    if scheme.matched_filter:
-        return matched_filter_weights(scenario, powers)
     if scheme.equal_combining:
-        return equal_weights(scenario.M, censored=censored)
-    return optimal_weights(deflection_inputs(scenario, powers))
+        return equal_weights(scenario.M, censored=np.asarray(powers) == 0.0)
+    statistic = scheme.statistic(scenario, scenario.N, scenario.U)
+    return optimal_weights(deflection_inputs(scenario, powers, statistic))
 
 
 @dataclass(frozen=True)
@@ -225,6 +227,7 @@ class SchemePlan:
 
     scheme: Scheme
     pt: float
+    statistic: Statistic            # what the scheme's sensors send
     powers: np.ndarray
     weights: FusionWeights          # design-layer weights (censored entries 0)
     bits_real: np.ndarray
@@ -269,39 +272,33 @@ def plan_scheme(
     if weights is None:
         weights = weights_for_scheme(scenario, scheme, powers)
 
+    statistic = scheme.statistic(scenario, scenario.N, scenario.U)
     bits_real = capacity_bits(powers, scenario.h, scenario.zeta)
     bits_int = np.floor(bits_real).astype(int)
     transmit = (powers > 0.0) & (bits_int >= 1)
     alpha_tx = np.where(transmit, weights.alpha, 0.0)
-
-    if scheme.matched_filter:
-        design = matched_filter_moments(scenario, weights, powers)
-    else:
-        design = fusion_moments(scenario, weights, powers)
+    design = fusion_moments(scenario, weights, powers, statistic)
 
     tx_moments = None
     senders = alpha_tx != 0.0   # transmitting, with a nonzero weight
     if np.any(senders):
-        mom = (StatisticMoments.matched(scenario.sigma2, scenario.es) if scheme.matched_filter
-               else statistic_moments(scenario, scenario.N))
-        lo = -scenario.U if scheme.matched_filter else 0.0
         bits, a = bits_int[senders], alpha_tx[senders]
-        e0, s0 = quantized_gaussian_moments(mom.mean_h0[senders], mom.var_h0[senders],
-                                            bits, scenario.U, lo)
-        e1, s1 = quantized_gaussian_moments(mom.mean_h1[senders], mom.var_h1[senders],
-                                            bits, scenario.U, lo)
+        e0, s0 = quantized_gaussian_moments(statistic.mean_h0[senders], statistic.var_h0[senders],
+                                            bits, scenario.U, statistic.lo)
+        e1, s1 = quantized_gaussian_moments(statistic.mean_h1[senders], statistic.var_h1[senders],
+                                            bits, scenario.U, statistic.lo)
         # the received sum's moments fuse the per-sensor ones, with weights a and a^2
         w, w2 = FusionWeights(a), FusionWeights(a * a)
         m0, m1, v0 = fuse(e0, w), fuse(e1, w), fuse(s0, w2)
         if v0 > 0.0:
             tx_moments = FusionMoments(mean_h0=m0, var_h0=v0, mean_h1=m1, var_h1=fuse(s1, w2),
-                                       psi=m1 - m0, mean_offset=0.0)
+                                       psi=m1 - m0)
     if tx_moments is None:
         transmit = np.zeros(scenario.M, dtype=bool)
         alpha_tx = np.zeros(scenario.M)
 
     return SchemePlan(
-        scheme=scheme, pt=float(pt), powers=powers, weights=weights,
+        scheme=scheme, pt=float(pt), statistic=statistic, powers=powers, weights=weights,
         bits_real=bits_real, bits_int=bits_int, transmit=transmit,
         alpha_tx=alpha_tx, design_moments=design, tx_moments=tx_moments,
     )
@@ -324,17 +321,18 @@ def simulate_plans(
     unit signal direction, and R ~ chi2(N - 1), the energy left over,
     independent of g. Per trial and sensor g and R are drawn from two
     PRNG streams derived from the scenario seed, in chunks of at most
-    CHUNK_SAMPLES (trial, sensor) pairs, and both statistics follow in
-    closed form, under H0 and H1 from the same (g, R). Each chunk is
+    CHUNK_SAMPLES (trial, sensor) pairs, and each plan's statistic follows
+    in closed form (Statistic.from_noise), under H0 and H1 from the same
+    (g, R). Each chunk is
     drawn once, each (statistic, sensor, bit load) used by some plan is
     quantized once per hypothesis, and every plan fuses its senders'
     rows. Counts are integers summed in a fixed order, so a given seed
     is fully deterministic, whatever the chunk size.
 
     clip_counts, if supplied, is filled with per-sensor counts of raw
-    statistics falling outside the quantizer range, keyed by kind
-    ("energy" or "matched"): a (4, M) array with rows below and above
-    the range under H0, then below and above under H1.
+    statistics falling outside the quantizer window, keyed by the
+    statistic's constructor (Scheme.statistic): a (4, M) array with rows
+    below and above the window under H0, then below and above under H1.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -342,15 +340,19 @@ def simulate_plans(
 
     counts = [np.zeros((2, len(thr)), dtype=np.int64) for thr in thresholds]
     hyps = [i for i, run in enumerate(hypotheses) if run]
+    # a plan's kind is its statistic's constructor; plans of one kind built
+    # equal records, so the first one stands for them all
+    statistics: dict[object, Statistic] = {}
     # kind -> {(sensor, bit load): its row in that kind's quantized array}
-    rows_of: dict[str, dict[tuple[int, int], int]] = {}
+    rows_of: dict[object, dict[tuple[int, int], int]] = {}
     # plans with the same statistic, senders and bit loads fuse the same quantized
     # rows: kind -> {(senders, bits): (senders, their rows, plans)}
-    groups: dict[str, dict[tuple, tuple[np.ndarray, np.ndarray, list]]] = {}
+    groups: dict[object, dict[tuple, tuple[np.ndarray, np.ndarray, list]]] = {}
     for j, plan in enumerate(plans):
         if plan.degenerate:
             continue
-        kind = _kind(plan)
+        kind = plan.scheme.statistic
+        statistics.setdefault(kind, plan.statistic)
         senders = np.flatnonzero(plan.alpha_tx != 0.0)
         bits = plan.bits_int[senders]
         key = (senders.tobytes(), bits.tobytes())
@@ -377,14 +379,13 @@ def simulate_plans(
         sg, rest = _noise(scenario, rng_g, rng_r, c)
         # one statistic and its quantized rows held at a time
         for hyp_idx, (kind, (sensors, bits)) in itertools.product(hyps, quantized_rows.items()):
-            st = _statistic(scenario, kind, sg, rest, h1=hyp_idx == 1)   # (sensors, trials)
+            st = statistics[kind].from_noise(sg, rest, hyp_idx == 1)   # (sensors, trials)
+            lo = statistics[kind].lo
             if clip_counts is not None:
-                lo = -u if kind == "matched" else 0.0
                 tally = clip_counts.setdefault(kind, np.zeros((4, m), dtype=np.int64))
                 tally[2 * hyp_idx] += (st < lo).sum(axis=1)
                 tally[2 * hyp_idx + 1] += (st > lo + 2.0 * u).sum(axis=1)
-            quantize = quantize_centered if kind == "matched" else quantize_array
-            quantized = quantize(st[sensors], bits, u)
+            quantized = quantize_array(st[sensors], bits, u, lo)
             del st
             for senders, rows, members in groups[kind].values():
                 q = quantized[rows]
@@ -404,31 +405,15 @@ def _noise(scenario: Scenario, rng_g: np.random.Generator, rng_r: np.random.Gene
     noise is rotation-invariant; for an all-zero signal any direction
     will do). Draws a (trials, M) batch of each, g from rng_g and R from
     rng_r, so consecutive batches continue both streams whatever their
-    size. Returns sigma g and sigma^2 R as (M, trials) arrays; R is 0,
-    and nothing is drawn from rng_r, when N = 1.
+    size. Returns sigma g and sigma^2 R as (M, trials) arrays, which
+    Statistic.from_noise turns into either statistic; R is 0, and nothing
+    is drawn from rng_r, when N = 1.
     """
     m, n = scenario.M, scenario.N
     sg = rng_g.normal(0.0, 1.0, size=(trials, m)).T * np.sqrt(scenario.sigma2)[:, None]
     if n == 1:
         return sg, 0.0
     return sg, rng_r.chisquare(n - 1, size=(trials, m)).T * scenario.sigma2[:, None]
-
-
-def _statistic(scenario: Scenario, kind: str, sg: np.ndarray, rest, h1: bool) -> np.ndarray:
-    """One local statistic of every sensor, (M, trials), from _noise's two variates.
-
-    The sample path's law in closed form, with x = s + sigma z under H1
-    and sigma z under H0: the energy |x|^2 is (|s| + sigma g)^2 + sigma^2 R
-    under H1 and sigma^2 (g^2 + R) under H0 ("energy"); the matched
-    filter x . s is Es + |s| sigma g under H1 and |s| sigma g under H0
-    ("matched").
-    """
-    norm = np.sqrt(scenario.es)[:, None]
-    if kind == "matched":
-        mf = norm * sg
-        return mf + scenario.es[:, None] if h1 else mf
-    along = sg + norm if h1 else sg
-    return along * along + rest
 
 
 def run_trials(
@@ -499,8 +484,9 @@ def sweep_budget(
     if diagnostics is not None:
         none = np.zeros((4, scenario.M), dtype=np.int64)
         # a silent plan clips nothing
-        diagnostics.extend((p, (none if p.degenerate else clip.get(_kind(p), none)) / trials)
-                           for p in plans)
+        diagnostics.extend(
+            (p, (none if p.degenerate else clip.get(p.scheme.statistic, none)) / trials)
+            for p in plans)
     return ests
 
 
@@ -530,6 +516,3 @@ def _simulate(scenario: Scenario, plans: list[SchemePlan], pfas: list[float], tr
                               n_transmit=p.n_transmit)
             for p, c in zip(plans, counts) for j, v in enumerate(pfas)]
 
-
-def _kind(plan: SchemePlan) -> str:
-    return "matched" if plan.scheme.matched_filter else "energy"

@@ -2,7 +2,8 @@
 
 A sensor spending power p on a reporting channel with gain h and
 receiver noise zeta can push L = 0.5 * log2(1 + p h^2 / zeta) bits per
-statistic through that channel. The statistic, clipped to [0, 2U], is
+statistic through that channel. The statistic, clipped to a window of
+width 2U ([0, 2U] for the energy, [-U, U] for the matched filter), is
 quantized by a midrise uniform quantizer at that rate; running the
 channel at capacity makes the quantization noise variance
 U^2 / (3 * 2^(2L)) = U^2 / (3 (1 + p h^2 / zeta)), which is the noise
@@ -78,15 +79,17 @@ def specs_for_allocation(powers, h, zeta, u: float) -> QuantSpec:
                      noise_var=quant_noise_var(p, h, zeta, u), censored=(p == 0.0))
 
 
-def quantize_array(t: np.ndarray, bits_int, u: float) -> np.ndarray:
-    """Midrise uniform quantizer over [0, 2U] with clipping.
+def quantize_array(t: np.ndarray, bits_int, u: float, lo: float = 0.0) -> np.ndarray:
+    """Midrise uniform quantizer over [lo, lo + 2U] with clipping.
 
     2^bits_int cells of width 2U / 2^bits_int; values are clipped into
-    range and mapped to their cell midpoint. Vectorized over t; bits_int
-    is one count or an integer array broadcasting against t, such as
-    one count per row of a (sensors, trials) array. Zero bits, what a
-    censored sensor has, are refused: nothing is sent, so there is no
-    value to reconstruct.
+    range and mapped to their cell midpoint. lo is 0 for the energy
+    statistic and -U for the matched filter, which is symmetric around 0.
+    Vectorized over t; bits_int is one count or an integer array
+    broadcasting against t, such as one count per row of a
+    (sensors, trials) array. Zero bits, what a censored sensor has, are
+    refused: nothing is sent, so there is no value to reconstruct. t is
+    left as it is; the steps after the clip work on one output array.
     """
     bits_int = np.asarray(bits_int)
     if np.any(bits_int < 1):
@@ -95,11 +98,13 @@ def quantize_array(t: np.ndarray, bits_int, u: float) -> np.ndarray:
         raise ValueError("U must be positive")
     cells = np.ldexp(1.0, bits_int)
     delta = 2.0 * u / cells
-    tc = np.clip(np.asarray(t, dtype=float), 0.0, 2.0 * u)
-    idx = np.minimum(np.floor(tc / delta), cells - 1)
-    return (idx + 0.5) * delta
-
-
-def quantize_centered(t: np.ndarray, bits_int, u: float) -> np.ndarray:
-    """Same lattice shifted to [-U, U] for statistics symmetric around 0."""
-    return quantize_array(np.asarray(t, dtype=float) + u, bits_int, u) - u
+    t = np.asarray(t, dtype=float)
+    out = np.clip(t, lo, lo + 2.0 * u, out=np.empty(np.broadcast_shapes(t.shape, cells.shape)))
+    out -= lo
+    out /= delta
+    np.floor(out, out=out)
+    np.minimum(out, cells - 1, out=out)    # the top edge belongs to the last cell
+    out += 0.5
+    out *= delta
+    out += lo
+    return out if out.ndim else out[()]

@@ -165,6 +165,71 @@ def _reference_geometric_edges():
     return reference_geometric_edges
 
 
+# The energy/matched-filter split as it was written before both statistics shared one
+# model.Statistic record: the unified weight rule, fused moments and quantizer must
+# reproduce these bit for bit.
+
+def reference_quantize_array(t, bits_int, u):
+    """quantize_array over [0, 2U], each step into a fresh array."""
+    bits_int = np.asarray(bits_int)
+    cells = np.ldexp(1.0, bits_int)
+    delta = 2.0 * u / cells
+    tc = np.clip(np.asarray(t, dtype=float), 0.0, 2.0 * u)
+    idx = np.minimum(np.floor(tc / delta), cells - 1)
+    return (idx + 0.5) * delta
+
+
+def reference_quantize_centered(t, bits_int, u):
+    """The [0, 2U] quantizer shifted to [-U, U]."""
+    return reference_quantize_array(np.asarray(t, dtype=float) + u, bits_int, u) - u
+
+
+def reference_energy_weights(scenario, powers):
+    """alpha_i = N sigma_i^2 xi_i / (var_h1_i + noise_var_i), censored sensors 0."""
+    p = np.asarray(powers, dtype=float)
+    n, sigma2, xi = scenario.N, scenario.sigma2, scenario.xi
+    var_h1 = 2.0 * n * np.square(sigma2) * (1.0 + 2.0 * xi)
+    noise_var = dd.quant_noise_var(p, scenario.h, scenario.zeta, scenario.U)
+    return np.where(p == 0.0, 0.0, n * sigma2 * xi / (var_h1 + noise_var))
+
+
+def reference_matched_filter_weights(scenario, powers):
+    """alpha_i = Es_i / (sigma_i^2 Es_i + noise_var_i), censored sensors 0."""
+    p = np.asarray(powers, dtype=float)
+    nv = dd.quant_noise_var(p, scenario.h, scenario.zeta, scenario.U)
+    return np.where(p == 0.0, 0.0, scenario.es / (scenario.sigma2 * scenario.es + nv))
+
+
+def reference_combined_moments(n, sigma2, xi, alpha, noise_var, u):
+    """Fused energy moments, means carrying +U per unit weight.
+
+    Returns (mean_h0, var_h0, mean_h1, var_h1, psi, mean_offset).
+    """
+    sigma2, xi = np.asarray(sigma2, dtype=float), np.asarray(xi, dtype=float)
+    alpha, noise_var = np.asarray(alpha, dtype=float), np.asarray(noise_var, dtype=float)
+    var_h0 = 2.0 * n * np.square(sigma2)
+    a2 = alpha * alpha
+    return (float(np.sum(alpha * (n * sigma2 + u))),
+            float(np.sum(a2 * (var_h0 + noise_var))),
+            float(np.sum(alpha * (n * sigma2 * (1.0 + xi) + u))),
+            float(np.sum(a2 * (var_h0 * (1.0 + 2.0 * xi) + noise_var))),
+            float(n * np.sum(alpha * sigma2 * xi)),
+            float(u * np.sum(alpha)))
+
+
+def reference_matched_filter_moments(scenario, alpha, powers):
+    """Fused matched-filter moments: mean 0 / sum(alpha Es), one variance for both.
+
+    Returns (mean_h0, var_h0, mean_h1, var_h1, psi, mean_offset).
+    """
+    p = np.asarray(powers, dtype=float)
+    noise_var = dd.quant_noise_var(p, scenario.h, scenario.zeta, scenario.U)
+    alpha = np.where(p == 0.0, 0.0, alpha)
+    var = float(np.sum(alpha ** 2 * (scenario.sigma2 * scenario.es + noise_var)))
+    psi = float(np.sum(alpha * scenario.es))
+    return 0.0, var, psi, var, psi, 0.0
+
+
 def write_config(tmpdir, overrides=None, **kw) -> Path:
     """Drop a minimal valid config file into tmpdir and return its path."""
     cfg = {

@@ -6,8 +6,10 @@ study configs are run twice each through the real CLI so the trend
 and determinism gates see exactly what a user would produce.
 """
 import csv
+import hashlib
 import re
 from collections import defaultdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,7 +28,11 @@ RUNS = {
     "fig3_detect": ("fig3.cfg", ("detect", "--sweep", "pt")),
     "fig4_detect": ("fig4.cfg", ("detect", "--sweep", "pfa")),
     "fig5_detect": ("fig5.cfg", ("detect", "--sweep", "pt")),
+    "fig4_detect_n": ("fig4.cfg", ("detect", "--sweep", "n")),
 }
+# sha256sum's listing of every output but manifest.json, one directory per RUNS key;
+# the CI kernel step checks its own runs against the same file
+PINNED_DIGESTS = Path(__file__).with_name("study_outputs.sha256")
 
 
 def _line(name: str, ok: bool, detail: str) -> None:
@@ -288,3 +294,15 @@ def test_every_csv_cell_is_a_plain_value(study_runs):
                 bad += [f"{key}/{path.name}: {c!r}" for c in row if not plain(c)]
     _line("plain CSV cells", cells > 0 and not bad,
           f"{cells} cells in {len(RUNS)} commands' CSV files, {len(bad)} not plain {bad[:3]}")
+
+
+def test_outputs_match_the_pinned_digests(study_runs):
+    pinned = {path: digest for digest, path in
+              (line.split(maxsplit=1) for line in PINNED_DIGESTS.read_text().splitlines())}
+    produced = {f"./{key}/{f.name}": hashlib.sha256(f.read_bytes()).hexdigest()
+                for key in RUNS for f in study_runs[key, "a"].iterdir()
+                if f.name != "manifest.json"}
+    moved = sorted(p for p in pinned.keys() | produced.keys() if pinned.get(p) != produced.get(p))
+    _line("outputs match the pinned digests", bool(produced) and not moved,
+          f"{len(produced)} files from {len(RUNS)} commands against {len(pinned)} pinned"
+          + (f"; moved, missing or unpinned: {moved}" if moved else ""))

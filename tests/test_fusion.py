@@ -5,10 +5,25 @@ from hypothesis import given, strategies as st
 from numpy.testing import assert_allclose
 
 import distdetect as dd
-from distdetect.fusion import combined_moments
 from distdetect.model import Hypothesis
+from distdetect.montecarlo import Scheme, weights_for_scheme
 
-from conftest import each_sensor
+from conftest import (
+    each_sensor,
+    reference_combined_moments,
+    reference_energy_weights,
+    reference_matched_filter_moments,
+    reference_matched_filter_weights,
+    reference_quantize_array,
+    reference_quantize_centered,
+)
+
+
+def _one_sensor(sigma2=1.0, amp=0.2, n=10, u=3.0, pt=1.0):
+    """A one-sensor scenario: h = 1, zeta = 0.1, a constant signal of amplitude amp."""
+    s = dd.SensorParams(sigma2, 1.0, 0.1, np.full((1, n), amp))
+    return dd.Scenario(sensors=s, N=n, U=u, Pt=pt, Pfa=0.1,
+                       topology=dd.complete_graph(1), seed=0, solver=dd.SolverConfig())
 
 
 class TestQFunction:
@@ -43,32 +58,30 @@ class TestFuse:
 
 class TestCombinedMoments:
     def test_zero_snr_equalizes_variances(self):
-        m = combined_moments(n=10, sigma2=np.array([1.0]), xi=np.array([0.0]),
-                             alpha=np.array([1.0]), noise_var=np.array([0.5]), u=3.0)
+        # U=3, p*h^2/zeta=5 -> sigma_v^2 = 9 / 18 = 0.5
+        sc = _one_sensor(amp=0.0)
+        m = dd.fusion_moments(sc, dd.FusionWeights(np.array([1.0])), np.array([0.5]))
         assert m.var_h0 == m.var_h1 == 2 * 10 * 1.0 + 0.5
 
     def test_single_sensor_hand_values(self):
         # sigma2=1, xi=0.4, N=10, U=3, p*h^2/zeta=10 -> sigma_v^2 = 9/33
-        nv = dd.quant_noise_var(1.0, 1.0, 0.1, 3.0)
-        m = combined_moments(n=10, sigma2=np.array([1.0]), xi=np.array([0.4]),
-                             alpha=np.array([1.0]), noise_var=np.array([nv]), u=3.0)
+        sc = _one_sensor(amp=np.sqrt(0.4))
+        m = dd.fusion_moments(sc, dd.FusionWeights(np.array([1.0])), np.array([1.0]))
         assert_allclose(m.psi, 4.0, rtol=1e-12)
         assert_allclose(m.var_h1, 36.0 + 9.0 / 33.0, rtol=1e-12)
-        # the received mean carries one +U offset per unit combining weight
-        assert_allclose(m.mean_h0, 10.0 + 3.0, rtol=1e-12)
-        assert_allclose(m.mean_offset, 3.0, rtol=1e-12)
+        # the means are the statistic's own, N sigma^2 and N sigma^2 (1 + xi)
+        assert_allclose(m.mean_h0, 10.0, rtol=1e-12)
+        assert_allclose(m.mean_h1, 14.0, rtol=1e-12)
 
     def test_psi_does_not_depend_on_halfrange(self, fig1_scenario):
         alloc = dd.solve_centralized(fig1_scenario)
         w = dd.optimal_weights(dd.deflection_inputs(fig1_scenario, alloc.p))
-        sens = each_sensor(fig1_scenario)
-        sigma2 = np.array([s.sigma2 for s in sens])
-        xi = np.array([s.xi for s in sens])
-        nv = np.array([dd.quant_noise_var(p, s.h, s.zeta, 1.0)
-                       for p, s in zip(alloc.p, sens)])
-        a = combined_moments(10, sigma2, xi, w.alpha, nv, u=1.0)
-        b = combined_moments(10, sigma2, xi, w.alpha, nv, u=7.0)
-        assert_allclose(a.psi, b.psi, rtol=1e-12)
+        a, b = (dd.Scenario(sensors=fig1_scenario.sensors, N=10, U=u, Pt=1.0, Pfa=0.1,
+                            topology=fig1_scenario.topology, seed=1) for u in (1.0, 7.0))
+        for statistic in (dd.Statistic.energy, dd.Statistic.matched):
+            psi = [dd.fusion_moments(sc, w, alloc.p, statistic(sc, 10, sc.U)).psi
+                   for sc in (a, b)]
+            assert_allclose(psi[0], psi[1], rtol=1e-12)
 
     def test_psi_identity(self, fig1_scenario, fig1_central):
         w = dd.optimal_weights(dd.deflection_inputs(fig1_scenario, fig1_central.p))
@@ -177,21 +190,20 @@ class TestMatchedFilter:
         s = dd.SensorParams(1.0, 1.0, 0.1, np.full(10, 0.2))
         assert_allclose(dd.matched_filter_statistic(s.signal.copy(), s), 0.4, rtol=1e-12)
 
+    @staticmethod
+    def _weights(sc, powers):
+        return dd.optimal_weights(dd.deflection_inputs(sc, powers,
+                                                       dd.Statistic.matched(sc, sc.N, sc.U)))
+
     def test_weight_formula_hand_value(self):
         # Es = 0.4, sigma2 = 1, sigma_v^2 = 9/33:
         # alpha = Es / (sigma2 * Es + sigma_v^2)
-        s = dd.SensorParams(1.0, 1.0, 0.1, np.full((1, 10), 0.2))
-        sc = dd.Scenario(sensors=s, N=10, U=3.0, Pt=1.0, Pfa=0.1,
-                         topology=dd.complete_graph(1), seed=0, solver=dd.SolverConfig())
-        w = dd.matched_filter_weights(sc, np.array([1.0]))
+        w = self._weights(_one_sensor(), np.array([1.0]))
         nv = 9.0 / 33.0
         assert_allclose(w.alpha[0], 0.4 / (0.4 + nv), rtol=1e-12)
 
     def test_weight_tends_to_one_as_noise_var_vanishes(self):
-        s = dd.SensorParams(1.0, 1.0, 0.1, np.full((1, 10), 0.2))
-        sc = dd.Scenario(sensors=s, N=10, U=3.0, Pt=1e9, Pfa=0.1,
-                         topology=dd.complete_graph(1), seed=0, solver=dd.SolverConfig())
-        w = dd.matched_filter_weights(sc, np.array([1e9]))
+        w = self._weights(_one_sensor(pt=1e9), np.array([1e9]))
         assert_allclose(w.alpha[0], 1.0, rtol=1e-6)
 
     def test_zero_signal_rejected(self):
@@ -233,3 +245,83 @@ def test_fused_h0_variance_monte_carlo(fig1_scenario):
         t_hat = dd.quantize_array(dd.energy_statistic(x), spec.bits_int[i], u)
         fused += w.alpha[i] * t_hat
     assert abs(float(np.var(fused)) / m.var_h0 - 1.0) < 0.05
+
+
+class TestOneRuleForBothStatistics:
+    """The shared weight rule, fused moments and quantizer against the split code they replaced.
+
+    Equality is exact (==): every output file keeps its bytes only if each
+    float is computed in the same order as before.
+    """
+
+    POPULATIONS = 200
+
+    @staticmethod
+    def _population(seed):
+        """1-40 sensors, 1-50 samples, a random U, and about 30% of sensors censored."""
+        rng = np.random.default_rng(seed)
+        m, n = int(rng.integers(1, 41)), int(rng.integers(1, 51))
+        sensors = dd.build_sensors(m, n, seed, xa_db=float(rng.uniform(-12.0, 6.0)))
+        sc = dd.Scenario(sensors=sensors, N=n, U=float(rng.uniform(0.5, 10.0)), Pt=1.0,
+                         Pfa=0.1, topology=dd.complete_graph(m), seed=seed)
+        powers = np.where(rng.random(m) < 0.3, 0.0, rng.uniform(0.0, 5.0, size=m))
+        return sc, powers
+
+    @staticmethod
+    def _moments(m):
+        return m.mean_h0, m.var_h0, m.mean_h1, m.var_h1, m.psi
+
+    def test_energy_detector(self):
+        censored = 0
+        for seed in range(self.POPULATIONS):
+            sc, p = self._population(seed)
+            censored += int(np.sum(p == 0.0))
+            statistic = dd.Statistic.energy(sc, sc.N, sc.U)
+            w = weights_for_scheme(sc, Scheme.ED_opt_weights_opt_power, p)
+            assert np.array_equal(w.alpha, reference_energy_weights(sc, p))
+            assert np.array_equal(
+                dd.optimal_weights(dd.deflection_inputs(sc, p, statistic)).alpha, w.alpha)
+            nv = dd.quant_noise_var(p, sc.h, sc.zeta, sc.U)
+            for weights in (w, dd.equal_weights(sc.M, censored=p == 0.0)):
+                got = self._moments(dd.fusion_moments(sc, weights, p, statistic))
+                assert got == self._moments(dd.fusion_moments(sc, weights, p))
+                ref = reference_combined_moments(sc.N, sc.sigma2, sc.xi, weights.alpha, nv, sc.U)
+                assert (got[1], got[3], got[4]) == (ref[1], ref[3], ref[4])
+                # the means are physical: the old ones without their +U per unit weight
+                assert_allclose((got[0], got[2]), (ref[0] - ref[5], ref[2] - ref[5]),
+                                rtol=1e-12)
+        assert censored > 0
+
+    def test_matched_filter(self):
+        censored = 0
+        for seed in range(self.POPULATIONS):
+            sc, p = self._population(seed)
+            censored += int(np.sum(p == 0.0))
+            statistic = dd.Statistic.matched(sc, sc.N, sc.U)
+            w = weights_for_scheme(sc, Scheme.MFD_opt_power, p)
+            assert np.array_equal(w.alpha, reference_matched_filter_weights(sc, p))
+            for weights in (w, dd.equal_weights(sc.M, censored=p == 0.0)):
+                got = self._moments(dd.fusion_moments(sc, weights, p, statistic))
+                assert got == reference_matched_filter_moments(sc, weights.alpha, p)[:5]
+        assert censored > 0
+
+    def test_quantizer(self):
+        for seed in range(self.POPULATIONS):
+            rng = np.random.default_rng(seed)
+            u = float(rng.uniform(0.5, 10.0))
+            rows, cols = int(rng.integers(1, 12)), int(rng.integers(1, 60))
+            bits = rng.integers(1, 13, size=(rows, 1))
+            cells = np.ldexp(1.0, bits)
+            # cell edges k * delta, k = -2 .. cells + 2, reach past both ends of the window
+            k = np.floor(rng.uniform(-2.0, cells + 3.0, size=(rows, cols)))
+            edges = k * (2.0 * u / cells)
+            for lo, reference in ((0.0, reference_quantize_array),
+                                  (-u, reference_quantize_centered)):
+                t = rng.uniform(lo - u, lo + 3.0 * u, size=(rows, cols))
+                t[:, ::2] = lo + edges[:, ::2]
+                given_t = t.copy()
+                assert np.array_equal(dd.quantize_array(t, bits, u, lo), reference(t, bits, u))
+                assert np.array_equal(t, given_t)   # the input is left as it was
+                one = float(t[0, 0])
+                assert dd.quantize_array(one, int(bits[0, 0]), u, lo) == reference(
+                    one, int(bits[0, 0]), u)

@@ -322,11 +322,11 @@ class TestPopulationArrays:
         sc = population
         t = np.random.default_rng(8).uniform(-2.0 * sc.U, 3.0 * sc.U, size=(50, sc.M))
         bits = 1 + np.arange(sc.M) % 9
-        for quantize in (dd.quantize_array, dd.quantize_centered):
-            columns = np.stack([quantize(t[:, i], int(b), sc.U) for i, b in enumerate(bits)],
-                               axis=1)
-            assert np.array_equal(quantize(t, bits, sc.U), columns)
-            assert np.array_equal(quantize(t.T, bits[:, None], sc.U), columns.T)
+        for lo in (0.0, -sc.U):
+            columns = np.stack([dd.quantize_array(t[:, i], int(b), sc.U, lo)
+                                for i, b in enumerate(bits)], axis=1)
+            assert np.array_equal(dd.quantize_array(t, bits, sc.U, lo), columns)
+            assert np.array_equal(dd.quantize_array(t.T, bits[:, None], sc.U, lo), columns.T)
 
     def test_quantized_gaussian_moments(self, population):
         sc = population

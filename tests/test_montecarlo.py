@@ -12,7 +12,6 @@ from distdetect.cli import write_results_csv
 from distdetect.model import Hypothesis
 from distdetect.montecarlo import (
     Scheme,
-    clip_probabilities,
     equal_power,
     plan_scheme,
     powers_for_scheme,
@@ -59,10 +58,9 @@ class TestDetectionThreshold:
         thr = [dd.detection_threshold(m, v) for v in grid]
         assert np.all(np.diff(thr) > 0)
 
-    def test_offset_is_removed_from_the_received_scale(self):
+    def test_threshold_moves_with_the_h0_mean(self):
         base = dd.FusionMoments(mean_h0=10.0, var_h0=4.0, mean_h1=12.0, var_h1=5.0, psi=2.0)
-        shifted = dd.FusionMoments(mean_h0=10.0, var_h0=4.0, mean_h1=12.0, var_h1=5.0,
-                                   psi=2.0, mean_offset=3.0)
+        shifted = dd.FusionMoments(mean_h0=7.0, var_h0=4.0, mean_h1=9.0, var_h1=5.0, psi=2.0)
         assert_allclose(dd.detection_threshold(shifted, 0.2),
                         dd.detection_threshold(base, 0.2) - 3.0, rtol=1e-12)
 
@@ -95,11 +93,6 @@ class TestQuantizedGaussianMoments:
         m17 = dd.quantized_gaussian_moments(mu, var, 17, u)
         assert_allclose(m16[0], m17[0], rtol=1e-6)
         assert_allclose(m16[1], m17[1], rtol=1e-5)
-
-    def test_clip_probabilities_hand_value(self):
-        lo, hi = clip_probabilities(0.0, 1.0, -1.0, 1.0)
-        assert_allclose(lo, norm.cdf(-1.0), rtol=1e-10)
-        assert_allclose(hi, norm.sf(1.0), rtol=1e-10)
 
 
 class TestSchemePowersAndWeights:
@@ -321,8 +314,7 @@ class TestChunking:
                 return real(t, *args)
             return wrapper
 
-        for name in ("quantize_array", "quantize_centered"):
-            monkeypatch.setattr(montecarlo, name, counted(getattr(montecarlo, name)))
+        monkeypatch.setattr(montecarlo, "quantize_array", counted(montecarlo.quantize_array))
         self._sweep(sc)
         assert sum(rows) == 2 * len(cells)   # one chunk, two hypotheses
         assert len(rows) == 2 * 2            # one call per statistic and hypothesis
@@ -353,7 +345,8 @@ class TestSufficientStatisticLaw:
         sc, trials, h1 = _law_population(n), self.TRIALS, hyp is Hypothesis.H1
         sg, rest = montecarlo._noise(sc, np.random.default_rng(1), np.random.default_rng(2),
                                      trials)
-        drawn = [montecarlo._statistic(sc, kind, sg, rest, h1) for kind in ("energy", "matched")]
+        drawn = [statistic(sc, n, sc.U).from_noise(sg, rest, h1)
+                 for statistic in (dd.Statistic.energy, dd.Statistic.matched)]
         x = dd.generate_observations(sc, n, hyp, np.random.default_rng(3), trials=trials)
         sampled = [dd.energy_statistic(x).T, dd.matched_filter_statistic(x, sc).T]
         # exact: sigma^2 chi2_N, noncentral by Es / sigma^2 under H1, and N(h1 Es, sigma^2 Es)

@@ -119,12 +119,12 @@ class TestQuantizeCentered:
     def test_maps_into_signed_range(self):
         u = 3.0
         t = np.linspace(-2 * u, 2 * u, 41)
-        q = dd.quantize_centered(t, 3, u)
+        q = dd.quantize_array(t, 3, u, -u)
         assert np.all(q >= -u) and np.all(q <= u)
 
     def test_error_bound_inside_range(self):
         u = 2.0
         rng = np.random.default_rng(1)
         t = rng.uniform(-u, u, size=1000)
-        q = dd.quantize_centered(t, 5, u)
+        q = dd.quantize_array(t, 5, u, -u)
         assert np.max(np.abs(q - t)) <= u / 2 ** 5 + 1e-12
