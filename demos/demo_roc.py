@@ -8,20 +8,14 @@ relative to the statistic spread, which means keeping the window short
 and the range tight.
 """
 import distdetect as dd
-from distdetect.montecarlo import (
-    Scheme,
-    powers_for_scheme,
-    roc_curve,
-    weights_for_scheme,
-)
+from distdetect.montecarlo import Scheme, plan_scheme, roc_curve
 
 PFA_GRID = [0.01, 0.05, 0.1, 0.2, 0.5]
 
 
 def one_curve(sc, scheme):
-    p = powers_for_scheme(sc, scheme)
-    w = weights_for_scheme(sc, scheme, p)
-    return roc_curve(sc, p, w, scheme, PFA_GRID, trials=5000)
+    plan = plan_scheme(sc, scheme)
+    return roc_curve(sc, plan.powers, plan.weights, scheme, PFA_GRID, trials=5000)
 
 
 def main():

@@ -48,7 +48,6 @@ from .model import (
     energy_statistic,
     generate_observations,
     make_scenario,
-    statistic_moments,
     suggest_statistic_halfrange,
 )
 from .montecarlo import (

@@ -319,8 +319,9 @@ def write_diagnostics_csv(path, diag: list[tuple[SchemePlan, np.ndarray]]) -> No
         np.repeat([p.scheme.value for p in plans], m),
         np.repeat([p.pt for p in plans], m),
         np.tile(np.arange(m), len(plans)),
-        *(np.concatenate([getattr(p, f) for p in plans])
-          for f in ("powers", "bits_real", "bits_int", "transmit")),
+        np.concatenate([p.powers for p in plans]),
+        *(np.concatenate([getattr(p.spec, f) for p in plans]) for f in ("bits_real", "bits_int")),
+        np.concatenate([p.transmit for p in plans]),
         *np.hstack([rates for _, rates in diag]),
     ))
 

@@ -5,9 +5,10 @@ to a threshold. Everything analytic about that test lives here: the
 Gaussian moments of the fused statistic, the detection probability at a
 target false-alarm rate, the modified deflection coefficient, and the
 weights that maximize it. The moments and the weights read a
-model.Statistic record, so the energy detector and the matched-filter
-benchmark (the upper baseline) share one moment formula and one weight
-rule; the energy detector is the default.
+model.Statistic record and a quantize.QuantSpec, so the energy detector
+and the matched-filter benchmark (the upper baseline) share one moment
+formula and one weight rule, and the quantization noise and the
+censored sensors come from the one rule that turns power into bits.
 """
 from __future__ import annotations
 
@@ -16,8 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import special
 
-from .model import Scenario, Statistic, statistic_moments
-from .quantize import quant_noise_var
+from .model import Statistic
+from .quantize import QuantSpec
 
 
 class DegenerateFusionError(RuntimeError):
@@ -122,13 +123,12 @@ def fuse(t_hat: np.ndarray, weights: FusionWeights) -> float | np.ndarray:
     return float(fused[0]) if t.ndim == 1 else fused
 
 
-def fusion_moments(scenario: Scenario, weights: FusionWeights, powers: np.ndarray,
-                   statistic: Statistic | None = None) -> FusionMoments:
-    """Moments of the fused statistic at a given power allocation.
+def fusion_moments(statistic: Statistic, weights: FusionWeights,
+                   spec: QuantSpec) -> FusionMoments:
+    """Moments of the fused statistic at the quantizers of a power allocation.
 
-    statistic is the sensors' local statistic over the scenario's
-    population, the energy detector's by default. With noise_var_i the
-    capacity-matched quantization noise at the allocated power:
+    statistic is the sensors' local statistic and spec their quantizers
+    at the allocated powers. With noise_var_i = spec.noise_var_i:
 
     mean_h0 = sum alpha_i mean_h0_i
     mean_h1 = sum alpha_i mean_h1_i
@@ -136,27 +136,20 @@ def fusion_moments(scenario: Scenario, weights: FusionWeights, powers: np.ndarra
     var_h1  = sum alpha_i^2 (var_h1_i + noise_var_i)
     psi     = sum alpha_i b_i, as c sum alpha_i f1_i f2_i (Statistic.b_factors)
 
-    Censored sensors (zero power) are excluded; their weights must
-    already be zero.
+    Censored sensors (spec.censored) must already carry weight zero.
     """
-    if statistic is None:
-        statistic = statistic_moments(scenario, scenario.N)
-    p = np.asarray(powers, dtype=float)
     a = weights.alpha
-    if p.size != scenario.M or a.size != scenario.M:
-        raise ValueError("powers and weights must have one entry per sensor")
-    censored = p == 0.0
-    if np.any(a[censored] != 0.0):
+    if spec.censored.shape != a.shape:
+        raise ValueError("spec and weights must have one entry per sensor")
+    if np.any(a[spec.censored] != 0.0):
         raise ValueError("censored sensors must have weight 0")
-    noise_var = quant_noise_var(p, scenario.h, scenario.zeta, scenario.U)
-    alpha = np.where(censored, 0.0, a)
-    a2 = alpha * alpha
+    a2 = a * a
     c, f1, f2 = statistic.b_factors
-    return FusionMoments(mean_h0=float(np.sum(alpha * statistic.mean_h0)),
-                         var_h0=float(np.sum(a2 * (statistic.var_h0 + noise_var))),
-                         mean_h1=float(np.sum(alpha * statistic.mean_h1)),
-                         var_h1=float(np.sum(a2 * (statistic.var_h1 + noise_var))),
-                         psi=float(c * np.sum(alpha * f1 * f2)))
+    return FusionMoments(mean_h0=float(np.sum(a * statistic.mean_h0)),
+                         var_h0=float(np.sum(a2 * (statistic.var_h0 + spec.noise_var))),
+                         mean_h1=float(np.sum(a * statistic.mean_h1)),
+                         var_h1=float(np.sum(a2 * (statistic.var_h1 + spec.noise_var))),
+                         psi=float(c * np.sum(a * f1 * f2)))
 
 
 def analytic_pd(moments: FusionMoments, pfa: float) -> float:
@@ -202,22 +195,14 @@ def equal_weights(m: int, censored: np.ndarray | None = None) -> FusionWeights:
     return FusionWeights(a)
 
 
-def deflection_inputs(scenario: Scenario, powers: np.ndarray,
-                      statistic: Statistic | None = None) -> DeflectionInputs:
-    """Assemble b, R_diag, and the censor mask from a power allocation.
+def deflection_inputs(statistic: Statistic, spec: QuantSpec) -> DeflectionInputs:
+    """Assemble b, R_diag, and the censor mask at the quantizers of a power allocation.
 
-    statistic is the sensors' local statistic, the energy detector's by
-    default. R_diag is its H1 variance plus the quantization noise, so
+    R_diag is the statistic's H1 variance plus the quantization noise, so
     optimal_weights gives b / (var_h1 + noise_var) for either statistic.
     """
-    if statistic is None:
-        statistic = statistic_moments(scenario, scenario.N)
-    p = np.asarray(powers, dtype=float)
-    if p.size != scenario.M:
-        raise ValueError("powers must have one entry per sensor")
-    noise_var = quant_noise_var(p, scenario.h, scenario.zeta, scenario.U)
-    return DeflectionInputs(b=statistic.b, R_diag=statistic.var_h1 + noise_var,
-                            censored=(p == 0.0))
+    return DeflectionInputs(b=statistic.b, R_diag=statistic.var_h1 + spec.noise_var,
+                            censored=spec.censored)
 
 
 def matched_filter_statistic(x: np.ndarray, sensor) -> np.ndarray | float:

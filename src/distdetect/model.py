@@ -204,7 +204,9 @@ class Scenario:
 
     sensors  the population, one SensorParams with an (M, N) signal
     N     samples per local statistic (every sensor's signal has length N)
-    U     half-range of the quantizer input; statistics are clipped to [0, 2U]
+    U     half-range of the quantizer input: a statistic is clipped to its window
+          [lo, lo + 2U], [0, 2U] for the energy and [-U, U] for the matched
+          filter (Statistic.lo)
     Pt    total transmit power budget across the network
     Pfa   target false-alarm probability at the fusion center
 
@@ -308,14 +310,6 @@ def energy_statistic(x: np.ndarray) -> np.ndarray | float:
     return float(t) if t.ndim == 0 else t
 
 
-def statistic_moments(sensor, n: int) -> Statistic:
-    """The energy statistic of one sensor (float moments) or of a population or Scenario.
-
-    Arrays over the population's sensors; see Statistic.energy for the formulas.
-    """
-    return Statistic.energy(sensor, n)
-
-
 def calibrate_average_snr(sensors: SensorParams, target_xa_db: float) -> SensorParams:
     """Scale every signal by one common factor so mean(xi) hits a dB target.
 
@@ -406,7 +400,7 @@ def suggest_statistic_halfrange(sensors: SensorParams, n: int, n_sigmas: float =
     """Half-range U wide enough that clipping at 2U is negligible.
 
     Covers the largest per-sensor H1 mean plus n_sigmas standard
-    deviations, then halves (the quantizer spans [0, 2U]).
+    deviations, then halves (the energy's quantizer window is [0, 2U]).
     """
-    mom = statistic_moments(sensors, n)
+    mom = Statistic.energy(sensors, n)
     return 0.5 * float(np.max(mom.mean_h1 + n_sigmas * np.sqrt(mom.var_h1)))

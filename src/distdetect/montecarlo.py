@@ -52,11 +52,10 @@ from .fusion import (
     qfunc_inv,
 )
 from .model import Hypothesis, Scenario, Statistic, _exp, derive_stream
-# specs_for_allocation is not called here; bench/tracer.py wraps it under this name
-from .quantize import capacity_bits, quantize_array, specs_for_allocation
+from .quantize import QuantSpec, quantize_array, specs_for_allocation
 from .solver_central import solve_centralized
 
-# not called here either: bench/tracer.py wraps these three names, which now
+# not called here: bench/tracer.py wraps these three names, which now
 # stand for the one weight rule, moment formula and quantizer of both statistics
 matched_filter_weights, matched_filter_moments, quantize_centered = (
     optimal_weights, fusion_moments, quantize_array)
@@ -214,11 +213,11 @@ def powers_for_scheme(scenario: Scenario, scheme: Scheme, pt: float | None = Non
     return solve_centralized(scenario, pt).p
 
 
-def weights_for_scheme(scenario: Scenario, scheme: Scheme, powers: np.ndarray) -> FusionWeights:
+def weights_for_scheme(scheme: Scheme, statistic: Statistic, spec: QuantSpec) -> FusionWeights:
+    """The scheme's combining weights for its statistic at the quantizers in spec."""
     if scheme.equal_combining:
-        return equal_weights(scenario.M, censored=np.asarray(powers) == 0.0)
-    statistic = scheme.statistic(scenario, scenario.N, scenario.U)
-    return optimal_weights(deflection_inputs(scenario, powers, statistic))
+        return equal_weights(spec.censored.size, censored=spec.censored)
+    return optimal_weights(deflection_inputs(statistic, spec))
 
 
 @dataclass(frozen=True)
@@ -230,9 +229,8 @@ class SchemePlan:
     statistic: Statistic            # what the scheme's sensors send
     powers: np.ndarray
     weights: FusionWeights          # design-layer weights (censored entries 0)
-    bits_real: np.ndarray
-    bits_int: np.ndarray
-    transmit: np.ndarray            # bool: p > 0 and bits_int >= 1
+    spec: QuantSpec                 # each sensor's quantizer at its power
+    transmit: np.ndarray            # bool: spec.bits_int >= 1
     alpha_tx: np.ndarray            # design weights silenced outside transmit
     design_moments: FusionMoments   # real-valued-bit analytic layer
     tx_moments: FusionMoments | None  # what the fusion center receives; None if nobody transmits
@@ -262,27 +260,30 @@ def plan_scheme(
     powers: np.ndarray | None = None,
     weights: FusionWeights | None = None,
 ) -> SchemePlan:
-    """Resolve powers, weights, bit budgets, and both moment layers for a scheme."""
+    """Resolve powers, weights, quantizers, and both moment layers for a scheme.
+
+    The statistic and the quantizer spec are built once here and read by
+    the weights, both moment layers and the simulation.
+    """
     pt = scenario.Pt if pt is None else pt
     if powers is None:
         powers = powers_for_scheme(scenario, scheme, pt)
     powers = np.asarray(powers, dtype=float)
-    if np.all(powers == 0.0):
+    spec = specs_for_allocation(powers, scenario.h, scenario.zeta, scenario.U)
+    if np.all(spec.censored):
         raise DegenerateFusionError("all sensors censored: zero power everywhere")
-    if weights is None:
-        weights = weights_for_scheme(scenario, scheme, powers)
-
     statistic = scheme.statistic(scenario, scenario.N, scenario.U)
-    bits_real = capacity_bits(powers, scenario.h, scenario.zeta)
-    bits_int = np.floor(bits_real).astype(int)
-    transmit = (powers > 0.0) & (bits_int >= 1)
+    if weights is None:
+        weights = weights_for_scheme(scheme, statistic, spec)
+
+    transmit = spec.bits_int >= 1   # zero power has zero capacity, so no whole bit
     alpha_tx = np.where(transmit, weights.alpha, 0.0)
-    design = fusion_moments(scenario, weights, powers, statistic)
+    design = fusion_moments(statistic, weights, spec)
 
     tx_moments = None
     senders = alpha_tx != 0.0   # transmitting, with a nonzero weight
     if np.any(senders):
-        bits, a = bits_int[senders], alpha_tx[senders]
+        bits, a = spec.bits_int[senders], alpha_tx[senders]
         e0, s0 = quantized_gaussian_moments(statistic.mean_h0[senders], statistic.var_h0[senders],
                                             bits, scenario.U, statistic.lo)
         e1, s1 = quantized_gaussian_moments(statistic.mean_h1[senders], statistic.var_h1[senders],
@@ -299,8 +300,8 @@ def plan_scheme(
 
     return SchemePlan(
         scheme=scheme, pt=float(pt), statistic=statistic, powers=powers, weights=weights,
-        bits_real=bits_real, bits_int=bits_int, transmit=transmit,
-        alpha_tx=alpha_tx, design_moments=design, tx_moments=tx_moments,
+        spec=spec, transmit=transmit, alpha_tx=alpha_tx, design_moments=design,
+        tx_moments=tx_moments,
     )
 
 
@@ -354,7 +355,7 @@ def simulate_plans(
         kind = plan.scheme.statistic
         statistics.setdefault(kind, plan.statistic)
         senders = np.flatnonzero(plan.alpha_tx != 0.0)
-        bits = plan.bits_int[senders]
+        bits = plan.spec.bits_int[senders]
         key = (senders.tobytes(), bits.tobytes())
         if key not in groups.setdefault(kind, {}):
             index = rows_of.setdefault(kind, {})

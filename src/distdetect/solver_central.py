@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fusion import deflection_inputs
-from .model import Scenario
-from .quantize import quant_noise_var
+from .model import Scenario, Statistic
+from .quantize import specs_for_allocation
 
 
 class NoSignalError(ValueError):
@@ -117,7 +117,8 @@ def objective_value(powers: np.ndarray, scenario: Scenario) -> float:
     allocation, which is what makes it the right figure of merit for
     randomized optimality audits.
     """
-    d = deflection_inputs(scenario, powers)
+    spec = specs_for_allocation(powers, scenario.h, scenario.zeta, scenario.U)
+    d = deflection_inputs(Statistic.energy(scenario, scenario.N), spec)
     return float(np.sum(d.b * d.b / d.R_diag))
 
 
@@ -199,8 +200,9 @@ def kkt_check(
     lam = alloc.lambda0
     # d/dp of b^2 / R(p) with R = var_h1 + v(p) and v = U^2 / (3 (1 + p g)):
     # -b^2 v'(p) / R^2 = 3 g (b v / (U R))^2
-    d = deflection_inputs(scenario, p)
-    v = quant_noise_var(p, scenario.h, scenario.zeta, scenario.U)
+    spec = specs_for_allocation(p, scenario.h, scenario.zeta, scenario.U)
+    d = deflection_inputs(Statistic.energy(scenario, scenario.N), spec)
+    v = spec.noise_var
     g = scenario.h * scenario.h / scenario.zeta
     raw = 3.0 * g * (d.b * v / (scenario.U * d.R_diag)) ** 2 - lam
     active = p > 0

@@ -9,6 +9,7 @@ from hypothesis import settings
 
 import distdetect as dd
 from distdetect import cli
+from distdetect.montecarlo import weights_for_scheme
 
 settings.register_profile("suite", deadline=None)
 settings.load_profile("suite")
@@ -31,6 +32,17 @@ def sensor(population, i: int) -> dd.SensorParams:
 def each_sensor(population) -> list:
     """Every sensor of a population, one SensorParams each, in index order."""
     return [sensor(population, i) for i in range(len(population.signal))]
+
+
+def spec_at(scenario, powers) -> dd.QuantSpec:
+    """The quantizers of a scenario's sensors at the given powers."""
+    return dd.specs_for_allocation(powers, scenario.h, scenario.zeta, scenario.U)
+
+
+def scheme_weights(scenario, scheme, powers) -> dd.FusionWeights:
+    """weights_for_scheme from the scheme's statistic and the quantizers at the given powers."""
+    statistic = scheme.statistic(scenario, scenario.N, scenario.U)
+    return weights_for_scheme(scheme, statistic, spec_at(scenario, powers))
 
 
 @pytest.fixture(scope="session")

@@ -17,9 +17,9 @@ import pytest
 import distdetect as dd
 from distdetect.fusion import deflection_inputs
 from distdetect.model import Hypothesis
-from distdetect.montecarlo import Scheme, equal_power, weights_for_scheme
+from distdetect.montecarlo import Scheme, equal_power
 
-from conftest import bundled_config, each_sensor, run_cli, sensor
+from conftest import bundled_config, each_sensor, run_cli, scheme_weights, sensor, spec_at
 
 RUNS = {
     "fig1_alloc": ("fig1.cfg", ("allocate", "--method", "both")),
@@ -118,7 +118,7 @@ def test_optimal_weights_maximize_deflection():
         sc = dd.make_scenario(m=4 + k % 7, n=5 + 3 * k, seed=100 + k,
                               pt=2.0 + 1.5 * k)
         powers = dd.solve_centralized(sc).p
-        inputs = deflection_inputs(sc, powers)
+        inputs = deflection_inputs(dd.Statistic.energy(sc, sc.N), spec_at(sc, powers))
         alpha = dd.optimal_weights(inputs)
         d_star = dd.deflection(alpha, inputs)
         active = ~inputs.censored
@@ -165,7 +165,7 @@ def test_gaussian_calibration_audit():
                          topology=dd.complete_graph(10), seed=5)
         scheme = Scheme.ED_opt_weights_equal_power
         p = equal_power(sc)
-        w = weights_for_scheme(sc, scheme, p)
+        w = scheme_weights(sc, scheme, p)
         return dd.run_trials(sc, p, w, scheme, 100_000)
 
     est = audit(100)

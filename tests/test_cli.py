@@ -11,10 +11,9 @@ from numpy.testing import assert_allclose
 import distdetect as dd
 from distdetect import cli
 from distdetect.cli import write_results_csv
-from distdetect.montecarlo import (Scheme, powers_for_scheme, roc_curve, run_trials,
-                                   weights_for_scheme)
+from distdetect.montecarlo import Scheme, powers_for_scheme, roc_curve, run_trials
 
-from conftest import bundled_config, run_cli, write_config
+from conftest import bundled_config, run_cli, scheme_weights, write_config
 
 
 def read_csv(path):
@@ -271,7 +270,7 @@ class TestDetectCommand:
             sc = cli.scenario_from_config(cfg, n=n)
             for scheme in map(Scheme, cfg["detect"]["schemes"]):
                 p = powers_for_scheme(sc, scheme)
-                w = weights_for_scheme(sc, scheme, p)
+                w = scheme_weights(sc, scheme, p)
                 ests = (roc_curve(sc, p, w, scheme, cfg["detect"]["pfa_grid"], 2000)
                         if sweep == "pfa" else [run_trials(sc, p, w, scheme, 2000)])
                 rows.extend((e, n, sc.M) for e in ests)

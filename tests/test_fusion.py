@@ -6,7 +6,7 @@ from numpy.testing import assert_allclose
 
 import distdetect as dd
 from distdetect.model import Hypothesis
-from distdetect.montecarlo import Scheme, weights_for_scheme
+from distdetect.montecarlo import Scheme
 
 from conftest import (
     each_sensor,
@@ -16,7 +16,19 @@ from conftest import (
     reference_matched_filter_weights,
     reference_quantize_array,
     reference_quantize_centered,
+    scheme_weights,
+    spec_at,
 )
+
+
+def _energy_moments(sc, weights, powers):
+    """fusion_moments of the energy detector at the given powers."""
+    return dd.fusion_moments(dd.Statistic.energy(sc, sc.N), weights, spec_at(sc, powers))
+
+
+def _energy_inputs(sc, powers):
+    """deflection_inputs of the energy detector at the given powers."""
+    return dd.deflection_inputs(dd.Statistic.energy(sc, sc.N), spec_at(sc, powers))
 
 
 def _one_sensor(sigma2=1.0, amp=0.2, n=10, u=3.0, pt=1.0):
@@ -60,13 +72,13 @@ class TestCombinedMoments:
     def test_zero_snr_equalizes_variances(self):
         # U=3, p*h^2/zeta=5 -> sigma_v^2 = 9 / 18 = 0.5
         sc = _one_sensor(amp=0.0)
-        m = dd.fusion_moments(sc, dd.FusionWeights(np.array([1.0])), np.array([0.5]))
+        m = _energy_moments(sc, dd.FusionWeights(np.array([1.0])), np.array([0.5]))
         assert m.var_h0 == m.var_h1 == 2 * 10 * 1.0 + 0.5
 
     def test_single_sensor_hand_values(self):
         # sigma2=1, xi=0.4, N=10, U=3, p*h^2/zeta=10 -> sigma_v^2 = 9/33
         sc = _one_sensor(amp=np.sqrt(0.4))
-        m = dd.fusion_moments(sc, dd.FusionWeights(np.array([1.0])), np.array([1.0]))
+        m = _energy_moments(sc, dd.FusionWeights(np.array([1.0])), np.array([1.0]))
         assert_allclose(m.psi, 4.0, rtol=1e-12)
         assert_allclose(m.var_h1, 36.0 + 9.0 / 33.0, rtol=1e-12)
         # the means are the statistic's own, N sigma^2 and N sigma^2 (1 + xi)
@@ -75,17 +87,17 @@ class TestCombinedMoments:
 
     def test_psi_does_not_depend_on_halfrange(self, fig1_scenario):
         alloc = dd.solve_centralized(fig1_scenario)
-        w = dd.optimal_weights(dd.deflection_inputs(fig1_scenario, alloc.p))
+        w = dd.optimal_weights(_energy_inputs(fig1_scenario, alloc.p))
         a, b = (dd.Scenario(sensors=fig1_scenario.sensors, N=10, U=u, Pt=1.0, Pfa=0.1,
                             topology=fig1_scenario.topology, seed=1) for u in (1.0, 7.0))
         for statistic in (dd.Statistic.energy, dd.Statistic.matched):
-            psi = [dd.fusion_moments(sc, w, alloc.p, statistic(sc, 10, sc.U)).psi
+            psi = [dd.fusion_moments(statistic(sc, 10, sc.U), w, spec_at(sc, alloc.p)).psi
                    for sc in (a, b)]
             assert_allclose(psi[0], psi[1], rtol=1e-12)
 
     def test_psi_identity(self, fig1_scenario, fig1_central):
-        w = dd.optimal_weights(dd.deflection_inputs(fig1_scenario, fig1_central.p))
-        m = dd.fusion_moments(fig1_scenario, w, fig1_central.p)
+        w = dd.optimal_weights(_energy_inputs(fig1_scenario, fig1_central.p))
+        m = _energy_moments(fig1_scenario, w, fig1_central.p)
         sens = each_sensor(fig1_scenario)
         expected = 10 * sum(a * s.sigma2 * s.xi for a, s in zip(w.alpha, sens))
         assert_allclose(m.psi, expected, rtol=1e-12)
@@ -156,7 +168,7 @@ class TestOptimalWeights:
         assert dd.optimal_weights(inputs).alpha[1] == 0.0
 
     def test_achieves_the_closed_form_maximum(self, fig1_scenario, fig1_central):
-        inputs = dd.deflection_inputs(fig1_scenario, fig1_central.p)
+        inputs = _energy_inputs(fig1_scenario, fig1_central.p)
         w = dd.optimal_weights(inputs)
         live = ~inputs.censored if inputs.censored is not None else np.ones(10, bool)
         bound = float(np.sum(inputs.b[live] ** 2 / inputs.R_diag[live]))
@@ -192,8 +204,7 @@ class TestMatchedFilter:
 
     @staticmethod
     def _weights(sc, powers):
-        return dd.optimal_weights(dd.deflection_inputs(sc, powers,
-                                                       dd.Statistic.matched(sc, sc.N, sc.U)))
+        return scheme_weights(sc, Scheme.MFD_opt_power, powers)
 
     def test_weight_formula_hand_value(self):
         # Es = 0.4, sigma2 = 1, sigma_v^2 = 9/33:
@@ -234,9 +245,10 @@ def test_fused_h0_variance_monte_carlo(fig1_scenario):
     powers = np.full(10, 500.0)
     sc = dd.Scenario(sensors=sensors, N=n, U=u, Pt=5000.0, Pfa=0.1,
                      topology=fig1_scenario.topology, seed=2, solver=dd.SolverConfig())
-    w = dd.optimal_weights(dd.deflection_inputs(sc, powers))
-    m = dd.fusion_moments(sc, w, powers)
-    spec = dd.specs_for_allocation(powers, sensors.h, sensors.zeta, u)
+    spec = spec_at(sc, powers)
+    statistic = dd.Statistic.energy(sc, n)
+    w = dd.optimal_weights(dd.deflection_inputs(statistic, spec))
+    m = dd.fusion_moments(statistic, w, spec)
     rng = np.random.default_rng(23)
     trials = 40_000
     fused = np.zeros(trials)
@@ -276,15 +288,14 @@ class TestOneRuleForBothStatistics:
         for seed in range(self.POPULATIONS):
             sc, p = self._population(seed)
             censored += int(np.sum(p == 0.0))
-            statistic = dd.Statistic.energy(sc, sc.N, sc.U)
-            w = weights_for_scheme(sc, Scheme.ED_opt_weights_opt_power, p)
+            statistic, spec = dd.Statistic.energy(sc, sc.N, sc.U), spec_at(sc, p)
+            w = scheme_weights(sc, Scheme.ED_opt_weights_opt_power, p)
             assert np.array_equal(w.alpha, reference_energy_weights(sc, p))
             assert np.array_equal(
-                dd.optimal_weights(dd.deflection_inputs(sc, p, statistic)).alpha, w.alpha)
+                dd.optimal_weights(dd.deflection_inputs(statistic, spec)).alpha, w.alpha)
             nv = dd.quant_noise_var(p, sc.h, sc.zeta, sc.U)
             for weights in (w, dd.equal_weights(sc.M, censored=p == 0.0)):
-                got = self._moments(dd.fusion_moments(sc, weights, p, statistic))
-                assert got == self._moments(dd.fusion_moments(sc, weights, p))
+                got = self._moments(dd.fusion_moments(statistic, weights, spec))
                 ref = reference_combined_moments(sc.N, sc.sigma2, sc.xi, weights.alpha, nv, sc.U)
                 assert (got[1], got[3], got[4]) == (ref[1], ref[3], ref[4])
                 # the means are physical: the old ones without their +U per unit weight
@@ -297,11 +308,11 @@ class TestOneRuleForBothStatistics:
         for seed in range(self.POPULATIONS):
             sc, p = self._population(seed)
             censored += int(np.sum(p == 0.0))
-            statistic = dd.Statistic.matched(sc, sc.N, sc.U)
-            w = weights_for_scheme(sc, Scheme.MFD_opt_power, p)
+            statistic, spec = dd.Statistic.matched(sc, sc.N, sc.U), spec_at(sc, p)
+            w = scheme_weights(sc, Scheme.MFD_opt_power, p)
             assert np.array_equal(w.alpha, reference_matched_filter_weights(sc, p))
             for weights in (w, dd.equal_weights(sc.M, censored=p == 0.0)):
-                got = self._moments(dd.fusion_moments(sc, weights, p, statistic))
+                got = self._moments(dd.fusion_moments(statistic, weights, spec))
                 assert got == reference_matched_filter_moments(sc, weights.alpha, p)[:5]
         assert censored > 0
 

@@ -1,5 +1,6 @@
 """Trial simulation, threshold calibration, ROC and budget sweeps."""
 import csv
+import math
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from numpy.testing import assert_allclose
 from scipy.stats import ks_2samp, norm
 
 import distdetect as dd
-from distdetect import montecarlo
+from distdetect import cli, montecarlo
 from distdetect.cli import write_results_csv
 from distdetect.model import Hypothesis
 from distdetect.montecarlo import (
@@ -15,10 +16,9 @@ from distdetect.montecarlo import (
     equal_power,
     plan_scheme,
     powers_for_scheme,
-    weights_for_scheme,
 )
 
-from conftest import run_cli, write_config
+from conftest import bundled_config, run_cli, scheme_weights, write_config
 
 
 def _chance_scenario(m=4, n=10):
@@ -106,20 +106,47 @@ class TestSchemePowersAndWeights:
 
     def test_equal_combining_weights(self, small_scenario):
         p = equal_power(small_scenario)
-        w = weights_for_scheme(small_scenario, Scheme.ED_equal_weights_equal_power, p)
+        w = scheme_weights(small_scenario, Scheme.ED_equal_weights_equal_power, p)
         assert_allclose(w.alpha, 1 / np.sqrt(5), rtol=1e-12)
 
     def test_censored_sensors_get_zero_weight(self, small_scenario):
         p = powers_for_scheme(small_scenario, Scheme.ED_opt_weights_opt_power, pt=0.05)
-        w = weights_for_scheme(small_scenario, Scheme.ED_opt_weights_opt_power, p)
+        w = scheme_weights(small_scenario, Scheme.ED_opt_weights_opt_power, p)
         assert np.all(w.alpha[p == 0.0] == 0.0)
 
 
 class TestPlanScheme:
-    def test_transmit_requires_power_and_a_whole_bit(self, small_scenario):
-        plan = plan_scheme(small_scenario, Scheme.ED_opt_weights_opt_power)
-        np.testing.assert_array_equal(
-            plan.transmit, (plan.powers > 0) & (plan.bits_int >= 1))
+    def test_allocation_csv_and_plan_share_one_quantizer_rule(self, tmp_path):
+        path = bundled_config("fig1.cfg")
+        assert run_cli("allocate", path, "--method", "central", "--out", tmp_path) == 0
+        with open(tmp_path / "allocation.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        sc = cli.scenario_from_config(cli.load_config(path))
+        plan = plan_scheme(sc, Scheme.ED_opt_weights_opt_power)
+        assert not plan.degenerate
+        spec = plan.spec
+        assert [float(r["bits_real"]) for r in rows] == spec.bits_real.tolist()
+        assert [int(r["bits_int"]) for r in rows] == spec.bits_int.tolist()
+        assert [r["censored"] == "1" for r in rows] == spec.censored.tolist()
+        assert spec.censored.any() and not spec.censored.all()
+        np.testing.assert_array_equal(plan.transmit, spec.bits_int >= 1)
+
+    def test_plan_with_no_h0_variance_among_its_senders_is_silenced(self):
+        # U is so small that every sensor's statistic clips into the top cell: the
+        # received sum has zero H0 variance, so the plan is treated as silent
+        # although each sensor affords 4 bits; this pins that behaviour
+        sc = dd.make_scenario(m=3, n=2000, seed=1, u=1e-3, pt=100.0, radius=1.5)
+        scheme = Scheme.ED_opt_weights_equal_power
+        plan = plan_scheme(sc, scheme)
+        assert plan.spec.bits_int.tolist() == [4, 4, 4]
+        assert plan.tx_moments is None and plan.degenerate
+        assert not plan.transmit.any() and not plan.alpha_tx.any()
+        assert plan.threshold(0.1) == math.inf
+        counts = montecarlo.simulate_plans(sc, [plan], [np.array([plan.threshold(0.1)])], 100)
+        assert counts[0].tolist() == [[0], [0]]
+        (est,) = dd.sweep_budget(sc, [scheme], [100.0], 100)
+        assert est.n_transmit == 0 and est.pfa_hat == est.pd_hat == 0.0
+        assert est.pd_analytic > 0.99
 
     def test_all_zero_powers_rejected(self, small_scenario):
         with pytest.raises(dd.DegenerateFusionError):
@@ -139,21 +166,21 @@ class TestRunTrials:
     def test_chance_level_with_zero_signal(self):
         sc = _chance_scenario()
         p = equal_power(sc)
-        w = weights_for_scheme(sc, Scheme.ED_equal_weights_equal_power, p)
+        w = scheme_weights(sc, Scheme.ED_equal_weights_equal_power, p)
         est = dd.run_trials(sc, p, w, Scheme.ED_equal_weights_equal_power, 20_000)
         sigma = 3 * np.sqrt(0.1 * 0.9 / 20_000)
         assert abs(est.pd_hat - est.pfa_hat) < 2 * sigma
 
     def test_single_hypothesis_runs_return_none_for_the_other(self, small_scenario):
         p = equal_power(small_scenario)
-        w = weights_for_scheme(small_scenario, Scheme.ED_equal_weights_equal_power, p)
+        w = scheme_weights(small_scenario, Scheme.ED_equal_weights_equal_power, p)
         est = dd.run_trials(small_scenario, p, w, Scheme.ED_equal_weights_equal_power,
                             500, hypothesis=Hypothesis.H0)
         assert est.pd_hat is None and est.pfa_hat is not None
 
     def test_deterministic_repeats(self, small_scenario):
         p = powers_for_scheme(small_scenario, Scheme.ED_opt_weights_opt_power)
-        w = weights_for_scheme(small_scenario, Scheme.ED_opt_weights_opt_power, p)
+        w = scheme_weights(small_scenario, Scheme.ED_opt_weights_opt_power, p)
         a = dd.run_trials(small_scenario, p, w, Scheme.ED_opt_weights_opt_power, 4000)
         b = dd.run_trials(small_scenario, p, w, Scheme.ED_opt_weights_opt_power, 4000)
         assert a.pfa_hat == b.pfa_hat and a.pd_hat == b.pd_hat
@@ -168,7 +195,7 @@ class TestRunTrials:
 class TestRocCurve:
     def test_pd_exactly_nondecreasing(self, small_scenario):
         p = powers_for_scheme(small_scenario, Scheme.ED_opt_weights_opt_power)
-        w = weights_for_scheme(small_scenario, Scheme.ED_opt_weights_opt_power, p)
+        w = scheme_weights(small_scenario, Scheme.ED_opt_weights_opt_power, p)
         ests = dd.roc_curve(small_scenario, p, w, Scheme.ED_opt_weights_opt_power,
                             [0.02, 0.05, 0.1, 0.2, 0.5], 4000)
         pd = [e.pd_hat for e in ests]
@@ -178,7 +205,7 @@ class TestRocCurve:
 
     def test_accept_everything_corner(self, small_scenario):
         p = powers_for_scheme(small_scenario, Scheme.ED_opt_weights_opt_power)
-        w = weights_for_scheme(small_scenario, Scheme.ED_opt_weights_opt_power, p)
+        w = scheme_weights(small_scenario, Scheme.ED_opt_weights_opt_power, p)
         (est,) = dd.roc_curve(small_scenario, p, w, Scheme.ED_opt_weights_opt_power,
                               [0.999], 2000)
         # the threshold model is Gaussian, so the extreme tail carries a
@@ -187,7 +214,7 @@ class TestRocCurve:
 
     def test_grid_must_increase_within_unit_interval(self, small_scenario):
         p = powers_for_scheme(small_scenario, Scheme.ED_opt_weights_opt_power)
-        w = weights_for_scheme(small_scenario, Scheme.ED_opt_weights_opt_power, p)
+        w = scheme_weights(small_scenario, Scheme.ED_opt_weights_opt_power, p)
         with pytest.raises(ValueError):
             dd.roc_curve(small_scenario, p, w, Scheme.ED_opt_weights_opt_power,
                          [0.5, 0.1], 100)
@@ -292,7 +319,7 @@ class TestChunking:
 
     def test_an_h1_run_sees_the_noise_of_the_full_run(self, small_scenario):
         p = powers_for_scheme(small_scenario, Scheme.MFD_opt_power)
-        w = weights_for_scheme(small_scenario, Scheme.MFD_opt_power, p)
+        w = scheme_weights(small_scenario, Scheme.MFD_opt_power, p)
         full = dd.run_trials(small_scenario, p, w, Scheme.MFD_opt_power, 1000)
         h1 = dd.run_trials(small_scenario, p, w, Scheme.MFD_opt_power, 1000,
                            hypothesis=Hypothesis.H1)
@@ -302,7 +329,7 @@ class TestChunking:
         sc = small_scenario
         plans = [plan_scheme(sc, s, pt=pt) for pt in self.GRID for s in Scheme]
         # one quantized row per (statistic, sensor, bit load) that some plan sends
-        cells = {(p.scheme.matched_filter, i, p.bits_int[i]) for p in plans
+        cells = {(p.scheme.matched_filter, i, p.spec.bits_int[i]) for p in plans
                  if not p.degenerate for i in np.flatnonzero(p.alpha_tx)}
         sent = sum(int(np.count_nonzero(p.alpha_tx)) for p in plans if not p.degenerate)
         assert len(cells) < sent
@@ -384,7 +411,7 @@ class TestSufficientStatisticLaw:
 class TestResultsCsv:
     def test_schema_and_formatting(self, tmp_path, small_scenario):
         p = equal_power(small_scenario)
-        w = weights_for_scheme(small_scenario, Scheme.ED_equal_weights_equal_power, p)
+        w = scheme_weights(small_scenario, Scheme.ED_equal_weights_equal_power, p)
         full = dd.run_trials(small_scenario, p, w, Scheme.ED_equal_weights_equal_power, 200)
         h0_only = dd.run_trials(small_scenario, p, w, Scheme.ED_equal_weights_equal_power,
                                 200, hypothesis=Hypothesis.H0)
