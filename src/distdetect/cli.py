@@ -220,11 +220,7 @@ def _outdir(args) -> str:
 
 def _write_manifest(outdir: str, cfg: dict, command: str, outputs: list[str],
                     timings: dict[str, float]) -> str:
-    from importlib.metadata import PackageNotFoundError, version
-    try:
-        pkg_version = version("distdetect")
-    except PackageNotFoundError:
-        from . import __version__ as pkg_version
+    from . import __version__
     for name in outputs:
         path = os.path.join(outdir, name)
         if not (os.path.exists(path) and os.path.getsize(path) > 0):
@@ -234,7 +230,7 @@ def _write_manifest(outdir: str, cfg: dict, command: str, outputs: list[str],
         "name": cfg["name"],
         "command": command,
         "config_digest": config_digest(cfg),
-        "package_version": pkg_version,
+        "package_version": __version__,
         "outputs": sorted(outputs),
         "timings_s": {k: round(v, 3) for k, v in timings.items()},
     }
@@ -246,9 +242,7 @@ def _write_manifest(outdir: str, cfg: dict, command: str, outputs: list[str],
 
 
 def _cell(v) -> str:
-    """repr of a float, str of an int or a name, 1/0 for a bool, blank for None."""
-    if v is None:
-        return ""
+    """repr of a float, str of an int or a name, 1/0 for a bool."""
     if isinstance(v, (bool, np.bool_)):
         return "1" if v else "0"
     if isinstance(v, (float, np.floating)):

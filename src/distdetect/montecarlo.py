@@ -1,4 +1,4 @@
-"""Monte Carlo detection experiments: thresholds, trial runs, ROC and budget sweeps.
+"""Monte Carlo detection experiments: thresholds and one sweep over budgets and targets.
 
 Six schemes are compared: the energy detector with optimal or equal
 combining weights crossed with optimal or equal power allocation, and
@@ -16,7 +16,9 @@ remain the sample-by-sample reference for that law. The two detectors
 differ only in their model.Statistic record (moments, deflection
 numerator, quantizer window and closed-form law), which each scheme
 names through Scheme.statistic; planning, simulation and the sweeps
-run one code path for both.
+run one code path for both. sweep_budget is the one way an estimate is
+made; run_trials (one operating point) and roc_curve (one budget, a pfa
+grid) are one-scheme calls of it.
 
 Thresholds come from an analytic Gaussian calibration, never from
 empirical quantiles: the Monte Carlo run is an audit of the Gaussian
@@ -51,7 +53,7 @@ from .fusion import (
     optimal_weights,
     qfunc_inv,
 )
-from .model import Hypothesis, Scenario, Statistic, _exp, derive_stream
+from .model import Scenario, Statistic, _exp, derive_stream
 from .quantize import QuantSpec, quantize_array, specs_for_allocation
 from .solver_central import solve_centralized
 
@@ -100,33 +102,28 @@ class Scheme(enum.Enum):
 class DetectionEstimate:
     """Empirical rates for one scheme at one operating point.
 
-    pd_hat / pfa_hat are None when the corresponding hypothesis was not
-    simulated. pd_analytic is the design-layer prediction. n_transmit
-    counts sensors that actually put bits on the air.
+    pd_analytic is the design-layer prediction. n_transmit counts
+    sensors that actually put bits on the air.
     """
 
     scheme: Scheme
     pfa_target: float
-    pfa_hat: float | None
-    pd_hat: float | None
+    pfa_hat: float
+    pd_hat: float
     pd_analytic: float
     trials: int
     pt: float
     n_transmit: int
 
     def __post_init__(self):
-        for v in (self.pfa_hat, self.pd_hat):
-            if v is not None and not 0.0 <= v <= 1.0:
-                raise ValueError("empirical rates must lie in [0, 1]")
+        if not (0.0 <= self.pfa_hat <= 1.0 and 0.0 <= self.pd_hat <= 1.0):
+            raise ValueError("empirical rates must lie in [0, 1]")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
 
     def sigma_binomial(self) -> float:
-        """Normal-approximation error bar on pd_hat (pfa_hat if pd was not run)."""
-        p = self.pd_hat if self.pd_hat is not None else self.pfa_hat
-        if p is None:
-            return float("nan")
-        return math.sqrt(max(p * (1.0 - p), 0.0) / self.trials)
+        """Normal-approximation error bar on pd_hat."""
+        return math.sqrt(self.pd_hat * (1.0 - self.pd_hat) / self.trials)
 
 
 def detection_threshold(moments: FusionMoments, pfa: float) -> float:
@@ -253,28 +250,20 @@ class SchemePlan:
         return analytic_pd(self.design_moments, pfa)
 
 
-def plan_scheme(
-    scenario: Scenario,
-    scheme: Scheme,
-    pt: float | None = None,
-    powers: np.ndarray | None = None,
-    weights: FusionWeights | None = None,
-) -> SchemePlan:
+def plan_scheme(scenario: Scenario, scheme: Scheme, pt: float | None = None) -> SchemePlan:
     """Resolve powers, weights, quantizers, and both moment layers for a scheme.
 
-    The statistic and the quantizer spec are built once here and read by
-    the weights, both moment layers and the simulation.
+    pt defaults to the scenario's budget. The statistic and the quantizer
+    spec are built once here and read by the weights, both moment layers
+    and the simulation.
     """
     pt = scenario.Pt if pt is None else pt
-    if powers is None:
-        powers = powers_for_scheme(scenario, scheme, pt)
-    powers = np.asarray(powers, dtype=float)
+    powers = powers_for_scheme(scenario, scheme, pt)
     spec = specs_for_allocation(powers, scenario.h, scenario.zeta, scenario.U)
     if np.all(spec.censored):
         raise DegenerateFusionError("all sensors censored: zero power everywhere")
     statistic = scheme.statistic(scenario, scenario.N, scenario.U)
-    if weights is None:
-        weights = weights_for_scheme(scheme, statistic, spec)
+    weights = weights_for_scheme(scheme, statistic, spec)
 
     transmit = spec.bits_int >= 1   # zero power has zero capacity, so no whole bit
     alpha_tx = np.where(transmit, weights.alpha, 0.0)
@@ -310,25 +299,23 @@ def simulate_plans(
     plans: list[SchemePlan],
     thresholds: list[np.ndarray],
     trials: int,
-    hypotheses: tuple[bool, bool] = (True, True),
     clip_counts: dict | None = None,
 ) -> list[np.ndarray]:
     """Count threshold exceedances for every plan over shared noise.
 
     thresholds[j] is the threshold grid for plans[j]; counts[j] holds its
-    exceedances under H0 (row 0) and H1 (row 1). hypotheses flags
-    (run_h0, run_h1). Each sensor's N white-Gaussian noise samples enter
-    both statistics only through g ~ N(0, 1), their projection on the
-    unit signal direction, and R ~ chi2(N - 1), the energy left over,
-    independent of g. Per trial and sensor g and R are drawn from two
-    PRNG streams derived from the scenario seed, in chunks of at most
-    CHUNK_SAMPLES (trial, sensor) pairs, and each plan's statistic follows
-    in closed form (Statistic.from_noise), under H0 and H1 from the same
-    (g, R). Each chunk is
-    drawn once, each (statistic, sensor, bit load) used by some plan is
-    quantized once per hypothesis, and every plan fuses its senders'
-    rows. Counts are integers summed in a fixed order, so a given seed
-    is fully deterministic, whatever the chunk size.
+    exceedances under H0 (row 0) and H1 (row 1). Each sensor's N
+    white-Gaussian noise samples enter both statistics only through
+    g ~ N(0, 1), their projection on the unit signal direction, and
+    R ~ chi2(N - 1), the energy left over, independent of g. Per trial
+    and sensor g and R are drawn from two PRNG streams derived from the
+    scenario seed, in chunks of at most CHUNK_SAMPLES (trial, sensor)
+    pairs, and each plan's statistic follows in closed form
+    (Statistic.from_noise), under H0 and H1 from the same (g, R). Each
+    chunk is drawn once, each (statistic, sensor, bit load) used by some
+    plan is quantized once per hypothesis, and every plan fuses its
+    senders' rows. Counts are integers summed in a fixed order, so a
+    given seed is fully deterministic, whatever the chunk size.
 
     clip_counts, if supplied, is filled with per-sensor counts of raw
     statistics falling outside the quantizer window, keyed by the
@@ -340,7 +327,6 @@ def simulate_plans(
     m, u = scenario.M, scenario.U
 
     counts = [np.zeros((2, len(thr)), dtype=np.int64) for thr in thresholds]
-    hyps = [i for i, run in enumerate(hypotheses) if run]
     # a plan's kind is its statistic's constructor; plans of one kind built
     # equal records, so the first one stands for them all
     statistics: dict[object, Statistic] = {}
@@ -363,8 +349,8 @@ def simulate_plans(
                     for cell in zip(senders.tolist(), bits.tolist())]
             groups[kind][key] = (senders, np.array(rows), [])
         groups[kind][key][2].append((j, plan))
-    if not groups or not hyps:
-        return counts   # nothing to draw: nobody transmits, or no hypothesis is run
+    if not groups:
+        return counts   # nothing to draw: nobody transmits
     # kind -> (sensor, bit load) of each row, in row order
     quantized_rows = {kind: (np.array([i for i, _ in index]), np.array([[b] for _, b in index]))
                       for kind, index in rows_of.items()}
@@ -379,7 +365,7 @@ def simulate_plans(
         left -= c
         sg, rest = _noise(scenario, rng_g, rng_r, c)
         # one statistic and its quantized rows held at a time
-        for hyp_idx, (kind, (sensors, bits)) in itertools.product(hyps, quantized_rows.items()):
+        for hyp_idx, (kind, (sensors, bits)) in itertools.product((0, 1), quantized_rows.items()):
             st = statistics[kind].from_noise(sg, rest, hyp_idx == 1)   # (sensors, trials)
             lo = statistics[kind].lo
             if clip_counts is not None:
@@ -417,44 +403,25 @@ def _noise(scenario: Scenario, rng_g: np.random.Generator, rng_r: np.random.Gene
     return sg, rng_r.chisquare(n - 1, size=(trials, m)).T * scenario.sigma2[:, None]
 
 
-def run_trials(
-    scenario: Scenario,
-    powers: np.ndarray,
-    weights: FusionWeights,
-    scheme: Scheme,
-    trials: int,
-    hypothesis=None,
-    pfa: float | None = None,
-    pt: float | None = None,
-) -> DetectionEstimate:
-    """Simulate one scheme at one operating point with given powers and weights.
+def run_trials(scenario: Scenario, scheme: Scheme, trials: int, pt: float | None = None,
+               pfa: float | None = None) -> DetectionEstimate:
+    """One scheme at one budget and one false-alarm target: a one-point sweep_budget.
 
-    hypothesis restricts simulation to model.Hypothesis.H0 or .H1; the
-    default None runs both. The un-simulated rate comes back as None.
+    pt and pfa default to the scenario's Pt and Pfa.
     """
+    pt = scenario.Pt if pt is None else pt
     pfa = scenario.Pfa if pfa is None else pfa
-    plan = plan_scheme(scenario, scheme, pt=pt, powers=powers, weights=weights)
-    hypotheses = (hypothesis in (None, Hypothesis.H0), hypothesis in (None, Hypothesis.H1))
-    return _simulate(scenario, [plan], [pfa], trials, hypotheses=hypotheses)[0]
+    return sweep_budget(scenario, [scheme], [pt], trials, pfa_grid=[pfa])[0]
 
 
-def roc_curve(
-    scenario: Scenario,
-    powers: np.ndarray,
-    weights: FusionWeights,
-    scheme: Scheme,
-    pfa_grid,
-    trials: int,
-) -> list[DetectionEstimate]:
-    """One DetectionEstimate per pfa grid point for one scheme with given powers and weights.
+def roc_curve(scenario: Scenario, scheme: Scheme, pfa_grid, trials: int) -> list[DetectionEstimate]:
+    """One estimate per pfa grid point for one scheme at the scenario's budget.
 
-    All thresholds are evaluated against the same fused samples of one
-    simulation pass, so the empirical pd column is exactly nondecreasing
-    in pfa. sweep_budget does the same for many schemes and budgets at once.
+    A one-budget sweep_budget: every threshold is evaluated against the
+    same fused samples, so the empirical pd column is exactly
+    nondecreasing in pfa.
     """
-    grid = _pfa_grid(pfa_grid)
-    plan = plan_scheme(scenario, scheme, powers=powers, weights=weights)
-    return _simulate(scenario, [plan], grid, trials)
+    return sweep_budget(scenario, [scheme], [scenario.Pt], trials, pfa_grid=pfa_grid)
 
 
 def sweep_budget(
@@ -478,42 +445,22 @@ def sweep_budget(
     grid = [float(v) for v in pt_grid]
     if not grid or any(v <= 0 for v in grid):
         raise ValueError("pt grid values must be positive")
-    pfas = _pfa_grid([scenario.Pfa] if pfa_grid is None else pfa_grid)
+    pfas = [float(v) for v in ([scenario.Pfa] if pfa_grid is None else pfa_grid)]
+    if not pfas or any(not 0.0 < v < 1.0 for v in pfas):
+        raise ValueError("pfa grid values must lie in (0, 1)")
+    if sorted(pfas) != pfas:
+        raise ValueError("pfa grid must be increasing")
     plans = [plan_scheme(scenario, s, pt=pt) for pt in grid for s in schemes]
     clip = {} if diagnostics is not None else None
-    ests = _simulate(scenario, plans, pfas, trials, clip_counts=clip)
+    thresholds = [np.array([p.threshold(v) for v in pfas]) for p in plans]
+    counts = simulate_plans(scenario, plans, thresholds, trials, clip)
     if diagnostics is not None:
         none = np.zeros((4, scenario.M), dtype=np.int64)
         # a silent plan clips nothing
         diagnostics.extend(
             (p, (none if p.degenerate else clip.get(p.scheme.statistic, none)) / trials)
             for p in plans)
-    return ests
-
-
-def _pfa_grid(values) -> list[float]:
-    grid = [float(v) for v in values]
-    if not grid or any(not 0.0 < v < 1.0 for v in grid):
-        raise ValueError("pfa grid values must lie in (0, 1)")
-    if sorted(grid) != grid:
-        raise ValueError("pfa grid must be increasing")
-    return grid
-
-
-def _simulate(scenario: Scenario, plans: list[SchemePlan], pfas: list[float], trials: int,
-              hypotheses: tuple[bool, bool] = (True, True),
-              clip_counts: dict | None = None) -> list[DetectionEstimate]:
-    """Every plan at every pfa from one simulate_plans pass, in (plan, pfa) order.
-
-    A hypothesis that was not run reports None.
-    """
-    thresholds = [np.array([p.threshold(v) for v in pfas]) for p in plans]
-    counts = simulate_plans(scenario, plans, thresholds, trials, hypotheses, clip_counts)
-    run_h0, run_h1 = hypotheses
-    return [DetectionEstimate(scheme=p.scheme, pfa_target=v,
-                              pfa_hat=float(c[0, j]) / trials if run_h0 else None,
-                              pd_hat=float(c[1, j]) / trials if run_h1 else None,
-                              pd_analytic=p.pd_analytic(v), trials=trials, pt=p.pt,
-                              n_transmit=p.n_transmit)
+    return [DetectionEstimate(scheme=p.scheme, pfa_target=v, pfa_hat=float(c[0, j]) / trials,
+                              pd_hat=float(c[1, j]) / trials, pd_analytic=p.pd_analytic(v),
+                              trials=trials, pt=p.pt, n_transmit=p.n_transmit)
             for p, c in zip(plans, counts) for j, v in enumerate(pfas)]
-

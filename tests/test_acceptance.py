@@ -16,10 +16,9 @@ import pytest
 
 import distdetect as dd
 from distdetect.fusion import deflection_inputs
-from distdetect.model import Hypothesis
-from distdetect.montecarlo import Scheme, equal_power
+from distdetect.montecarlo import Scheme
 
-from conftest import bundled_config, each_sensor, run_cli, scheme_weights, sensor, spec_at
+from conftest import bundled_config, each_sensor, run_cli, sensor, spec_at
 
 RUNS = {
     "fig1_alloc": ("fig1.cfg", ("allocate", "--method", "both")),
@@ -163,10 +162,7 @@ def test_gaussian_calibration_audit():
         u = dd.suggest_statistic_halfrange(sensors, n)
         sc = dd.Scenario(sensors=sensors, N=n, U=u, Pt=4095.0, Pfa=0.1,
                          topology=dd.complete_graph(10), seed=5)
-        scheme = Scheme.ED_opt_weights_equal_power
-        p = equal_power(sc)
-        w = scheme_weights(sc, scheme, p)
-        return dd.run_trials(sc, p, w, scheme, 100_000)
+        return dd.run_trials(sc, Scheme.ED_opt_weights_equal_power, 100_000)
 
     est = audit(100)
     pfa_err = abs(est.pfa_hat - 0.1)

@@ -11,9 +11,9 @@ from numpy.testing import assert_allclose
 import distdetect as dd
 from distdetect import cli
 from distdetect.cli import write_results_csv
-from distdetect.montecarlo import Scheme, powers_for_scheme, roc_curve, run_trials
+from distdetect.montecarlo import Scheme, roc_curve, run_trials
 
-from conftest import bundled_config, run_cli, scheme_weights, write_config
+from conftest import bundled_config, run_cli, write_config
 
 
 def read_csv(path):
@@ -165,14 +165,11 @@ class TestAllocateCommand:
             f = out / name
             assert f.is_file() and f.stat().st_size > 0
 
-    def test_manifest_names_the_package_version(self, tmp_path, monkeypatch):
-        # run from a source tree, where no installed metadata exists
+    def test_manifest_records_the_version_of_the_running_code(self, tmp_path, monkeypatch):
+        # an older installed copy beside the source tree must not lend its version
         import importlib.metadata as md
 
-        def not_installed(name):
-            raise md.PackageNotFoundError(name)
-
-        monkeypatch.setattr(md, "version", not_installed)
+        monkeypatch.setattr(md, "version", lambda name: "9.9.9")
         out = tmp_path / "out"
         assert run_cli("allocate", write_config(tmp_path), "--method", "central",
                        "--out", out) == 0
@@ -258,22 +255,22 @@ class TestDetectCommand:
         assert len(rows) == 1 + 2 * 2  # grid points x window lengths
         assert {r[2] for r in rows[1:]} == {"5", "8"}
 
-    @pytest.mark.parametrize("sweep", ["pfa", "n"])
+    @pytest.mark.parametrize("sweep", ["pfa", "n", "pt"])
     def test_rows_equal_the_per_scheme_loop(self, tmp_path, sweep):
-        # the reference simulates one scheme at a time: its own powers, weights and pass
-        path = bundled_config("fig4.cfg")
+        # the reference simulates one scheme at a time, at one budget: its own pass
+        path = bundled_config("fig5.cfg" if sweep == "pt" else "fig4.cfg")
         out = tmp_path / "out"
         assert run_cli("detect", path, "--sweep", sweep, "--trials", 2000, "--out", out) == 0
         cfg = cli.load_config(path)
+        detect = cfg["detect"]
         rows = []
-        for n in cfg["detect"]["n_grid"]:
+        for n in [cfg["N"]] if sweep == "pt" else detect["n_grid"]:
             sc = cli.scenario_from_config(cfg, n=n)
-            for scheme in map(Scheme, cfg["detect"]["schemes"]):
-                p = powers_for_scheme(sc, scheme)
-                w = scheme_weights(sc, scheme, p)
-                ests = (roc_curve(sc, p, w, scheme, cfg["detect"]["pfa_grid"], 2000)
-                        if sweep == "pfa" else [run_trials(sc, p, w, scheme, 2000)])
-                rows.extend((e, n, sc.M) for e in ests)
+            for pt in detect["pt_grid"] if sweep == "pt" else [cfg["Pt"]]:
+                for scheme in map(Scheme, detect["schemes"]):
+                    ests = (roc_curve(sc, scheme, detect["pfa_grid"], 2000) if sweep == "pfa"
+                            else [run_trials(sc, scheme, 2000, pt=pt)])
+                    rows.extend((e, n, sc.M) for e in ests)
         write_results_csv(tmp_path / "reference.csv", rows)
         assert (out / f"results_{sweep}.csv").read_bytes() == \
             (tmp_path / "reference.csv").read_bytes()
@@ -357,9 +354,9 @@ class TestCsvCells:
     def test_list_and_bool_array_columns(self, tmp_path):
         # a float cell is its repr as a Python float, never np.float64(...)
         path = tmp_path / "cells.csv"
-        cli._write_csv(path, "value,flag", ([np.float64(0.1), 0.25, 3, None],
-                                            np.array([True, False, True, False])))
-        assert path.read_text() == "value,flag\n0.1,1\n0.25,0\n3,1\n,0\n"
+        cli._write_csv(path, "value,flag", ([np.float64(0.1), 0.25, 3],
+                                            np.array([True, False, True])))
+        assert path.read_text() == "value,flag\n0.1,1\n0.25,0\n3,1\n"
 
     def test_array_columns_match_list_columns(self, tmp_path):
         cols = (np.array([0.1, 1e-300, np.nan]), np.array([7, -2, 0]), np.array(["a", "b", "c"]))
