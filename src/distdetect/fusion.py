@@ -54,10 +54,6 @@ class FusionWeights:
         a.setflags(write=False)
         object.__setattr__(self, "alpha", a)
 
-    @property
-    def m(self) -> int:
-        return self.alpha.size
-
 
 @dataclass(frozen=True)
 class FusionMoments:
@@ -185,14 +181,12 @@ def optimal_weights(inputs: DeflectionInputs) -> FusionWeights:
     return FusionWeights(a)
 
 
-def equal_weights(m: int, censored: np.ndarray | None = None) -> FusionWeights:
-    """Equal-combining baseline alpha_i = 1/sqrt(M), censored entries zeroed."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    a = np.full(m, 1.0 / np.sqrt(m))
-    if censored is not None:
-        a = np.where(np.asarray(censored, dtype=bool), 0.0, a)
-    return FusionWeights(a)
+def equal_weights(censored: np.ndarray) -> FusionWeights:
+    """Equal-combining baseline alpha_i = 1/sqrt(M) for an (M,) censor mask, censored ones 0."""
+    censored = np.asarray(censored, dtype=bool)
+    if censored.ndim != 1 or censored.size < 1:
+        raise ValueError("censored must be a nonempty (M,) mask")
+    return FusionWeights(np.where(censored, 0.0, 1.0 / np.sqrt(censored.size)))
 
 
 def deflection_inputs(statistic: Statistic, spec: QuantSpec) -> DeflectionInputs:

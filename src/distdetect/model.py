@@ -116,16 +116,16 @@ class Statistic:
         return c * f1 * f2
 
     @classmethod
-    def energy(cls, sensor, n: int, u: float | None = None) -> "Statistic":
+    def energy(cls, sensor, u: float | None = None) -> "Statistic":
         """The energy |x|^2 of N samples, exact chi-square moments, window [0, 2U].
 
-        Mean N sigma^2 and variance 2 N sigma^4 under H0, inflated by the
-        SNR xi under H1. With x = s + sigma z under H1 and sigma z under H0,
-        the energy is (|s| + sigma g)^2 + sigma^2 R under H1 and
-        sigma^2 (g^2 + R) under H0. u is not needed: the window starts at
-        0 for every U.
+        N is the length of the sensor's signal. Mean N sigma^2 and variance
+        2 N sigma^4 under H0, inflated by the SNR xi under H1. With
+        x = s + sigma z under H1 and sigma z under H0, the energy is
+        (|s| + sigma g)^2 + sigma^2 R under H1 and sigma^2 (g^2 + R) under
+        H0. u is not needed: the window starts at 0 for every U.
         """
-        _check_samples(sensor, n)
+        n = sensor.signal.shape[-1]
         sigma2, xi = sensor.sigma2, sensor.xi
         var_h0 = 2.0 * n * np.square(sigma2)
         norm = np.sqrt(sensor.es)[..., None]
@@ -139,13 +139,12 @@ class Statistic:
                    from_noise=from_noise)
 
     @classmethod
-    def matched(cls, sensor, n: int, u: float) -> "Statistic":
+    def matched(cls, sensor, u: float) -> "Statistic":
         """The correlation x . s with the known signal, Gaussian, window [-U, U].
 
         Mean 0 under H0 and Es under H1, variance sigma^2 Es under both.
         It is |s| sigma g under H0 and Es + |s| sigma g under H1.
         """
-        _check_samples(sensor, n)
         es = sensor.es
         var = sensor.sigma2 * es
         norm, shift = np.sqrt(es)[..., None], np.asarray(es)[..., None]
@@ -156,12 +155,6 @@ class Statistic:
 
         return cls(mean_h0=np.zeros_like(es), var_h0=var, mean_h1=es, var_h1=var,
                    b_factors=(1.0, es, 1.0), lo=-u, from_noise=from_noise)
-
-
-def _check_samples(sensor, n: int) -> None:
-    samples = np.shape(sensor.signal)[-1]
-    if n != samples:
-        raise ValueError(f"n={n} but sensor signal has {samples} samples")
 
 
 @dataclass(frozen=True)
@@ -203,7 +196,6 @@ class Scenario:
     """Everything a run needs: sensors, sampling, budget, target, topology.
 
     sensors  the population, one SensorParams with an (M, N) signal
-    N     samples per local statistic (every sensor's signal has length N)
     U     half-range of the quantizer input: a statistic is clipped to its window
           [lo, lo + 2U], [0, 2U] for the energy and [-U, U] for the matched
           filter (Statistic.lo)
@@ -214,11 +206,12 @@ class Scenario:
     itself, the same objects and not copies: sigma2, h, zeta, xi, es of
     shape (M,) and signal of shape (M, N). A Scenario therefore stands in
     for a SensorParams wherever a per-sensor formula reads those fields,
-    and the formula then runs over the whole population at once.
+    and the formula then runs over the whole population at once. M, the
+    number of sensors, and N, the samples per local statistic, are the
+    signal's two dimensions: N is the length of every sensor's signal.
     """
 
     sensors: SensorParams
-    N: int
     U: float
     Pt: float
     Pfa: float
@@ -236,8 +229,6 @@ class Scenario:
         shape = self.sensors.signal.shape
         if len(shape) != 2:
             raise ValueError(f"sensors must have an (M, N) signal, got shape {shape}")
-        if shape[1] != self.N:
-            raise ValueError(f"sensor signal length {shape[1]} != N={self.N}")
         if self.U <= 0:
             raise ValueError("U must be positive")
         if self.Pt <= 0:
@@ -252,6 +243,10 @@ class Scenario:
     @property
     def M(self) -> int:
         return self.signal.shape[0]
+
+    @property
+    def N(self) -> int:
+        return self.signal.shape[1]
 
 
 def _key_ints(key) -> tuple[int, ...]:
@@ -390,17 +385,17 @@ def make_scenario(
     sensors = build_sensors(m, n, seed, **sensor_options)
     topology = random_geometric_graph(m, radius, derive_stream(seed, "topology"))
     return Scenario(
-        sensors=sensors, N=n, U=u, Pt=pt, Pfa=pfa,
+        sensors=sensors, U=u, Pt=pt, Pfa=pfa,
         topology=topology, seed=seed,
         solver=solver if solver is not None else SolverConfig(),
     )
 
 
-def suggest_statistic_halfrange(sensors: SensorParams, n: int, n_sigmas: float = 8.0) -> float:
+def suggest_statistic_halfrange(sensors: SensorParams) -> float:
     """Half-range U wide enough that clipping at 2U is negligible.
 
-    Covers the largest per-sensor H1 mean plus n_sigmas standard
+    Covers the largest per-sensor H1 energy mean plus 8 standard
     deviations, then halves (the energy's quantizer window is [0, 2U]).
     """
-    mom = Statistic.energy(sensors, n)
-    return 0.5 * float(np.max(mom.mean_h1 + n_sigmas * np.sqrt(mom.var_h1)))
+    mom = Statistic.energy(sensors)
+    return 0.5 * float(np.max(mom.mean_h1 + 8.0 * np.sqrt(mom.var_h1)))

@@ -22,11 +22,12 @@ grid) are one-scheme calls of it.
 
 Thresholds come from an analytic Gaussian calibration, never from
 empirical quantiles: the Monte Carlo run is an audit of the Gaussian
-model, not a tautology. Calibration uses the moments of what the
-fusion center actually receives - per-sensor statistics clipped to the
-quantizer range and mapped to cell midpoints at integer bit counts,
-zero-bit sensors silent - which coincides with the plain Gaussian
-moments whenever clipping is negligible and bits are generous. The
+model, not a tautology. Each SchemePlan holds its senders (sensors
+sending whole bits with a nonzero weight), their weights, and the H0
+mean and variance of what the fusion center receives from them:
+statistics clipped to the quantizer range and mapped to cell midpoints.
+The threshold reads that law alone, which coincides with the plain
+Gaussian one whenever clipping is negligible and bits are generous. The
 reported pd_analytic stays the design-layer prediction at real-valued
 bits, so the gap between the two layers is visible in the output
 rather than hidden by construction.
@@ -93,7 +94,7 @@ class Scheme(enum.Enum):
     def statistic(self):
         """The Statistic constructor of what this scheme's sensors send.
 
-        Called as scheme.statistic(sensors, n, u), like either constructor.
+        Called as scheme.statistic(sensors, u), like either constructor.
         """
         return Statistic.matched if self.matched_filter else Statistic.energy
 
@@ -126,13 +127,13 @@ class DetectionEstimate:
         return math.sqrt(self.pd_hat * (1.0 - self.pd_hat) / self.trials)
 
 
-def detection_threshold(moments: FusionMoments, pfa: float) -> float:
-    """Gaussian H0 threshold: exceeded with probability pfa under the model."""
+def detection_threshold(mean_h0: float, var_h0: float, pfa: float) -> float:
+    """Gaussian H0 threshold: N(mean_h0, var_h0) exceeds it with probability pfa."""
     if not 0.0 < pfa < 1.0:
         raise ValueError("pfa must be in (0, 1)")
-    if moments.var_h0 <= 0:
+    if var_h0 <= 0:
         raise ValueError("var_h0 must be positive")
-    return float(moments.mean_h0 + qfunc_inv(pfa) * math.sqrt(moments.var_h0))
+    return float(mean_h0 + qfunc_inv(pfa) * math.sqrt(var_h0))
 
 
 def quantized_gaussian_moments(mu, var, bits_int, u: float, lo: float = 0.0):
@@ -213,24 +214,24 @@ def powers_for_scheme(scenario: Scenario, scheme: Scheme, pt: float | None = Non
 def weights_for_scheme(scheme: Scheme, statistic: Statistic, spec: QuantSpec) -> FusionWeights:
     """The scheme's combining weights for its statistic at the quantizers in spec."""
     if scheme.equal_combining:
-        return equal_weights(spec.censored.size, censored=spec.censored)
+        return equal_weights(spec.censored)
     return optimal_weights(deflection_inputs(statistic, spec))
 
 
 @dataclass(frozen=True)
 class SchemePlan:
-    """Everything one scheme needs at one operating point."""
+    """Everything one scheme needs at one operating point; a silent plan sends nothing."""
 
     scheme: Scheme
     pt: float
     statistic: Statistic            # what the scheme's sensors send
     powers: np.ndarray
-    weights: FusionWeights          # design-layer weights (censored entries 0)
     spec: QuantSpec                 # each sensor's quantizer at its power
-    transmit: np.ndarray            # bool: spec.bits_int >= 1
-    alpha_tx: np.ndarray            # design weights silenced outside transmit
+    transmit: np.ndarray            # bool: spec.bits_int >= 1; all False if silent
+    senders: np.ndarray             # indices of transmitting sensors with a nonzero weight
+    sender_weights: FusionWeights | None  # the senders' design weights; None if silent
     design_moments: FusionMoments   # real-valued-bit analytic layer
-    tx_moments: FusionMoments | None  # what the fusion center receives; None if nobody transmits
+    received_h0: tuple[float, float] | None  # (mean, var) of the received sum under H0
 
     @property
     def n_transmit(self) -> int:
@@ -242,55 +243,49 @@ class SchemePlan:
 
     def threshold(self, pfa: float) -> float:
         """Decision level at target pfa; infinite when nobody transmits, so nothing alarms."""
-        if self.tx_moments is None:
+        if self.received_h0 is None:
             return math.inf
-        return detection_threshold(self.tx_moments, pfa)
+        return detection_threshold(*self.received_h0, pfa)
 
     def pd_analytic(self, pfa: float) -> float:
         return analytic_pd(self.design_moments, pfa)
 
 
 def plan_scheme(scenario: Scenario, scheme: Scheme, pt: float | None = None) -> SchemePlan:
-    """Resolve powers, weights, quantizers, and both moment layers for a scheme.
+    """Resolve powers, quantizers, senders, the design layer and the received H0 law.
 
-    pt defaults to the scenario's budget. The statistic and the quantizer
-    spec are built once here and read by the weights, both moment layers
-    and the simulation.
+    pt defaults to the scenario's budget. The statistic, the quantizer
+    spec and the senders' weights are built once here and read by every
+    later layer, the simulation included.
     """
     pt = scenario.Pt if pt is None else pt
     powers = powers_for_scheme(scenario, scheme, pt)
     spec = specs_for_allocation(powers, scenario.h, scenario.zeta, scenario.U)
     if np.all(spec.censored):
         raise DegenerateFusionError("all sensors censored: zero power everywhere")
-    statistic = scheme.statistic(scenario, scenario.N, scenario.U)
+    statistic = scheme.statistic(scenario, scenario.U)
     weights = weights_for_scheme(scheme, statistic, spec)
-
-    transmit = spec.bits_int >= 1   # zero power has zero capacity, so no whole bit
-    alpha_tx = np.where(transmit, weights.alpha, 0.0)
     design = fusion_moments(statistic, weights, spec)
 
-    tx_moments = None
-    senders = alpha_tx != 0.0   # transmitting, with a nonzero weight
-    if np.any(senders):
-        bits, a = spec.bits_int[senders], alpha_tx[senders]
+    transmit = spec.bits_int >= 1   # zero power has zero capacity, so no whole bit
+    senders = np.flatnonzero(transmit & (weights.alpha != 0.0))
+    sender_weights = received_h0 = None
+    if senders.size:
+        a = weights.alpha[senders]
         e0, s0 = quantized_gaussian_moments(statistic.mean_h0[senders], statistic.var_h0[senders],
-                                            bits, scenario.U, statistic.lo)
-        e1, s1 = quantized_gaussian_moments(statistic.mean_h1[senders], statistic.var_h1[senders],
-                                            bits, scenario.U, statistic.lo)
-        # the received sum's moments fuse the per-sensor ones, with weights a and a^2
-        w, w2 = FusionWeights(a), FusionWeights(a * a)
-        m0, m1, v0 = fuse(e0, w), fuse(e1, w), fuse(s0, w2)
-        if v0 > 0.0:
-            tx_moments = FusionMoments(mean_h0=m0, var_h0=v0, mean_h1=m1, var_h1=fuse(s1, w2),
-                                       psi=m1 - m0)
-    if tx_moments is None:
+                                            spec.bits_int[senders], scenario.U, statistic.lo)
+        # the received sum's H0 moments fuse the per-sensor ones, with weights a and a^2
+        sender_weights, var_h0 = FusionWeights(a), fuse(s0, FusionWeights(a * a))
+        if var_h0 > 0.0:
+            received_h0 = (fuse(e0, sender_weights), var_h0)
+    if received_h0 is None:   # nobody sends, or the received sum has no H0 spread: silent
         transmit = np.zeros(scenario.M, dtype=bool)
-        alpha_tx = np.zeros(scenario.M)
+        senders, sender_weights = senders[:0], None
 
     return SchemePlan(
-        scheme=scheme, pt=float(pt), statistic=statistic, powers=powers, weights=weights,
-        spec=spec, transmit=transmit, alpha_tx=alpha_tx, design_moments=design,
-        tx_moments=tx_moments,
+        scheme=scheme, pt=float(pt), statistic=statistic, powers=powers, spec=spec,
+        transmit=transmit, senders=senders, sender_weights=sender_weights,
+        design_moments=design, received_h0=received_h0,
     )
 
 
@@ -333,22 +328,22 @@ def simulate_plans(
     # kind -> {(sensor, bit load): its row in that kind's quantized array}
     rows_of: dict[object, dict[tuple[int, int], int]] = {}
     # plans with the same statistic, senders and bit loads fuse the same quantized
-    # rows: kind -> {(senders, bits): (senders, their rows, plans)}
-    groups: dict[object, dict[tuple, tuple[np.ndarray, np.ndarray, list]]] = {}
+    # rows: kind -> {(senders, bits): (the senders' rows, plans)}
+    groups: dict[object, dict[tuple, tuple[np.ndarray, list]]] = {}
     for j, plan in enumerate(plans):
         if plan.degenerate:
             continue
         kind = plan.scheme.statistic
         statistics.setdefault(kind, plan.statistic)
-        senders = np.flatnonzero(plan.alpha_tx != 0.0)
+        senders = plan.senders
         bits = plan.spec.bits_int[senders]
         key = (senders.tobytes(), bits.tobytes())
         if key not in groups.setdefault(kind, {}):
             index = rows_of.setdefault(kind, {})
             rows = [index.setdefault(cell, len(index))
                     for cell in zip(senders.tolist(), bits.tolist())]
-            groups[kind][key] = (senders, np.array(rows), [])
-        groups[kind][key][2].append((j, plan))
+            groups[kind][key] = (np.array(rows), [])
+        groups[kind][key][1].append((j, plan))
     if not groups:
         return counts   # nothing to draw: nobody transmits
     # kind -> (sensor, bit load) of each row, in row order
@@ -374,10 +369,10 @@ def simulate_plans(
                 tally[2 * hyp_idx + 1] += (st > lo + 2.0 * u).sum(axis=1)
             quantized = quantize_array(st[sensors], bits, u, lo)
             del st
-            for senders, rows, members in groups[kind].values():
+            for rows, members in groups[kind].values():
                 q = quantized[rows]
                 for j, plan in members:
-                    fused = fuse(q, FusionWeights(plan.alpha_tx[senders]))
+                    fused = fuse(q, plan.sender_weights)
                     counts[j][hyp_idx] += (fused[:, None] > thresholds[j][None, :]).sum(axis=0)
     return counts
 

@@ -21,6 +21,10 @@ from .model import Scenario, Statistic
 from .quantize import specs_for_allocation
 
 
+# relative tolerances of the budget audits: overspending, and missing the budget
+BUDGET_RTOL, SLACK_RTOL = 1e-9, 1e-6
+
+
 class NoSignalError(ValueError):
     """Every sensor has xi = 0: the objective does not depend on power."""
 
@@ -58,26 +62,27 @@ class PowerAllocation:
     def total(self) -> float:
         return float(np.sum(self.p))
 
-    def validate(self, pt: float, budget_rtol: float = 1e-9, slack_rtol: float = 1e-6) -> None:
+    def validate(self, pt: float) -> None:
         """Raise unless the allocation is budget-feasible and slack-consistent.
 
-        budget_rtol bounds sum(p) - Pt from above; slack_rtol bounds
+        BUDGET_RTOL bounds sum(p) - Pt from above; SLACK_RTOL bounds
         |sum(p) - Pt|, since lambda0 > 0 means the budget constraint is
         active.
         """
         tot = self.total()
-        if tot > pt + budget_rtol * pt:
+        if tot > pt + BUDGET_RTOL * pt:
             raise ValueError(f"budget violated: sum(p)={tot} > Pt={pt}")
-        if abs(tot - pt) > slack_rtol * pt:
+        if abs(tot - pt) > SLACK_RTOL * pt:
             raise ValueError(
                 f"complementary slackness violated: |sum(p)-Pt|={abs(tot - pt)} with lambda0={self.lambda0}"
             )
 
 
-def _closed_form_terms(sensor, n: int, u: float):
+def _closed_form_terms(sensor, u: float):
     """num, den, t2, t3 of the closed form p = [num / (den sqrt(lambda0)) - t2 - t3]+."""
-    if n < 1 or u <= 0:
-        raise ValueError("need n >= 1 and U > 0")
+    if u <= 0:
+        raise ValueError("need U > 0")
+    n = sensor.signal.shape[-1]
     g = sensor.h * sensor.h / sensor.zeta
     s2 = sensor.sigma2
     xi = sensor.xi
@@ -89,7 +94,7 @@ def _closed_form_terms(sensor, n: int, u: float):
     return num, den, t2, t3
 
 
-def power_closed_form(lambda0, sensor, n: int, u: float):
+def power_closed_form(lambda0, sensor, u: float):
     """Water-filling optimum of a sensor's power at multiplier lambda0.
 
     [ (1/sqrt(lambda0)) * xi U sqrt(3) / (6 sigma^2 (1+2xi) sqrt(g))
@@ -97,17 +102,18 @@ def power_closed_form(lambda0, sensor, n: int, u: float):
 
     sensor is a SensorParams for one sensor, or a population
     SensorParams or Scenario, whose array fields give every sensor's
-    power at once; lambda0 may be one multiplier or one per sensor. The clamp censors sensors whose channel or SNR
-    cannot pay for even the constant terms; xi = 0 always lands at 0.
+    power at once; N is its signal's length. lambda0 may be one
+    multiplier or one per sensor. The clamp censors sensors whose channel
+    or SNR cannot pay for even the constant terms; xi = 0 always lands at 0.
     """
     if np.any(np.less_equal(lambda0, 0)):
         raise ValueError("lambda0 must be positive")
-    num, den, t2, t3 = _closed_form_terms(sensor, n, u)
+    num, den, t2, t3 = _closed_form_terms(sensor, u)
     return np.maximum(num / (den * np.sqrt(lambda0)) - t2 - t3, 0.0)
 
 
 def total_power(lambda0: float, scenario: Scenario) -> float:
-    return float(np.sum(power_closed_form(lambda0, scenario, scenario.N, scenario.U)))
+    return float(np.sum(power_closed_form(lambda0, scenario, scenario.U)))
 
 
 def objective_value(powers: np.ndarray, scenario: Scenario) -> float:
@@ -118,7 +124,7 @@ def objective_value(powers: np.ndarray, scenario: Scenario) -> float:
     randomized optimality audits.
     """
     spec = specs_for_allocation(powers, scenario.h, scenario.zeta, scenario.U)
-    d = deflection_inputs(Statistic.energy(scenario, scenario.N), spec)
+    d = deflection_inputs(Statistic.energy(scenario), spec)
     return float(np.sum(d.b * d.b / d.R_diag))
 
 
@@ -142,7 +148,7 @@ def solve_centralized(scenario: Scenario, pt: float | None = None) -> PowerAlloc
         raise NoSignalError("all sensors have xi = 0; power does not affect the objective")
 
     with np.errstate(all="ignore"):  # out-of-range values are caught below
-        num, den, t2, t3 = _closed_form_terms(scenario, scenario.N, scenario.U)
+        num, den, t2, t3 = _closed_form_terms(scenario, scenario.U)
         a = num / den
         cand = np.flatnonzero(a > 0)
         b = (t2 + t3)[cand] / a[cand]
@@ -182,26 +188,19 @@ class KktReport:
     complementary_slackness: float  # |lambda0 * (sum(p) - Pt)|
     budget_feasible: bool
     powers_nonnegative: bool
-    lambda0: float
 
 
-def kkt_check(
-    alloc: PowerAllocation,
-    scenario: Scenario,
-    pt: float | None = None,
-    budget_rtol: float = 1e-9,
-) -> KktReport:
-    """Evaluate the first-order conditions at an allocation from any solver."""
+def kkt_check(alloc: PowerAllocation, scenario: Scenario) -> KktReport:
+    """Evaluate the first-order conditions at an allocation from any solver, at scenario.Pt."""
     p = alloc.p
     if p.size != scenario.M:
         raise ValueError("allocation size does not match the scenario")
-    if pt is None:
-        pt = scenario.Pt
+    pt = scenario.Pt
     lam = alloc.lambda0
     # d/dp of b^2 / R(p) with R = var_h1 + v(p) and v = U^2 / (3 (1 + p g)):
     # -b^2 v'(p) / R^2 = 3 g (b v / (U R))^2
     spec = specs_for_allocation(p, scenario.h, scenario.zeta, scenario.U)
-    d = deflection_inputs(Statistic.energy(scenario, scenario.N), spec)
+    d = deflection_inputs(Statistic.energy(scenario), spec)
     v = spec.noise_var
     g = scenario.h * scenario.h / scenario.zeta
     raw = 3.0 * g * (d.b * v / (scenario.U * d.R_diag)) ** 2 - lam
@@ -216,7 +215,6 @@ def kkt_check(
         mu=mu,
         budget_residual=budget_residual,
         complementary_slackness=abs(lam * budget_residual),
-        budget_feasible=bool(np.sum(p) <= pt * (1.0 + budget_rtol)),
+        budget_feasible=bool(np.sum(p) <= pt * (1.0 + BUDGET_RTOL)),
         powers_nonnegative=bool(np.all(p >= 0)),
-        lambda0=lam,
     )

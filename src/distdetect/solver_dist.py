@@ -88,7 +88,7 @@ def solve_distributed(scenario: Scenario) -> tuple[PowerAllocation, DualAscentTr
     cfg = scenario.solver
     graph = scenario.topology
     m = scenario.M
-    n, u, pt = scenario.N, scenario.U, scenario.Pt
+    u, pt = scenario.U, scenario.Pt
     w = metropolis_matrix(graph)
 
     lam = np.full(m, cfg.lambda0_init)
@@ -109,7 +109,7 @@ def solve_distributed(scenario: Scenario) -> tuple[PowerAllocation, DualAscentTr
         )
 
     for k in range(cfg.outer_max_iter):
-        p = local_power_update(lam, scenario, n, u)
+        p = local_power_update(lam, scenario, u)
         try:
             cres = consensus_average(
                 graph, p, tol=cfg.consensus_tol, max_iter=cfg.consensus_max_iter,

@@ -41,7 +41,7 @@ def spec_at(scenario, powers) -> dd.QuantSpec:
 
 def scheme_weights(scenario, scheme, powers) -> dd.FusionWeights:
     """weights_for_scheme from the scheme's statistic and the quantizers at the given powers."""
-    statistic = scheme.statistic(scenario, scenario.N, scenario.U)
+    statistic = scheme.statistic(scenario, scenario.U)
     return weights_for_scheme(scheme, statistic, spec_at(scenario, powers))
 
 
@@ -118,7 +118,7 @@ def reference_water_filling(scenario, pt=None, budget_rtol=1e-9, max_bisect=2000
     else:
         raise AssertionError(f"budget not met to {budget_rtol} relative after {max_bisect} bisections")
     return dd.PowerAllocation(
-        p=dd.power_closed_form(lam, scenario, scenario.N, scenario.U), lambda0=lam)
+        p=dd.power_closed_form(lam, scenario, scenario.U), lambda0=lam)
 
 
 @pytest.fixture(name="reference_water_filling")

@@ -94,7 +94,7 @@ def test_closed_form_power_matches_grid_search():
             xa_db=float(rng.uniform(-8.0, 0.0)))
         alloc = dd.solve_centralized(sc)
         s = sensor(sc, 0)
-        p_cf = dd.power_closed_form(alloc.lambda0, s, n, sc.U)
+        p_cf = dd.power_closed_form(alloc.lambda0, s, sc.U)
         # independent maximizer of the per-sensor payoff at the solved price
         g = s.h ** 2 / s.zeta
         a = (n * s.sigma2 * s.xi) ** 2
@@ -117,7 +117,7 @@ def test_optimal_weights_maximize_deflection():
         sc = dd.make_scenario(m=4 + k % 7, n=5 + 3 * k, seed=100 + k,
                               pt=2.0 + 1.5 * k)
         powers = dd.solve_centralized(sc).p
-        inputs = deflection_inputs(dd.Statistic.energy(sc, sc.N), spec_at(sc, powers))
+        inputs = deflection_inputs(dd.Statistic.energy(sc), spec_at(sc, powers))
         alpha = dd.optimal_weights(inputs)
         d_star = dd.deflection(alpha, inputs)
         active = ~inputs.censored
@@ -159,8 +159,8 @@ def test_gaussian_calibration_audit():
     def audit(n):
         sensors = dd.build_sensors(10, n, seed=5, xa_db=-10.0,
                                    deterministic_channel=True)
-        u = dd.suggest_statistic_halfrange(sensors, n)
-        sc = dd.Scenario(sensors=sensors, N=n, U=u, Pt=4095.0, Pfa=0.1,
+        u = dd.suggest_statistic_halfrange(sensors)
+        sc = dd.Scenario(sensors=sensors, U=u, Pt=4095.0, Pfa=0.1,
                          topology=dd.complete_graph(10), seed=5)
         return dd.run_trials(sc, Scheme.ED_opt_weights_equal_power, 100_000)
 
@@ -234,7 +234,7 @@ def test_power_ranking_and_censoring(study_runs, fig1_scenario, fig1_central):
     p_csv = np.array([float(v) for v in _column(rows, "p_central")])
     bits_int = np.array([int(v) for v in _column(rows, "bits_int")])
     p_cf = np.array([
-        dd.power_closed_form(fig1_central.lambda0, s, fig1_scenario.N, fig1_scenario.U)
+        dd.power_closed_form(fig1_central.lambda0, s, fig1_scenario.U)
         for s in each_sensor(fig1_scenario)])
     active_csv = p_csv > 0
     active_cf = p_cf > 0

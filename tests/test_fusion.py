@@ -23,18 +23,18 @@ from conftest import (
 
 def _energy_moments(sc, weights, powers):
     """fusion_moments of the energy detector at the given powers."""
-    return dd.fusion_moments(dd.Statistic.energy(sc, sc.N), weights, spec_at(sc, powers))
+    return dd.fusion_moments(dd.Statistic.energy(sc), weights, spec_at(sc, powers))
 
 
 def _energy_inputs(sc, powers):
     """deflection_inputs of the energy detector at the given powers."""
-    return dd.deflection_inputs(dd.Statistic.energy(sc, sc.N), spec_at(sc, powers))
+    return dd.deflection_inputs(dd.Statistic.energy(sc), spec_at(sc, powers))
 
 
 def _one_sensor(sigma2=1.0, amp=0.2, n=10, u=3.0, pt=1.0):
     """A one-sensor scenario: h = 1, zeta = 0.1, a constant signal of amplitude amp."""
     s = dd.SensorParams(sigma2, 1.0, 0.1, np.full((1, n), amp))
-    return dd.Scenario(sensors=s, N=n, U=u, Pt=pt, Pfa=0.1,
+    return dd.Scenario(sensors=s, U=u, Pt=pt, Pfa=0.1,
                        topology=dd.complete_graph(1), seed=0, solver=dd.SolverConfig())
 
 
@@ -64,7 +64,7 @@ class TestFuse:
         assert dd.fuse(np.array([2.0, 3.0]), w) == 5.0
 
     def test_equal_combining_rule(self):
-        w = dd.equal_weights(4)
+        w = dd.equal_weights(np.zeros(4, dtype=bool))
         assert_allclose(dd.fuse(np.ones(4), w), 2.0, rtol=1e-12)
 
 
@@ -88,10 +88,10 @@ class TestCombinedMoments:
     def test_psi_does_not_depend_on_halfrange(self, fig1_scenario):
         alloc = dd.solve_centralized(fig1_scenario)
         w = dd.optimal_weights(_energy_inputs(fig1_scenario, alloc.p))
-        a, b = (dd.Scenario(sensors=fig1_scenario.sensors, N=10, U=u, Pt=1.0, Pfa=0.1,
+        a, b = (dd.Scenario(sensors=fig1_scenario.sensors, U=u, Pt=1.0, Pfa=0.1,
                             topology=fig1_scenario.topology, seed=1) for u in (1.0, 7.0))
         for statistic in (dd.Statistic.energy, dd.Statistic.matched):
-            psi = [dd.fusion_moments(statistic(sc, 10, sc.U), w, spec_at(sc, alloc.p)).psi
+            psi = [dd.fusion_moments(statistic(sc, sc.U), w, spec_at(sc, alloc.p)).psi
                    for sc in (a, b)]
             assert_allclose(psi[0], psi[1], rtol=1e-12)
 
@@ -241,12 +241,12 @@ def test_fused_h0_variance_monte_carlo(fig1_scenario):
     """
     sensors = fig1_scenario.sensors
     n = 10
-    u = dd.suggest_statistic_halfrange(sensors, n)
+    u = dd.suggest_statistic_halfrange(sensors)
     powers = np.full(10, 500.0)
-    sc = dd.Scenario(sensors=sensors, N=n, U=u, Pt=5000.0, Pfa=0.1,
+    sc = dd.Scenario(sensors=sensors, U=u, Pt=5000.0, Pfa=0.1,
                      topology=fig1_scenario.topology, seed=2, solver=dd.SolverConfig())
     spec = spec_at(sc, powers)
-    statistic = dd.Statistic.energy(sc, n)
+    statistic = dd.Statistic.energy(sc)
     w = dd.optimal_weights(dd.deflection_inputs(statistic, spec))
     m = dd.fusion_moments(statistic, w, spec)
     rng = np.random.default_rng(23)
@@ -274,7 +274,7 @@ class TestOneRuleForBothStatistics:
         rng = np.random.default_rng(seed)
         m, n = int(rng.integers(1, 41)), int(rng.integers(1, 51))
         sensors = dd.build_sensors(m, n, seed, xa_db=float(rng.uniform(-12.0, 6.0)))
-        sc = dd.Scenario(sensors=sensors, N=n, U=float(rng.uniform(0.5, 10.0)), Pt=1.0,
+        sc = dd.Scenario(sensors=sensors, U=float(rng.uniform(0.5, 10.0)), Pt=1.0,
                          Pfa=0.1, topology=dd.complete_graph(m), seed=seed)
         powers = np.where(rng.random(m) < 0.3, 0.0, rng.uniform(0.0, 5.0, size=m))
         return sc, powers
@@ -288,13 +288,13 @@ class TestOneRuleForBothStatistics:
         for seed in range(self.POPULATIONS):
             sc, p = self._population(seed)
             censored += int(np.sum(p == 0.0))
-            statistic, spec = dd.Statistic.energy(sc, sc.N, sc.U), spec_at(sc, p)
+            statistic, spec = dd.Statistic.energy(sc, sc.U), spec_at(sc, p)
             w = scheme_weights(sc, Scheme.ED_opt_weights_opt_power, p)
             assert np.array_equal(w.alpha, reference_energy_weights(sc, p))
             assert np.array_equal(
                 dd.optimal_weights(dd.deflection_inputs(statistic, spec)).alpha, w.alpha)
             nv = dd.quant_noise_var(p, sc.h, sc.zeta, sc.U)
-            for weights in (w, dd.equal_weights(sc.M, censored=p == 0.0)):
+            for weights in (w, dd.equal_weights(p == 0.0)):
                 got = self._moments(dd.fusion_moments(statistic, weights, spec))
                 ref = reference_combined_moments(sc.N, sc.sigma2, sc.xi, weights.alpha, nv, sc.U)
                 assert (got[1], got[3], got[4]) == (ref[1], ref[3], ref[4])
@@ -308,10 +308,10 @@ class TestOneRuleForBothStatistics:
         for seed in range(self.POPULATIONS):
             sc, p = self._population(seed)
             censored += int(np.sum(p == 0.0))
-            statistic, spec = dd.Statistic.matched(sc, sc.N, sc.U), spec_at(sc, p)
+            statistic, spec = dd.Statistic.matched(sc, sc.U), spec_at(sc, p)
             w = scheme_weights(sc, Scheme.MFD_opt_power, p)
             assert np.array_equal(w.alpha, reference_matched_filter_weights(sc, p))
-            for weights in (w, dd.equal_weights(sc.M, censored=p == 0.0)):
+            for weights in (w, dd.equal_weights(p == 0.0)):
                 got = self._moments(dd.fusion_moments(statistic, weights, spec))
                 assert got == reference_matched_filter_moments(sc, weights.alpha, p)[:5]
         assert censored > 0

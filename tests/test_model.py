@@ -93,12 +93,12 @@ class TestEnergyStatistic:
 
 class TestStatisticMoments:
     def test_zero_snr_equalizes_hypotheses(self):
-        m = dd.Statistic.energy(_sensor(signal=np.zeros(10)), 10)
+        m = dd.Statistic.energy(_sensor(signal=np.zeros(10)))
         assert (m.mean_h0, m.var_h0, m.mean_h1, m.var_h1) == (10.0, 20.0, 10.0, 20.0)
 
     def test_hand_evaluation_at_snr_04(self):
         s = _sensor(sigma2=1.0, n=10, amp=np.sqrt(0.4))  # sum(s^2)=4 -> xi=0.4
-        m = dd.Statistic.energy(s, 10)
+        m = dd.Statistic.energy(s)
         assert_allclose(m.mean_h1, 14.0, rtol=1e-12)
         assert_allclose(m.var_h1, 36.0, rtol=1e-12)
 
@@ -109,12 +109,12 @@ class TestStatisticMoments:
             n = int(rng.integers(2, 40))
             amp = float(rng.uniform(0.05, 1.0))
             s = _sensor(sigma2=sigma2, n=n, amp=amp)
-            m = dd.Statistic.energy(s, n)
+            m = dd.Statistic.energy(s)
             assert_allclose(m.mean_h1 - m.mean_h0, n * sigma2 * s.xi, rtol=1e-12)
 
     def test_variances_ordered(self):
         s = _sensor(sigma2=1.3, n=12, amp=0.4)
-        m = dd.Statistic.energy(s, 12)
+        m = dd.Statistic.energy(s)
         assert m.var_h1 >= m.var_h0 > 0
 
     def test_empirical_h1_variance(self):
@@ -122,7 +122,7 @@ class TestStatisticMoments:
         rng = np.random.default_rng(9)
         x = dd.generate_observations(s, 20, Hypothesis.H1, rng, trials=100_000)
         t = dd.energy_statistic(x)
-        m = dd.Statistic.energy(s, 20)
+        m = dd.Statistic.energy(s)
         assert abs(float(np.var(t)) / m.var_h1 - 1.0) < 0.03
 
 
@@ -190,13 +190,13 @@ class TestScenario:
     def test_pfa_bounds_enforced(self):
         sensors = dd.build_sensors(3, 10, seed=0)
         with pytest.raises(ValueError):
-            dd.Scenario(sensors=sensors, N=10, U=3.0, Pt=1.0, Pfa=1.5,
+            dd.Scenario(sensors=sensors, U=3.0, Pt=1.0, Pfa=1.5,
                         topology=dd.complete_graph(3), seed=0, solver=dd.SolverConfig())
 
     def test_topology_size_must_match(self):
         sensors = dd.build_sensors(3, 10, seed=0)
         with pytest.raises(ValueError):
-            dd.Scenario(sensors=sensors, N=10, U=3.0, Pt=1.0, Pfa=0.1,
+            dd.Scenario(sensors=sensors, U=3.0, Pt=1.0, Pfa=0.1,
                         topology=dd.complete_graph(4), seed=0, solver=dd.SolverConfig())
 
     def test_make_scenario_wires_everything(self, fig1_scenario):
@@ -269,12 +269,12 @@ class TestPopulationArrays:
     def test_power_closed_form(self, population):
         sc = population
         for lam in (1e-6, 1e-2, 1.0):
-            scalar = [dd.power_closed_form(lam, s, sc.N, sc.U) for s in each_sensor(sc)]
-            assert np.array_equal(dd.power_closed_form(lam, sc, sc.N, sc.U), scalar)
+            scalar = [dd.power_closed_form(lam, s, sc.U) for s in each_sensor(sc)]
+            assert np.array_equal(dd.power_closed_form(lam, sc, sc.U), scalar)
         lams = np.logspace(-6, 0, sc.M)   # one multiplier copy per sensor
-        scalar = [dd.local_power_update(float(v), s, sc.N, sc.U)
+        scalar = [dd.local_power_update(float(v), s, sc.U)
                   for v, s in zip(lams, each_sensor(sc))]
-        assert np.array_equal(dd.local_power_update(lams, sc, sc.N, sc.U), scalar)
+        assert np.array_equal(dd.local_power_update(lams, sc, sc.U), scalar)
 
     def test_quantizer_rate_and_noise(self, population):
         sc = population
@@ -287,8 +287,8 @@ class TestPopulationArrays:
 
     def test_statistic_moments(self, population):
         sc = population
-        arrays = dd.Statistic.energy(sc, sc.N)
-        per_sensor = [dd.Statistic.energy(s, sc.N) for s in each_sensor(sc)]
+        arrays = dd.Statistic.energy(sc)
+        per_sensor = [dd.Statistic.energy(s) for s in each_sensor(sc)]
         for name in ("mean_h0", "var_h0", "mean_h1", "var_h1"):
             assert np.array_equal(getattr(arrays, name), [getattr(m, name) for m in per_sensor])
 
@@ -330,7 +330,7 @@ class TestPopulationArrays:
 
     def test_quantized_gaussian_moments(self, population):
         sc = population
-        mom = dd.Statistic.energy(sc, sc.N)
+        mom = dd.Statistic.energy(sc)
         bits = 1 + np.arange(sc.M) % 17   # at M=200, every count up to 17 occurs
         bits[-1] = 20
         mean, var = dd.quantized_gaussian_moments(mom.mean_h1, mom.var_h1, bits, sc.U)
@@ -369,7 +369,7 @@ class TestStreams:
 
 def test_halfrange_covers_h1_spread():
     sensors = dd.build_sensors(10, 10, seed=3)
-    u = dd.suggest_statistic_halfrange(sensors, 10)
+    u = dd.suggest_statistic_halfrange(sensors)
     for s in each_sensor(sensors):
-        m = dd.Statistic.energy(s, 10)
+        m = dd.Statistic.energy(s)
         assert 2 * u >= m.mean_h1 + 3 * np.sqrt(m.var_h1)

@@ -24,7 +24,7 @@ from conftest import bundled_config, run_cli, scheme_weights, write_config
 def _chance_scenario(m=4, n=10):
     """All-zero signals: H1 is literally H0, so any detector sits at chance."""
     sensors = dd.SensorParams(1.0, 1.0, 0.1, np.zeros((m, n)))
-    return dd.Scenario(sensors=sensors, N=n, U=8.0, Pt=4.0, Pfa=0.1,
+    return dd.Scenario(sensors=sensors, U=8.0, Pt=4.0, Pfa=0.1,
                        topology=dd.complete_graph(m), seed=5, solver=dd.SolverConfig())
 
 
@@ -49,20 +49,16 @@ class TestSchemeFlags:
 
 class TestDetectionThreshold:
     def test_median_threshold_at_half(self):
-        m = dd.FusionMoments(mean_h0=7.0, var_h0=4.0, mean_h1=9.0, var_h1=5.0, psi=2.0)
-        assert_allclose(dd.detection_threshold(m, 0.5), 7.0, atol=1e-12)
+        assert_allclose(dd.detection_threshold(7.0, 4.0, 0.5), 7.0, atol=1e-12)
 
     def test_grows_without_bound_for_small_pfa(self):
-        m = dd.FusionMoments(mean_h0=0.0, var_h0=1.0, mean_h1=1.0, var_h1=1.0, psi=1.0)
         grid = [0.3, 0.1, 1e-3, 1e-6, 1e-9]
-        thr = [dd.detection_threshold(m, v) for v in grid]
+        thr = [dd.detection_threshold(0.0, 1.0, v) for v in grid]
         assert np.all(np.diff(thr) > 0)
 
     def test_threshold_moves_with_the_h0_mean(self):
-        base = dd.FusionMoments(mean_h0=10.0, var_h0=4.0, mean_h1=12.0, var_h1=5.0, psi=2.0)
-        shifted = dd.FusionMoments(mean_h0=7.0, var_h0=4.0, mean_h1=9.0, var_h1=5.0, psi=2.0)
-        assert_allclose(dd.detection_threshold(shifted, 0.2),
-                        dd.detection_threshold(base, 0.2) - 3.0, rtol=1e-12)
+        assert_allclose(dd.detection_threshold(7.0, 4.0, 0.2),
+                        dd.detection_threshold(10.0, 4.0, 0.2) - 3.0, rtol=1e-12)
 
 
 class TestQuantizedGaussianMoments:
@@ -139,8 +135,9 @@ class TestPlanScheme:
         scheme = Scheme.ED_opt_weights_equal_power
         plan = plan_scheme(sc, scheme)
         assert plan.spec.bits_int.tolist() == [4, 4, 4]
-        assert plan.tx_moments is None and plan.degenerate
-        assert not plan.transmit.any() and not plan.alpha_tx.any()
+        assert plan.received_h0 is None and plan.degenerate
+        assert not plan.transmit.any() and plan.senders.size == 0
+        assert plan.sender_weights is None
         assert plan.threshold(0.1) == math.inf
         counts = montecarlo.simulate_plans(sc, [plan], [np.array([plan.threshold(0.1)])], 100)
         assert counts[0].tolist() == [[0], [0]]
@@ -159,7 +156,34 @@ class TestPlanScheme:
 
     def test_silenced_weights_match_transmit_mask(self, small_scenario):
         plan = plan_scheme(small_scenario, Scheme.ED_opt_weights_opt_power)
-        assert np.all(plan.alpha_tx[~plan.transmit] == 0.0)
+        w = scheme_weights(small_scenario, plan.scheme, plan.powers)
+        np.testing.assert_array_equal(plan.senders,
+                                      np.flatnonzero(plan.transmit & (w.alpha != 0.0)))
+        np.testing.assert_array_equal(plan.sender_weights.alpha, w.alpha[plan.senders])
+
+    def test_a_zero_signal_sensor_transmits_but_does_not_send(self):
+        # sensor 0 has xi = 0, so its optimal weight is 0; at 10 units of power each
+        # every sensor affords 3 bits
+        m, n = 4, 10
+        signal = np.full((m, n), 0.5)
+        signal[0] = 0.0
+        sensors = dd.SensorParams(np.array([1.0, 0.5, 1.5, 2.0]), 1.0, 0.1, signal)
+        sc = dd.Scenario(sensors=sensors, U=8.0, Pt=40.0, Pfa=0.1,
+                         topology=dd.complete_graph(m), seed=5)
+        scheme = Scheme.ED_opt_weights_equal_power
+        plan = plan_scheme(sc, scheme)
+        assert plan.spec.bits_int.tolist() == [3, 3, 3, 3]
+        assert plan.transmit.all() and plan.n_transmit == m
+        assert plan.senders.tolist() == [1, 2, 3]
+        # the same three sensors alone, each at the same power
+        rest = dd.SensorParams(sensors.sigma2[1:], 1.0, 0.1, signal[1:])
+        alone = plan_scheme(dd.Scenario(sensors=rest, U=8.0, Pt=30.0, Pfa=0.1,
+                                        topology=dd.complete_graph(m - 1), seed=5), scheme)
+        np.testing.assert_array_equal(alone.powers, plan.powers[1:])
+        assert plan.received_h0 == alone.received_h0
+        assert plan.threshold(0.1) == alone.threshold(0.1)
+        (est,) = dd.sweep_budget(sc, [scheme], [40.0], 100)
+        assert est.n_transmit == m
 
 
 class TestRunTrials:
@@ -301,8 +325,8 @@ class TestChunking:
         plans = [plan_scheme(sc, s, pt=pt) for pt in self.GRID for s in Scheme]
         # one quantized row per (statistic, sensor, bit load) that some plan sends
         cells = {(p.scheme.matched_filter, i, p.spec.bits_int[i]) for p in plans
-                 if not p.degenerate for i in np.flatnonzero(p.alpha_tx)}
-        sent = sum(int(np.count_nonzero(p.alpha_tx)) for p in plans if not p.degenerate)
+                 for i in p.senders}
+        sent = sum(p.senders.size for p in plans)
         assert len(cells) < sent
         rows = []
 
@@ -316,13 +340,17 @@ class TestChunking:
         self._sweep(sc)
         assert sum(rows) == 2 * len(cells)   # one chunk, two hypotheses
         assert len(rows) == 2 * 2            # one call per statistic and hypothesis
+        # each plan fuses with the sender weights it was built with: the pass builds none
+        monkeypatch.setattr(montecarlo, "FusionWeights", None)
+        thresholds = [np.array([p.threshold(0.1)]) for p in plans]
+        montecarlo.simulate_plans(sc, plans, thresholds, 1000)
 
 
 def _law_population(n, m=3):
     """Three sensors with unequal noise and signals that are not constant over the window."""
     signal = np.random.default_rng(100 + n).normal(0.0, 0.4, size=(m, n))
     sensors = dd.SensorParams(np.array([0.5, 1.0, 2.0]), 1.0, 0.1, signal)
-    return dd.Scenario(sensors=sensors, N=n, U=3.0, Pt=1.0, Pfa=0.1,
+    return dd.Scenario(sensors=sensors, U=3.0, Pt=1.0, Pfa=0.1,
                        topology=dd.complete_graph(m), seed=5)
 
 
@@ -343,7 +371,7 @@ class TestSufficientStatisticLaw:
         sc, trials, h1 = _law_population(n), self.TRIALS, hyp is Hypothesis.H1
         sg, rest = montecarlo._noise(sc, np.random.default_rng(1), np.random.default_rng(2),
                                      trials)
-        drawn = [statistic(sc, n, sc.U).from_noise(sg, rest, h1)
+        drawn = [statistic(sc, sc.U).from_noise(sg, rest, h1)
                  for statistic in (dd.Statistic.energy, dd.Statistic.matched)]
         x = dd.generate_observations(sc, n, hyp, np.random.default_rng(3), trials=trials)
         sampled = [dd.energy_statistic(x).T, dd.matched_filter_statistic(x, sc).T]

@@ -42,17 +42,17 @@ def _lagrangian_argmax_grid(sensor, n, u, lam, p_max, points=1_000_001):
 
 class TestPowerClosedForm:
     def test_large_multiplier_censors(self):
-        assert dd.power_closed_form(1e6, _sensor(), 10, 3.0) == 0.0
+        assert dd.power_closed_form(1e6, _sensor(), 3.0) == 0.0
 
     def test_zero_snr_never_gets_power(self):
         s = dd.SensorParams(1.0, 1.0, 0.1, np.zeros(10))
         for lam in (1e-12, 1e-6, 1e-2, 1.0, 1e4):
-            assert dd.power_closed_form(lam, s, 10, 3.0) == 0.0
+            assert dd.power_closed_form(lam, s, 3.0) == 0.0
 
     def test_matches_grid_search_oracle(self):
         s = dd.SensorParams(1.0, 1.0, 0.1, np.full(10, np.sqrt(0.4)))  # xi = 0.4
         lam = 1e-4
-        p = dd.power_closed_form(lam, s, 10, 3.0)
+        p = dd.power_closed_form(lam, s, 3.0)
         assert_allclose(p, 5.97747286117, rtol=1e-9)
         p_grid = _lagrangian_argmax_grid(s, 10, 3.0, lam, p_max=20.0)
         assert abs(p - p_grid) < 1e-4
@@ -65,13 +65,13 @@ class TestPowerClosedForm:
 
 class TestSolveCentralized:
     def test_single_sensor_absorbs_the_budget(self):
-        sc = dd.Scenario(sensors=_sensor(m=1), N=10, U=3.0, Pt=1.0, Pfa=0.1,
+        sc = dd.Scenario(sensors=_sensor(m=1), U=3.0, Pt=1.0, Pfa=0.1,
                          topology=dd.complete_graph(1), seed=0, solver=dd.SolverConfig())
         alloc = dd.solve_centralized(sc)
         assert_allclose(alloc.p[0], 1.0, rtol=1e-9)
 
     def test_identical_sensors_split_evenly(self):
-        sc = dd.Scenario(sensors=_sensor(m=5), N=10, U=3.0, Pt=2.0, Pfa=0.1,
+        sc = dd.Scenario(sensors=_sensor(m=5), U=3.0, Pt=2.0, Pfa=0.1,
                          topology=dd.complete_graph(5), seed=0, solver=dd.SolverConfig())
         alloc = dd.solve_centralized(sc)
         assert_allclose(alloc.p, 0.4, rtol=1e-9)
@@ -90,7 +90,7 @@ class TestSolveCentralized:
 
     def test_no_signal_raises(self):
         sensors = dd.SensorParams(1.0, 1.0, 0.1, np.zeros((3, 10)))
-        sc = dd.Scenario(sensors=sensors, N=10, U=3.0, Pt=1.0, Pfa=0.1,
+        sc = dd.Scenario(sensors=sensors, U=3.0, Pt=1.0, Pfa=0.1,
                          topology=dd.complete_graph(3), seed=0, solver=dd.SolverConfig())
         with pytest.raises(dd.NoSignalError):
             dd.solve_centralized(sc)
@@ -98,7 +98,7 @@ class TestSolveCentralized:
     def test_better_joint_channel_and_snr_gets_more_power(self):
         # sensor 0 dominates sensor 1 in both xi and h^2/zeta at equal sigma2
         sensors = dd.SensorParams(1.0, [1.5, 0.8], 0.1, np.repeat([[0.4], [0.2]], 10, axis=1))
-        sc = dd.Scenario(sensors=sensors, N=10, U=3.0, Pt=1.0, Pfa=0.1,
+        sc = dd.Scenario(sensors=sensors, U=3.0, Pt=1.0, Pfa=0.1,
                          topology=dd.complete_graph(2), seed=0, solver=dd.SolverConfig())
         alloc = dd.solve_centralized(sc)
         assert alloc.p[0] >= alloc.p[1]
