@@ -10,7 +10,7 @@ from distdetect.montecarlo import Scheme, sweep_budget
 
 def main():
     sc = dd.make_scenario(m=20, n=3, seed=5, u=3.0, pt=20.0, pfa=0.1,
-                          xa_db=-4.0, sigma2_range=(0.6, 1.0), radius=0.5)
+                          xa_db=-4.0, sigma2_range=(0.6, 1.0))
     schemes = [Scheme.ED_opt_weights_opt_power, Scheme.ED_opt_weights_equal_power]
     grid = [2.0, 5.0, 10.0, 20.0, 50.0, 100.0]
     ests = sweep_budget(sc, schemes, grid, trials=5000)

@@ -13,8 +13,9 @@ import distdetect as dd
 
 def main():
     sc = dd.make_scenario(m=10, n=10, seed=1, u=3.0, pt=1.0, pfa=0.1,
-                          xa_db=-4.0, amplitude=0.2, radius=0.5)
-    alloc, trace = dd.solve_distributed(sc)
+                          xa_db=-4.0, amplitude=0.2)
+    graph = dd.make_topology(10, seed=1, radius=0.5)
+    alloc, trace = dd.solve_distributed(sc, graph)
 
     total = np.sum(trace.powers, axis=1)
     picks = sorted({1, 2, 5, 10, 50, 200, 1000, trace.iterations})

@@ -14,9 +14,10 @@ from distdetect.quantize import specs_for_allocation
 
 def main():
     sc = dd.make_scenario(m=10, n=10, seed=1, u=3.0, pt=1.0, pfa=0.1,
-                          xa_db=-4.0, amplitude=0.2, radius=0.5)
+                          xa_db=-4.0, amplitude=0.2)
+    graph = dd.make_topology(10, seed=1, radius=0.5)
     central = dd.solve_centralized(sc)
-    distributed, trace = dd.solve_distributed(sc)
+    distributed, trace = dd.solve_distributed(sc, graph)
 
     spec = specs_for_allocation(central.p, sc.h, sc.zeta, sc.U)
     print(f"budget Pt = {sc.Pt}, price lambda0 = {central.lambda0:.6e}")

@@ -16,7 +16,7 @@ PFA_GRID = [0.01, 0.05, 0.1, 0.2, 0.5]
 def main():
     for n in (3, 5):
         sc = dd.make_scenario(m=20, n=n, seed=5, u=3.0, pt=20.0, pfa=0.1,
-                              xa_db=-4.0, sigma2_range=(0.6, 1.0), radius=0.5)
+                              xa_db=-4.0, sigma2_range=(0.6, 1.0))
         ed, mf = (roc_curve(sc, scheme, PFA_GRID, trials=5000)
                   for scheme in (Scheme.ED_opt_weights_opt_power, Scheme.MFD_opt_power))
         print(f"window N = {n}")

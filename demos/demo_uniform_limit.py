@@ -12,7 +12,7 @@ import distdetect as dd
 
 def spread(label, m, n, pt, xa_db, amplitude):
     sc = dd.make_scenario(m=m, n=n, seed=1, u=3.0, pt=pt, pfa=0.1,
-                          xa_db=xa_db, amplitude=amplitude, radius=0.5)
+                          xa_db=xa_db, amplitude=amplitude)
     p = dd.solve_centralized(sc).p
     active = p[p > 0]
     cv = np.std(active) / np.mean(active)

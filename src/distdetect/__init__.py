@@ -48,6 +48,7 @@ from .model import (
     energy_statistic,
     generate_observations,
     make_scenario,
+    make_topology,
     suggest_statistic_halfrange,
 )
 from .montecarlo import (

@@ -22,9 +22,9 @@ import time
 
 import numpy as np
 
-from .consensus import TopologyError, save_edge_list
+from .consensus import Graph, TopologyError, save_edge_list
 from .fusion import DegenerateFusionError
-from .model import Scenario, SolverConfig, build_sensors, make_scenario
+from .model import Scenario, SolverConfig, build_sensors, make_scenario, make_topology
 from .montecarlo import DetectionEstimate, Scheme, SchemePlan, sweep_budget
 # not called here; bench/tracer.py wraps them under these names
 from .montecarlo import powers_for_scheme, roc_curve, run_trials, weights_for_scheme
@@ -50,18 +50,17 @@ _DETECT_DEFAULTS = {
     "n_grid": [],
 }
 
-# the optional scenario fields are build_sensors' keywords and make_scenario's radius;
-# sigma2_range is a JSON list
+# the optional scenario fields are build_sensors' keywords; sigma2_range is a JSON list
 _SCENARIO_DEFAULTS = {
     k: list(p.default) if isinstance(p.default, tuple) else p.default
-    for f in (build_sensors, make_scenario)
-    for k, p in inspect.signature(f).parameters.items()
-    if k in ("xa_db", "amplitude", "sigma2_range", "zeta", "radius", "deterministic_channel")
+    for k, p in inspect.signature(build_sensors).parameters.items() if p.default is not p.empty
 }
 
 _TOP_DEFAULTS = {
     "name": "scenario",
     **_SCENARIO_DEFAULTS,
+    # the graph and the solver settings; only allocate and trace read them
+    "radius": inspect.signature(make_topology).parameters["radius"].default,
     "solver": _SOLVER_DEFAULTS,
     "detect": _DETECT_DEFAULTS,
 }
@@ -199,15 +198,12 @@ def config_digest(cfg: dict) -> str:
 
 
 def scenario_from_config(cfg: dict, n: int | None = None) -> Scenario:
-    solver = SolverConfig(**cfg["solver"])
     try:
         return make_scenario(
             m=cfg["M"], n=n if n is not None else cfg["N"], seed=cfg["seed"],
-            u=cfg["U"], pt=cfg["Pt"], pfa=cfg["Pfa"], solver=solver,
+            u=cfg["U"], pt=cfg["Pt"], pfa=cfg["Pfa"],
             **{k: cfg[k] for k in _SCENARIO_DEFAULTS},
         )
-    except TopologyError:
-        raise
     except ValueError as e:
         raise ConfigError(f"config does not describe a valid scenario: {e}") from e
 
@@ -320,21 +316,21 @@ def write_diagnostics_csv(path, diag: list[tuple[SchemePlan, np.ndarray]]) -> No
     ))
 
 
-def _write_topology(outdir: str, scenario: Scenario) -> list[str]:
+def _write_topology(outdir: str, graph: Graph) -> list[str]:
     """Save the edge list; it counts as an output only when the graph has edges."""
-    save_edge_list(scenario.topology, os.path.join(outdir, "topology.txt"))
-    return ["topology.txt"] if scenario.topology.edges.size else []
+    save_edge_list(graph, os.path.join(outdir, "topology.txt"))
+    return ["topology.txt"] if graph.edges.size else []
 
 
-def _solve_distributed(scenario: Scenario, outdir: str):
-    """solve_distributed; on ConvergenceError, write the partial trace.csv, then re-raise.
+def _solve_distributed(scenario: Scenario, graph: Graph, cfg: dict, outdir: str):
+    """solve_distributed at the config's settings; on ConvergenceError, write trace.csv, re-raise.
 
     The partial trace holds every outer iteration completed before the
     failure: none, if the first consensus run already failed, which
     leaves only the header.
     """
     try:
-        return solve_distributed(scenario)
+        return solve_distributed(scenario, graph, SolverConfig(**cfg["solver"]))
     except ConvergenceError as e:
         if e.trace is not None:
             trace_path = os.path.join(outdir, "trace.csv")
@@ -347,6 +343,7 @@ def cmd_allocate(args) -> int:
     cfg = load_config(args.config)
     outdir = _outdir(args)
     scenario = scenario_from_config(cfg)
+    graph = make_topology(cfg["M"], cfg["seed"], cfg["radius"])
     timings: dict[str, float] = {}
 
     p_central = p_dist = None
@@ -356,13 +353,13 @@ def cmd_allocate(args) -> int:
         timings["solve_centralized"] = time.perf_counter() - t0
     if args.method in ("distributed", "both"):
         t0 = time.perf_counter()
-        alloc, _ = _solve_distributed(scenario, outdir)
+        alloc, _ = _solve_distributed(scenario, graph, cfg, outdir)
         p_dist = alloc.p
         timings["solve_distributed"] = time.perf_counter() - t0
 
     alloc_path = os.path.join(outdir, "allocation.csv")
     write_allocation_csv(alloc_path, scenario, p_central, p_dist)
-    outputs = ["allocation.csv", *_write_topology(outdir, scenario)]
+    outputs = ["allocation.csv", *_write_topology(outdir, graph)]
     _write_manifest(outdir, cfg, "allocate", outputs, timings)
     if p_central is not None and p_dist is not None:
         nc = float(np.linalg.norm(p_central))
@@ -421,12 +418,13 @@ def cmd_trace(args) -> int:
     cfg = load_config(args.config)
     outdir = _outdir(args)
     scenario = scenario_from_config(cfg)
+    graph = make_topology(cfg["M"], cfg["seed"], cfg["radius"])
     t0 = time.perf_counter()
-    alloc, trace = _solve_distributed(scenario, outdir)
+    alloc, trace = _solve_distributed(scenario, graph, cfg, outdir)
     elapsed = time.perf_counter() - t0
     trace_path = os.path.join(outdir, "trace.csv")
     write_trace_csv(trace, trace_path)
-    outputs = ["trace.csv", *_write_topology(outdir, scenario)]
+    outputs = ["trace.csv", *_write_topology(outdir, graph)]
     _write_manifest(outdir, cfg, "trace", outputs, {"solve_distributed": elapsed})
     print(f"trace: converged in {trace.iterations} outer iterations, "
           f"{trace.total_consensus_rounds} consensus rounds total, "
@@ -466,9 +464,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
-    except (ConfigError, TopologyError, NoSignalError, ScaleError,
-            DegenerateFusionError) as e:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):  # no nan or inf output
+            return args.func(args)
+    except (ConfigError, TopologyError, NoSignalError, ScaleError, DegenerateFusionError,
+            FloatingPointError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except ConvergenceError as e:

@@ -217,8 +217,8 @@ class ConsensusResult:
 def consensus_average(
     graph: Graph,
     x0: np.ndarray,
-    tol: float = 1e-10,
-    max_iter: int = 10000,
+    tol: float,
+    max_iter: int,
     mode: str = "oracle",
     window: int = 5,
     weights: np.ndarray | None = None,

@@ -18,8 +18,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .consensus import Graph
-
 # libm's exp elementwise, as in quantize._log2: numpy's SIMD exp rounds
 # some last bits differently on different CPUs
 _exp = np.vectorize(math.exp, otypes=[float])
@@ -71,6 +69,8 @@ class SensorParams:
             values[name] = _read_only(np.broadcast_to(getattr(self, name), sig.shape[:-1]))
             if not np.all(values[name] > 0):
                 raise ValueError(f"{name} must be positive")
+        if not np.all(np.square(values["sigma2"]) > 0):
+            raise ValueError("sigma2 is so small that the energy's variance 2 N sigma2^2 is 0")
         # a finite signal can still square past float range; es and xi are
         # then inf, which calibrate_average_snr rejects
         with np.errstate(over="ignore"):
@@ -193,7 +193,7 @@ class SolverConfig:
 
 @dataclass(frozen=True, eq=False)
 class Scenario:
-    """Everything a run needs: sensors, sampling, budget, target, topology.
+    """Everything detection and the centralized solve need: sensors, budget, target.
 
     sensors  the population, one SensorParams with an (M, N) signal
     U     half-range of the quantizer input: a statistic is clipped to its window
@@ -215,9 +215,7 @@ class Scenario:
     U: float
     Pt: float
     Pfa: float
-    topology: Graph
     seed: int
-    solver: SolverConfig = field(default_factory=SolverConfig)
     sigma2: np.ndarray = field(init=False, repr=False)
     h: np.ndarray = field(init=False, repr=False)
     zeta: np.ndarray = field(init=False, repr=False)
@@ -235,8 +233,6 @@ class Scenario:
             raise ValueError("Pt must be positive")
         if not 0.0 < self.Pfa < 1.0:
             raise ValueError("Pfa must be in (0, 1)")
-        if self.topology.M != shape[0]:
-            raise ValueError(f"topology has {self.topology.M} nodes for {shape[0]} sensors")
         for name in ("sigma2", "h", "zeta", "xi", "es", "signal"):
             object.__setattr__(self, name, getattr(self.sensors, name))
 
@@ -371,24 +367,21 @@ def make_scenario(
     u: float = 3.0,
     pt: float = 1.0,
     pfa: float = 0.1,
-    radius: float = 0.5,
-    solver: SolverConfig | None = None,
     **sensor_options,
 ) -> Scenario:
-    """Standard seeded scenario: drawn sensors plus a connected geometric topology.
+    """Standard seeded scenario: drawn sensors, budget and false-alarm target.
 
     sensor_options are build_sensors' keywords (xa_db, amplitude,
     sigma2_range, zeta, deterministic_channel), with its defaults.
     """
-    from .consensus import random_geometric_graph
-
     sensors = build_sensors(m, n, seed, **sensor_options)
-    topology = random_geometric_graph(m, radius, derive_stream(seed, "topology"))
-    return Scenario(
-        sensors=sensors, U=u, Pt=pt, Pfa=pfa,
-        topology=topology, seed=seed,
-        solver=solver if solver is not None else SolverConfig(),
-    )
+    return Scenario(sensors=sensors, U=u, Pt=pt, Pfa=pfa, seed=seed)
+
+
+def make_topology(m: int, seed: int, radius: float = 0.5):
+    """The connected sensor graph, from its own "topology" stream; solve_distributed reads it."""
+    from .consensus import random_geometric_graph  # looked up per call, so a patch of it applies
+    return random_geometric_graph(m, radius, derive_stream(seed, "topology"))
 
 
 def suggest_statistic_halfrange(sensors: SensorParams) -> float:

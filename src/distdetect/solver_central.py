@@ -138,7 +138,8 @@ def solve_centralized(scenario: Scenario, pt: float | None = None) -> PowerAlloc
     the last k with spent_k < pt fixes the active set and
     s - b_k = (pt - spent_k) / A_k. Active powers a_i ((s - b_k) + (b_k - b_i))
     cancel no large terms. Sensors with a_i = 0 (xi = 0) never transmit.
-    Raises ScaleError when a, b or the water level are not finite floats.
+    Raises ScaleError when a, b or the water level are not finite floats
+    or the powers, rounded at subnormal scale, miss the budget.
     """
     if pt is None:
         pt = scenario.Pt
@@ -167,7 +168,10 @@ def solve_centralized(scenario: Scenario, pt: float | None = None) -> PowerAlloc
     if not (0.0 < lam < np.inf and np.all(np.isfinite(p))):
         raise ScaleError(f"the water level for Pt={pt} is not a finite float")
     alloc = PowerAllocation(p=p, lambda0=float(lam))
-    alloc.validate(pt)
+    try:
+        alloc.validate(pt)
+    except ValueError as e:  # the exact solve misses it only by rounding at subnormal scale
+        raise ScaleError(f"the water level for Pt={pt} misses the budget in float64: {e}") from e
     return alloc
 
 

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .consensus import ConsensusError, consensus_average, metropolis_matrix
-from .model import Scenario
+from .consensus import ConsensusError, Graph, consensus_average, metropolis_matrix
+from .model import Scenario, SolverConfig
 from .solver_central import PowerAllocation, power_closed_form
 
 # shared implementation with the centralized solver: the locality claim
@@ -75,23 +75,25 @@ class DualAscentTrace:
         return int(np.sum(self.consensus_iters))
 
 
-def solve_distributed(scenario: Scenario) -> tuple[PowerAllocation, DualAscentTrace]:
-    """Run the dual-ascent protocol to convergence on the scenario topology.
+def solve_distributed(scenario: Scenario, graph: Graph, solver: SolverConfig = SolverConfig()
+                      ) -> tuple[PowerAllocation, DualAscentTrace]:
+    """Run the dual-ascent protocol to convergence over the sensor graph.
 
-    Stops when the relative power step drops to the solver's kappa.
-    The returned allocation approaches the budget from above as the
-    multiplier climbs, so its residual is bounded by the coarser
-    distributed tolerance (1e-3 relative), not the centralized one.
-    A consensus run that fails raises ConvergenceError with the trace
-    of the outer iterations completed before it.
+    graph joins the scenario's M sensors, one vertex each, and solver
+    holds the step and consensus settings. Stops when the relative power
+    step drops to the solver's kappa. The returned allocation approaches
+    the budget from above as the multiplier climbs, so its residual is
+    bounded by the coarser distributed tolerance (1e-3 relative), not the
+    centralized one. A consensus run that fails raises ConvergenceError
+    with the trace of the outer iterations completed before it.
     """
-    cfg = scenario.solver
-    graph = scenario.topology
     m = scenario.M
+    if graph.M != m:
+        raise ValueError(f"graph has {graph.M} nodes for {m} sensors")
     u, pt = scenario.U, scenario.Pt
     w = metropolis_matrix(graph)
 
-    lam = np.full(m, cfg.lambda0_init)
+    lam = np.full(m, solver.lambda0_init)
     p_prev: np.ndarray | None = None
 
     ks, lams, prows, crows, rels, spreads = [], [], [], [], [], []
@@ -108,12 +110,12 @@ def solve_distributed(scenario: Scenario) -> tuple[PowerAllocation, DualAscentTr
             converged=converged,
         )
 
-    for k in range(cfg.outer_max_iter):
+    for k in range(solver.outer_max_iter):
         p = local_power_update(lam, scenario, u)
         try:
             cres = consensus_average(
-                graph, p, tol=cfg.consensus_tol, max_iter=cfg.consensus_max_iter,
-                mode=cfg.consensus_mode, window=cfg.consensus_window, weights=w,
+                graph, p, tol=solver.consensus_tol, max_iter=solver.consensus_max_iter,
+                mode=solver.consensus_mode, window=solver.consensus_window, weights=w,
             )
         except ConsensusError as e:
             raise ConvergenceError(f"outer iteration {k + 1}: {e}",
@@ -137,7 +139,7 @@ def solve_distributed(scenario: Scenario) -> tuple[PowerAllocation, DualAscentTr
         rels.append(rel)
         spreads.append(float(np.max(lam) - np.min(lam)))
 
-        if np.isfinite(rel) and rel <= cfg.kappa:
+        if np.isfinite(rel) and rel <= solver.kappa:
             converged = True
             break
         p_prev = p
@@ -145,7 +147,8 @@ def solve_distributed(scenario: Scenario) -> tuple[PowerAllocation, DualAscentTr
     trace = trace_so_far(converged)
     if not converged:
         raise ConvergenceError(
-            f"no convergence to kappa={cfg.kappa} within {cfg.outer_max_iter} outer iterations",
+            f"no convergence to kappa={solver.kappa} within {solver.outer_max_iter} "
+            "outer iterations",
             trace=trace,
         )
     p_final = trace.powers[-1]

@@ -48,7 +48,12 @@ def scheme_weights(scenario, scheme, powers) -> dd.FusionWeights:
 @pytest.fixture(scope="session")
 def fig1_scenario():
     return dd.make_scenario(m=10, n=10, seed=1, u=3.0, pt=1.0, pfa=0.1,
-                            xa_db=-4.0, amplitude=0.2, radius=0.5)
+                            xa_db=-4.0, amplitude=0.2)
+
+
+@pytest.fixture(scope="session")
+def fig1_topology():
+    return dd.make_topology(10, seed=1, radius=0.5)
 
 
 @pytest.fixture(scope="session")
@@ -61,7 +66,7 @@ def rng():
     return np.random.default_rng(0)
 
 
-def reference_consensus_average(graph, x0, tol=1e-10, max_iter=10000, mode="oracle",
+def reference_consensus_average(graph, x0, tol, max_iter, mode="oracle",
                                 window=5, weights=None):
     """consensus_average as a plain x = W @ x loop that tests the stopping rule every round."""
     w = dd.metropolis_matrix(graph) if weights is None else weights

@@ -7,6 +7,7 @@ and determinism gates see exactly what a user would produce.
 """
 import csv
 import hashlib
+import json
 import re
 from collections import defaultdict
 from pathlib import Path
@@ -15,10 +16,11 @@ import numpy as np
 import pytest
 
 import distdetect as dd
+from distdetect import consensus
 from distdetect.fusion import deflection_inputs
 from distdetect.montecarlo import Scheme
 
-from conftest import bundled_config, each_sensor, run_cli, sensor, spec_at
+from conftest import bundled_config, each_sensor, run_cli, sensor, spec_at, write_config
 
 RUNS = {
     "fig1_alloc": ("fig1.cfg", ("allocate", "--method", "both")),
@@ -32,6 +34,23 @@ RUNS = {
 # sha256sum's listing of every output but manifest.json, one directory per RUNS key;
 # the CI kernel step checks its own runs against the same file
 PINNED_DIGESTS = Path(__file__).with_name("study_outputs.sha256")
+
+
+def _compare_to_pinned(outdirs: dict[str, Path]) -> tuple[int, int, list[str]]:
+    """(files produced, files pinned, paths moved) for output directories by RUNS key.
+
+    Every output but manifest.json is compared with the pinned digests of
+    the same RUNS keys; a path moves when its digest differs or only one
+    side has it.
+    """
+    produced = {f"./{key}/{f.name}": hashlib.sha256(f.read_bytes()).hexdigest()
+                for key, outdir in outdirs.items() for f in outdir.iterdir()
+                if f.name != "manifest.json"}
+    pinned = {path: digest for digest, path in
+              (line.split(maxsplit=1) for line in PINNED_DIGESTS.read_text().splitlines())
+              if path.split("/")[1] in outdirs}
+    moved = sorted(p for p in pinned.keys() | produced.keys() if pinned.get(p) != produced.get(p))
+    return len(produced), len(pinned), moved
 
 
 def _line(name: str, ok: bool, detail: str) -> None:
@@ -160,8 +179,7 @@ def test_gaussian_calibration_audit():
         sensors = dd.build_sensors(10, n, seed=5, xa_db=-10.0,
                                    deterministic_channel=True)
         u = dd.suggest_statistic_halfrange(sensors)
-        sc = dd.Scenario(sensors=sensors, U=u, Pt=4095.0, Pfa=0.1,
-                         topology=dd.complete_graph(10), seed=5)
+        sc = dd.Scenario(sensors=sensors, U=u, Pt=4095.0, Pfa=0.1, seed=5)
         return dd.run_trials(sc, Scheme.ED_opt_weights_equal_power, 100_000)
 
     est = audit(100)
@@ -293,12 +311,30 @@ def test_every_csv_cell_is_a_plain_value(study_runs):
 
 
 def test_outputs_match_the_pinned_digests(study_runs):
-    pinned = {path: digest for digest, path in
-              (line.split(maxsplit=1) for line in PINNED_DIGESTS.read_text().splitlines())}
-    produced = {f"./{key}/{f.name}": hashlib.sha256(f.read_bytes()).hexdigest()
-                for key in RUNS for f in study_runs[key, "a"].iterdir()
-                if f.name != "manifest.json"}
-    moved = sorted(p for p in pinned.keys() | produced.keys() if pinned.get(p) != produced.get(p))
-    _line("outputs match the pinned digests", bool(produced) and not moved,
-          f"{len(produced)} files from {len(RUNS)} commands against {len(pinned)} pinned"
+    produced, pinned, moved = _compare_to_pinned({key: study_runs[key, "a"] for key in RUNS})
+    _line("outputs match the pinned digests", produced > 0 and not moved,
+          f"{produced} files from {len(RUNS)} commands against {pinned} pinned"
+          + (f"; moved, missing or unpinned: {moved}" if moved else ""))
+
+
+@pytest.mark.parametrize("key, overrides", [
+    *(pytest.param(key, {}, id=key) for key, (_, argv) in RUNS.items() if argv[0] == "detect"),
+    # no connected graph exists at this radius, which allocate and trace report as exit 2
+    pytest.param("fig3_detect", {"radius": 0.05}, id="fig3_detect_radius_0.05"),
+])
+def test_detect_draws_no_graph(tmp_path, monkeypatch, key, overrides):
+    def no_graph(*args, **kwargs):
+        raise AssertionError("detect drew a sensor graph")
+
+    monkeypatch.setattr(consensus, "random_geometric_graph", no_graph)
+    name, (cmd, *flags) = RUNS[key]
+    path = bundled_config(name)
+    if overrides:
+        path = write_config(tmp_path, {**json.loads(path.read_text()), **overrides})
+    out = tmp_path / "out"
+    code = run_cli(cmd, path, *flags, "--out", out)
+    produced, pinned, moved = _compare_to_pinned({key: out}) if code == 0 else (0, 0, [])
+    _line(f"{key}{f' at {overrides}' if overrides else ''} draws no graph",
+          code == 0 and produced > 0 and not moved,
+          f"exit {code}, {produced} files against {pinned} pinned"
           + (f"; moved, missing or unpinned: {moved}" if moved else ""))

@@ -1,11 +1,17 @@
 """Config validation and the allocate / detect / trace commands."""
+import contextlib
 import csv
 import hashlib
+import io
 import json
 import math
+import sys
+import tempfile
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 import distdetect as dd
@@ -211,10 +217,11 @@ class TestAllocateCommand:
     @pytest.mark.parametrize("radius", [1e-300, 1e-4])
     def test_unreachable_radius_exits_2(self, tmp_path, capsys, radius):
         path = write_config(tmp_path, M=50, radius=radius)
-        assert run_cli("allocate", path, "--method", "central", "--out", tmp_path / "out") == 2
-        err = capsys.readouterr().err
-        assert "no connected geometric graph after 200 tries" in err
-        assert "Traceback" not in err
+        for command in (("allocate", "--method", "central"), ("trace",)):
+            assert run_cli(*command, path, "--out", tmp_path / "out") == 2, command
+            err = capsys.readouterr().err
+            assert "no connected geometric graph after 200 tries" in err
+            assert "Traceback" not in err
 
 
 class TestDetectCommand:
@@ -348,6 +355,91 @@ class TestTraceCommand:
     def test_zero_signal_config_maps_to_exit_2(self, tmp_path, capsys):
         path = write_config(tmp_path, overrides={"amplitude": 0.0})
         assert run_cli("trace", path, "--out", tmp_path / "out") == 2
+
+
+TINY, HUGE = 5e-324, sys.float_info.max
+_POSITIVE = (TINY, 1e-300, 1e-12, 1e12, 1e300, HUGE)
+
+
+def _extreme(*values, lo, hi):
+    """A float from [lo, hi] or, about one draw in eight, one of the named extreme values.
+
+    A config then holds few extremes at once, so that many runs get past
+    the scenario build to the solvers and the sweep.
+    """
+    return st.tuples(st.integers(0, 7), st.floats(lo, hi), st.sampled_from(values)).map(
+        lambda t: t[2] if t[0] == 0 else t[1])
+
+
+_PROBABILITY = _extreme(TINY, 1e-300, 1e-12, 1 - 2 ** -53, lo=1e-6, hi=1 - 1e-6)
+_RADIUS = _extreme(*_POSITIVE, 1e-4, 0.05, lo=0.01, hi=2.0)
+
+
+@st.composite
+def accepted_configs(draw):
+    """A config at small sizes and extreme scales, with every field drawn."""
+    return {
+        "schema_version": 1,
+        "seed": draw(st.integers(0, 2 ** 32 - 1)),
+        "M": draw(st.integers(1, 8)),
+        "N": draw(st.integers(1, 20)),
+        "U": draw(_extreme(*_POSITIVE, lo=0.01, hi=100.0)),
+        "Pt": draw(_extreme(*_POSITIVE, lo=0.01, hi=100.0)),
+        "Pfa": draw(_PROBABILITY),
+        "xa_db": draw(_extreme(-1e300, -400.0, 400.0, 1e300, lo=-60.0, hi=60.0)),
+        "amplitude": draw(_extreme(*_POSITIVE, lo=0.01, hi=10.0)),
+        "sigma2_range": sorted(draw(st.lists(_extreme(*_POSITIVE, lo=0.01, hi=100.0),
+                                             min_size=2, max_size=2))),
+        "zeta": draw(_extreme(*_POSITIVE, lo=0.01, hi=10.0)),
+        "radius": draw(_RADIUS),
+        "deterministic_channel": draw(st.booleans()),
+        "solver": {
+            "lambda0_init": draw(_extreme(*_POSITIVE, lo=1e-10, hi=1.0)),
+            "kappa": draw(_extreme(*_POSITIVE, lo=1e-9, hi=1e-3)),
+            "consensus_tol": draw(_extreme(*_POSITIVE, lo=1e-12, hi=1e-6)),
+            "consensus_max_iter": draw(st.integers(1, 3000)),
+            "outer_max_iter": draw(st.integers(1, 300)),
+            "consensus_mode": draw(st.sampled_from(["oracle", "local"])),
+            "consensus_window": draw(st.integers(1, 10)),
+        },
+        "detect": {
+            "trials": draw(st.integers(1, 200)),
+            "schemes": draw(st.lists(st.sampled_from([s.value for s in Scheme]),
+                                     min_size=1, max_size=len(Scheme), unique=True)),
+            "pt_grid": draw(st.lists(_extreme(*_POSITIVE, lo=0.01, hi=100.0),
+                                     min_size=1, max_size=3)),
+            "pfa_grid": sorted(draw(st.lists(_PROBABILITY, min_size=1, max_size=3))),
+            "n_grid": draw(st.lists(st.integers(1, 20), min_size=1, max_size=2) | st.just([])),
+        },
+    }
+
+
+def _exit_code(argv, raw: dict) -> int:
+    """cli.main on the config with every warning an error; fails on a traceback."""
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+        warnings.simplefilter("error")
+        path = write_config(tmp, raw)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = run_cli(*argv, path, "--out", f"{tmp}/out")
+    assert "Traceback" not in err.getvalue()
+    return code
+
+
+class TestEveryAcceptedConfigExits:
+    @pytest.mark.parametrize("argv", [
+        ("allocate", "--method", "both"), ("trace",),
+        ("detect", "--sweep", "pt"), ("detect", "--sweep", "pfa"), ("detect", "--sweep", "n"),
+    ], ids=["allocate", "trace", "detect_pt", "detect_pfa", "detect_n"])
+    @settings(max_examples=15)
+    @given(raw=accepted_configs(), radius=_RADIUS)
+    def test_exit_code_is_0_2_or_3(self, argv, raw, radius):
+        cli.validate_config(raw)
+        code = _exit_code(argv, raw)
+        assert code in (0, 2, 3)
+        if argv[0] == "detect":
+            # detection draws no graph, so no radius can change how it ends
+            assert _exit_code(argv, {**raw, "radius": radius}) == code
 
 
 class TestCsvCells:

@@ -427,7 +427,7 @@ class TestBlockedRounds:
 
     def test_negative_budget_rejected(self):
         with pytest.raises(ValueError):
-            dd.consensus_average(path_graph(3), np.arange(3.0), max_iter=-1)
+            dd.consensus_average(path_graph(3), np.arange(3.0), tol=1e-10, max_iter=-1)
 
 
 class TestEdgeListRoundTrip:

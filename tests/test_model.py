@@ -190,18 +190,10 @@ class TestScenario:
     def test_pfa_bounds_enforced(self):
         sensors = dd.build_sensors(3, 10, seed=0)
         with pytest.raises(ValueError):
-            dd.Scenario(sensors=sensors, U=3.0, Pt=1.0, Pfa=1.5,
-                        topology=dd.complete_graph(3), seed=0, solver=dd.SolverConfig())
-
-    def test_topology_size_must_match(self):
-        sensors = dd.build_sensors(3, 10, seed=0)
-        with pytest.raises(ValueError):
-            dd.Scenario(sensors=sensors, U=3.0, Pt=1.0, Pfa=0.1,
-                        topology=dd.complete_graph(4), seed=0, solver=dd.SolverConfig())
+            dd.Scenario(sensors=sensors, U=3.0, Pt=1.0, Pfa=1.5, seed=0)
 
     def test_make_scenario_wires_everything(self, fig1_scenario):
         assert fig1_scenario.M == 10
-        assert fig1_scenario.topology.M == 10
         assert 0 < fig1_scenario.Pfa < 1
 
     def test_population_arrays_mirror_the_sensors(self, fig1_scenario):
@@ -260,7 +252,7 @@ def _reference_population(m, n, seed, xa_db=-4.0, amplitude=0.2, sigma2_range=(0
 def population(request, fig1_scenario):
     if request.param == "fig1":
         return fig1_scenario
-    return dd.make_scenario(m=200, n=10, seed=2, pt=20.0, radius=0.2)
+    return dd.make_scenario(m=200, n=10, seed=2, pt=20.0)
 
 
 class TestPopulationArrays:

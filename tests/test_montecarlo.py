@@ -24,14 +24,13 @@ from conftest import bundled_config, run_cli, scheme_weights, write_config
 def _chance_scenario(m=4, n=10):
     """All-zero signals: H1 is literally H0, so any detector sits at chance."""
     sensors = dd.SensorParams(1.0, 1.0, 0.1, np.zeros((m, n)))
-    return dd.Scenario(sensors=sensors, U=8.0, Pt=4.0, Pfa=0.1,
-                       topology=dd.complete_graph(m), seed=5, solver=dd.SolverConfig())
+    return dd.Scenario(sensors=sensors, U=8.0, Pt=4.0, Pfa=0.1, seed=5)
 
 
 @pytest.fixture(scope="module")
 def small_scenario():
     return dd.make_scenario(m=5, n=8, seed=7, u=3.0, pt=5.0, pfa=0.1,
-                            xa_db=-4.0, amplitude=0.2, radius=0.6)
+                            xa_db=-4.0, amplitude=0.2)
 
 
 class TestSchemeFlags:
@@ -131,7 +130,7 @@ class TestPlanScheme:
         # U is so small that every sensor's statistic clips into the top cell: the
         # received sum has zero H0 variance, so the plan is treated as silent
         # although each sensor affords 4 bits; this pins that behaviour
-        sc = dd.make_scenario(m=3, n=2000, seed=1, u=1e-3, pt=100.0, radius=1.5)
+        sc = dd.make_scenario(m=3, n=2000, seed=1, u=1e-3, pt=100.0)
         scheme = Scheme.ED_opt_weights_equal_power
         plan = plan_scheme(sc, scheme)
         assert plan.spec.bits_int.tolist() == [4, 4, 4]
@@ -168,8 +167,7 @@ class TestPlanScheme:
         signal = np.full((m, n), 0.5)
         signal[0] = 0.0
         sensors = dd.SensorParams(np.array([1.0, 0.5, 1.5, 2.0]), 1.0, 0.1, signal)
-        sc = dd.Scenario(sensors=sensors, U=8.0, Pt=40.0, Pfa=0.1,
-                         topology=dd.complete_graph(m), seed=5)
+        sc = dd.Scenario(sensors=sensors, U=8.0, Pt=40.0, Pfa=0.1, seed=5)
         scheme = Scheme.ED_opt_weights_equal_power
         plan = plan_scheme(sc, scheme)
         assert plan.spec.bits_int.tolist() == [3, 3, 3, 3]
@@ -177,8 +175,7 @@ class TestPlanScheme:
         assert plan.senders.tolist() == [1, 2, 3]
         # the same three sensors alone, each at the same power
         rest = dd.SensorParams(sensors.sigma2[1:], 1.0, 0.1, signal[1:])
-        alone = plan_scheme(dd.Scenario(sensors=rest, U=8.0, Pt=30.0, Pfa=0.1,
-                                        topology=dd.complete_graph(m - 1), seed=5), scheme)
+        alone = plan_scheme(dd.Scenario(sensors=rest, U=8.0, Pt=30.0, Pfa=0.1, seed=5), scheme)
         np.testing.assert_array_equal(alone.powers, plan.powers[1:])
         assert plan.received_h0 == alone.received_h0
         assert plan.threshold(0.1) == alone.threshold(0.1)
@@ -299,7 +296,7 @@ class TestChunking:
     def test_short_windows_do_not_depend_on_chunk_size(self, n, monkeypatch):
         # N=1 draws no chi-square at all, N=2 one degree of freedom
         sc = dd.make_scenario(m=5, n=n, seed=7, u=3.0, pt=5.0, pfa=0.1,
-                              xa_db=-4.0, amplitude=0.2, radius=0.6)
+                              xa_db=-4.0, amplitude=0.2)
         self._check_chunking(sc, monkeypatch)
 
     def test_a_sweep_draws_each_chunk_once(self, small_scenario, monkeypatch, tmp_path):
@@ -350,8 +347,7 @@ def _law_population(n, m=3):
     """Three sensors with unequal noise and signals that are not constant over the window."""
     signal = np.random.default_rng(100 + n).normal(0.0, 0.4, size=(m, n))
     sensors = dd.SensorParams(np.array([0.5, 1.0, 2.0]), 1.0, 0.1, signal)
-    return dd.Scenario(sensors=sensors, U=3.0, Pt=1.0, Pfa=0.1,
-                       topology=dd.complete_graph(m), seed=5)
+    return dd.Scenario(sensors=sensors, U=3.0, Pt=1.0, Pfa=0.1, seed=5)
 
 
 class TestSufficientStatisticLaw:

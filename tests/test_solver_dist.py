@@ -12,11 +12,14 @@ from distdetect.cli import write_trace_csv
 from conftest import each_sensor
 
 
-def _identical_scenario(m=4, pt=2.0, n=10, outer_max=100_000):
+def _identical_scenario(m=4, pt=2.0, n=10):
     sensors = dd.SensorParams(1.0, 1.0, 0.1, np.full((m, n), 0.2))
-    return dd.Scenario(sensors=sensors, U=3.0, Pt=pt, Pfa=0.1,
-                       topology=dd.complete_graph(m), seed=0,
-                       solver=dd.SolverConfig(outer_max_iter=outer_max))
+    return dd.Scenario(sensors=sensors, U=3.0, Pt=pt, Pfa=0.1, seed=0)
+
+
+def _solve_identical(sc, solver=dd.SolverConfig()):
+    """solve_distributed on the complete graph of the scenario's sensors."""
+    return dd.solve_distributed(sc, dd.complete_graph(sc.M), solver)
 
 
 class TestLocalPowerUpdate:
@@ -62,41 +65,42 @@ class TestDualUpdate:
 class TestSolveDistributed:
     def test_identical_sensors_split_evenly(self):
         sc = _identical_scenario()
-        alloc, trace = dd.solve_distributed(sc)
+        alloc, trace = _solve_identical(sc)
         assert_allclose(alloc.p, alloc.p[0], rtol=1e-10)
         assert abs(alloc.total() - sc.Pt) <= 1e-3 * sc.Pt
         assert trace.converged
-        assert trace.rel_step[-1] <= sc.solver.kappa
+        assert trace.rel_step[-1] <= dd.SolverConfig().kappa
 
-    def test_matches_centralized_solution(self, fig1_scenario, fig1_central):
-        alloc, trace = dd.solve_distributed(fig1_scenario)
+    def test_matches_centralized_solution(self, fig1_scenario, fig1_topology, fig1_central):
+        alloc, trace = dd.solve_distributed(fig1_scenario, fig1_topology)
         gap = np.linalg.norm(alloc.p - fig1_central.p) / np.linalg.norm(fig1_central.p)
         assert gap <= 1e-3
         assert abs(alloc.total() - 1.0) <= 1e-3
 
     def test_multiplier_replicas_stay_in_lockstep(self):
-        sc = _identical_scenario(m=6, pt=3.0)
-        _, trace = dd.solve_distributed(sc)
-        assert np.max(trace.lambda0_spread) <= 10 * sc.solver.consensus_tol
+        _, trace = _solve_identical(_identical_scenario(m=6, pt=3.0))
+        assert np.max(trace.lambda0_spread) <= 10 * dd.SolverConfig().consensus_tol
 
     def test_deterministic(self):
-        a_alloc, a_tr = dd.solve_distributed(_identical_scenario())
-        b_alloc, b_tr = dd.solve_distributed(_identical_scenario())
+        a_alloc, a_tr = _solve_identical(_identical_scenario())
+        b_alloc, b_tr = _solve_identical(_identical_scenario())
         assert_allclose(a_alloc.p, b_alloc.p, rtol=0, atol=0)
         assert_allclose(a_tr.lambda0, b_tr.lambda0, rtol=0, atol=0)
         assert a_tr.iterations == b_tr.iterations
 
     def test_iteration_budget_error_carries_trace(self):
-        sc = _identical_scenario(outer_max=3)
         with pytest.raises(dd.ConvergenceError) as exc:
-            dd.solve_distributed(sc)
+            _solve_identical(_identical_scenario(), dd.SolverConfig(outer_max_iter=3))
         assert exc.value.trace is not None
         assert exc.value.trace.iterations == 3
         assert not exc.value.trace.converged
 
+    def test_graph_size_must_match(self):
+        with pytest.raises(ValueError, match="graph has 4 nodes for 3 sensors"):
+            dd.solve_distributed(_identical_scenario(m=3), dd.complete_graph(4))
+
     def test_trace_quantities_are_consistent(self):
-        sc = _identical_scenario()
-        _, trace = dd.solve_distributed(sc)
+        _, trace = _solve_identical(_identical_scenario())
         assert trace.k[0] == 1 and trace.k[-1] == trace.iterations
         assert np.isnan(trace.rel_step[0])
         assert trace.powers.shape == (trace.iterations, 4)
@@ -109,18 +113,18 @@ def _trace_arrays(trace):
 
 
 class TestBlockedConsensusInTheSolver:
-    def test_fig1_trace_equals_the_per_round_loop(self, fig1_scenario, monkeypatch,
-                                                  reference_consensus_average):
-        _, blocked = dd.solve_distributed(fig1_scenario)
+    def test_fig1_trace_equals_the_per_round_loop(self, fig1_scenario, fig1_topology,
+                                                  monkeypatch, reference_consensus_average):
+        _, blocked = dd.solve_distributed(fig1_scenario, fig1_topology)
         monkeypatch.setattr(solver_dist, "consensus_average", reference_consensus_average)
-        _, reference = dd.solve_distributed(fig1_scenario)
+        _, reference = dd.solve_distributed(fig1_scenario, fig1_topology)
         assert blocked.total_consensus_rounds == reference.total_consensus_rounds
         for a, b in zip(_trace_arrays(blocked), _trace_arrays(reference)):
             assert np.array_equal(a, b, equal_nan=True)
 
     def test_consensus_failure_keeps_the_partial_trace(self, monkeypatch):
         sc = _identical_scenario()
-        _, full = dd.solve_distributed(sc)
+        _, full = _solve_identical(sc)
         real = solver_dist.consensus_average
         calls = []
 
@@ -133,7 +137,7 @@ class TestBlockedConsensusInTheSolver:
 
         monkeypatch.setattr(solver_dist, "consensus_average", fails_on_third_call)
         with pytest.raises(dd.ConvergenceError) as exc:
-            dd.solve_distributed(sc)
+            _solve_identical(sc)
         assert "no consensus after 7 rounds" in str(exc.value)
         assert isinstance(exc.value.__cause__, dd.ConsensusError)
         partial = exc.value.trace
@@ -141,12 +145,12 @@ class TestBlockedConsensusInTheSolver:
         for a, b in zip(_trace_arrays(partial), _trace_arrays(full)):
             assert np.array_equal(a, b[:2], equal_nan=True)
 
-    def test_consensus_failure_on_the_first_iteration_leaves_an_empty_trace(self):
+    def test_consensus_failure_on_the_first_iteration_leaves_an_empty_trace(
+            self, fig1_scenario, fig1_topology):
         # the fig1 network needs 249 rounds in its first consensus run
-        sc = dd.make_scenario(m=10, n=10, seed=1, radius=0.5,
-                              solver=dd.SolverConfig(consensus_max_iter=50))
         with pytest.raises(dd.ConvergenceError) as exc:
-            dd.solve_distributed(sc)
+            dd.solve_distributed(fig1_scenario, fig1_topology,
+                                 dd.SolverConfig(consensus_max_iter=50))
         assert "outer iteration 1: no consensus after 50 rounds" in str(exc.value)
         assert exc.value.trace.iterations == 0
         assert exc.value.trace.powers.shape == (0, 10)
@@ -154,8 +158,7 @@ class TestBlockedConsensusInTheSolver:
 
 class TestTraceCsv:
     def test_schema_and_round_trip(self, tmp_path):
-        sc = _identical_scenario()
-        _, trace = dd.solve_distributed(sc)
+        _, trace = _solve_identical(_identical_scenario())
         path = tmp_path / "trace.csv"
         write_trace_csv(trace, path)
         with open(path) as fh:
