@@ -37,7 +37,6 @@ from .fusion import (
     qfunc_inv,
 )
 from .model import (
-    Hypothesis,
     Scenario,
     SensorParams,
     SolverConfig,

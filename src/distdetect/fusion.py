@@ -12,13 +12,19 @@ censored sensors come from the one rule that turns power into bits.
 """
 from __future__ import annotations
 
+import math
+import statistics
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import special
 
 from .model import Statistic
 from .quantize import QuantSpec
+
+
+# libm's erfc and the standard library's normal quantile, elementwise as model._exp
+_erfc = np.vectorize(math.erfc, otypes=[float])
+_inv_cdf = np.vectorize(statistics.NormalDist().inv_cdf, otypes=[float])
 
 
 class DegenerateFusionError(RuntimeError):
@@ -26,8 +32,8 @@ class DegenerateFusionError(RuntimeError):
 
 
 def qfunc(x):
-    """Gaussian tail probability Q(x) = P(Z > x), vectorized."""
-    return 0.5 * special.erfc(np.asarray(x, dtype=float) / np.sqrt(2.0))
+    """Gaussian tail probability Q(x) = P(Z > x), vectorized; the normal cdf is qfunc(-x)."""
+    return 0.5 * _erfc(np.asarray(x, dtype=float) / np.sqrt(2.0))
 
 
 def qfunc_inv(p):
@@ -35,7 +41,7 @@ def qfunc_inv(p):
     p = np.asarray(p, dtype=float)
     if np.any((p <= 0.0) | (p >= 1.0)):
         raise ValueError("qfunc_inv needs arguments strictly inside (0, 1)")
-    out = -special.ndtri(p)
+    out = -_inv_cdf(p)
     return float(out) if out.ndim == 0 else out
 
 

@@ -11,7 +11,6 @@ and closed-form law.
 """
 from __future__ import annotations
 
-import enum
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
@@ -21,11 +20,6 @@ import numpy as np
 # libm's exp elementwise, as in quantize._log2: numpy's SIMD exp rounds
 # some last bits differently on different CPUs
 _exp = np.vectorize(math.exp, otypes=[float])
-
-
-class Hypothesis(enum.Enum):
-    H0 = "h0"   # noise only
-    H1 = "h1"   # signal present
 
 
 def _read_only(values) -> np.ndarray:
@@ -264,30 +258,28 @@ def derive_stream(seed: int, *key: str | int) -> np.random.Generator:
 def generate_observations(
     sensor: SensorParams | Scenario,
     n: int,
-    hypothesis: Hypothesis,
+    h1: bool,
     rng: np.random.Generator,
     trials: int = 1,
 ) -> np.ndarray:
     """Draw observation rows: (trials, n) for one sensor, (trials, M, n) for a population.
 
-    Under H1 each sensor's known signal is added sample for sample, so n
-    must match the stored signal length. The Monte Carlo pass draws the
-    statistics' exact law from two variates per sensor and trial instead;
-    this sample path, with energy_statistic and
+    h1 picks the hypothesis. Under H1 each sensor's known signal is added
+    sample for sample, so n must match the stored signal length. The Monte
+    Carlo pass draws the statistics' exact law from two variates per sensor
+    and trial instead; this sample path, with energy_statistic and
     fusion.matched_filter_statistic, is the reference it is tested against.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if not isinstance(hypothesis, Hypothesis):
-        raise TypeError(f"hypothesis must be a Hypothesis, got {hypothesis!r}")
     samples = np.shape(sensor.signal)[-1]
-    if hypothesis is Hypothesis.H1 and n != samples:
+    if h1 and n != samples:
         raise ValueError(f"n={n} but sensor signal has {samples} samples")
     sd = np.sqrt(sensor.sigma2)
     # unit draws scaled in place: the same values as a per-sensor scale, drawn faster
     x = rng.normal(0.0, 1.0, size=(trials, *sd.shape, n))
     x *= sd[..., None]
-    if hypothesis is Hypothesis.H1:
+    if h1:
         x += sensor.signal
     return x
 

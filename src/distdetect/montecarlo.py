@@ -40,7 +40,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .fusion import (
     DegenerateFusionError,
@@ -52,6 +51,7 @@ from .fusion import (
     fuse,
     fusion_moments,
     optimal_weights,
+    qfunc,
     qfunc_inv,
 )
 from .model import Scenario, Statistic, _exp, derive_stream
@@ -172,7 +172,7 @@ def quantized_gaussian_moments(mu, var, bits_int, u: float, lo: float = 0.0):
         rows = max(1, _CELL_BLOCK // cells)
         for start in range(0, idx.size, rows):
             blk = idx[start:start + rows]
-            cdf = special.ndtr((inner - mu[blk, None]) / sd[blk, None])
+            cdf = qfunc((mu[blk, None] - inner) / sd[blk, None])
             probs = np.empty((blk.size, cells))
             probs[:, 0] = cdf[:, 0]
             probs[:, 1:-1] = np.diff(cdf, axis=1)
@@ -188,7 +188,7 @@ def quantized_gaussian_moments(mu, var, bits_int, u: float, lo: float = 0.0):
 def _clipped_gaussian_moments(mu, sd, lo: float, hi: float):
     a = (lo - mu) / sd
     b = (hi - mu) / sd
-    phi_a, phi_b = special.ndtr(a), special.ndtr(b)
+    phi_a, phi_b = qfunc(-a), qfunc(-b)
     pdf_a = _exp(-0.5 * a * a) / math.sqrt(2.0 * math.pi)
     pdf_b = _exp(-0.5 * b * b) / math.sqrt(2.0 * math.pi)
     dphi = phi_b - phi_a

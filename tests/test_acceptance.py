@@ -8,7 +8,10 @@ and determinism gates see exactly what a user would produce.
 import csv
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
 from collections import defaultdict
 from pathlib import Path
 
@@ -338,3 +341,40 @@ def test_detect_draws_no_graph(tmp_path, monkeypatch, key, overrides):
           code == 0 and produced > 0 and not moved,
           f"exit {code}, {produced} files against {pinned} pinned"
           + (f"; moved, missing or unpinned: {moved}" if moved else ""))
+
+
+def _fresh_python(code: str, *args) -> subprocess.CompletedProcess:
+    """Run code in a new interpreter that imports this distdetect; args land in sys.argv[1:]."""
+    env = {**os.environ, "PYTHONPATH": str(Path(dd.__file__).parents[1])}
+    return subprocess.run([sys.executable, "-c", code, *map(str, args)], env=env,
+                          capture_output=True, text=True, timeout=300)
+
+
+# None in sys.modules makes every import of scipy, and of any scipy submodule, raise ImportError
+_RUN_WITHOUT_SCIPY = """
+import sys
+sys.modules["scipy"] = None
+from distdetect import cli
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("key", RUNS)
+def test_study_runs_without_scipy(tmp_path, key):
+    name, (cmd, *flags) = RUNS[key]
+    out = tmp_path / "out"
+    run = _fresh_python(_RUN_WITHOUT_SCIPY, cmd, bundled_config(name), *flags, "--out", out)
+    produced, pinned, moved = _compare_to_pinned({key: out}) if run.returncode == 0 else (0, 0, [])
+    _line(f"{key} runs with scipy imports blocked",
+          run.returncode == 0 and produced > 0 and not moved,
+          f"exit {run.returncode}, {produced} files against {pinned} pinned"
+          + (f"; moved, missing or unpinned: {moved}" if moved else "")
+          + (f"; stderr tail: {run.stderr[-300:]!r}" if run.returncode else ""))
+
+
+def test_import_loads_no_scipy():
+    run = _fresh_python("import sys, distdetect\n"
+                        "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    _line("import distdetect loads no scipy module",
+          run.returncode == 0 and run.stdout.strip() == "[]",
+          f"exit {run.returncode}, scipy modules loaded: {run.stdout.strip()[:200]}")

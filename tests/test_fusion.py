@@ -3,9 +3,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 from numpy.testing import assert_allclose
+from scipy import special
 
 import distdetect as dd
-from distdetect.model import Hypothesis
 from distdetect.montecarlo import Scheme
 
 from conftest import (
@@ -51,6 +51,20 @@ class TestQFunction:
     def test_round_trip(self):
         x = np.linspace(-6, 6, 61)
         assert_allclose(dd.qfunc_inv(dd.qfunc(x)), x, atol=1e-9)
+
+    # scipy's cephes routines as the reference for libm erfc and NormalDist.inv_cdf
+    def test_tail_matches_scipy_erfc(self):
+        x = np.linspace(-10.0, 37.0, 4701)   # Q(37) ~ 6e-300, near the smallest normal double
+        assert_allclose(dd.qfunc(x), 0.5 * special.erfc(x / np.sqrt(2.0)), rtol=1e-13, atol=0)
+
+    def test_inverse_matches_scipy_ndtri(self):
+        p = np.concatenate([np.logspace(-300, -1, 3000), np.linspace(0.1, 0.9, 801),
+                            1.0 - np.logspace(-1, -16, 1501)])
+        assert_allclose(dd.qfunc_inv(p), -special.ndtri(p), rtol=1e-15, atol=0)
+
+    def test_reflected_tail_is_the_normal_cdf(self):
+        z = np.linspace(-10.0, 10.0, 2001)
+        assert_allclose(dd.qfunc(-z), special.ndtr(z), rtol=0, atol=np.finfo(float).eps)
 
 
 class TestFuse:
@@ -224,7 +238,7 @@ class TestMatchedFilter:
     def test_h0_mean_is_zero(self):
         s = dd.SensorParams(1.0, 1.0, 0.1, np.full(10, 0.2))
         rng = np.random.default_rng(17)
-        x = dd.generate_observations(s, 10, Hypothesis.H0, rng, trials=50_000)
+        x = dd.generate_observations(s, 10, False, rng, trials=50_000)
         y = dd.matched_filter_statistic(x, s)
         # Var{y|H0} = sigma2 * Es = 0.4
         band = 3 * np.sqrt(0.4 / 50_000)
@@ -251,7 +265,7 @@ def test_fused_h0_variance_monte_carlo(fig1_scenario):
     trials = 40_000
     fused = np.zeros(trials)
     for i, s in enumerate(each_sensor(sensors)):
-        x = dd.generate_observations(s, n, Hypothesis.H0, rng, trials=trials)
+        x = dd.generate_observations(s, n, False, rng, trials=trials)
         t_hat = dd.quantize_array(dd.energy_statistic(x), spec.bits_int[i], u)
         fused += w.alpha[i] * t_hat
     assert abs(float(np.var(fused)) / m.var_h0 - 1.0) < 0.05
