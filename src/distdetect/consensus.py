@@ -222,6 +222,7 @@ def consensus_average(
     mode: str = "oracle",
     window: int = 5,
     weights: np.ndarray | None = None,
+    first_block: int = BLOCK_ROUNDS,
 ) -> ConsensusResult:
     """Iterate x <- W x until every node agrees on the mean of x0.
 
@@ -232,11 +233,14 @@ def consensus_average(
     real node actually has. Raises ConsensusError (carrying the last
     state) if max_iter rounds are not enough.
 
-    Rounds run in blocks of BLOCK_ROUNDS, each written into one row of
-    a buffer, and the stopping rule is tested once per block for every
-    round in it. Each round is the same matrix-vector product as
-    x = W @ x and the tests are exact comparisons, so values and round
-    counts are those of testing after every round.
+    Rounds run in blocks, the first of `first_block` rounds and the rest
+    of BLOCK_ROUNDS, each round written into one row of a buffer, and
+    the stopping rule is tested once per block for every round in it.
+    A caller that expects about r rounds passes a first block of a
+    little over r, so that most calls stop inside it. Each round is the
+    same matrix-vector product as x = W @ x and the tests are exact
+    comparisons, so values and round counts are those of testing after
+    every round, whatever the block lengths.
     """
     x = np.asarray(x0, dtype=float)
     if x.shape != (graph.M,):
@@ -251,18 +255,20 @@ def consensus_average(
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "local" and window < 1:
         raise ValueError("window must be >= 1")
+    if first_block < 1:
+        raise ValueError("first_block must be >= 1")
     w = metropolis_matrix(graph) if weights is None else np.asarray(weights, dtype=float)
     target = x.mean()
 
     # rows kept in front of each block: the current state, and for the
     # local rule the `window` states before it (no more than can exist)
     lead = min(window, max_iter) if mode == "local" else 0
-    buf = np.zeros((lead + 1 + BLOCK_ROUNDS, graph.M))
+    buf = np.zeros((lead + 1 + min(max(first_block, BLOCK_ROUNDS), max_iter), graph.M))
     rows = list(buf)
     buf[lead] = x
     k = 0   # rounds done; buf[lead] holds the state after k rounds
     while True:
-        n = min(BLOCK_ROUNDS, max_iter - k)
+        n = min(first_block if k == 0 else BLOCK_ROUNDS, max_iter - k)
         for r in range(lead + 1, lead + 1 + n):
             w.dot(rows[r - 1], out=rows[r])
         states = buf[:lead + 1 + n]

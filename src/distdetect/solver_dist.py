@@ -9,6 +9,12 @@ sensor sees the same consensus output and applies the same
 deterministic step rule, the multiplier copies track each other to
 within consensus accuracy and the iteration reproduces the centralized
 water filling without any coordinator.
+
+Each consensus run resumes from the last one: a node starts from its
+previous consensus output plus its own power change p_k - p_{k-1}.
+Mixing by a doubly stochastic matrix keeps the mean, so the input still
+averages to mean(p_k), and powers that moved by one dual step need far
+fewer rounds than a start from p_k.
 """
 from __future__ import annotations
 
@@ -16,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .consensus import ConsensusError, Graph, consensus_average, metropolis_matrix
+from .consensus import BLOCK_ROUNDS, ConsensusError, Graph, consensus_average, metropolis_matrix
 from .model import Scenario, SolverConfig
 from .solver_central import PowerAllocation, power_closed_form
 
@@ -84,8 +90,12 @@ def solve_distributed(scenario: Scenario, graph: Graph, solver: SolverConfig = S
     step drops to the solver's kappa. The returned allocation approaches
     the budget from above as the multiplier climbs, so its residual is
     bounded by the coarser distributed tolerance (1e-3 relative), not the
-    centralized one. A consensus run that fails raises ConvergenceError
-    with the trace of the outer iterations completed before it.
+    centralized one. Every consensus run after the first resumes from
+    the last one's output, shifted by each node's power change, and its
+    first block of rounds is sized from the last one's round count. A
+    consensus run that fails raises ConvergenceError with the trace of
+    the outer iterations completed before it; so does a stop on kappa
+    that misses the budget, with a trace that reads converged=False.
     """
     m = scenario.M
     if graph.M != m:
@@ -95,9 +105,9 @@ def solve_distributed(scenario: Scenario, graph: Graph, solver: SolverConfig = S
 
     lam = np.full(m, solver.lambda0_init)
     p_prev: np.ndarray | None = None
+    state, first_block = None, BLOCK_ROUNDS
 
     ks, lams, prows, crows, rels, spreads = [], [], [], [], [], []
-    converged = False
 
     def trace_so_far(converged: bool) -> DualAscentTrace:
         return DualAscentTrace(
@@ -112,14 +122,18 @@ def solve_distributed(scenario: Scenario, graph: Graph, solver: SolverConfig = S
 
     for k in range(solver.outer_max_iter):
         p = local_power_update(lam, scenario, u)
+        # each node resumes from its last consensus output, moved by its own power change
+        x0 = p if state is None else state + (p - p_prev)
         try:
             cres = consensus_average(
-                graph, p, tol=solver.consensus_tol, max_iter=solver.consensus_max_iter,
+                graph, x0, tol=solver.consensus_tol, max_iter=solver.consensus_max_iter,
                 mode=solver.consensus_mode, window=solver.consensus_window, weights=w,
+                first_block=first_block,
             )
         except ConsensusError as e:
             raise ConvergenceError(f"outer iteration {k + 1}: {e}",
                                    trace=trace_so_far(False)) from e
+        state, first_block = cres.values, cres.iterations + 2
         # every sensor applies the same rule to its own multiplier copy
         eps = lam if k == 0 else lam / k
         lam_used = float(np.mean(lam))
@@ -140,23 +154,20 @@ def solve_distributed(scenario: Scenario, graph: Graph, solver: SolverConfig = S
         spreads.append(float(np.max(lam) - np.min(lam)))
 
         if np.isfinite(rel) and rel <= solver.kappa:
-            converged = True
             break
         p_prev = p
-
-    trace = trace_so_far(converged)
-    if not converged:
+    else:
         raise ConvergenceError(
             f"no convergence to kappa={solver.kappa} within {solver.outer_max_iter} "
             "outer iterations",
-            trace=trace,
+            trace=trace_so_far(False),
         )
-    p_final = trace.powers[-1]
-    alloc = PowerAllocation(p=p_final, lambda0=float(trace.lambda0[-1]))
-    total = alloc.total()
-    if abs(total - pt) > 1e-3 * pt:
+    alloc = PowerAllocation(p=p, lambda0=lam_used)
+    residual = abs(alloc.total() - pt)
+    if residual > 1e-3 * pt:
         raise ConvergenceError(
-            f"converged iterates missed the budget: |sum(p)-Pt|={abs(total - pt)}",
-            trace=trace,
+            f"stopped at outer iteration {k + 1} on relative step {rel:.3e} <= "
+            f"kappa={solver.kappa}, but |sum(p)-Pt|/Pt={residual / pt:.3e} exceeds 1e-3",
+            trace=trace_so_far(False),
         )
-    return alloc, trace
+    return alloc, trace_so_far(True)

@@ -67,8 +67,11 @@ def rng():
 
 
 def reference_consensus_average(graph, x0, tol, max_iter, mode="oracle",
-                                window=5, weights=None):
-    """consensus_average as a plain x = W @ x loop that tests the stopping rule every round."""
+                                window=5, weights=None, first_block=None):
+    """consensus_average as a plain x = W @ x loop that tests the stopping rule every round.
+
+    first_block is accepted and ignored: a loop without blocks has no first block to size.
+    """
     w = dd.metropolis_matrix(graph) if weights is None else weights
     x = np.asarray(x0, dtype=float)
     target = x.mean()

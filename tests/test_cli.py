@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import math
+import re
 import sys
 import tempfile
 import warnings
@@ -106,6 +107,27 @@ class TestAllocateCommand:
         assert len(rows) == 2
         assert_allclose(float(rows[1][4]), 0.7, rtol=1e-9)
         assert rows[1][5] == ""  # distributed column blank for central-only runs
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_single_sensor_stopping_off_the_budget_exits_3(self, tmp_path, capsys, seed):
+        # the outer test fires on a shrinking step while sum(p) still misses Pt
+        path = write_config(tmp_path, M=1, seed=seed)
+        out = tmp_path / "out"
+        assert run_cli("allocate", path, "--method", "both", "--out", out) == 3
+        err = capsys.readouterr().err
+        stop = re.search(r"error: stopped at outer iteration (\d+) on relative step (\S+) <= "
+                         r"kappa=1e-07, but \|sum\(p\)-Pt\|/Pt=(\S+) exceeds 1e-3", err)
+        assert stop, err
+        assert float(stop[2]) <= 1e-7 and float(stop[3]) > 1e-3
+        # the partial trace holds every outer iteration up to the stop
+        assert len(read_csv(out / "trace.csv")) == 1 + int(stop[1])
+        assert not (out / "allocation.csv").exists()
+
+    def test_single_sensor_at_seed_3_meets_the_budget(self, tmp_path):
+        path = write_config(tmp_path, M=1, seed=3)
+        out = tmp_path / "out"
+        assert run_cli("allocate", path, "--method", "both", "--out", out) == 0
+        assert_allclose(float(read_csv(out / "allocation.csv")[1][5]), 1.0, rtol=1e-3)
 
     def test_both_methods_agree_on_a_complete_graph(self, tmp_path):
         path = write_config(tmp_path, M=4, Pt=2.0,

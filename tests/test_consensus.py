@@ -373,12 +373,14 @@ class TestBlockedRounds:
 
     def test_random_graphs_both_modes(self, reference_consensus_average):
         rng = np.random.default_rng(23)
+        blocks = np.random.default_rng(29)   # first-block lengths, apart from the graph draws
         for t in range(60):
             m = int(rng.integers(1, 30))
             g = dd.random_geometric_graph(m, float(rng.uniform(0.3, 0.9)), rng)
             x0 = rng.normal(size=m) * 10.0 ** rng.uniform(-3, 3)
             kw = dict(tol=10.0 ** rng.uniform(-12, -3), max_iter=int(rng.integers(0, 400)),
-                      mode=("oracle", "local")[t % 2], window=int(rng.integers(1, 80)))
+                      mode=("oracle", "local")[t % 2], window=int(rng.integers(1, 80)),
+                      first_block=int(blocks.integers(1, 81)))
             got = _run(dd.consensus_average, g, x0, **kw)
             ref = _run(reference_consensus_average, g, x0, **kw)
             assert got[1:] == ref[1:], kw
@@ -408,7 +410,8 @@ class TestBlockedRounds:
                                               reference_consensus_average):
         g = path_graph(8)
         x0 = np.arange(8, dtype=float)
-        kw = dict(tol=1e-12, max_iter=max_iter, mode=mode, window=5)
+        first_block = int(np.random.default_rng(max_iter).integers(1, 81))
+        kw = dict(tol=1e-12, max_iter=max_iter, mode=mode, window=5, first_block=first_block)
         with pytest.raises(dd.ConsensusError) as exc:
             dd.consensus_average(g, x0, **kw)
         with pytest.raises(dd.ConsensusError) as ref:
@@ -428,6 +431,11 @@ class TestBlockedRounds:
     def test_negative_budget_rejected(self):
         with pytest.raises(ValueError):
             dd.consensus_average(path_graph(3), np.arange(3.0), tol=1e-10, max_iter=-1)
+
+    def test_empty_first_block_rejected(self):
+        with pytest.raises(ValueError, match="first_block"):
+            dd.consensus_average(path_graph(3), np.arange(3.0), tol=1e-10, max_iter=10,
+                                 first_block=0)
 
 
 class TestEdgeListRoundTrip:

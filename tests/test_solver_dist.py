@@ -6,10 +6,10 @@ import pytest
 from numpy.testing import assert_allclose
 
 import distdetect as dd
-from distdetect import solver_dist
+from distdetect import cli, solver_dist
 from distdetect.cli import write_trace_csv
 
-from conftest import each_sensor
+from conftest import bundled_config, each_sensor
 
 
 def _identical_scenario(m=4, pt=2.0, n=10):
@@ -71,8 +71,11 @@ class TestSolveDistributed:
         assert trace.converged
         assert trace.rel_step[-1] <= dd.SolverConfig().kappa
 
-    def test_matches_centralized_solution(self, fig1_scenario, fig1_topology, fig1_central):
-        alloc, trace = dd.solve_distributed(fig1_scenario, fig1_topology)
+    @pytest.mark.parametrize("mode", ["oracle", "local"])
+    def test_matches_centralized_solution(self, fig1_scenario, fig1_topology, fig1_central,
+                                          mode):
+        alloc, trace = dd.solve_distributed(fig1_scenario, fig1_topology,
+                                            dd.SolverConfig(consensus_mode=mode))
         gap = np.linalg.norm(alloc.p - fig1_central.p) / np.linalg.norm(fig1_central.p)
         assert gap <= 1e-3
         assert abs(alloc.total() - 1.0) <= 1e-3
@@ -95,6 +98,16 @@ class TestSolveDistributed:
         assert exc.value.trace.iterations == 3
         assert not exc.value.trace.converged
 
+    def test_a_step_stop_off_the_budget_is_not_converged(self):
+        # kappa=0.1 fires on the step at iteration 6, with sum(p) still 14% over Pt
+        with pytest.raises(dd.ConvergenceError) as exc:
+            _solve_identical(_identical_scenario(), dd.SolverConfig(kappa=0.1))
+        assert str(exc.value) == ("stopped at outer iteration 6 on relative step 5.742e-02 <= "
+                                  "kappa=0.1, but |sum(p)-Pt|/Pt=1.388e-01 exceeds 1e-3")
+        trace = exc.value.trace
+        assert trace.iterations == 6 and not trace.converged
+        assert trace.rel_step[-1] <= 0.1
+
     def test_graph_size_must_match(self):
         with pytest.raises(ValueError, match="graph has 4 nodes for 3 sensors"):
             dd.solve_distributed(_identical_scenario(m=3), dd.complete_graph(4))
@@ -105,6 +118,30 @@ class TestSolveDistributed:
         assert np.isnan(trace.rel_step[0])
         assert trace.powers.shape == (trace.iterations, 4)
         assert trace.total_consensus_rounds == int(np.sum(trace.consensus_iters))
+
+
+class TestWarmStart:
+    """Each consensus run resumes from the last consensus state plus the node's power change."""
+
+    # starting every run from p_k took 393,557 rounds on fig1 and 6,631 on fig2
+    @pytest.mark.parametrize("config, max_rounds", [("fig1.cfg", 100_000), ("fig2.cfg", 5_000)])
+    def test_inputs_keep_the_mean_power_and_the_rounds_drop(self, config, max_rounds,
+                                                            monkeypatch):
+        cfg = cli.load_config(bundled_config(config))
+        real, inputs = solver_dist.consensus_average, []
+
+        def spy(graph, x0, *args, **kwargs):
+            inputs.append(np.array(x0))
+            return real(graph, x0, *args, **kwargs)
+
+        monkeypatch.setattr(solver_dist, "consensus_average", spy)
+        _, trace = dd.solve_distributed(cli.scenario_from_config(cfg),
+                                        dd.make_topology(cfg["M"], cfg["seed"], cfg["radius"]))
+        assert np.array_equal(inputs[0], trace.powers[0])
+        assert len(inputs) == trace.iterations
+        mean_p = trace.powers.mean(axis=1)
+        assert np.all(np.abs(np.mean(inputs, axis=1) - mean_p) <= 1e-9 * mean_p)
+        assert trace.total_consensus_rounds < max_rounds
 
 
 def _trace_arrays(trace):
