@@ -37,10 +37,11 @@ class Graph:
     degrees  read-only (M,) integer array; derived, never passed
 
     Construction fails, naming the first offending edge in the order
-    given, on a row that is not a pair, a self loop, a vertex outside
-    0..M-1 or a duplicate; and it fails on a disconnected graph, since
-    consensus cannot mix across components. Like the other array-backed
-    records, two graphs compare equal only if they are the same object.
+    given, on a row that is not a pair, a vertex id that is not an
+    integer, a self loop, a vertex outside 0..M-1 or a duplicate; and it
+    fails on a disconnected graph, since consensus cannot mix across
+    components. Like the other array-backed records, two graphs compare
+    equal only if they are the same object.
     """
 
     M: int
@@ -51,7 +52,7 @@ class Graph:
         if self.M < 1:
             raise TopologyError("graph needs at least one vertex")
         try:
-            e = np.array(self.edges, dtype=np.intp)
+            e = np.asarray(self.edges)
         except ValueError:
             # rows of unequal length: numpy keeps each row as one object
             rows = np.array(self.edges, dtype=object)
@@ -63,11 +64,19 @@ class Graph:
             e = e.reshape(0, 2)
         if e.ndim != 2 or e.shape[1] != 2:
             raise TopologyError(f"edge {e[0].tolist()!r} is not a pair")
+        if e.size and e.dtype.kind not in "iu":   # a float, str or bool id, or an int past int64
+            first = np.asarray(next(r for r in self.edges if np.asarray(r).dtype.kind != "i"))
+            raise TopologyError(f"edge {first.tolist()!r} has a vertex id that is not an integer")
+        e = e.astype(np.intp, copy=False)
         u, v = e.min(axis=1), e.max(axis=1)
-        order = np.lexsort((v, u))   # stable: repeats keep the order given
-        repeat = np.zeros(len(e), dtype=bool)
-        repeat[order[1:]] = (np.diff(u[order]) == 0) & (np.diff(v[order]) == 0)
         loop, outside = u == v, (u < 0) | (v >= self.M)
+        # one key u * M + v per vertex pair; an edge out of range gets a negative key
+        # of its own instead, so it repeats nothing, however large its vertices
+        key = np.where(outside, -1 - np.arange(len(e)), u * self.M + v)
+        order = np.argsort(key, kind="stable")   # stable: repeats keep the order given
+        key = key[order]
+        repeat = np.zeros(len(e), dtype=bool)
+        repeat[order[1:]] = key[1:] == key[:-1]
         bad = loop | outside | repeat
         if bad.any():
             i = int(np.argmax(bad))
@@ -76,7 +85,8 @@ class Graph:
             if outside[i]:
                 raise TopologyError(f"edge ({e[i, 0]}, {e[i, 1]}) out of range for M={self.M}")
             raise TopologyError(f"duplicate edge ({u[i]}, {v[i]})")
-        edges = np.stack((u[order], v[order]), axis=1)
+        edges = np.empty_like(e)
+        edges[:, 0], edges[:, 1] = np.divmod(key, self.M)
         degrees = np.bincount(edges.ravel(), minlength=self.M)
         for name, value in (("edges", edges), ("degrees", degrees)):
             value.setflags(write=False)

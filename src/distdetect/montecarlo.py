@@ -14,11 +14,11 @@ in closed form and are quantized and fused by the quantize and fusion
 stages; model.generate_observations and the two statistic functions
 remain the sample-by-sample reference for that law. The two detectors
 differ only in their model.Statistic record (moments, deflection
-numerator, quantizer window and closed-form law), which each scheme
-names through Scheme.statistic; planning, simulation and the sweeps
-run one code path for both. sweep_budget is the one way an estimate is
-made; run_trials (one operating point) and roc_curve (one budget, a pfa
-grid) are one-scheme calls of it.
+numerator, quantizer window and closed-form law), whose constructor is
+one of a Scheme's three choice fields; planning, simulation and the
+sweeps run one code path for both. sweep_budget is the one way an
+estimate is made; run_trials (one operating point) and roc_curve (one
+budget, a pfa grid) are one-scheme calls of it.
 
 Thresholds come from an analytic Gaussian calibration, never from
 empirical quantiles: the Monte Carlo run is an audit of the Gaussian
@@ -71,32 +71,25 @@ _CELL_BLOCK = 1 << 16
 
 
 class Scheme(enum.Enum):
-    ED_opt_weights_opt_power = "ED_opt_weights_opt_power"
-    ED_opt_weights_equal_power = "ED_opt_weights_equal_power"
-    ED_equal_weights_opt_power = "ED_equal_weights_opt_power"
-    ED_equal_weights_equal_power = "ED_equal_weights_equal_power"
-    MFD_opt_power = "MFD_opt_power"
-    MFD_equal_power = "MFD_equal_power"
+    """A detector the fusion center compares, as its three choices.
 
-    @property
-    def matched_filter(self) -> bool:
-        return self.value.startswith("MFD")
+    statistic is the Statistic constructor of what the sensors send; the
+    two flags pick equal weights and equal power over the optimal ones.
+    value is the name: the results' `scheme` column and a config entry.
+    """
 
-    @property
-    def equal_power(self) -> bool:
-        return self.value.endswith("equal_power")
+    ED_opt_weights_opt_power = "ED_opt_weights_opt_power", Statistic.energy, False, False
+    ED_opt_weights_equal_power = "ED_opt_weights_equal_power", Statistic.energy, False, True
+    ED_equal_weights_opt_power = "ED_equal_weights_opt_power", Statistic.energy, True, False
+    ED_equal_weights_equal_power = "ED_equal_weights_equal_power", Statistic.energy, True, True
+    MFD_opt_power = "MFD_opt_power", Statistic.matched, False, False
+    MFD_equal_power = "MFD_equal_power", Statistic.matched, False, True
 
-    @property
-    def equal_combining(self) -> bool:
-        return "equal_weights" in self.value
-
-    @property
-    def statistic(self):
-        """The Statistic constructor of what this scheme's sensors send.
-
-        Called as scheme.statistic(sensors, u), like either constructor.
-        """
-        return Statistic.matched if self.matched_filter else Statistic.energy
+    def __new__(cls, name: str, statistic, equal_combining: bool, equal_power: bool):
+        scheme = object.__new__(cls)
+        scheme._value_, scheme.statistic = name, statistic
+        scheme.equal_combining, scheme.equal_power = equal_combining, equal_power
+        return scheme
 
 
 @dataclass(frozen=True)
@@ -322,33 +315,26 @@ def simulate_plans(
     m, u = scenario.M, scenario.U
 
     counts = [np.zeros((2, len(thr)), dtype=np.int64) for thr in thresholds]
-    # a plan's kind is its statistic's constructor; plans of one kind built
-    # equal records, so the first one stands for them all
-    statistics: dict[object, Statistic] = {}
-    # kind -> {(sensor, bit load): its row in that kind's quantized array}
-    rows_of: dict[object, dict[tuple[int, int], int]] = {}
-    # plans with the same statistic, senders and bit loads fuse the same quantized
-    # rows: kind -> {(senders, bits): (the senders' rows, plans)}
-    groups: dict[object, dict[tuple, tuple[np.ndarray, list]]] = {}
+    # one table per statistic constructor: the record (plans of one statistic built
+    # equal ones), the row of each (sensor, bit load) sent in its quantized array, and
+    # the groups of plans fusing the same rows: (senders, bits) -> (rows, [(j, plan)])
+    tables = {}
     for j, plan in enumerate(plans):
         if plan.degenerate:
             continue
-        kind = plan.scheme.statistic
-        statistics.setdefault(kind, plan.statistic)
+        _, rows_of, groups = tables.setdefault(plan.scheme.statistic, (plan.statistic, {}, {}))
         senders = plan.senders
         bits = plan.spec.bits_int[senders]
         key = (senders.tobytes(), bits.tobytes())
-        if key not in groups.setdefault(kind, {}):
-            index = rows_of.setdefault(kind, {})
-            rows = [index.setdefault(cell, len(index))
-                    for cell in zip(senders.tolist(), bits.tolist())]
-            groups[kind][key] = (np.array(rows), [])
-        groups[kind][key][1].append((j, plan))
-    if not groups:
+        if key not in groups:
+            groups[key] = (np.array([rows_of.setdefault(cell, len(rows_of))
+                                     for cell in zip(senders.tolist(), bits.tolist())]), [])
+        groups[key][1].append((j, plan))
+    if not tables:
         return counts   # nothing to draw: nobody transmits
-    # kind -> (sensor, bit load) of each row, in row order
-    quantized_rows = {kind: (np.array([i for i, _ in index]), np.array([[b] for _, b in index]))
-                      for kind, index in rows_of.items()}
+    # rows become a (rows, 2) array of (sensor, bit load), in row order
+    tables = {kind: (stat, np.array(list(rows_of)), list(groups.values()))
+              for kind, (stat, rows_of, groups) in tables.items()}
 
     chunk_cap = max(256, CHUNK_SAMPLES // m)
     # the keys fix every draw: changing them changes every results CSV
@@ -360,16 +346,16 @@ def simulate_plans(
         left -= c
         sg, rest = _noise(scenario, rng_g, rng_r, c)
         # one statistic and its quantized rows held at a time
-        for hyp_idx, (kind, (sensors, bits)) in itertools.product((0, 1), quantized_rows.items()):
-            st = statistics[kind].from_noise(sg, rest, hyp_idx == 1)   # (sensors, trials)
-            lo = statistics[kind].lo
+        for hyp_idx, (kind, (stat, cells, groups)) in itertools.product((0, 1), tables.items()):
+            st = stat.from_noise(sg, rest, hyp_idx == 1)   # (sensors, trials)
+            lo = stat.lo
             if clip_counts is not None:
                 tally = clip_counts.setdefault(kind, np.zeros((4, m), dtype=np.int64))
                 tally[2 * hyp_idx] += (st < lo).sum(axis=1)
                 tally[2 * hyp_idx + 1] += (st > lo + 2.0 * u).sum(axis=1)
-            quantized = quantize_array(st[sensors], bits, u, lo)
+            quantized = quantize_array(st[cells[:, 0]], cells[:, 1:], u, lo)
             del st
-            for rows, members in groups[kind].values():
+            for rows, members in groups:
                 q = quantized[rows]
                 for j, plan in members:
                     fused = fuse(q, plan.sender_weights)

@@ -87,6 +87,19 @@ class TestGraph:
         with pytest.raises(dd.TopologyError, match=re.escape(f"edge {first} is not a pair")):
             dd.Graph(M=3, edges=edges)
 
+    @pytest.mark.parametrize("edges, first", [
+        ([(0.5, 1.7), (1, 2)], "[0.5, 1.7]"),
+        (np.array([[0.9, 1.0], [1.0, 2.0]]), "[0.9, 1.0]"),
+        ([("0", "1"), (1, 2)], "['0', '1']"),
+        ([(0, 1), (1, 2), (1.0, 2.5)], "[1.0, 2.5]"),
+        ([(True, False)], "[True, False]"),
+    ])
+    def test_vertex_ids_that_are_not_integers_rejected(self, edges, first):
+        # not truncated or parsed into vertices: the first such row is named
+        message = f"edge {first} has a vertex id that is not an integer"
+        with pytest.raises(dd.TopologyError, match=f"^{re.escape(message)}$"):
+            dd.Graph(M=3, edges=edges)
+
     @pytest.mark.parametrize("edges, message", [
         (((0, 1), (2, 2), (5, 1), (1, 0)), "self loop at vertex 2"),
         (((0, 1), (5, 1), (2, 2), (1, 0)), "edge (5, 1) out of range for M=4"),

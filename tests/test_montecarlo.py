@@ -10,6 +10,7 @@ from scipy.stats import ks_2samp, norm
 import distdetect as dd
 from distdetect import cli, montecarlo
 from distdetect.cli import write_results_csv
+from distdetect.fusion import fuse
 from distdetect.montecarlo import (
     Scheme,
     equal_power,
@@ -33,13 +34,24 @@ def small_scenario():
 
 
 class TestSchemeFlags:
+    # scheme: statistic constructor, equal combining weights, equal power
+    TABLE = {
+        Scheme.ED_opt_weights_opt_power: (dd.Statistic.energy, False, False),
+        Scheme.ED_opt_weights_equal_power: (dd.Statistic.energy, False, True),
+        Scheme.ED_equal_weights_opt_power: (dd.Statistic.energy, True, False),
+        Scheme.ED_equal_weights_equal_power: (dd.Statistic.energy, True, True),
+        Scheme.MFD_opt_power: (dd.Statistic.matched, False, False),
+        Scheme.MFD_equal_power: (dd.Statistic.matched, False, True),
+    }
+
     def test_partition(self):
-        assert Scheme.MFD_opt_power.matched_filter
-        assert not Scheme.ED_opt_weights_opt_power.matched_filter
-        assert Scheme.ED_opt_weights_equal_power.equal_power
-        assert not Scheme.MFD_opt_power.equal_power
-        assert Scheme.ED_equal_weights_opt_power.equal_combining
-        assert not Scheme.ED_opt_weights_equal_power.equal_combining
+        assert set(self.TABLE) == set(Scheme)
+        for scheme, (statistic, equal_combining, equal_power) in self.TABLE.items():
+            assert scheme.statistic == statistic, scheme
+            assert scheme.equal_combining is equal_combining, scheme
+            assert scheme.equal_power is equal_power, scheme
+            # the value is the name, and names the scheme back
+            assert scheme.value == scheme.name and Scheme(scheme.value) is scheme
 
     def test_six_schemes(self):
         assert len(Scheme) == 6
@@ -320,7 +332,7 @@ class TestChunking:
         sc = small_scenario
         plans = [plan_scheme(sc, s, pt=pt) for pt in self.GRID for s in Scheme]
         # one quantized row per (statistic, sensor, bit load) that some plan sends
-        cells = {(p.scheme.matched_filter, i, p.spec.bits_int[i]) for p in plans
+        cells = {(p.scheme.statistic, i, p.spec.bits_int[i]) for p in plans
                  for i in p.senders}
         sent = sum(p.senders.size for p in plans)
         assert len(cells) < sent
@@ -340,6 +352,27 @@ class TestChunking:
         monkeypatch.setattr(montecarlo, "FusionWeights", None)
         thresholds = [np.array([p.threshold(0.1)]) for p in plans]
         montecarlo.simulate_plans(sc, plans, thresholds, 1000)
+
+    def test_plans_sending_the_same_rows_share_one_gather(self, small_scenario, monkeypatch):
+        sc = small_scenario
+        plans = [plan_scheme(sc, s, pt=5.0) for s in (Scheme.ED_opt_weights_equal_power,
+                                                      Scheme.ED_equal_weights_equal_power)]
+        # equal power gives both the same quantizers, and both weight rules the same senders
+        assert plans[0].senders.size
+        assert np.array_equal(plans[0].senders, plans[1].senders)
+        assert np.array_equal(plans[0].spec.bits_int, plans[1].spec.bits_int)
+        gathered = []   # (weights, q) of every fuse; holding q keeps identities unique
+
+        def recording(q, weights):
+            gathered.append((weights, q))
+            return fuse(q, weights)
+
+        monkeypatch.setattr(montecarlo, "fuse", recording)
+        thresholds = [np.array([p.threshold(0.1)]) for p in plans]
+        montecarlo.simulate_plans(sc, plans, thresholds, 1000)
+        first, second = ([q for w, q in gathered if w is p.sender_weights] for p in plans)
+        assert len(first) == len(second) == 2   # one chunk, two hypotheses
+        assert all(a is b for a, b in zip(first, second))
 
 
 def _law_population(n, m=3):
