@@ -2,7 +2,9 @@
 
 Nodes exchange scalars with their neighbors and iterate a Metropolis
 weighted average until every node holds the network mean. This is the
-only communication primitive the distributed solver needs.
+only communication primitive the distributed solver needs. A Consensus
+engine is set up once (weights, stopping rule, round buffer) and run on
+input after input; consensus_average is one run of a fresh engine.
 """
 from __future__ import annotations
 
@@ -224,83 +226,93 @@ class ConsensusResult:
     max_deviation: float   # max_i |values_i - mean(x0)|
 
 
-def consensus_average(
-    graph: Graph,
-    x0: np.ndarray,
-    tol: float,
-    max_iter: int,
-    mode: str = "oracle",
-    window: int = 5,
-    weights: np.ndarray | None = None,
-    first_block: int = BLOCK_ROUNDS,
-) -> ConsensusResult:
-    """Iterate x <- W x until every node agrees on the mean of x0.
+class Consensus:
+    """Average consensus on one graph: set up once, then run on input after input.
 
+    Holds the mixing weights (Metropolis unless `weights` is given), the
+    stopping rule, the tolerance, the round budget and a round buffer.
     mode="oracle" stops on the true deviation max_i |x_i - mean(x0)|,
-    which is observable in simulation but not in a deployment.
-    mode="local" stops when each node's own trajectory has moved less
-    than tol over a sliding window of `window` rounds, information a
-    real node actually has. Raises ConsensusError (carrying the last
-    state) if max_iter rounds are not enough.
-
-    Rounds run in blocks, the first of `first_block` rounds and the rest
-    of BLOCK_ROUNDS, each round written into one row of a buffer, and
-    the stopping rule is tested once per block for every round in it.
-    A caller that expects about r rounds passes a first block of a
-    little over r, so that most calls stop inside it. Each round is the
-    same matrix-vector product as x = W @ x and the tests are exact
-    comparisons, so values and round counts are those of testing after
-    every round, whatever the block lengths.
+    observable in simulation but not in a deployment; mode="local" stops
+    when each node's own trajectory has moved less than tol over a
+    sliding window of `window` rounds, information a real node has.
     """
-    x = np.asarray(x0, dtype=float)
-    if x.shape != (graph.M,):
-        raise ValueError(f"x0 must have shape ({graph.M},), got {x.shape}")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("x0 must be finite")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    if max_iter < 0:
-        raise ValueError("max_iter must be >= 0")
-    if mode not in ("oracle", "local"):
-        raise ValueError(f"unknown mode {mode!r}")
-    if mode == "local" and window < 1:
-        raise ValueError("window must be >= 1")
-    if first_block < 1:
-        raise ValueError("first_block must be >= 1")
-    w = metropolis_matrix(graph) if weights is None else np.asarray(weights, dtype=float)
-    target = x.mean()
 
-    # rows kept in front of each block: the current state, and for the
-    # local rule the `window` states before it (no more than can exist)
-    lead = min(window, max_iter) if mode == "local" else 0
-    buf = np.zeros((lead + 1 + min(max(first_block, BLOCK_ROUNDS), max_iter), graph.M))
-    rows = list(buf)
-    buf[lead] = x
-    k = 0   # rounds done; buf[lead] holds the state after k rounds
-    while True:
-        n = min(first_block if k == 0 else BLOCK_ROUNDS, max_iter - k)
-        for r in range(lead + 1, lead + 1 + n):
-            w.dot(rows[r - 1], out=rows[r])
-        states = buf[:lead + 1 + n]
-        # done[j]: the state after k + j rounds meets the stopping rule
-        if mode == "oracle":
-            done = np.abs(states - target).max(axis=1) <= tol
-        else:
-            spans = sliding_window_view(states, lead + 1, axis=0)
-            done = np.ptp(spans, axis=2).max(axis=1) <= tol
-            done[:max(window - k, 0)] = False   # fewer than window + 1 states so far
-        if done.any():
-            j = int(np.argmax(done))
-            x = buf[lead + j].copy()
-            return ConsensusResult(values=x, iterations=k + j,
-                                   max_deviation=float(np.max(np.abs(x - target))))
-        k += n
-        if k >= max_iter:
-            raise ConsensusError(
-                f"no consensus after {max_iter} rounds (tol={tol})",
-                values=buf[lead + n].copy(), iterations=k,
-            )
-        buf[:lead + 1] = buf[n:n + lead + 1]
+    def __init__(self, graph: Graph, tol: float, max_iter: int, mode: str = "oracle",
+                 window: int = 5, weights: np.ndarray | None = None):
+        if tol <= 0:
+            raise ValueError("tol must be positive")
+        if max_iter < 0:
+            raise ValueError("max_iter must be >= 0")
+        if mode not in ("oracle", "local"):
+            raise ValueError(f"unknown mode {mode!r}")
+        if mode == "local" and window < 1:
+            raise ValueError("window must be >= 1")
+        self.graph, self.tol, self.max_iter = graph, tol, max_iter
+        self.mode, self.window = mode, window
+        self.w = metropolis_matrix(graph) if weights is None else np.asarray(weights, dtype=float)
+        # rows kept in front of each block: the current state, and for the
+        # local rule the `window` states before it (no more than can exist)
+        self.lead = min(window, max_iter) if mode == "local" else 0
+        self._buf, self._rows = np.zeros((0, graph.M)), []
+
+    def run(self, x0: np.ndarray, first_block: int = BLOCK_ROUNDS) -> ConsensusResult:
+        """Iterate x <- W x from x0 until every node agrees on the mean of x0.
+
+        Raises ConsensusError (carrying the last state) if max_iter rounds
+        are not enough. Rounds run in blocks, the first of `first_block`
+        rounds and the rest of BLOCK_ROUNDS, and the stopping rule is
+        tested once per block for every round in it; a caller that expects
+        about r rounds passes a first block of a little over r. Each round
+        is the same product as x = W @ x and the tests are exact, so values
+        and round counts are those of testing after every round.
+        """
+        x = np.asarray(x0, dtype=float)
+        m = self.graph.M
+        if x.shape != (m,):
+            raise ValueError(f"x0 must have shape ({m},), got {x.shape}")
+        if not np.isfinite(x).all():
+            raise ValueError("x0 must be finite")
+        if first_block < 1:
+            raise ValueError("first_block must be >= 1")
+        tol, max_iter, window, lead, w = self.tol, self.max_iter, self.window, self.lead, self.w
+        target = x.mean()
+        size = lead + 1 + min(max(first_block, BLOCK_ROUNDS), max_iter)
+        if len(self._buf) < size:
+            self._buf = np.zeros((size, m))
+            self._rows = list(self._buf)
+        buf, rows = self._buf, self._rows
+        # the lead rows stand for states before x0; the local rule skips every
+        # window that reaches them, and filling them with x0 keeps no last run's state
+        buf[:lead + 1] = x
+        k = 0   # rounds done; buf[lead] holds the state after k rounds
+        while True:
+            n = min(first_block if k == 0 else BLOCK_ROUNDS, max_iter - k)
+            for r in range(lead + 1, lead + 1 + n):
+                w.dot(rows[r - 1], out=rows[r])
+            states = buf[:lead + 1 + n]
+            # done[j]: the state after k + j rounds meets the stopping rule
+            if self.mode == "oracle":
+                done = np.abs(states - target).max(axis=1) <= tol
+            else:
+                spans = sliding_window_view(states, lead + 1, axis=0)
+                done = np.ptp(spans, axis=2).max(axis=1) <= tol
+                done[:max(window - k, 0)] = False   # fewer than window + 1 states so far
+            if done.any():
+                j = int(done.argmax())
+                x = buf[lead + j].copy()
+                return ConsensusResult(values=x, iterations=k + j,
+                                       max_deviation=float(np.abs(x - target).max()))
+            k += n
+            if k >= max_iter:
+                raise ConsensusError(f"no consensus after {max_iter} rounds (tol={tol})",
+                                     values=buf[lead + n].copy(), iterations=k)
+            buf[:lead + 1] = buf[n:n + lead + 1]
+
+
+def consensus_average(graph: Graph, x0: np.ndarray, tol: float, max_iter: int, mode: str = "oracle",
+                      window: int = 5, first_block: int = BLOCK_ROUNDS) -> ConsensusResult:
+    """One run of a Consensus engine built for this input alone."""
+    return Consensus(graph, tol, max_iter, mode, window).run(x0, first_block)
 
 
 def save_edge_list(graph: Graph, path) -> None:

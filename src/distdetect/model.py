@@ -157,8 +157,7 @@ class SolverConfig:
 
     The multiplier step is eps_k = lambda0_k / k, with eps_0 = lambda0_0
     (the k=0 update needs a step too). consensus_mode picks how the
-    inner averaging loop decides it is done (see
-    consensus.consensus_average).
+    inner averaging loop decides it is done (see consensus.Consensus).
     """
 
     lambda0_init: float = 1e-8

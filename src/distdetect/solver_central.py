@@ -94,7 +94,7 @@ def _closed_form_terms(sensor, u: float):
     return num, den, t2, t3
 
 
-def power_closed_form(lambda0, sensor, u: float):
+def power_closed_form(lambda0, sensor, u: float, terms=None):
     """Water-filling optimum of a sensor's power at multiplier lambda0.
 
     [ (1/sqrt(lambda0)) * xi U sqrt(3) / (6 sigma^2 (1+2xi) sqrt(g))
@@ -105,10 +105,12 @@ def power_closed_form(lambda0, sensor, u: float):
     power at once; N is its signal's length. lambda0 may be one
     multiplier or one per sensor. The clamp censors sensors whose channel
     or SNR cannot pay for even the constant terms; xi = 0 always lands at 0.
+    terms, if given, is _closed_form_terms(sensor, u), computed once by a
+    caller that evaluates many multipliers.
     """
     if np.any(np.less_equal(lambda0, 0)):
         raise ValueError("lambda0 must be positive")
-    num, den, t2, t3 = _closed_form_terms(sensor, u)
+    num, den, t2, t3 = _closed_form_terms(sensor, u) if terms is None else terms
     return np.maximum(num / (den * np.sqrt(lambda0)) - t2 - t3, 0.0)
 
 

@@ -14,7 +14,8 @@ Each consensus run resumes from the last one: a node starts from its
 previous consensus output plus its own power change p_k - p_{k-1}.
 Mixing by a doubly stochastic matrix keeps the mean, so the input still
 averages to mean(p_k), and powers that moved by one dual step need far
-fewer rounds than a start from p_k.
+fewer rounds than a start from p_k. The closed form's terms and one
+Consensus engine are set up once per solve, not once per iteration.
 """
 from __future__ import annotations
 
@@ -22,12 +23,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .consensus import BLOCK_ROUNDS, ConsensusError, Graph, consensus_average, metropolis_matrix
+from .consensus import (BLOCK_ROUNDS, Consensus, ConsensusError, Graph, consensus_average,
+                        metropolis_matrix)
 from .model import Scenario, SolverConfig
-from .solver_central import PowerAllocation, power_closed_form
+from .solver_central import PowerAllocation, _closed_form_terms, power_closed_form
 
-# shared implementation with the centralized solver: the locality claim
-# is that this function needs nothing beyond sensor-local parameters
+# each sensor's power update is the centralized solver's closed form, which needs
+# nothing beyond sensor-local parameters. The solve calls power_closed_form on terms
+# computed once; this name and consensus_average stay bound for callers that look them up
 local_power_update = power_closed_form
 
 LAMBDA_MIN = 1e-16   # dual variable floor; the closed form needs sqrt(lambda0) > 0
@@ -101,17 +104,21 @@ def solve_distributed(scenario: Scenario, graph: Graph, solver: SolverConfig = S
     if graph.M != m:
         raise ValueError(f"graph has {graph.M} nodes for {m} sensors")
     u, pt = scenario.U, scenario.Pt
-    w = metropolis_matrix(graph)
+    # set up once: each sensor's closed-form terms and the consensus engine
+    terms = _closed_form_terms(scenario, u)
+    consensus = Consensus(graph, solver.consensus_tol, solver.consensus_max_iter,
+                          solver.consensus_mode, solver.consensus_window,
+                          weights=metropolis_matrix(graph))
 
     lam = np.full(m, solver.lambda0_init)
     p_prev: np.ndarray | None = None
     state, first_block = None, BLOCK_ROUNDS
 
-    ks, lams, prows, crows, rels, spreads = [], [], [], [], [], []
+    lams, prows, crows, rels, spreads = [], [], [], [], []
 
     def trace_so_far(converged: bool) -> DualAscentTrace:
         return DualAscentTrace(
-            k=np.array(ks, dtype=int),
+            k=np.arange(1, len(crows) + 1),
             lambda0=np.array(lams),
             powers=np.array(prows).reshape(len(prows), m),
             consensus_iters=np.array(crows, dtype=int),
@@ -121,22 +128,18 @@ def solve_distributed(scenario: Scenario, graph: Graph, solver: SolverConfig = S
         )
 
     for k in range(solver.outer_max_iter):
-        p = local_power_update(lam, scenario, u)
+        p = power_closed_form(lam, scenario, u, terms)
         # each node resumes from its last consensus output, moved by its own power change
         x0 = p if state is None else state + (p - p_prev)
         try:
-            cres = consensus_average(
-                graph, x0, tol=solver.consensus_tol, max_iter=solver.consensus_max_iter,
-                mode=solver.consensus_mode, window=solver.consensus_window, weights=w,
-                first_block=first_block,
-            )
+            cres = consensus.run(x0, first_block)
         except ConsensusError as e:
             raise ConvergenceError(f"outer iteration {k + 1}: {e}",
                                    trace=trace_so_far(False)) from e
         state, first_block = cres.values, cres.iterations + 2
         # every sensor applies the same rule to its own multiplier copy
         eps = lam if k == 0 else lam / k
-        lam_used = float(np.mean(lam))
+        lam_used = float(lam.mean())
         lam = dual_update(lam, cres.values, m, pt, eps)
 
         if p_prev is None:
@@ -146,12 +149,11 @@ def solve_distributed(scenario: Scenario, graph: Graph, solver: SolverConfig = S
             # all-zero previous iterate: criterion undefined, keep going
             rel = float(np.linalg.norm(p - p_prev) / denom) if denom > 0 else float("nan")
 
-        ks.append(k + 1)
         lams.append(lam_used)
         prows.append(p)
         crows.append(cres.iterations)
         rels.append(rel)
-        spreads.append(float(np.max(lam) - np.min(lam)))
+        spreads.append(float(lam.max() - lam.min()))
 
         if np.isfinite(rel) and rel <= solver.kappa:
             break

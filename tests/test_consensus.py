@@ -8,7 +8,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import distdetect as dd
-from distdetect.consensus import BLOCK_ROUNDS, geometric_edges
+from distdetect.consensus import BLOCK_ROUNDS, Consensus, geometric_edges
 
 
 def path_graph(m):
@@ -449,6 +449,54 @@ class TestBlockedRounds:
         with pytest.raises(ValueError, match="first_block"):
             dd.consensus_average(path_graph(3), np.arange(3.0), tol=1e-10, max_iter=10,
                                  first_block=0)
+
+
+def _outcome(run, x0):
+    """(values, iterations, max_deviation or error message) of one consensus run."""
+    try:
+        res = run(x0)
+    except dd.ConsensusError as e:
+        return e.values, e.iterations, str(e)
+    return res.values, res.iterations, res.max_deviation
+
+
+class TestEngineReuse:
+    """One Consensus engine run on input after input gives what a fresh run gives on each."""
+
+    @pytest.mark.parametrize("mode", ["oracle", "local"])
+    def test_runs_match_fresh_runs(self, mode, reference_consensus_average):
+        g = path_graph(8)
+        kw = dict(tol=1e-9, max_iter=300, mode=mode, window=5)
+        engine = Consensus(g, **kw)
+        rng = np.random.default_rng(31)
+        # (input scale, first block): scale 1e-3 takes 200-260 rounds, 1 and 1e3 more
+        # than the budget; the buffer grows on the second run, a short first block
+        # follows a long one, and runs follow failures
+        runs = [(1e-8, 1), (1e-3, 300), (1e-8, 2), (1.0, 5), (1e-10, 2), (1e-6, 80),
+                (1e3, 64), (1e-3, 1)]
+        failed = []
+        for scale, first_block in runs:
+            x0 = rng.normal(size=8) * scale
+            got = _outcome(lambda x: engine.run(x, first_block), x0)
+            fresh = _outcome(lambda x: dd.consensus_average(g, x, first_block=first_block, **kw),
+                             x0)
+            ref = _outcome(lambda x: reference_consensus_average(g, x, **kw), x0)
+            for other in (fresh, ref):
+                assert np.array_equal(got[0], other[0]), (scale, first_block)
+                assert got[1:] == other[1:], (scale, first_block)
+            failed.append(isinstance(got[2], str))
+        assert failed == [False, False, False, True, False, False, True, False]
+
+    def test_settings_are_checked_once_at_construction(self):
+        with pytest.raises(ValueError, match="unknown mode"):
+            Consensus(path_graph(3), tol=1e-9, max_iter=10, mode="gossip")
+        with pytest.raises(ValueError, match="window"):
+            Consensus(path_graph(3), tol=1e-9, max_iter=10, mode="local", window=0)
+        engine = Consensus(path_graph(3), tol=1e-9, max_iter=10)
+        for x0, first_block, msg in [(np.zeros(4), 1, "shape"), (np.array([0, np.nan, 0]), 1,
+                                     "finite"), (np.zeros(3), 0, "first_block")]:
+            with pytest.raises(ValueError, match=msg):
+                engine.run(x0, first_block)
 
 
 class TestEdgeListRoundTrip:

@@ -1,4 +1,5 @@
 """Distributed dual ascent with consensus-averaged power sums."""
+import collections
 import csv
 
 import numpy as np
@@ -6,8 +7,9 @@ import pytest
 from numpy.testing import assert_allclose
 
 import distdetect as dd
-from distdetect import cli, solver_dist
+from distdetect import cli, consensus, solver_central, solver_dist
 from distdetect.cli import write_trace_csv
+from distdetect.consensus import Consensus
 
 from conftest import bundled_config, each_sensor
 
@@ -20,6 +22,16 @@ def _identical_scenario(m=4, pt=2.0, n=10):
 def _solve_identical(sc, solver=dd.SolverConfig()):
     """solve_distributed on the complete graph of the scenario's sensors."""
     return dd.solve_distributed(sc, dd.complete_graph(sc.M), solver)
+
+
+def _config_case(cfg):
+    """The scenario and sensor graph of a validated config."""
+    return cli.scenario_from_config(cfg), dd.make_topology(cfg["M"], cfg["seed"], cfg["radius"])
+
+
+def _single_sensor(seed):
+    return _config_case(cli.validate_config({"schema_version": 1, "seed": seed, "M": 1, "N": 10,
+                                             "U": 3.0, "Pt": 1.0, "Pfa": 0.1}))
 
 
 class TestLocalPowerUpdate:
@@ -128,15 +140,14 @@ class TestWarmStart:
     def test_inputs_keep_the_mean_power_and_the_rounds_drop(self, config, max_rounds,
                                                             monkeypatch):
         cfg = cli.load_config(bundled_config(config))
-        real, inputs = solver_dist.consensus_average, []
+        real, inputs = Consensus.run, []
 
-        def spy(graph, x0, *args, **kwargs):
+        def spy(engine, x0, *args, **kwargs):
             inputs.append(np.array(x0))
-            return real(graph, x0, *args, **kwargs)
+            return real(engine, x0, *args, **kwargs)
 
-        monkeypatch.setattr(solver_dist, "consensus_average", spy)
-        _, trace = dd.solve_distributed(cli.scenario_from_config(cfg),
-                                        dd.make_topology(cfg["M"], cfg["seed"], cfg["radius"]))
+        monkeypatch.setattr(Consensus, "run", spy)
+        _, trace = dd.solve_distributed(*_config_case(cfg))
         assert np.array_equal(inputs[0], trace.powers[0])
         assert len(inputs) == trace.iterations
         mean_p = trace.powers.mean(axis=1)
@@ -153,8 +164,16 @@ class TestBlockedConsensusInTheSolver:
     def test_fig1_trace_equals_the_per_round_loop(self, fig1_scenario, fig1_topology,
                                                   monkeypatch, reference_consensus_average):
         _, blocked = dd.solve_distributed(fig1_scenario, fig1_topology)
-        monkeypatch.setattr(solver_dist, "consensus_average", reference_consensus_average)
+        runs = []
+
+        def per_round(engine, x0, first_block=None):
+            runs.append(None)
+            return reference_consensus_average(engine.graph, x0, engine.tol, engine.max_iter,
+                                               engine.mode, engine.window, engine.w)
+
+        monkeypatch.setattr(Consensus, "run", per_round)
         _, reference = dd.solve_distributed(fig1_scenario, fig1_topology)
+        assert len(runs) == reference.iterations
         assert blocked.total_consensus_rounds == reference.total_consensus_rounds
         for a, b in zip(_trace_arrays(blocked), _trace_arrays(reference)):
             assert np.array_equal(a, b, equal_nan=True)
@@ -162,17 +181,17 @@ class TestBlockedConsensusInTheSolver:
     def test_consensus_failure_keeps_the_partial_trace(self, monkeypatch):
         sc = _identical_scenario()
         _, full = _solve_identical(sc)
-        real = solver_dist.consensus_average
+        real = Consensus.run
         calls = []
 
-        def fails_on_third_call(*args, **kwargs):
+        def fails_on_third_call(engine, *args, **kwargs):
             calls.append(None)
             if len(calls) == 3:
                 raise dd.ConsensusError("no consensus after 7 rounds (tol=1e-10)",
                                         values=np.zeros(sc.M), iterations=7)
-            return real(*args, **kwargs)
+            return real(engine, *args, **kwargs)
 
-        monkeypatch.setattr(solver_dist, "consensus_average", fails_on_third_call)
+        monkeypatch.setattr(Consensus, "run", fails_on_third_call)
         with pytest.raises(dd.ConvergenceError) as exc:
             _solve_identical(sc)
         assert "no consensus after 7 rounds" in str(exc.value)
@@ -191,6 +210,60 @@ class TestBlockedConsensusInTheSolver:
         assert "outer iteration 1: no consensus after 50 rounds" in str(exc.value)
         assert exc.value.trace.iterations == 0
         assert exc.value.trace.powers.shape == (0, 10)
+
+
+class TestSetUpOncePerSolve:
+    """One solve builds one consensus engine, one weight matrix and one set of closed-form terms."""
+
+    def _count_set_up(self, monkeypatch):
+        calls = collections.Counter()
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        # every binding a solve could reach each of them through
+        for module, name in [(solver_dist, "Consensus"), (solver_dist, "metropolis_matrix"),
+                             (consensus, "metropolis_matrix"), (solver_dist, "_closed_form_terms"),
+                             (solver_central, "_closed_form_terms"),
+                             (solver_dist, "power_closed_form")]:
+            monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+        monkeypatch.setattr(Consensus, "run", counted("run", Consensus.run))
+        return calls
+
+    @pytest.mark.parametrize("case, solver, iterations", [
+        ("fig1", dd.SolverConfig(), 2150),
+        ("M=1 seed 3", dd.SolverConfig(), 50),
+        ("M=1 seed 1", dd.SolverConfig(outer_max_iter=3000), 3000),   # ConvergenceError
+    ])
+    def test_set_up_once_whatever_the_iterations(self, case, solver, iterations, monkeypatch):
+        if case == "fig1":
+            scenario, graph = _config_case(cli.load_config(bundled_config("fig1.cfg")))
+        else:
+            scenario, graph = _single_sensor(int(case[-1]))
+        calls = self._count_set_up(monkeypatch)
+        try:
+            _, trace = dd.solve_distributed(scenario, graph, solver)
+        except dd.ConvergenceError as e:
+            trace = e.trace
+        assert trace.iterations == iterations
+        assert calls == {"Consensus": 1, "metropolis_matrix": 1, "_closed_form_terms": 1,
+                         "power_closed_form": iterations, "run": iterations}
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("consensus_mode", "gossip", "unknown mode 'gossip'"),
+        ("consensus_window", 0, "window must be >= 1"),
+    ])
+    def test_bad_settings_raise_before_the_first_outer_iteration(self, field, value, message,
+                                                                 monkeypatch):
+        solver = dd.SolverConfig(consensus_mode="local")
+        object.__setattr__(solver, field, value)   # past SolverConfig's own check
+        calls = self._count_set_up(monkeypatch)
+        with pytest.raises(ValueError, match=message):
+            _solve_identical(_identical_scenario(), solver)
+        assert calls["power_closed_form"] == calls["run"] == 0
 
 
 class TestTraceCsv:
