@@ -8,13 +8,15 @@ input after input; consensus_average is one run of a fresh engine.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 # consensus rounds run between two tests of the stopping rule
 BLOCK_ROUNDS = 64
+# floats the round buffer holds (512 KiB): a block runs no more rounds than fit
+BUFFER_FLOATS = 1 << 16
 
 
 class TopologyError(ValueError):
@@ -253,30 +255,33 @@ class Consensus:
         # rows kept in front of each block: the current state, and for the
         # local rule the `window` states before it (no more than can exist)
         self.lead = min(window, max_iter) if mode == "local" else 0
+        self.max_block = max(BUFFER_FLOATS // graph.M - self.lead - 1, 1)
         self._buf, self._rows = np.zeros((0, graph.M)), []
 
     def run(self, x0: np.ndarray, first_block: int = BLOCK_ROUNDS) -> ConsensusResult:
         """Iterate x <- W x from x0 until every node agrees on the mean of x0.
 
         Raises ConsensusError (carrying the last state) if max_iter rounds
-        are not enough. Rounds run in blocks, the first of `first_block`
-        rounds and the rest of BLOCK_ROUNDS, and the stopping rule is
-        tested once per block for every round in it; a caller that expects
-        about r rounds passes a first block of a little over r. Each round
-        is the same product as x = W @ x and the tests are exact, so values
-        and round counts are those of testing after every round.
+        are not enough. Rounds run in blocks, `first_block` rounds and then
+        BLOCK_ROUNDS, each cut to what BUFFER_FLOATS holds, and the stopping
+        rule is tested once per block for every round in it; a caller that
+        expects about r rounds passes a first block of a little over r.
+        Each round is the same product as x = W @ x and the tests are exact,
+        so values and round counts are those of testing after every round.
         """
         x = np.asarray(x0, dtype=float)
         m = self.graph.M
         if x.shape != (m,):
             raise ValueError(f"x0 must have shape ({m},), got {x.shape}")
-        if not np.isfinite(x).all():
+        with np.errstate(all="ignore"):   # an overflow of finite terms is flagged below
+            total = np.add.reduce(x)   # finite only if every term is
+        if not math.isfinite(total) and not np.isfinite(x).all():
             raise ValueError("x0 must be finite")
         if first_block < 1:
             raise ValueError("first_block must be >= 1")
         tol, max_iter, window, lead, w = self.tol, self.max_iter, self.window, self.lead, self.w
-        target = x.mean()
-        size = lead + 1 + min(max(first_block, BLOCK_ROUNDS), max_iter)
+        target = (total if math.isfinite(total) else np.add.reduce(x)) / m   # x.mean()
+        size = lead + 1 + min(max(first_block, BLOCK_ROUNDS), max_iter, self.max_block)
         if len(self._buf) < size:
             self._buf = np.zeros((size, m))
             self._rows = list(self._buf)
@@ -284,29 +289,35 @@ class Consensus:
         # the lead rows stand for states before x0; the local rule skips every
         # window that reaches them, and filling them with x0 keeps no last run's state
         buf[:lead + 1] = x
-        k = 0   # rounds done; buf[lead] holds the state after k rounds
+        k, block = 0, first_block   # rounds done (buf[lead] is the state after them), rounds asked
         while True:
-            n = min(first_block if k == 0 else BLOCK_ROUNDS, max_iter - k)
+            n = min(block, self.max_block, max_iter - k)
             for r in range(lead + 1, lead + 1 + n):
                 w.dot(rows[r - 1], out=rows[r])
             states = buf[:lead + 1 + n]
             # done[j]: the state after k + j rounds meets the stopping rule
             if self.mode == "oracle":
-                done = np.abs(states - target).max(axis=1) <= tol
+                dev = np.abs(states - target).max(axis=1)
+                done = dev <= tol
             else:
-                spans = sliding_window_view(states, lead + 1, axis=0)
-                done = np.ptp(spans, axis=2).max(axis=1) <= tol
+                # each node's max and min over the window of lead + 1 states ending at each row
+                hi, lo = states[lead:].copy(), states[lead:].copy()
+                for s in range(lead):
+                    np.maximum(hi, states[s:s + n + 1], out=hi)
+                    np.minimum(lo, states[s:s + n + 1], out=lo)
+                done = np.subtract(hi, lo, out=hi).max(axis=1) <= tol
                 done[:max(window - k, 0)] = False   # fewer than window + 1 states so far
-            if done.any():
-                j = int(done.argmax())
+            j = int(done.argmax())
+            if done[j]:
                 x = buf[lead + j].copy()
-                return ConsensusResult(values=x, iterations=k + j,
-                                       max_deviation=float(np.abs(x - target).max()))
+                dev_j = dev[j] if self.mode == "oracle" else np.abs(x - target).max()
+                return ConsensusResult(values=x, iterations=k + j, max_deviation=float(dev_j))
             k += n
             if k >= max_iter:
                 raise ConsensusError(f"no consensus after {max_iter} rounds (tol={tol})",
                                      values=buf[lead + n].copy(), iterations=k)
             buf[:lead + 1] = buf[n:n + lead + 1]
+            block = max(block - n, BLOCK_ROUNDS)
 
 
 def consensus_average(graph: Graph, x0: np.ndarray, tol: float, max_iter: int, mode: str = "oracle",

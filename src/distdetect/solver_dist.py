@@ -15,10 +15,11 @@ previous consensus output plus its own power change p_k - p_{k-1}.
 Mixing by a doubly stochastic matrix keeps the mean, so the input still
 averages to mean(p_k), and powers that moved by one dual step need far
 fewer rounds than a start from p_k. The closed form's terms and one
-Consensus engine are set up once per solve, not once per iteration.
+Consensus engine are set up once per solve, the trace's statistics once.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,7 +53,7 @@ def dual_update(lambda0_k, mean_power, m: int, pt: float, eps_k):
     power update defined. Elementwise over per-sensor arrays, so one
     call steps every sensor's multiplier copy.
     """
-    if np.any(np.less_equal(eps_k, 0)):
+    if np.less_equal(eps_k, 0).any():
         raise ValueError("eps_k must be positive")
     return np.maximum(lambda0_k + eps_k * (m * mean_power - pt), LAMBDA_MIN)
 
@@ -61,10 +62,10 @@ def dual_update(lambda0_k, mean_power, m: int, pt: float, eps_k):
 class DualAscentTrace:
     """Per-outer-iteration record of the distributed solve.
 
-    lambda0[j] is the multiplier (replica mean) that produced powers[j];
-    rel_step[j] = ||p[j] - p[j-1]|| / ||p[j-1]|| is nan on the first row.
-    lambda0_spread tracks max-min across the per-sensor replicas, a
-    diagnostic for how well consensus kept the copies in lockstep.
+    lambda0[j] is the mean() of the per-sensor multiplier copies that
+    produced powers[j]; lambda0_spread[j], the max - min of those its dual
+    step left, shows how well consensus kept them in lockstep; rel_step[j]
+    = ||p[j] - p[j-1]|| / ||p[j-1]|| is nan on the first row.
     """
 
     k: np.ndarray                # 1-based outer iteration index
@@ -111,26 +112,30 @@ def solve_distributed(scenario: Scenario, graph: Graph, solver: SolverConfig = S
                           weights=metropolis_matrix(graph))
 
     lam = np.full(m, solver.lambda0_init)
-    p_prev: np.ndarray | None = None
-    state, first_block = None, BLOCK_ROUNDS
+    first_block = BLOCK_ROUNDS
+    # as if after a step from zero power: the first x0 is p, and its rel_step (norm 0) is nan
+    p_prev = state = norm_prev = 0.0
 
-    lams, prows, crows, rels, spreads = [], [], [], [], []
+    # multiplier copies: lams[j] produced prows[j], and lams[j + 1] is its dual step
+    lams, prows, crows, rels = [lam], [], [], []
 
     def trace_so_far(converged: bool) -> DualAscentTrace:
+        copies = np.array(lams)
         return DualAscentTrace(
             k=np.arange(1, len(crows) + 1),
-            lambda0=np.array(lams),
+            lambda0=np.add.reduce(copies[:-1], axis=1) / m,   # each row's mean()
             powers=np.array(prows).reshape(len(prows), m),
             consensus_iters=np.array(crows, dtype=int),
             rel_step=np.array(rels),
-            lambda0_spread=np.array(spreads),
+            lambda0_spread=copies[1:].max(axis=1) - copies[1:].min(axis=1),
             converged=converged,
         )
 
     for k in range(solver.outer_max_iter):
         p = power_closed_form(lam, scenario, u, terms)
+        step = p - p_prev
         # each node resumes from its last consensus output, moved by its own power change
-        x0 = p if state is None else state + (p - p_prev)
+        x0 = state + step
         try:
             cres = consensus.run(x0, first_block)
         except ConsensusError as e:
@@ -139,32 +144,26 @@ def solve_distributed(scenario: Scenario, graph: Graph, solver: SolverConfig = S
         state, first_block = cres.values, cres.iterations + 2
         # every sensor applies the same rule to its own multiplier copy
         eps = lam if k == 0 else lam / k
-        lam_used = float(lam.mean())
-        lam = dual_update(lam, cres.values, m, pt, eps)
+        lam = dual_update(lam, state, m, pt, eps)
+        # all-zero previous iterate: criterion undefined, keep going
+        rel = math.sqrt(step.dot(step)) / norm_prev if norm_prev > 0 else float("nan")
 
-        if p_prev is None:
-            rel = float("nan")
-        else:
-            denom = float(np.linalg.norm(p_prev))
-            # all-zero previous iterate: criterion undefined, keep going
-            rel = float(np.linalg.norm(p - p_prev) / denom) if denom > 0 else float("nan")
-
-        lams.append(lam_used)
+        lams.append(lam)
         prows.append(p)
         crows.append(cres.iterations)
         rels.append(rel)
-        spreads.append(float(lam.max() - lam.min()))
 
-        if np.isfinite(rel) and rel <= solver.kappa:
+        if math.isfinite(rel) and rel <= solver.kappa:
             break
-        p_prev = p
+        # a numpy scalar, so that an overflowing rel_step warns or raises as np.errstate says
+        p_prev, norm_prev = p, np.float64(math.sqrt(p.dot(p)))
     else:
         raise ConvergenceError(
             f"no convergence to kappa={solver.kappa} within {solver.outer_max_iter} "
             "outer iterations",
             trace=trace_so_far(False),
         )
-    alloc = PowerAllocation(p=p, lambda0=lam_used)
+    alloc = PowerAllocation(p=p, lambda0=float(lams[-2].mean()))   # the copies that gave p
     residual = abs(alloc.total() - pt)
     if residual > 1e-3 * pt:
         raise ConvergenceError(

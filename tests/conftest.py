@@ -9,7 +9,9 @@ from hypothesis import settings
 
 import distdetect as dd
 from distdetect import cli
+from distdetect.consensus import BLOCK_ROUNDS, Consensus
 from distdetect.montecarlo import weights_for_scheme
+from distdetect.solver_central import _closed_form_terms
 
 settings.register_profile("suite", deadline=None)
 settings.load_profile("suite")
@@ -96,6 +98,89 @@ def reference_consensus_average(graph, x0, tol, max_iter, mode="oracle",
 @pytest.fixture(name="reference_consensus_average")
 def _reference_consensus_average():
     return reference_consensus_average
+
+
+def reference_solve_distributed(scenario, graph, solver=dd.SolverConfig()):
+    """solve_distributed with the trace's statistics and both norms taken in every iteration.
+
+    lambda0 is lam.mean() and lambda0_spread lam.max() - lam.min() of each
+    iteration's multiplier copies, and rel_step divides np.linalg.norm of
+    the step by np.linalg.norm of the previous powers, recomputed each time.
+    """
+    m = scenario.M
+    if graph.M != m:
+        raise ValueError(f"graph has {graph.M} nodes for {m} sensors")
+    u, pt = scenario.U, scenario.Pt
+    terms = _closed_form_terms(scenario, u)
+    consensus = Consensus(graph, solver.consensus_tol, solver.consensus_max_iter,
+                          solver.consensus_mode, solver.consensus_window,
+                          weights=dd.metropolis_matrix(graph))
+
+    lam = np.full(m, solver.lambda0_init)
+    p_prev = None
+    state, first_block = None, BLOCK_ROUNDS
+
+    lams, prows, crows, rels, spreads = [], [], [], [], []
+
+    def trace_so_far(converged):
+        return dd.DualAscentTrace(
+            k=np.arange(1, len(crows) + 1),
+            lambda0=np.array(lams),
+            powers=np.array(prows).reshape(len(prows), m),
+            consensus_iters=np.array(crows, dtype=int),
+            rel_step=np.array(rels),
+            lambda0_spread=np.array(spreads),
+            converged=converged,
+        )
+
+    for k in range(solver.outer_max_iter):
+        p = dd.power_closed_form(lam, scenario, u, terms)
+        x0 = p if state is None else state + (p - p_prev)
+        try:
+            cres = consensus.run(x0, first_block)
+        except dd.ConsensusError as e:
+            raise dd.ConvergenceError(f"outer iteration {k + 1}: {e}",
+                                      trace=trace_so_far(False)) from e
+        state, first_block = cres.values, cres.iterations + 2
+        eps = lam if k == 0 else lam / k
+        lam_used = float(lam.mean())
+        lam = dd.dual_update(lam, cres.values, m, pt, eps)
+
+        if p_prev is None:
+            rel = float("nan")
+        else:
+            denom = float(np.linalg.norm(p_prev))
+            rel = float(np.linalg.norm(p - p_prev) / denom) if denom > 0 else float("nan")
+
+        lams.append(lam_used)
+        prows.append(p)
+        crows.append(cres.iterations)
+        rels.append(rel)
+        spreads.append(float(lam.max() - lam.min()))
+
+        if np.isfinite(rel) and rel <= solver.kappa:
+            break
+        p_prev = p
+    else:
+        raise dd.ConvergenceError(
+            f"no convergence to kappa={solver.kappa} within {solver.outer_max_iter} "
+            "outer iterations",
+            trace=trace_so_far(False),
+        )
+    alloc = dd.PowerAllocation(p=p, lambda0=lam_used)
+    residual = abs(alloc.total() - pt)
+    if residual > 1e-3 * pt:
+        raise dd.ConvergenceError(
+            f"stopped at outer iteration {k + 1} on relative step {rel:.3e} <= "
+            f"kappa={solver.kappa}, but |sum(p)-Pt|/Pt={residual / pt:.3e} exceeds 1e-3",
+            trace=trace_so_far(False),
+        )
+    return alloc, trace_so_far(True)
+
+
+@pytest.fixture(name="reference_solve_distributed")
+def _reference_solve_distributed():
+    return reference_solve_distributed
 
 
 def reference_water_filling(scenario, pt=None, budget_rtol=1e-9, max_bisect=2000):

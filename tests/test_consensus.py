@@ -2,13 +2,14 @@
 import collections
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 import distdetect as dd
-from distdetect.consensus import BLOCK_ROUNDS, Consensus, geometric_edges
+from distdetect.consensus import BLOCK_ROUNDS, BUFFER_FLOATS, Consensus, geometric_edges
 
 
 def path_graph(m):
@@ -497,6 +498,64 @@ class TestEngineReuse:
                                      "finite"), (np.zeros(3), 0, "first_block")]:
             with pytest.raises(ValueError, match=msg):
                 engine.run(x0, first_block)
+
+
+class TestRoundBuffer:
+    """A long first block runs as blocks that fit BUFFER_FLOATS, with the values of one block."""
+
+    # at M=200 a block holds at most 327 rounds (321 under the local rule's lead rows);
+    # the runs take 2,538 (oracle) and 2,097 (local) rounds, or stop at the budget
+    @pytest.mark.parametrize("mode", ["oracle", "local"])
+    @pytest.mark.parametrize("max_iter", [20_000, 1_000])
+    def test_a_long_first_block_stays_within_the_cap(self, mode, max_iter,
+                                                     reference_consensus_average):
+        g = dd.random_geometric_graph(200, 0.12, np.random.default_rng(7))
+        x0 = np.random.default_rng(8).normal(size=200)
+        kw = dict(tol=1e-9, max_iter=max_iter, mode=mode, window=5)
+        engine = Consensus(g, **kw)
+        got = _outcome(lambda x: engine.run(x, first_block=5000), x0)
+        ref = _outcome(lambda x: reference_consensus_average(g, x, **kw), x0)
+        assert np.array_equal(got[0], ref[0])
+        assert got[1:] == ref[1:]
+        assert got[1] > 3 * engine.max_block
+        assert engine._buf.size <= BUFFER_FLOATS
+
+
+class TestInputChecks:
+    """x0 is refused exactly as a full np.isfinite check refused it, with no floating-point flag."""
+
+    @pytest.mark.parametrize("bad", [[np.nan], [np.inf], [-np.inf], [np.inf, -np.inf],
+                                     [1e308, 1e308, np.nan]])
+    @pytest.mark.parametrize("mode", ["oracle", "local"])
+    def test_non_finite_x0_refused(self, bad, mode):
+        x0 = np.zeros(6)
+        x0[:len(bad)] = bad
+        engine = Consensus(path_graph(6), tol=1e-9, max_iter=10, mode=mode)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for errstate in ("warn", "raise"):
+                with np.errstate(all=errstate):
+                    with pytest.raises(ValueError, match="x0 must be finite"):
+                        engine.run(x0)
+
+    @pytest.mark.parametrize("mode", ["oracle", "local"])
+    def test_finite_x0_whose_sum_overflows(self, mode, reference_consensus_average):
+        # 1e308 at every node: the mean overflows to inf, as x0.mean() does
+        g, x0 = path_graph(6), np.full(6, 1e308)
+        kw = dict(tol=1e-9, max_iter=10, mode=mode, window=3)
+        outcomes = []
+        for run in (lambda x: dd.consensus_average(g, x, **kw),
+                    lambda x: reference_consensus_average(g, x, **kw)):
+            with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
+                run(x0)
+            with pytest.warns(RuntimeWarning, match="overflow"):
+                outcomes.append(_outcome(run, x0))
+        got, ref = outcomes
+        assert np.array_equal(got[0], ref[0])
+        assert got[1:] == ref[1:]
+        # the oracle rule never meets an infinite mean; the local rule stops after the window
+        assert got[1:] == ((10, "no consensus after 10 rounds (tol=1e-09)") if mode == "oracle"
+                           else (3, np.inf))
 
 
 class TestEdgeListRoundTrip:

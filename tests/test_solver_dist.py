@@ -53,6 +53,14 @@ class TestLocalPowerUpdate:
                       for s in each_sensor(fig1_scenario)])
         assert_allclose(p, fig1_central.p, rtol=1e-12)
 
+    @pytest.mark.parametrize("lam", [0.0, -1e-6, -np.inf, np.r_[np.full(9, 1e-6), 0.0],
+                                     np.r_[-1e-6, np.full(9, 1e-6)]])
+    def test_nonpositive_multiplier_refused(self, lam, fig1_scenario):
+        terms = solver_central._closed_form_terms(fig1_scenario, 3.0)
+        for given in (None, terms):
+            with pytest.raises(ValueError, match="lambda0 must be positive"):
+                dd.power_closed_form(lam, fig1_scenario, 3.0, given)
+
 
 class TestDualUpdate:
     def test_stationary_point_unchanged(self):
@@ -72,6 +80,12 @@ class TestDualUpdate:
     def test_rejects_nonpositive_step(self):
         with pytest.raises(ValueError):
             dd.dual_update(1e-8, 0.1, 10, 1.0, 0.0)
+
+    @pytest.mark.parametrize("eps", [-1e-9, -np.inf, np.array([1e-3, 0.0, 1e-3]),
+                                     np.array([-1.0, 1.0, 1.0])])
+    def test_every_nonpositive_step_refused(self, eps):
+        with pytest.raises(ValueError, match="eps_k must be positive"):
+            dd.dual_update(np.full(3, 1e-8), 0.1, 3, 1.0, eps)
 
 
 class TestSolveDistributed:
@@ -210,6 +224,65 @@ class TestBlockedConsensusInTheSolver:
         assert "outer iteration 1: no consensus after 50 rounds" in str(exc.value)
         assert exc.value.trace.iterations == 0
         assert exc.value.trace.powers.shape == (0, 10)
+
+
+def _solve_outcome(solve, scenario, graph, solver):
+    """(allocation or None, trace, error message or None) of one solve."""
+    try:
+        alloc, trace = solve(scenario, graph, solver)
+    except dd.ConvergenceError as e:
+        return None, e.trace, str(e)
+    return alloc, trace, None
+
+
+class TestTraceReducedOnce:
+    """Reducing the kept multiplier copies once gives the bytes of reducing them every iteration."""
+
+    def _same_as_the_reference(self, scenario, graph, solver, reference_solve_distributed):
+        got = _solve_outcome(dd.solve_distributed, scenario, graph, solver)
+        ref = _solve_outcome(reference_solve_distributed, scenario, graph, solver)
+        assert got[2] == ref[2]
+        assert got[1].converged == ref[1].converged
+        for a, b in zip(_trace_arrays(got[1]), _trace_arrays(ref[1])):
+            assert a.dtype == b.dtype
+            assert np.array_equal(a, b, equal_nan=True)
+        assert (got[0] is None) == (ref[0] is None)
+        if ref[0] is not None:
+            assert np.array_equal(got[0].p, ref[0].p)
+            assert got[0].lambda0 == ref[0].lambda0
+        return got
+
+    @pytest.mark.parametrize("mode", ["oracle", "local"])
+    @pytest.mark.parametrize("config, iterations", [("fig1.cfg", 2150), ("fig2.cfg", 35)])
+    def test_bundled_allocations(self, config, iterations, mode, reference_solve_distributed):
+        cfg = cli.load_config(bundled_config(config))
+        solver = dd.SolverConfig(**{**cfg["solver"], "consensus_mode": mode})
+        _, trace, error = self._same_as_the_reference(*_config_case(cfg), solver,
+                                                      reference_solve_distributed)
+        assert error is None
+        assert trace.iterations == iterations
+
+    # seeds 1 and 2 stop on kappa off the budget, seed 3 converges
+    @pytest.mark.parametrize("seed, iterations, converged", [
+        (1, 26879, False), (2, 17721, False), (3, 50, True)])
+    def test_single_sensor(self, seed, iterations, converged, reference_solve_distributed):
+        _, trace, error = self._same_as_the_reference(*_single_sensor(seed), dd.SolverConfig(),
+                                                      reference_solve_distributed)
+        assert trace.iterations == iterations
+        assert trace.converged is converged
+        assert (error is None) is converged
+
+    def test_fig5_consensus_failure(self, reference_solve_distributed):
+        cfg = cli.load_config(bundled_config("fig5.cfg"))
+        _, trace, error = self._same_as_the_reference(
+            *_config_case(cfg), dd.SolverConfig(**cfg["solver"]), reference_solve_distributed)
+        assert error == "outer iteration 4: no consensus after 20000 rounds (tol=1e-10)"
+        assert trace.iterations == 3
+
+    @pytest.mark.parametrize("m", [1, 7, 10, 100, 1000])
+    def test_row_means_equal_each_rows_mean(self, m):
+        rows = np.random.default_rng(m).lognormal(-12.0, 4.0, size=(64, m))
+        assert np.array_equal(np.add.reduce(rows, axis=1) / m, [r.mean() for r in rows])
 
 
 class TestSetUpOncePerSolve:
