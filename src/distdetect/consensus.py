@@ -17,6 +17,10 @@ import numpy as np
 BLOCK_ROUNDS = 64
 # floats the round buffer holds (512 KiB): a block runs no more rounds than fit
 BUFFER_FLOATS = 1 << 16
+# candidate pairs geometric_edges measures at once (a point with more takes a block alone)
+PAIR_BLOCK = 1 << 14
+# lines save_edge_list joins into one write
+EDGE_BLOCK = 1 << 14
 
 
 class TopologyError(ValueError):
@@ -72,7 +76,7 @@ class Graph:
             first = np.asarray(next(r for r in self.edges if np.asarray(r).dtype.kind != "i"))
             raise TopologyError(f"edge {first.tolist()!r} has a vertex id that is not an integer")
         e = e.astype(np.intp, copy=False)
-        u, v = e.min(axis=1), e.max(axis=1)
+        u, v = np.minimum(e[:, 0], e[:, 1]), np.maximum(e[:, 0], e[:, 1])
         loop, outside = u == v, (u < 0) | (v >= self.M)
         # one key u * M + v per vertex pair; an edge out of range gets a negative key
         # of its own instead, so it repeats nothing, however large its vertices
@@ -90,7 +94,7 @@ class Graph:
                 raise TopologyError(f"edge ({e[i, 0]}, {e[i, 1]}) out of range for M={self.M}")
             raise TopologyError(f"duplicate edge ({u[i]}, {v[i]})")
         edges = np.empty_like(e)
-        edges[:, 0], edges[:, 1] = np.divmod(key, self.M)
+        np.divmod(key, self.M, out=(edges[:, 0], edges[:, 1]))
         degrees = np.bincount(edges.ravel(), minlength=self.M)
         for name, value in (("edges", edges), ("degrees", degrees)):
             value.setflags(write=False)
@@ -109,18 +113,20 @@ class Graph:
         """
         u, v = self.edges.T
         root = np.arange(self.M)
-        while True:
-            ru, rv = root[u], root[v]
-            split = ru != rv
-            if not split.any():
-                return not root.any()
-            np.minimum.at(root, ru[split], rv[split])
-            np.minimum.at(root, rv[split], ru[split])
+        ru, rv = u, v   # every vertex starts as its own root, and no edge is a loop
+        while len(u):
+            np.minimum.at(root, ru, rv)
+            np.minimum.at(root, rv, ru)
             while True:
                 jumped = root[root]
                 if np.array_equal(jumped, root):
                     break
                 root = jumped
+            # an edge within one tree stays within one, so later passes skip it
+            ru, rv = root[u], root[v]
+            split = np.flatnonzero(ru != rv)
+            u, v, ru, rv = u[split], v[split], ru[split], rv[split]
+        return not root.any()
 
 
 def complete_graph(m: int) -> Graph:
@@ -132,9 +138,12 @@ def geometric_edges(pts: np.ndarray, radius: float) -> np.ndarray:
 
     Returns an (E, 2) intp array of indices into `pts`, one row per
     pair, in no particular order; Graph normalizes and sorts it. A pair
-    is kept when the sum of (p_u - p_v) ** 2 over its two coordinates is
-    at most radius * radius, the same arithmetic as the full distance
-    matrix, so the pairs are exactly the ones that matrix would give.
+    is kept when dx * dx + dy * dy is at most radius * radius, where dx
+    and dy are the differences of its x and of its y coordinates. That
+    is bitwise the sum of (p_u - p_v) ** 2 over the two coordinates that
+    the full distance matrix computes: squaring is the same product, and
+    a sum of two terms is one rounding whichever way it is reduced. So
+    the pairs are exactly the ones that matrix would give.
 
     Only candidates are measured. The points are binned into a grid of
     square cells at least `radius` wide, so two points within `radius`
@@ -146,7 +155,10 @@ def geometric_edges(pts: np.ndarray, radius: float) -> np.ndarray:
     relative 1e-9, far more than the rounding of the binning and of the
     distance (a few 2**-53 times the cells a side), so no kept pair
     lands two cells apart. A grid has at most about sqrt(M) cells a
-    side, so a tiny radius costs no more than one point per cell.
+    side, so a tiny radius costs no more than one point per cell. The
+    points are measured in blocks of consecutive points with at most
+    PAIR_BLOCK candidates between them, or one point with more, so the
+    candidate arrays stay bounded however dense the points are.
     """
     m = len(pts)
     # m ** -0.5 first: a NaN radius then keeps the sqrt(M) grid and matches nothing
@@ -165,14 +177,28 @@ def geometric_edges(pts: np.ndarray, radius: float) -> np.ndarray:
     forward = np.where(inside, nx * side + ny, 0)
     # point k of the cell order is paired with count[k, s] points from first[k, s] on
     k = np.arange(m)
-    first = np.column_stack((k + 1, start[forward])).ravel()
-    count = np.column_stack((end[sorted_cell] - k - 1,
-                             np.where(inside, counts[forward], 0))).ravel()
-    offset = np.cumsum(count) - count
-    u = order[np.repeat(np.repeat(k, 5), count)]
-    v = order[np.arange(count.sum()) + np.repeat(first - offset, count)]
-    keep = np.sum((pts[u] - pts[v]) ** 2, axis=-1) <= radius * radius
-    return np.stack((u[keep], v[keep]), axis=1)
+    first = np.column_stack((k + 1, start[forward]))
+    count = np.column_stack((end[sorted_cell] - k - 1, np.where(inside, counts[forward], 0)))
+    per_point = count.sum(axis=1)
+    reach = np.cumsum(per_point)   # candidates of the points up to and including k
+    x, y = pts[order, 0], pts[order, 1]
+    us, vs = [k[:0]], [k[:0]]   # empty, so that no points give no pairs
+    k0 = 0
+    while k0 < m:
+        # point k0 and the points after it that fit in one block with it
+        k1 = max(int(np.searchsorted(reach, reach[k0] - per_point[k0] + PAIR_BLOCK, "right")),
+                 k0 + 1)
+        c = count[k0:k1].ravel()
+        u = np.repeat(k[k0:k1], per_point[k0:k1])
+        v = np.arange(len(u)) + np.repeat(first[k0:k1].ravel() - (np.cumsum(c) - c), c)
+        dx, dy = x[u], y[u]
+        dx -= x[v]
+        dy -= y[v]
+        keep = dx * dx + dy * dy <= radius * radius
+        us.append(order[u[keep]])
+        vs.append(order[v[keep]])
+        k0 = k1
+    return np.stack((np.concatenate(us), np.concatenate(vs)), axis=1)
 
 
 def random_geometric_graph(
@@ -327,10 +353,20 @@ def consensus_average(graph: Graph, x0: np.ndarray, tol: float, max_iter: int, m
 
 
 def save_edge_list(graph: Graph, path) -> None:
-    """Write one "u v" pair per line, 0-indexed. No header."""
+    """Write one "u v" pair per line, 0-indexed. No header.
+
+    Each line joins two strings from per-vertex tables, "u " and "v\\n",
+    so no integer is formatted twice; EDGE_BLOCK lines go out per write,
+    so the text held at once stays bounded however many edges there are.
+    """
+    heads = np.array([f"{i} " for i in range(graph.M)], dtype=object)
+    tails = np.array([f"{i}\n" for i in range(graph.M)], dtype=object)
     with open(path, "w") as fh:
-        # one format operation, not one write per edge
-        fh.write(("%d %d\n" * len(graph.edges)) % tuple(graph.edges.ravel().tolist()))
+        for b in range(0, len(graph.edges), EDGE_BLOCK):
+            block = graph.edges[b:b + EDGE_BLOCK]
+            parts = np.empty(2 * len(block), dtype=object)
+            parts[0::2], parts[1::2] = heads[block[:, 0]], tails[block[:, 1]]
+            fh.write("".join(parts.tolist()))
 
 
 def load_edge_list(path, m: int | None = None) -> Graph:

@@ -108,7 +108,7 @@ def power_closed_form(lambda0, sensor, u: float, terms=None):
     terms, if given, is _closed_form_terms(sensor, u), computed once by a
     caller that evaluates many multipliers.
     """
-    if np.less_equal(lambda0, 0).any():
+    if not np.greater(lambda0, 0).all():   # NaN is not positive either
         raise ValueError("lambda0 must be positive")
     num, den, t2, t3 = _closed_form_terms(sensor, u) if terms is None else terms
     return np.maximum(num / (den * np.sqrt(lambda0)) - t2 - t3, 0.0)

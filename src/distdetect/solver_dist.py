@@ -53,7 +53,7 @@ def dual_update(lambda0_k, mean_power, m: int, pt: float, eps_k):
     power update defined. Elementwise over per-sensor arrays, so one
     call steps every sensor's multiplier copy.
     """
-    if np.less_equal(eps_k, 0).any():
+    if not np.greater(eps_k, 0).all():   # NaN is not positive either
         raise ValueError("eps_k must be positive")
     return np.maximum(lambda0_k + eps_k * (m * mean_power - pt), LAMBDA_MIN)
 

@@ -9,7 +9,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 import distdetect as dd
-from distdetect.consensus import BLOCK_ROUNDS, BUFFER_FLOATS, Consensus, geometric_edges
+from distdetect import consensus
+from distdetect.consensus import BLOCK_ROUNDS, BUFFER_FLOATS, EDGE_BLOCK, Consensus, geometric_edges
 
 
 def path_graph(m):
@@ -240,6 +241,39 @@ class TestRandomGeometricGraph:
         for _ in range(7):
             ref_rng.uniform(0.0, 1.0, size=(40, 2))
         assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @pytest.mark.parametrize("pair_block", [1, 5, 64])
+    def test_edges_do_not_depend_on_the_block_size(self, reference_geometric_edges, monkeypatch,
+                                                   pair_block):
+        # a block of 1 candidate measures about one point at a time; 5 and 64 cut
+        # blocks of a few points, some of them inside a cell
+        rng = np.random.default_rng(11)
+        cases = [(rng.uniform(0.0, 1.0, size=(m, 2)), radius)
+                 for m, radius in ((1, 0.3), (2, 1.5), (40, 0.2), (150, 0.1), (300, 0.5))]
+        # an exact lattice at multiples of radius / 2: pairs exactly radius apart
+        cases.append((rng.integers(0, 9, size=(200, 2)) * 0.05, 0.1))
+        whole = [geometric_edges(pts, radius) for pts, radius in cases]
+        monkeypatch.setattr(consensus, "PAIR_BLOCK", pair_block)
+        for (pts, radius), want in zip(cases, whole):
+            got = geometric_edges(pts, radius)
+            assert np.array_equal(got, want), (len(pts), radius)
+            assert np.array_equal(sorted_pairs(got), reference_geometric_edges(pts, radius))
+
+    def test_m5000_draw_and_write_peak_memory(self, tmp_path):
+        # the large_network benchmark shape. Measured all at once, its 290,466
+        # candidate pairs took the draw's peak past 15 MB, and one format
+        # string of every vertex id took the writer's past 9 MB
+        def peak(step):
+            tracemalloc.start()
+            try:
+                return step(), tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        graph, draw_peak = peak(lambda: dd.make_topology(5000, 1, 0.05))
+        _, write_peak = peak(lambda: dd.save_edge_list(graph, tmp_path / "topology.txt"))
+        assert len(graph.edges) == 94_859
+        assert draw_peak < 14e6 and write_peak < 8e6, (draw_peak, write_peak)
 
     def test_memory_grows_with_the_edges_not_with_m_squared(self):
         # the M x M x 2 difference tensor alone would be 6.4 GB here
@@ -566,6 +600,28 @@ class TestEdgeListRoundTrip:
         back = dd.load_edge_list(path)
         assert np.array_equal(back.edges, g.edges)
         assert back.M == g.M
+
+    @pytest.mark.parametrize("edge_block", [3, EDGE_BLOCK])
+    def test_blocks_write_the_same_lines(self, tmp_path, monkeypatch, edge_block):
+        g = dd.complete_graph(200)   # 19,900 edges: more than one block of either size
+        assert len(g.edges) > edge_block and len(g.edges) % edge_block
+        monkeypatch.setattr(consensus, "EDGE_BLOCK", edge_block)
+        path = tmp_path / "topology.txt"
+        dd.save_edge_list(g, path)
+        lines = path.read_text().split("\n")
+        want = [f"{u} {v}" for u, v in g.edges.tolist()] + [""]
+        # the first line that differs, not a diff of 19,900 lines
+        first_bad = next((i for i, pair in enumerate(zip(lines, want)) if pair[0] != pair[1]), None)
+        assert (len(lines), first_bad) == (len(want), None)
+        back = dd.load_edge_list(path)
+        assert np.array_equal(back.edges, g.edges)
+        assert back.M == g.M
+
+    def test_single_vertex_writes_an_empty_file(self, tmp_path):
+        path = tmp_path / "topology.txt"
+        dd.save_edge_list(dd.Graph(M=1, edges=()), path)
+        assert path.read_bytes() == b""
+        assert dd.load_edge_list(path, m=1).M == 1
 
     def test_file_format_is_plain_pairs(self, tmp_path):
         g = dd.Graph(M=3, edges=((0, 1), (1, 2)))

@@ -61,6 +61,12 @@ class TestLocalPowerUpdate:
             with pytest.raises(ValueError, match="lambda0 must be positive"):
                 dd.power_closed_form(lam, fig1_scenario, 3.0, given)
 
+    @pytest.mark.parametrize("lam", [np.nan, np.r_[np.nan, np.ones(9)]])
+    def test_nan_multiplier_refused(self, lam, fig1_scenario):
+        # NaN <= 0 is False, so a refusal of lam <= 0 would let it through to NaN powers
+        with np.errstate(all="raise"), pytest.raises(ValueError, match="lambda0 must be positive"):
+            dd.power_closed_form(lam, fig1_scenario, 3.0)
+
 
 class TestDualUpdate:
     def test_stationary_point_unchanged(self):
@@ -85,6 +91,12 @@ class TestDualUpdate:
                                      np.array([-1.0, 1.0, 1.0])])
     def test_every_nonpositive_step_refused(self, eps):
         with pytest.raises(ValueError, match="eps_k must be positive"):
+            dd.dual_update(np.full(3, 1e-8), 0.1, 3, 1.0, eps)
+
+    @pytest.mark.parametrize("eps", [np.nan, np.array([np.nan, 1.0, 1.0])])
+    def test_nan_step_refused(self, eps):
+        # NaN <= 0 is False, so a refusal of eps <= 0 would let it through to NaN multipliers
+        with np.errstate(all="raise"), pytest.raises(ValueError, match="eps_k must be positive"):
             dd.dual_update(np.full(3, 1e-8), 0.1, 3, 1.0, eps)
 
 
