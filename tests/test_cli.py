@@ -27,6 +27,9 @@ from conftest import bundled_config, run_cli, write_config
 # sha256sum's listing of the large_network benchmark shape's outputs at seed 1;
 # the CI benchmark step checks the workload's report against the same file
 LARGE_NETWORK_DIGESTS = Path(__file__).with_name("large_network_outputs.sha256")
+LARGE_NETWORK_PINNED = dict(
+    line.split()[::-1] for line in LARGE_NETWORK_DIGESTS.read_text().splitlines())
+LARGE_NETWORK = {"seed": 1, "M": 5000, "Pt": 500.0, "radius": 0.05}
 
 
 def read_csv(path):
@@ -217,31 +220,33 @@ class TestAllocateCommand:
         assert run_cli("allocate", path, "--method", "central") == 0
         assert (out / "allocation.csv").is_file()
 
-    # the large_network shape's topology is pinned with its allocation below
-    @pytest.mark.parametrize("sha256", [
-        "efed3ee78dfdc725a787a9f28f2d892dfa3520165c2f51fcd6dacd6239dd028b",
-    ], ids=["fig1"])
-    def test_topology_bytes_are_pinned(self, tmp_path, sha256):
+    @pytest.mark.parametrize("overrides, sha256", [
+        (None, "efed3ee78dfdc725a787a9f28f2d892dfa3520165c2f51fcd6dacd6239dd028b"),
+        # the large_network benchmark shape at seed 1: 94,859 edges, more than one
+        # candidate block of the graph draw and one block of the topology writer
+        (LARGE_NETWORK, LARGE_NETWORK_PINNED["topology.txt"]),
+    ], ids=["fig1", "large_network"])
+    def test_topology_bytes_are_pinned(self, tmp_path, overrides, sha256):
         # PCG64 draws and elementwise float operations only, no BLAS, so
         # the bytes are the same on every platform
+        path = bundled_config("fig1.cfg") if overrides is None else write_config(
+            tmp_path, overrides)
         out = tmp_path / "out"
-        assert run_cli("allocate", bundled_config("fig1.cfg"), "--method", "central",
-                       "--out", out) == 0
+        assert run_cli("allocate", path, "--method", "central", "--out", out) == 0
         assert hashlib.sha256((out / "topology.txt").read_bytes()).hexdigest() == sha256
 
     def test_allocation_bytes_are_pinned(self, tmp_path):
-        # the large_network benchmark shape at seed 1: 94,859 edges, more than one
-        # candidate block of the graph draw and one block of the topology writer.
-        # The graph takes PCG64 draws and elementwise float operations only, and the
-        # sensor noise levels libm's exp, so the digests hold whatever numpy kernels
-        # the CPU selects
-        path = write_config(tmp_path, {"seed": 1, "M": 5000, "Pt": 500.0, "radius": 0.05})
+        # the large_network benchmark shape at seed 1. The sensor noise
+        # levels come from libm's exp, so one digest holds whatever numpy
+        # kernels the CPU selects
+        path = write_config(tmp_path, LARGE_NETWORK)
         out = tmp_path / "out"
         assert run_cli("allocate", path, "--method", "central", "--out", out) == 0
-        pinned = dict(line.split()[::-1] for line in LARGE_NETWORK_DIGESTS.read_text().splitlines())
-        assert {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
-                for name in pinned} == pinned
-        assert sorted(pinned) == ["allocation.csv", "topology.txt"]
+        assert hashlib.sha256((out / "allocation.csv").read_bytes()).hexdigest() == \
+            LARGE_NETWORK_PINNED["allocation.csv"]
+
+    def test_large_network_digests_list_both_outputs(self):
+        assert sorted(LARGE_NETWORK_PINNED) == ["allocation.csv", "topology.txt"]
 
     @pytest.mark.parametrize("radius", [1e-300, 1e-4])
     def test_unreachable_radius_exits_2(self, tmp_path, capsys, radius):
