@@ -218,7 +218,7 @@ def random_geometric_graph(
     """
     if m < 1:
         raise TopologyError("need at least one node")
-    if radius <= 0:
+    if not radius > 0:
         raise TopologyError("radius must be positive")
     for _ in range(max_tries):
         pts = rng.uniform(0.0, 1.0, size=(m, 2))
@@ -267,7 +267,7 @@ class Consensus:
 
     def __init__(self, graph: Graph, tol: float, max_iter: int, mode: str = "oracle",
                  window: int = 5, weights: np.ndarray | None = None):
-        if tol <= 0:
+        if not tol > 0:
             raise ValueError("tol must be positive")
         if max_iter < 0:
             raise ValueError("max_iter must be >= 0")

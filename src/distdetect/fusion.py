@@ -39,7 +39,7 @@ def qfunc(x):
 def qfunc_inv(p):
     """Inverse of qfunc on (0, 1). Accurate to well below 1e-12 over (1e-10, 1-1e-10)."""
     p = np.asarray(p, dtype=float)
-    if np.any((p <= 0.0) | (p >= 1.0)):
+    if not np.all((p > 0.0) & (p < 1.0)):
         raise ValueError("qfunc_inv needs arguments strictly inside (0, 1)")
     out = -_inv_cdf(p)
     return float(out) if out.ndim == 0 else out
@@ -95,7 +95,7 @@ class DeflectionInputs:
         r = np.asarray(self.R_diag, dtype=float)
         if b.shape != r.shape or b.ndim != 1 or b.size < 1:
             raise ValueError("b and R_diag must be matching nonempty 1-d vectors")
-        if np.any(r <= 0):
+        if not np.all(np.greater(r, 0)):
             raise ValueError("R_diag must be strictly positive")
         c = self.censored
         c = np.zeros(b.size, dtype=bool) if c is None else np.asarray(c, dtype=bool)
@@ -158,7 +158,7 @@ def analytic_pd(moments: FusionMoments, pfa: float) -> float:
     """Detection probability of the Gaussian threshold test at target pfa."""
     if not 0.0 < pfa < 1.0:
         raise ValueError("pfa must be in (0, 1)")
-    if moments.var_h0 <= 0 or moments.var_h1 <= 0:
+    if not (moments.var_h0 > 0 and moments.var_h1 > 0):
         raise ValueError("variances must be positive")
     num = qfunc_inv(pfa) * np.sqrt(moments.var_h0) - moments.psi
     return float(qfunc(num / np.sqrt(moments.var_h1)))

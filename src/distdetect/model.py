@@ -169,11 +169,11 @@ class SolverConfig:
     consensus_window: int = 5
 
     def __post_init__(self):
-        if self.lambda0_init <= 0:
+        if not self.lambda0_init > 0:
             raise ValueError("lambda0_init must be positive")
-        if self.kappa <= 0:
+        if not self.kappa > 0:
             raise ValueError("kappa must be positive")
-        if self.consensus_tol <= 0:
+        if not self.consensus_tol > 0:
             raise ValueError("consensus_tol must be positive")
         if self.consensus_max_iter < 1 or self.outer_max_iter < 1:
             raise ValueError("iteration limits must be >= 1")
@@ -220,9 +220,9 @@ class Scenario:
         shape = self.sensors.signal.shape
         if len(shape) != 2:
             raise ValueError(f"sensors must have an (M, N) signal, got shape {shape}")
-        if self.U <= 0:
+        if not self.U > 0:
             raise ValueError("U must be positive")
-        if self.Pt <= 0:
+        if not self.Pt > 0:
             raise ValueError("Pt must be positive")
         if not 0.0 < self.Pfa < 1.0:
             raise ValueError("Pfa must be in (0, 1)")

@@ -124,7 +124,7 @@ def detection_threshold(mean_h0: float, var_h0: float, pfa: float) -> float:
     """Gaussian H0 threshold: N(mean_h0, var_h0) exceeds it with probability pfa."""
     if not 0.0 < pfa < 1.0:
         raise ValueError("pfa must be in (0, 1)")
-    if var_h0 <= 0:
+    if not var_h0 > 0:
         raise ValueError("var_h0 must be positive")
     return float(mean_h0 + qfunc_inv(pfa) * math.sqrt(var_h0))
 
@@ -146,7 +146,7 @@ def quantized_gaussian_moments(mu, var, bits_int, u: float, lo: float = 0.0):
                                         np.asarray(var, dtype=float), np.asarray(bits_int))
     if np.any(bits < 1):
         raise ValueError("need at least one bit")
-    if np.any(var <= 0):
+    if not np.all(np.greater(var, 0)):
         raise ValueError("var must be positive")
     shape = mu.shape
     mu, bits = mu.ravel(), bits.ravel()
@@ -424,7 +424,7 @@ def sweep_budget(
     with rows lo/hi under H0, then lo/hi under H1; clips are counted only then.
     """
     grid = [float(v) for v in pt_grid]
-    if not grid or any(v <= 0 for v in grid):
+    if not grid or not all(v > 0 for v in grid):
         raise ValueError("pt grid values must be positive")
     pfas = [float(v) for v in ([scenario.Pfa] if pfa_grid is None else pfa_grid)]
     if not pfas or any(not 0.0 < v < 1.0 for v in pfas):

@@ -25,9 +25,9 @@ _log2 = np.vectorize(math.log2, otypes=[float])
 
 
 def _check_channel(p, h, zeta) -> None:
-    if np.any(np.less(p, 0)):
+    if not np.all(np.greater_equal(p, 0)):   # NaN is not nonnegative either
         raise ValueError("power must be nonnegative")
-    if np.any(np.less_equal(h, 0)) or np.any(np.less_equal(zeta, 0)):
+    if not (np.all(np.greater(h, 0)) and np.all(np.greater(zeta, 0))):
         raise ValueError("h and zeta must be positive")
 
 
@@ -47,7 +47,7 @@ def quant_noise_var(p, h, zeta, u: float):
     closed form below avoids the round trip through the exponent.
     Elementwise over arrays of powers and channels.
     """
-    if u <= 0:
+    if not u > 0:
         raise ValueError("U must be positive")
     _check_channel(p, h, zeta)
     return u * u / (3.0 * (1.0 + p * h * h / zeta))
@@ -94,7 +94,7 @@ def quantize_array(t: np.ndarray, bits_int, u: float, lo: float = 0.0) -> np.nda
     bits_int = np.asarray(bits_int)
     if np.any(bits_int < 1):
         raise ValueError("need at least one bit to quantize")
-    if u <= 0:
+    if not u > 0:
         raise ValueError("U must be positive")
     cells = np.ldexp(1.0, bits_int)
     delta = 2.0 * u / cells

@@ -4,11 +4,12 @@ The network-wide problem is to split a total transmit budget Pt across
 sensors to maximize the best achievable deflection of the fused
 detector, sum_i b_i^2 / R_ii(p_i). The problem separates per sensor
 given the Lagrange multiplier lambda0 of the budget constraint, and
-each sensor's optimum has a closed form with a water-filling [.]+
-clamp. Total power is piecewise linear in the water level
-lambda0^(-1/2), so the multiplier is found exactly by sorting the
-breakpoints (Palomar & Fonollosa, "Practical algorithms for a family
-of waterfilling solutions", IEEE TSP 53(2), 2005).
+each sensor's optimum is a_i [s - b_i]+ at the water level
+s = lambda0^(-1/2), (a_i, b_i) its water_levels record. Total power is
+then piecewise linear in s, so the multiplier is found exactly by
+sorting the breakpoints b_i (Palomar & Fonollosa, "Practical algorithms
+for a family of waterfilling solutions", IEEE TSP 53(2), 2005); the
+distributed solver reads the same record at each node's multiplier copy.
 """
 from __future__ import annotations
 
@@ -78,40 +79,39 @@ class PowerAllocation:
             )
 
 
-def _closed_form_terms(sensor, u: float):
-    """num, den, t2, t3 of the closed form p = [num / (den sqrt(lambda0)) - t2 - t3]+."""
-    if u <= 0:
+def water_levels(sensor, u: float):
+    """Water-filling record (a, b): the power at level s = lambda0^(-1/2) is a [s - b]+.
+
+    With g = h^2 / zeta and N the signal's length, a = xi U sqrt(3) /
+    (6 sigma^2 (1+2xi) sqrt(g)) and b = (U^2 / (6 N sigma^4 (1+2xi) g) + 1/g) / a,
+    elementwise over a population; xi = 0 gives a = 0 and b = inf, no power at any level.
+    """
+    if not u > 0:
         raise ValueError("need U > 0")
     n = sensor.signal.shape[-1]
     g = sensor.h * sensor.h / sensor.zeta
-    s2 = sensor.sigma2
-    xi = sensor.xi
+    s2, xi = sensor.sigma2, sensor.xi
     one = 1.0 + 2.0 * xi
-    num = xi * u * np.sqrt(3.0)
-    den = 6.0 * s2 * one * np.sqrt(g)
-    t2 = u * u / (6.0 * n * s2 * s2 * one * g)
-    t3 = 1.0 / g
-    return num, den, t2, t3
+    a = xi * u * np.sqrt(3.0) / (6.0 * s2 * one * np.sqrt(g))
+    offset = u * u / (6.0 * n * s2 * s2 * one * g) + 1.0 / g
+    return a, np.divide(offset, a, out=np.full_like(a, np.inf), where=a > 0)[()]
 
 
-def power_closed_form(lambda0, sensor, u: float, terms=None):
-    """Water-filling optimum of a sensor's power at multiplier lambda0.
-
-    [ (1/sqrt(lambda0)) * xi U sqrt(3) / (6 sigma^2 (1+2xi) sqrt(g))
-      - U^2 / (6 N sigma^4 (1+2xi) g) - 1/g ]+          with g = h^2/zeta
+def power_closed_form(lambda0, sensor, u: float, levels=None):
+    """Water-filling optimum of a sensor's power at multiplier lambda0: a [lambda0^(-1/2) - b]+.
 
     sensor is a SensorParams for one sensor, or a population
     SensorParams or Scenario, whose array fields give every sensor's
-    power at once; N is its signal's length. lambda0 may be one
-    multiplier or one per sensor. The clamp censors sensors whose channel
-    or SNR cannot pay for even the constant terms; xi = 0 always lands at 0.
-    terms, if given, is _closed_form_terms(sensor, u), computed once by a
-    caller that evaluates many multipliers.
+    power at once. lambda0 may be one multiplier or one per sensor. The
+    clamp censors sensors whose channel or SNR cannot pay for even the
+    constant terms; xi = 0 always lands at 0. levels, if given, is
+    water_levels(sensor, u), computed once by a caller that evaluates
+    many multipliers.
     """
     if not np.greater(lambda0, 0).all():   # NaN is not positive either
         raise ValueError("lambda0 must be positive")
-    num, den, t2, t3 = _closed_form_terms(sensor, u) if terms is None else terms
-    return np.maximum(num / (den * np.sqrt(lambda0)) - t2 - t3, 0.0)
+    a, b = water_levels(sensor, u) if levels is None else levels
+    return a * np.maximum(1.0 / np.sqrt(lambda0) - b, 0.0)
 
 
 def total_power(lambda0: float, scenario: Scenario) -> float:
@@ -133,8 +133,8 @@ def objective_value(powers: np.ndarray, scenario: Scenario) -> float:
 def solve_centralized(scenario: Scenario, pt: float | None = None) -> PowerAllocation:
     """Water-fill exactly pt by sorting the breakpoints of total power.
 
-    With s = lambda0^(-1/2), sensor i gets a_i [s - b_i]+, where a = num / den
-    and b = (t2 + t3) / a, so total power is piecewise linear in s. At the
+    With s = lambda0^(-1/2), sensor i gets a_i [s - b_i]+, (a, b) its
+    water_levels record, so total power is piecewise linear in s. At the
     k-th smallest breakpoint the power spent is
     spent_k = spent_{k-1} + A_{k-1} (b_k - b_{k-1}), A the running sum of a;
     the last k with spent_k < pt fixes the active set and
@@ -145,16 +145,15 @@ def solve_centralized(scenario: Scenario, pt: float | None = None) -> PowerAlloc
     """
     if pt is None:
         pt = scenario.Pt
-    if pt <= 0:
+    if not pt > 0:
         raise ValueError("pt must be positive")
     if np.all(scenario.xi == 0.0):
         raise NoSignalError("all sensors have xi = 0; power does not affect the objective")
 
     with np.errstate(all="ignore"):  # out-of-range values are caught below
-        num, den, t2, t3 = _closed_form_terms(scenario, scenario.U)
-        a = num / den
+        a, b = water_levels(scenario, scenario.U)
         cand = np.flatnonzero(a > 0)
-        b = (t2 + t3)[cand] / a[cand]
+        b = b[cand]
         if not (cand.size and np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
             raise ScaleError("the closed form's coefficients are not finite positive floats")
         order = np.argsort(b, kind="stable")

@@ -14,8 +14,8 @@ Each consensus run resumes from the last one: a node starts from its
 previous consensus output plus its own power change p_k - p_{k-1}.
 Mixing by a doubly stochastic matrix keeps the mean, so the input still
 averages to mean(p_k), and powers that moved by one dual step need far
-fewer rounds than a start from p_k. The closed form's terms and one
-Consensus engine are set up once per solve, the trace's statistics once.
+fewer rounds than a start from p_k. The (a_i, b_i) water-filling record
+and one Consensus engine are set up once per solve, the trace's statistics once.
 """
 from __future__ import annotations
 
@@ -27,11 +27,11 @@ import numpy as np
 from .consensus import (BLOCK_ROUNDS, Consensus, ConsensusError, Graph, consensus_average,
                         metropolis_matrix)
 from .model import Scenario, SolverConfig
-from .solver_central import PowerAllocation, _closed_form_terms, power_closed_form
+from .solver_central import PowerAllocation, power_closed_form, water_levels
 
 # each sensor's power update is the centralized solver's closed form, which needs
-# nothing beyond sensor-local parameters. The solve calls power_closed_form on terms
-# computed once; this name and consensus_average stay bound for callers that look them up
+# nothing beyond sensor-local parameters. The solve calls power_closed_form on its
+# water_levels record; this name and consensus_average stay bound for callers that look them up
 local_power_update = power_closed_form
 
 LAMBDA_MIN = 1e-16   # dual variable floor; the closed form needs sqrt(lambda0) > 0
@@ -105,8 +105,8 @@ def solve_distributed(scenario: Scenario, graph: Graph, solver: SolverConfig = S
     if graph.M != m:
         raise ValueError(f"graph has {graph.M} nodes for {m} sensors")
     u, pt = scenario.U, scenario.Pt
-    # set up once: each sensor's closed-form terms and the consensus engine
-    terms = _closed_form_terms(scenario, u)
+    # set up once: each sensor's water-filling record and the consensus engine
+    levels = water_levels(scenario, u)
     consensus = Consensus(graph, solver.consensus_tol, solver.consensus_max_iter,
                           solver.consensus_mode, solver.consensus_window,
                           weights=metropolis_matrix(graph))
@@ -132,7 +132,7 @@ def solve_distributed(scenario: Scenario, graph: Graph, solver: SolverConfig = S
         )
 
     for k in range(solver.outer_max_iter):
-        p = power_closed_form(lam, scenario, u, terms)
+        p = power_closed_form(lam, scenario, u, levels)
         step = p - p_prev
         # each node resumes from its last consensus output, moved by its own power change
         x0 = state + step

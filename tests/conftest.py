@@ -11,7 +11,7 @@ import distdetect as dd
 from distdetect import cli
 from distdetect.consensus import BLOCK_ROUNDS, Consensus
 from distdetect.montecarlo import weights_for_scheme
-from distdetect.solver_central import _closed_form_terms
+from distdetect.solver_central import water_levels
 
 settings.register_profile("suite", deadline=None)
 settings.load_profile("suite")
@@ -111,7 +111,7 @@ def reference_solve_distributed(scenario, graph, solver=dd.SolverConfig()):
     if graph.M != m:
         raise ValueError(f"graph has {graph.M} nodes for {m} sensors")
     u, pt = scenario.U, scenario.Pt
-    terms = _closed_form_terms(scenario, u)
+    levels = water_levels(scenario, u)
     consensus = Consensus(graph, solver.consensus_tol, solver.consensus_max_iter,
                           solver.consensus_mode, solver.consensus_window,
                           weights=dd.metropolis_matrix(graph))
@@ -134,7 +134,7 @@ def reference_solve_distributed(scenario, graph, solver=dd.SolverConfig()):
         )
 
     for k in range(solver.outer_max_iter):
-        p = dd.power_closed_form(lam, scenario, u, terms)
+        p = dd.power_closed_form(lam, scenario, u, levels)
         x0 = p if state is None else state + (p - p_prev)
         try:
             cres = consensus.run(x0, first_block)

@@ -181,6 +181,15 @@ class TestAllocateCommand:
         err = capsys.readouterr().err
         assert "error:" in err and "Traceback" not in err
 
+    def test_trace_refuses_a_water_level_past_float_range(self, tmp_path, capsys):
+        # an SNR near 1e-310 puts a sensor's water level b = (t2 + t3) / a past float
+        # range: the distributed solve exits 2 at once, as the central one does
+        cfg = {**json.loads(bundled_config("fig1.cfg").read_text()), "xa_db": -3100}
+        assert run_cli("trace", write_config(tmp_path, overrides=cfg),
+                       "--out", tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert "error: overflow" in err and "Traceback" not in err
+
     @pytest.mark.parametrize("overrides", [{"xa_db": 4000}, {"amplitude": 1e300}],
                              ids=["xa_db_4000", "amplitude_1e300"])
     def test_snr_calibration_outside_float_range_exits_2(self, tmp_path, capsys, overrides):

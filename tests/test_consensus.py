@@ -634,3 +634,18 @@ class TestEdgeListRoundTrip:
         path.write_text("0 1\n")
         g = dd.load_edge_list(path, m=2)
         assert g.M == 2
+
+
+class TestNanRefused:
+    """Each positivity guard refuses NaN, which compares False with everything."""
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: dd.random_geometric_graph(5, float("nan"), np.random.default_rng(0)),
+         "radius must be positive"),
+        (lambda: Consensus(dd.complete_graph(3), float("nan"), 10), "tol must be positive"),
+        (lambda: dd.consensus_average(dd.complete_graph(3), np.ones(3), float("nan"), 10),
+         "tol must be positive"),
+    ], ids=["random_geometric_graph_radius", "consensus_tol", "consensus_average_tol"])
+    def test_nan_refused(self, call, message):
+        with np.errstate(all="raise"), pytest.raises(ValueError, match=message):
+            call()

@@ -348,3 +348,22 @@ class TestOneRuleForBothStatistics:
                 one = float(t[0, 0])
                 assert dd.quantize_array(one, int(bits[0, 0]), u, lo) == reference(
                     one, int(bits[0, 0]), u)
+
+
+class TestNanRefused:
+    """Each positivity guard refuses NaN, which compares False with everything."""
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: dd.analytic_pd(dd.FusionMoments(0.0, float("nan"), 1.0, 1.0, 1.0), 0.1),
+         "variances must be positive"),
+        (lambda: dd.analytic_pd(dd.FusionMoments(0.0, 1.0, 1.0, float("nan"), 1.0), 0.1),
+         "variances must be positive"),
+        (lambda: dd.DeflectionInputs(b=[1.0, 1.0], R_diag=[1.0, float("nan")]),
+         "R_diag must be strictly positive"),
+        (lambda: dd.qfunc_inv(float("nan")), "strictly inside"),
+        (lambda: dd.qfunc_inv([0.5, float("nan")]), "strictly inside"),
+    ], ids=["analytic_pd_var_h0", "analytic_pd_var_h1", "deflection_inputs_r",
+            "qfunc_inv", "qfunc_inv_array"])
+    def test_nan_refused(self, call, message):
+        with np.errstate(all="raise"), pytest.raises(ValueError, match=message):
+            call()

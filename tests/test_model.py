@@ -364,3 +364,21 @@ def test_halfrange_covers_h1_spread():
     for s in each_sensor(sensors):
         m = dd.Statistic.energy(s)
         assert 2 * u >= m.mean_h1 + 3 * np.sqrt(m.var_h1)
+
+
+class TestNanRefused:
+    """Each positivity guard refuses NaN, which compares False with everything."""
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: dd.SolverConfig(lambda0_init=float("nan")), "lambda0_init must be positive"),
+        (lambda: dd.SolverConfig(kappa=float("nan")), "kappa must be positive"),
+        (lambda: dd.SolverConfig(consensus_tol=float("nan")), "consensus_tol must be positive"),
+        (lambda: dd.Scenario(sensors=dd.build_sensors(3, 10, seed=0), U=float("nan"), Pt=1.0,
+                             Pfa=0.1, seed=0), "U must be positive"),
+        (lambda: dd.Scenario(sensors=dd.build_sensors(3, 10, seed=0), U=3.0, Pt=float("nan"),
+                             Pfa=0.1, seed=0), "Pt must be positive"),
+    ], ids=["solver_lambda0_init", "solver_kappa", "solver_consensus_tol", "scenario_u",
+            "scenario_pt"])
+    def test_nan_refused(self, call, message):
+        with np.errstate(all="raise"), pytest.raises(ValueError, match=message):
+            call()

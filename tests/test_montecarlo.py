@@ -446,3 +446,24 @@ class TestResultsCsv:
                            "pd_hat", "pd_analytic", "trials", "sigma_binomial"]
         assert rows[1][0] == "ED_equal_weights_equal_power"
         assert rows[1][2] == "8" and rows[1][3] == "5"
+
+
+class TestNanRefused:
+    """Each positivity guard refuses NaN, which compares False with everything."""
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: montecarlo.detection_threshold(0.0, float("nan"), 0.1),
+         "var_h0 must be positive"),
+        (lambda: montecarlo.quantized_gaussian_moments(1.0, float("nan"), 3, 3.0),
+         "var must be positive"),
+        (lambda: montecarlo.quantized_gaussian_moments([1.0, 1.0], [1.0, float("nan")], 3, 3.0),
+         "var must be positive"),
+        (lambda: dd.sweep_budget(dd.make_scenario(m=3, n=5, seed=1, u=3.0, pt=1.0, pfa=0.1,
+                                                  xa_db=-4.0, amplitude=0.2),
+                                 [dd.Scheme.ED_opt_weights_opt_power], [1.0, float("nan")], 10),
+         "pt grid values must be positive"),
+    ], ids=["detection_threshold_var_h0", "quantized_gaussian_moments_var",
+            "quantized_gaussian_moments_var_array", "sweep_budget_pt_grid"])
+    def test_nan_refused(self, call, message):
+        with np.errstate(all="raise"), pytest.raises(ValueError, match=message):
+            call()

@@ -128,3 +128,22 @@ class TestQuantizeCentered:
         t = rng.uniform(-u, u, size=1000)
         q = dd.quantize_array(t, 5, u, -u)
         assert np.max(np.abs(q - t)) <= u / 2 ** 5 + 1e-12
+
+
+class TestNanRefused:
+    """Each positivity guard refuses NaN, which compares False with everything."""
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: dd.capacity_bits(float("nan"), 1.0, 1.0), "power must be nonnegative"),
+        (lambda: dd.capacity_bits([1.0, float("nan")], 1.0, 1.0), "power must be nonnegative"),
+        (lambda: dd.capacity_bits(1.0, float("nan"), 1.0), "h and zeta must be positive"),
+        (lambda: dd.capacity_bits(1.0, [1.0, float("nan")], 1.0), "h and zeta must be positive"),
+        (lambda: dd.capacity_bits(1.0, 1.0, float("nan")), "h and zeta must be positive"),
+        (lambda: dd.quant_noise_var(float("nan"), 1.0, 1.0, 3.0), "power must be nonnegative"),
+        (lambda: dd.quant_noise_var(1.0, 1.0, 1.0, float("nan")), "U must be positive"),
+        (lambda: dd.quantize_array(np.ones(3), 2, float("nan")), "U must be positive"),
+    ], ids=["capacity_bits_p", "capacity_bits_p_array", "capacity_bits_h", "capacity_bits_h_array",
+            "capacity_bits_zeta", "quant_noise_var_p", "quant_noise_var_u", "quantize_array_u"])
+    def test_nan_refused(self, call, message):
+        with np.errstate(all="raise"), pytest.raises(ValueError, match=message):
+            call()

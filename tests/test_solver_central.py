@@ -6,6 +6,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import distdetect as dd
+from distdetect import solver_central
 
 # frozen reference allocation for the 10-sensor seed-1 scenario
 FIG1_LAMBDA0 = 6.157102638098877e-02
@@ -61,6 +62,63 @@ class TestPowerClosedForm:
         lams = np.logspace(-10, 2, 200)
         totals = [dd.total_power(l, fig1_scenario) for l in lams]
         assert np.all(np.diff(totals) <= 1e-12)
+
+
+class TestWaterLevels:
+    LAMS = [5e-324, 1e-300, 1e-16, 1e-8, 1e-2, 1.0, 1e4, 1e300, np.inf]
+
+    def test_zero_snr_sensors_have_slope_0_and_level_inf(self):
+        amp = np.array([0.0, 0.3, 0.0, 0.8])[:, None]
+        sensors = dd.SensorParams(1.0, 1.0, 0.1, np.broadcast_to(amp, (4, 10)))
+        with np.errstate(all="raise"):
+            a, b = solver_central.water_levels(sensors, 3.0)
+            assert np.array_equal(a == 0, [True, False, True, False])
+            assert np.all(b[[0, 2]] == np.inf) and np.all(np.isfinite(b[[1, 3]]))
+            for lam in self.LAMS:
+                p = dd.power_closed_form(lam, sensors, 3.0, (a, b))
+                assert p[0] == p[2] == 0.0
+
+    def test_one_zero_snr_sensor(self):
+        s = dd.SensorParams(1.0, 1.0, 0.1, np.zeros(10))
+        with np.errstate(all="raise"):
+            assert solver_central.water_levels(s, 3.0) == (0.0, np.inf)
+            for lam in self.LAMS:
+                assert dd.power_closed_form(lam, s, 3.0) == 0.0
+
+    def test_matches_the_four_term_closed_form(self):
+        rng = np.random.default_rng(24)
+        m, n, u = 1000, 10, 3.0
+        sensors = dd.SensorParams(rng.uniform(0.1, 10.0, m), rng.uniform(0.1, 3.0, m),
+                                  rng.uniform(0.01, 1.0, m), rng.uniform(0.0, 2.0, (m, n)))
+        lam = 10 ** rng.uniform(-9, 1, m)
+        # p = [num / (den sqrt(lambda0)) - t2 - t3]+, as the closed form used to be computed
+        g = sensors.h ** 2 / sensors.zeta
+        one = 1.0 + 2.0 * sensors.xi
+        num = sensors.xi * u * np.sqrt(3.0)
+        den = 6.0 * sensors.sigma2 * one * np.sqrt(g)
+        t2 = u * u / (6.0 * n * sensors.sigma2 ** 2 * one * g)
+        reference = np.maximum(num / (den * np.sqrt(lam)) - t2 - 1.0 / g, 0.0)
+        a, b = solver_central.water_levels(sensors, u)
+        p = a * np.maximum(1.0 / np.sqrt(lam) - b, 0.0)
+        assert 100 < np.count_nonzero(reference) < m
+        assert_allclose(p, reference, rtol=1e-12)
+        assert np.array_equal(dd.power_closed_form(lam, sensors, u), p)
+
+    def test_a_level_past_float_range_raises_under_errstate(self):
+        # xi about 1e-320: b = (t2 + t3) / a overflows, which the distributed solve must see
+        s = dd.SensorParams(1.0, 1.0, 0.1, np.full((2, 10), 1e-160))
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
+            solver_central.water_levels(s, 3.0)
+
+    def test_the_central_solve_reads_the_record_once(self, fig1_scenario, fig1_central,
+                                                     monkeypatch):
+        calls = []
+        record = solver_central.water_levels
+        monkeypatch.setattr(solver_central, "water_levels",
+                            lambda *args: calls.append(args) or record(*args))
+        alloc = dd.solve_centralized(fig1_scenario)
+        assert len(calls) == 1
+        assert np.array_equal(alloc.p, fig1_central.p)
 
 
 class TestSolveCentralized:
@@ -170,3 +228,16 @@ class TestKktCheck:
         report = dd.kkt_check(alloc, fig1_scenario)
         assert np.all(report.mu >= 0)
         assert report.budget_feasible
+
+
+class TestNanRefused:
+    """Each positivity guard refuses NaN, which compares False with everything."""
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda sc: dd.solve_centralized(sc, pt=float("nan")), "pt must be positive"),
+        (lambda sc: solver_central.water_levels(sc, float("nan")), "need U > 0"),
+        (lambda sc: dd.power_closed_form(1.0, sc, float("nan")), "need U > 0"),
+    ], ids=["solve_centralized_pt", "water_levels_u", "power_closed_form_u"])
+    def test_nan_refused(self, call, message, fig1_scenario):
+        with np.errstate(all="raise"), pytest.raises(ValueError, match=message):
+            call(fig1_scenario)

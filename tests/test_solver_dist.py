@@ -56,8 +56,8 @@ class TestLocalPowerUpdate:
     @pytest.mark.parametrize("lam", [0.0, -1e-6, -np.inf, np.r_[np.full(9, 1e-6), 0.0],
                                      np.r_[-1e-6, np.full(9, 1e-6)]])
     def test_nonpositive_multiplier_refused(self, lam, fig1_scenario):
-        terms = solver_central._closed_form_terms(fig1_scenario, 3.0)
-        for given in (None, terms):
+        levels = solver_central.water_levels(fig1_scenario, 3.0)
+        for given in (None, levels):
             with pytest.raises(ValueError, match="lambda0 must be positive"):
                 dd.power_closed_form(lam, fig1_scenario, 3.0, given)
 
@@ -298,7 +298,7 @@ class TestTraceReducedOnce:
 
 
 class TestSetUpOncePerSolve:
-    """One solve builds one consensus engine, one weight matrix and one set of closed-form terms."""
+    """One solve builds one consensus engine, one weight matrix and one water-filling record."""
 
     def _count_set_up(self, monkeypatch):
         calls = collections.Counter()
@@ -311,8 +311,8 @@ class TestSetUpOncePerSolve:
 
         # every binding a solve could reach each of them through
         for module, name in [(solver_dist, "Consensus"), (solver_dist, "metropolis_matrix"),
-                             (consensus, "metropolis_matrix"), (solver_dist, "_closed_form_terms"),
-                             (solver_central, "_closed_form_terms"),
+                             (consensus, "metropolis_matrix"), (solver_dist, "water_levels"),
+                             (solver_central, "water_levels"),
                              (solver_dist, "power_closed_form")]:
             monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
         monkeypatch.setattr(Consensus, "run", counted("run", Consensus.run))
@@ -334,7 +334,7 @@ class TestSetUpOncePerSolve:
         except dd.ConvergenceError as e:
             trace = e.trace
         assert trace.iterations == iterations
-        assert calls == {"Consensus": 1, "metropolis_matrix": 1, "_closed_form_terms": 1,
+        assert calls == {"Consensus": 1, "metropolis_matrix": 1, "water_levels": 1,
                          "power_closed_form": iterations, "run": iterations}
 
     @pytest.mark.parametrize("field, value, message", [
