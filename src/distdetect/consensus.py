@@ -269,10 +269,12 @@ class Consensus:
                  window: int = 5, weights: np.ndarray | None = None):
         if not tol > 0:
             raise ValueError("tol must be positive")
-        if max_iter < 0:
-            raise ValueError("max_iter must be >= 0")
+        if not (isinstance(max_iter, (int, np.integer)) and max_iter >= 0):
+            raise ValueError(f"max_iter must be an integer >= 0, got {max_iter!r}")
         if mode not in ("oracle", "local"):
             raise ValueError(f"unknown mode {mode!r}")
+        if not isinstance(window, (int, np.integer)):
+            raise ValueError(f"window must be an integer, got {window!r}")
         if mode == "local" and window < 1:
             raise ValueError("window must be >= 1")
         self.graph, self.tol, self.max_iter = graph, tol, max_iter

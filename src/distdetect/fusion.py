@@ -208,9 +208,9 @@ def deflection_inputs(statistic: Statistic, spec: QuantSpec) -> DeflectionInputs
 def matched_filter_statistic(x: np.ndarray, sensor) -> np.ndarray | float:
     """Correlation of the observation with the known signal.
 
-    sensor is a SensorParams for one sensor, or a population
-    SensorParams or Scenario whose (M, N) signals correlate with the
-    last two axes of x.
+    sensor is a SensorParams for one sensor, or for a population (a
+    Scenario is one) whose (M, N) signals correlate with the last two
+    axes of x.
     """
     s = sensor.signal
     if not np.any(s != 0.0):

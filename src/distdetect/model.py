@@ -36,6 +36,7 @@ class SensorParams:
     describe one sensor; (M,) arrays, or scalars that broadcast, with an
     (M, N) signal describe a population of M sensors. Fields are stored
     read-only, as floats for one sensor and as arrays for a population.
+    A Scenario is a population with its budget and false-alarm target.
 
     sigma2  observation noise variance
     h       reporting channel gain to the fusion center (amplitude)
@@ -169,65 +170,48 @@ class SolverConfig:
     consensus_window: int = 5
 
     def __post_init__(self):
-        if not self.lambda0_init > 0:
-            raise ValueError("lambda0_init must be positive")
-        if not self.kappa > 0:
-            raise ValueError("kappa must be positive")
-        if not self.consensus_tol > 0:
-            raise ValueError("consensus_tol must be positive")
-        if self.consensus_max_iter < 1 or self.outer_max_iter < 1:
-            raise ValueError("iteration limits must be >= 1")
+        for name in ("lambda0_init", "kappa", "consensus_tol"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive")
+        for name in ("consensus_max_iter", "outer_max_iter", "consensus_window"):
+            value = getattr(self, name)
+            if not (isinstance(value, (int, np.integer)) and value >= 1):
+                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
         if self.consensus_mode not in ("oracle", "local"):
             raise ValueError(f"consensus_mode must be 'oracle' or 'local', "
                              f"got {self.consensus_mode!r}")
-        if self.consensus_window < 1:
-            raise ValueError("consensus_window must be >= 1")
 
 
 @dataclass(frozen=True, eq=False)
-class Scenario:
+class Scenario(SensorParams):
     """Everything detection and the centralized solve need: sensors, budget, target.
 
-    sensors  the population, one SensorParams with an (M, N) signal
+    A SensorParams for the whole population, with an (M, N) signal, so
+    every per-sensor formula runs over all M sensors at once. M, the
+    number of sensors, and N, the samples per local statistic, are the
+    signal's two dimensions. To the sensors it adds:
+
     U     half-range of the quantizer input: a statistic is clipped to its window
           [lo, lo + 2U], [0, 2U] for the energy and [-U, U] for the matched
           filter (Statistic.lo)
     Pt    total transmit power budget across the network
     Pfa   target false-alarm probability at the fusion center
-
-    The population's read-only arrays are also fields of the Scenario
-    itself, the same objects and not copies: sigma2, h, zeta, xi, es of
-    shape (M,) and signal of shape (M, N). A Scenario therefore stands in
-    for a SensorParams wherever a per-sensor formula reads those fields,
-    and the formula then runs over the whole population at once. M, the
-    number of sensors, and N, the samples per local statistic, are the
-    signal's two dimensions: N is the length of every sensor's signal.
     """
 
-    sensors: SensorParams
     U: float
     Pt: float
     Pfa: float
     seed: int
-    sigma2: np.ndarray = field(init=False, repr=False)
-    h: np.ndarray = field(init=False, repr=False)
-    zeta: np.ndarray = field(init=False, repr=False)
-    xi: np.ndarray = field(init=False, repr=False)
-    es: np.ndarray = field(init=False, repr=False)
-    signal: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        shape = self.sensors.signal.shape
-        if len(shape) != 2:
-            raise ValueError(f"sensors must have an (M, N) signal, got shape {shape}")
-        if not self.U > 0:
-            raise ValueError("U must be positive")
-        if not self.Pt > 0:
-            raise ValueError("Pt must be positive")
+        super().__post_init__()
+        if self.signal.ndim != 2:
+            raise ValueError(f"sensors must have an (M, N) signal, got shape {self.signal.shape}")
+        for name in ("U", "Pt"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive")
         if not 0.0 < self.Pfa < 1.0:
             raise ValueError("Pfa must be in (0, 1)")
-        for name in ("sigma2", "h", "zeta", "xi", "es", "signal"):
-            object.__setattr__(self, name, getattr(self.sensors, name))
 
     @property
     def M(self) -> int:
@@ -255,7 +239,7 @@ def derive_stream(seed: int, *key: str | int) -> np.random.Generator:
 
 
 def generate_observations(
-    sensor: SensorParams | Scenario,
+    sensor: SensorParams,
     n: int,
     h1: bool,
     rng: np.random.Generator,
@@ -365,8 +349,8 @@ def make_scenario(
     sensor_options are build_sensors' keywords (xa_db, amplitude,
     sigma2_range, zeta, deterministic_channel), with its defaults.
     """
-    sensors = build_sensors(m, n, seed, **sensor_options)
-    return Scenario(sensors=sensors, U=u, Pt=pt, Pfa=pfa, seed=seed)
+    s = build_sensors(m, n, seed, **sensor_options)
+    return Scenario(s.sigma2, s.h, s.zeta, s.signal, U=u, Pt=pt, Pfa=pfa, seed=seed)
 
 
 def make_topology(m: int, seed: int, radius: float = 0.5):

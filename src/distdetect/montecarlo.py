@@ -148,6 +148,8 @@ def quantized_gaussian_moments(mu, var, bits_int, u: float, lo: float = 0.0):
         raise ValueError("need at least one bit")
     if not np.all(np.greater(var, 0)):
         raise ValueError("var must be positive")
+    if not u > 0:
+        raise ValueError("U must be positive")
     shape = mu.shape
     mu, bits = mu.ravel(), bits.ravel()
     sd = np.sqrt(var).ravel()

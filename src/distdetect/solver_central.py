@@ -100,9 +100,9 @@ def water_levels(sensor, u: float):
 def power_closed_form(lambda0, sensor, u: float, levels=None):
     """Water-filling optimum of a sensor's power at multiplier lambda0: a [lambda0^(-1/2) - b]+.
 
-    sensor is a SensorParams for one sensor, or a population
-    SensorParams or Scenario, whose array fields give every sensor's
-    power at once. lambda0 may be one multiplier or one per sensor. The
+    sensor is a SensorParams for one sensor, or for a population (a
+    Scenario is one), whose array fields give every sensor's power at
+    once. lambda0 may be one multiplier or one per sensor. The
     clamp censors sensors whose channel or SNR cannot pay for even the
     constant terms; xi = 0 always lands at 0. levels, if given, is
     water_levels(sensor, u), computed once by a caller that evaluates

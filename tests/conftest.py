@@ -1,4 +1,5 @@
 """Shared fixtures: canned scenarios, config helpers, CLI runner."""
+import ctypes
 import json
 import os
 from pathlib import Path
@@ -16,6 +17,37 @@ from distdetect.solver_central import water_levels
 settings.register_profile("suite", deadline=None)
 settings.load_profile("suite")
 
+
+def _openblas_core() -> str:
+    """The kernel numpy's bundled OpenBLAS picked for this CPU, or "unknown"."""
+    libs = Path(np.__file__).parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("libscipy_openblas64_*.so")):
+        try:
+            corename = ctypes.CDLL(str(path)).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.argtypes, corename.restype = [], ctypes.c_char_p
+        return corename().decode()
+    return "unknown"
+
+
+def pytest_report_header(config):
+    """numpy's version, SIMD extensions and BLAS kernel: the pinned digests depend on them."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+        found = [f for f in umath.__cpu_dispatch__ if umath.__cpu_features__[f]]
+        simd = " ".join(umath.__cpu_baseline__ + found) or "none"
+    except (ImportError, AttributeError):
+        simd = "unknown"
+    return f"numpy {np.__version__}; SIMD: {simd}; OpenBLAS core: {_openblas_core()}"
+
+
+def pytest_terminal_summary(terminalreporter, config):
+    """The header line again at the end, where a -q run, which prints no header, shows it."""
+    if config.get_verbosity() < 0:
+        terminalreporter.write_line(pytest_report_header(config))
+
+
 CONFIG_DIR = Path(dd.__file__).parent / "configs"
 
 
@@ -26,7 +58,7 @@ def bundled_config(name: str) -> Path:
 
 
 def sensor(population, i: int) -> dd.SensorParams:
-    """Sensor i of a population (a Scenario or a SensorParams with an (M, N) signal)."""
+    """Sensor i of a population: a SensorParams with an (M, N) signal, such as a Scenario."""
     return dd.SensorParams(population.sigma2[i], population.h[i], population.zeta[i],
                            population.signal[i])
 

@@ -182,7 +182,8 @@ def test_gaussian_calibration_audit():
         sensors = dd.build_sensors(10, n, seed=5, xa_db=-10.0,
                                    deterministic_channel=True)
         u = dd.suggest_statistic_halfrange(sensors)
-        sc = dd.Scenario(sensors=sensors, U=u, Pt=4095.0, Pfa=0.1, seed=5)
+        sc = dd.Scenario(sensors.sigma2, sensors.h, sensors.zeta, sensors.signal, U=u,
+                         Pt=4095.0, Pfa=0.1, seed=5)
         return dd.run_trials(sc, Scheme.ED_opt_weights_equal_power, 100_000)
 
     est = audit(100)

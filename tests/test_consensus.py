@@ -477,8 +477,20 @@ class TestBlockedRounds:
         assert_allclose(exc.value.values, 1.5)
 
     def test_negative_budget_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="max_iter must be an integer >= 0, got -1"):
             dd.consensus_average(path_graph(3), np.arange(3.0), tol=1e-10, max_iter=-1)
+
+    @pytest.mark.parametrize("setting, message", [
+        (dict(max_iter=2.5), "max_iter must be an integer >= 0, got 2.5"),
+        (dict(max_iter=10.0), "max_iter must be an integer >= 0, got 10.0"),
+        (dict(max_iter=10, window=2.5), "window must be an integer, got 2.5"),
+        (dict(max_iter=10, mode="local", window=5.0), "window must be an integer, got 5.0"),
+    ], ids=["max_iter", "max_iter_whole_float", "window_oracle", "window_local"])
+    def test_non_integer_settings_rejected(self, setting, message):
+        with pytest.raises(ValueError, match=message):
+            dd.consensus_average(dd.complete_graph(3), np.arange(3.0), 1e-9, **setting)
+        with pytest.raises(ValueError, match=message):
+            Consensus(dd.complete_graph(3), 1e-9, **setting)
 
     def test_empty_first_block_rejected(self):
         with pytest.raises(ValueError, match="first_block"):

@@ -33,8 +33,7 @@ def _energy_inputs(sc, powers):
 
 def _one_sensor(sigma2=1.0, amp=0.2, n=10, u=3.0, pt=1.0):
     """A one-sensor scenario: h = 1, zeta = 0.1, a constant signal of amplitude amp."""
-    s = dd.SensorParams(sigma2, 1.0, 0.1, np.full((1, n), amp))
-    return dd.Scenario(sensors=s, U=u, Pt=pt, Pfa=0.1, seed=0)
+    return dd.Scenario(sigma2, 1.0, 0.1, np.full((1, n), amp), U=u, Pt=pt, Pfa=0.1, seed=0)
 
 
 class TestQFunction:
@@ -101,7 +100,8 @@ class TestCombinedMoments:
     def test_psi_does_not_depend_on_halfrange(self, fig1_scenario):
         alloc = dd.solve_centralized(fig1_scenario)
         w = dd.optimal_weights(_energy_inputs(fig1_scenario, alloc.p))
-        a, b = (dd.Scenario(sensors=fig1_scenario.sensors, U=u, Pt=1.0, Pfa=0.1, seed=1)
+        f = fig1_scenario
+        a, b = (dd.Scenario(f.sigma2, f.h, f.zeta, f.signal, U=u, Pt=1.0, Pfa=0.1, seed=1)
                 for u in (1.0, 7.0))
         for statistic in (dd.Statistic.energy, dd.Statistic.matched):
             psi = [dd.fusion_moments(statistic(sc, sc.U), w, spec_at(sc, alloc.p)).psi
@@ -252,11 +252,12 @@ def test_fused_h0_variance_monte_carlo(fig1_scenario):
     powers high enough that integer-bit quantization is fine-grained,
     so the whole-bit caveat stays inside the 5% band.
     """
-    sensors = fig1_scenario.sensors
+    sensors = fig1_scenario
     n = 10
     u = dd.suggest_statistic_halfrange(sensors)
     powers = np.full(10, 500.0)
-    sc = dd.Scenario(sensors=sensors, U=u, Pt=5000.0, Pfa=0.1, seed=2)
+    sc = dd.Scenario(sensors.sigma2, sensors.h, sensors.zeta, sensors.signal, U=u, Pt=5000.0,
+                     Pfa=0.1, seed=2)
     spec = spec_at(sc, powers)
     statistic = dd.Statistic.energy(sc)
     w = dd.optimal_weights(dd.deflection_inputs(statistic, spec))
@@ -286,8 +287,8 @@ class TestOneRuleForBothStatistics:
         rng = np.random.default_rng(seed)
         m, n = int(rng.integers(1, 41)), int(rng.integers(1, 51))
         sensors = dd.build_sensors(m, n, seed, xa_db=float(rng.uniform(-12.0, 6.0)))
-        sc = dd.Scenario(sensors=sensors, U=float(rng.uniform(0.5, 10.0)), Pt=1.0,
-                         Pfa=0.1, seed=seed)
+        sc = dd.Scenario(sensors.sigma2, sensors.h, sensors.zeta, sensors.signal,
+                         U=float(rng.uniform(0.5, 10.0)), Pt=1.0, Pfa=0.1, seed=seed)
         powers = np.where(rng.random(m) < 0.3, 0.0, rng.uniform(0.0, 5.0, size=m))
         return sc, powers
 

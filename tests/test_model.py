@@ -1,4 +1,5 @@
 """Signal model: sample generation, energy statistic, moment formulas."""
+import dataclasses
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import given, strategies as st
 from numpy.testing import assert_allclose
 
 import distdetect as dd
+from distdetect.solver_central import water_levels
 
 from conftest import each_sensor
 
@@ -185,26 +187,67 @@ class TestBuildSensors:
         assert_allclose(np.mean(sensors.xi), 10 ** (-0.1), rtol=1e-9)
 
 
+def _scenario(sensors, u=3.0, pt=1.0, pfa=0.1, seed=0):
+    return dd.Scenario(sensors.sigma2, sensors.h, sensors.zeta, sensors.signal, U=u, Pt=pt,
+                       Pfa=pfa, seed=seed)
+
+
 class TestScenario:
     def test_pfa_bounds_enforced(self):
         sensors = dd.build_sensors(3, 10, seed=0)
         with pytest.raises(ValueError):
-            dd.Scenario(sensors=sensors, U=3.0, Pt=1.0, Pfa=1.5, seed=0)
+            _scenario(sensors, pfa=1.5)
+
+    @pytest.mark.parametrize("change, message", [
+        (dict(signal=np.full(10, 0.2)), r"sensors must have an \(M, N\) signal, got shape \(10,\)"),
+        (dict(sigma2=-1.0), "sigma2 must be positive"),
+        (dict(signal=np.full((3, 10), np.inf)), "signal must be finite"),
+        (dict(U=0.0), "U must be positive"),
+        (dict(Pt=-1.0), "Pt must be positive"),
+        (dict(Pfa=0.0), r"Pfa must be in \(0, 1\)"),
+    ], ids=["one_sensor", "sigma2", "signal", "U", "Pt", "Pfa"])
+    def test_refusals(self, change, message):
+        fields = dict(sigma2=1.0, h=1.0, zeta=0.1, signal=np.full((3, 10), 0.2), U=3.0, Pt=1.0,
+                      Pfa=0.1, seed=0)
+        with pytest.raises(ValueError, match=message):
+            dd.Scenario(**{**fields, **change})
 
     def test_make_scenario_wires_everything(self, fig1_scenario):
         assert fig1_scenario.M == 10
         assert 0 < fig1_scenario.Pfa < 1
 
-    def test_population_arrays_mirror_the_sensors(self, fig1_scenario):
+    def test_a_scenario_is_a_sensor_population(self, fig1_scenario):
         sc = fig1_scenario
+        assert isinstance(sc, dd.SensorParams) and not hasattr(sc, "sensors")
+        parent = {f.name for f in dataclasses.fields(dd.SensorParams)}
+        assert parent.isdisjoint(dd.Scenario.__dict__["__annotations__"])
         for name in ("sigma2", "h", "zeta", "xi", "es"):
             arr = getattr(sc, name)
-            assert arr is getattr(sc.sensors, name)
             assert arr.shape == (sc.M,)
             assert not arr.flags.writeable
-        assert sc.signal is sc.sensors.signal
         assert sc.signal.shape == (sc.M, sc.N)
         assert not sc.signal.flags.writeable
+
+    def test_make_scenario_keeps_the_built_arrays(self):
+        options = dict(xa_db=-1.5, amplitude=0.3, zeta=0.2)
+        sc = dd.make_scenario(m=12, n=7, seed=4, **options)
+        sensors = dd.build_sensors(12, 7, 4, **options)
+        for name in ("sigma2", "h", "zeta", "signal", "es", "xi"):
+            assert np.array_equal(getattr(sc, name), getattr(sensors, name)), name
+
+    def test_per_sensor_formulas_read_a_scenario_as_its_sensors(self, fig1_scenario):
+        sc = fig1_scenario
+        sensors = dd.build_sensors(10, 10, 1)
+        u = sc.U
+        for a, b in zip(water_levels(sc, u), water_levels(sensors, u)):
+            assert np.array_equal(a, b)
+        for lambda0 in (1e-3, 0.2, np.linspace(0.01, 1.0, 10)):
+            assert np.array_equal(dd.power_closed_form(lambda0, sc, u),
+                                  dd.power_closed_form(lambda0, sensors, u))
+        for make in (dd.Statistic.energy, dd.Statistic.matched):
+            a, b = make(sc, u), make(sensors, u)
+            for name in ("mean_h0", "var_h0", "mean_h1", "var_h1", "b", "lo"):
+                assert np.array_equal(getattr(a, name), getattr(b, name)), name
 
     def test_population_build_matches_the_per_sensor_reference(self, population):
         sc = population
@@ -217,8 +260,9 @@ class TestScenario:
         b = dd.make_scenario(m=10, n=10, seed=1)
         assert fig1_scenario == fig1_scenario
         assert a != b and not a == b
-        assert a.sensors == a.sensors and a.sensors != b.sensors
-        assert len({a, b, a.sensors, b.sensors}) == 4   # hashable, by identity
+        s, t = dd.build_sensors(10, 10, 1), dd.build_sensors(10, 10, 1)
+        assert s == s and s != t and a != s
+        assert len({a, b, s, t}) == 4   # hashable, by identity
         spec = dd.specs_for_allocation(np.ones(3), 1.0, 0.1, 3.0)
         assert spec == spec and spec != dd.specs_for_allocation(np.ones(3), 1.0, 0.1, 3.0)
 
@@ -366,6 +410,25 @@ def test_halfrange_covers_h1_spread():
         assert 2 * u >= m.mean_h1 + 3 * np.sqrt(m.var_h1)
 
 
+class TestIterationSettingsAreIntegers:
+    @pytest.mark.parametrize("name", ["consensus_max_iter", "outer_max_iter",
+                                      "consensus_window"])
+    @pytest.mark.parametrize("value", [2.5, 3.0])
+    def test_non_integer_refused(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be an integer >= 1, got {value}"):
+            dd.SolverConfig(**{name: value})
+
+    @pytest.mark.parametrize("name", ["consensus_max_iter", "outer_max_iter",
+                                      "consensus_window"])
+    def test_below_one_refused(self, name):
+        with pytest.raises(ValueError, match=f"{name} must be an integer >= 1, got 0"):
+            dd.SolverConfig(**{name: 0})
+
+    def test_numpy_integers_accepted(self):
+        config = dd.SolverConfig(outer_max_iter=np.int64(3), consensus_window=np.int32(2))
+        assert config.outer_max_iter == 3 and config.consensus_window == 2
+
+
 class TestNanRefused:
     """Each positivity guard refuses NaN, which compares False with everything."""
 
@@ -373,10 +436,10 @@ class TestNanRefused:
         (lambda: dd.SolverConfig(lambda0_init=float("nan")), "lambda0_init must be positive"),
         (lambda: dd.SolverConfig(kappa=float("nan")), "kappa must be positive"),
         (lambda: dd.SolverConfig(consensus_tol=float("nan")), "consensus_tol must be positive"),
-        (lambda: dd.Scenario(sensors=dd.build_sensors(3, 10, seed=0), U=float("nan"), Pt=1.0,
-                             Pfa=0.1, seed=0), "U must be positive"),
-        (lambda: dd.Scenario(sensors=dd.build_sensors(3, 10, seed=0), U=3.0, Pt=float("nan"),
-                             Pfa=0.1, seed=0), "Pt must be positive"),
+        (lambda: _scenario(dd.build_sensors(3, 10, seed=0), u=float("nan")),
+         "U must be positive"),
+        (lambda: _scenario(dd.build_sensors(3, 10, seed=0), pt=float("nan")),
+         "Pt must be positive"),
     ], ids=["solver_lambda0_init", "solver_kappa", "solver_consensus_tol", "scenario_u",
             "scenario_pt"])
     def test_nan_refused(self, call, message):

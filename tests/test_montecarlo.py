@@ -23,8 +23,7 @@ from conftest import bundled_config, run_cli, scheme_weights, write_config
 
 def _chance_scenario(m=4, n=10):
     """All-zero signals: H1 is literally H0, so any detector sits at chance."""
-    sensors = dd.SensorParams(1.0, 1.0, 0.1, np.zeros((m, n)))
-    return dd.Scenario(sensors=sensors, U=8.0, Pt=4.0, Pfa=0.1, seed=5)
+    return dd.Scenario(1.0, 1.0, 0.1, np.zeros((m, n)), U=8.0, Pt=4.0, Pfa=0.1, seed=5)
 
 
 @pytest.fixture(scope="module")
@@ -177,16 +176,16 @@ class TestPlanScheme:
         m, n = 4, 10
         signal = np.full((m, n), 0.5)
         signal[0] = 0.0
-        sensors = dd.SensorParams(np.array([1.0, 0.5, 1.5, 2.0]), 1.0, 0.1, signal)
-        sc = dd.Scenario(sensors=sensors, U=8.0, Pt=40.0, Pfa=0.1, seed=5)
+        sc = dd.Scenario(np.array([1.0, 0.5, 1.5, 2.0]), 1.0, 0.1, signal, U=8.0, Pt=40.0,
+                         Pfa=0.1, seed=5)
         scheme = Scheme.ED_opt_weights_equal_power
         plan = plan_scheme(sc, scheme)
         assert plan.spec.bits_int.tolist() == [3, 3, 3, 3]
         assert plan.transmit.all() and plan.n_transmit == m
         assert plan.senders.tolist() == [1, 2, 3]
         # the same three sensors alone, each at the same power
-        rest = dd.SensorParams(sensors.sigma2[1:], 1.0, 0.1, signal[1:])
-        alone = plan_scheme(dd.Scenario(sensors=rest, U=8.0, Pt=30.0, Pfa=0.1, seed=5), scheme)
+        rest = dd.Scenario(sc.sigma2[1:], 1.0, 0.1, signal[1:], U=8.0, Pt=30.0, Pfa=0.1, seed=5)
+        alone = plan_scheme(rest, scheme)
         np.testing.assert_array_equal(alone.powers, plan.powers[1:])
         assert plan.received_h0 == alone.received_h0
         assert plan.threshold(0.1) == alone.threshold(0.1)
@@ -378,8 +377,8 @@ class TestChunking:
 def _law_population(n, m=3):
     """Three sensors with unequal noise and signals that are not constant over the window."""
     signal = np.random.default_rng(100 + n).normal(0.0, 0.4, size=(m, n))
-    sensors = dd.SensorParams(np.array([0.5, 1.0, 2.0]), 1.0, 0.1, signal)
-    return dd.Scenario(sensors=sensors, U=3.0, Pt=1.0, Pfa=0.1, seed=5)
+    return dd.Scenario(np.array([0.5, 1.0, 2.0]), 1.0, 0.1, signal, U=3.0, Pt=1.0, Pfa=0.1,
+                       seed=5)
 
 
 class TestSufficientStatisticLaw:
@@ -462,8 +461,18 @@ class TestNanRefused:
                                                   xa_db=-4.0, amplitude=0.2),
                                  [dd.Scheme.ED_opt_weights_opt_power], [1.0, float("nan")], 10),
          "pt grid values must be positive"),
+        (lambda: montecarlo.quantized_gaussian_moments(1.0, 1.0, 3, float("nan")),
+         "U must be positive"),
     ], ids=["detection_threshold_var_h0", "quantized_gaussian_moments_var",
-            "quantized_gaussian_moments_var_array", "sweep_budget_pt_grid"])
+            "quantized_gaussian_moments_var_array", "sweep_budget_pt_grid",
+            "quantized_gaussian_moments_u"])
     def test_nan_refused(self, call, message):
         with np.errstate(all="raise"), pytest.raises(ValueError, match=message):
             call()
+
+    @pytest.mark.parametrize("bits, u", [(3, -3.0), (3, 0.0), (20, -3.0), (20, 0.0)],
+                             ids=["negative", "zero", "negative_past_16_bits",
+                                  "zero_past_16_bits"])
+    def test_nonpositive_halfrange_refused(self, bits, u):
+        with np.errstate(all="raise"), pytest.raises(ValueError, match="U must be positive"):
+            montecarlo.quantized_gaussian_moments(1.0, 1.0, bits, u)

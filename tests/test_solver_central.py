@@ -123,12 +123,12 @@ class TestWaterLevels:
 
 class TestSolveCentralized:
     def test_single_sensor_absorbs_the_budget(self):
-        sc = dd.Scenario(sensors=_sensor(m=1), U=3.0, Pt=1.0, Pfa=0.1, seed=0)
+        sc = dd.Scenario(1.0, 1.0, 0.1, np.full((1, 10), 0.2), U=3.0, Pt=1.0, Pfa=0.1, seed=0)
         alloc = dd.solve_centralized(sc)
         assert_allclose(alloc.p[0], 1.0, rtol=1e-9)
 
     def test_identical_sensors_split_evenly(self):
-        sc = dd.Scenario(sensors=_sensor(m=5), U=3.0, Pt=2.0, Pfa=0.1, seed=0)
+        sc = dd.Scenario(1.0, 1.0, 0.1, np.full((5, 10), 0.2), U=3.0, Pt=2.0, Pfa=0.1, seed=0)
         alloc = dd.solve_centralized(sc)
         assert_allclose(alloc.p, 0.4, rtol=1e-9)
 
@@ -145,15 +145,14 @@ class TestSolveCentralized:
         assert_allclose(alloc.total(), 2.5, rtol=1e-9)
 
     def test_no_signal_raises(self):
-        sensors = dd.SensorParams(1.0, 1.0, 0.1, np.zeros((3, 10)))
-        sc = dd.Scenario(sensors=sensors, U=3.0, Pt=1.0, Pfa=0.1, seed=0)
+        sc = dd.Scenario(1.0, 1.0, 0.1, np.zeros((3, 10)), U=3.0, Pt=1.0, Pfa=0.1, seed=0)
         with pytest.raises(dd.NoSignalError):
             dd.solve_centralized(sc)
 
     def test_better_joint_channel_and_snr_gets_more_power(self):
         # sensor 0 dominates sensor 1 in both xi and h^2/zeta at equal sigma2
-        sensors = dd.SensorParams(1.0, [1.5, 0.8], 0.1, np.repeat([[0.4], [0.2]], 10, axis=1))
-        sc = dd.Scenario(sensors=sensors, U=3.0, Pt=1.0, Pfa=0.1, seed=0)
+        sc = dd.Scenario(1.0, [1.5, 0.8], 0.1, np.repeat([[0.4], [0.2]], 10, axis=1),
+                         U=3.0, Pt=1.0, Pfa=0.1, seed=0)
         alloc = dd.solve_centralized(sc)
         assert alloc.p[0] >= alloc.p[1]
 

@@ -15,8 +15,7 @@ from conftest import bundled_config, each_sensor
 
 
 def _identical_scenario(m=4, pt=2.0, n=10):
-    sensors = dd.SensorParams(1.0, 1.0, 0.1, np.full((m, n), 0.2))
-    return dd.Scenario(sensors=sensors, U=3.0, Pt=pt, Pfa=0.1, seed=0)
+    return dd.Scenario(1.0, 1.0, 0.1, np.full((m, n), 0.2), U=3.0, Pt=pt, Pfa=0.1, seed=0)
 
 
 def _solve_identical(sc, solver=dd.SolverConfig()):
