@@ -34,6 +34,9 @@ from .solver_dist import ConvergenceError, DualAscentTrace, solve_distributed
 
 SCHEMA_VERSION = 1
 OUTDIR_ENV = "DISTDETECT_OUTDIR"
+# rows _write_csv formats and writes at once; at fig1's trace.csv width a block's text
+# stays under the 128 KiB above which glibc's malloc maps fresh pages for it
+CSV_BLOCK = 1 << 8
 
 
 class ConfigError(ValueError):
@@ -246,22 +249,31 @@ def _cell(v) -> str:
     return str(v)
 
 
-def _write_csv(path, header: str, columns) -> None:
-    """Write equal-length columns under a header line, in one write.
+def _cells(col):
+    """The cells of a column, or of a slice of one, under _cell's rules, as an iterable.
 
-    A column is a sequence of cells under _cell's rules. An array column
-    is formatted as a whole from .tolist(), which gives the same cells.
+    An array is formatted from .tolist(), which gives the same cells.
     """
-    cells = []
-    for col in columns:
-        if not isinstance(col, np.ndarray):
-            cells.append(map(_cell, col))
-        elif col.dtype == bool:
-            cells.append(np.where(col, "1", "0").tolist())
-        else:
-            cells.append(map(repr if col.dtype.kind == "f" else str, col.tolist()))
+    if not isinstance(col, np.ndarray):
+        return map(_cell, col)
+    if col.dtype == bool:
+        return np.where(col, "1", "0").tolist()
+    return map(repr if col.dtype.kind == "f" else str, col.tolist())
+
+
+def _write_csv(path, header: str, columns) -> None:
+    """Write equal-length columns under a header line, CSV_BLOCK rows per write.
+
+    A column is a sequence of cells under _cell's rules. Only one block's
+    cells are held at once, however many rows there are.
+    """
+    columns = list(columns)
+    rows = min(map(len, columns), default=0)
     with open(path, "w") as fh:
-        fh.write("\n".join([header, *map(",".join, zip(*cells))]) + "\n")
+        fh.write(header + "\n")
+        for b in range(0, rows, CSV_BLOCK):
+            block = zip(*(_cells(col[b:b + CSV_BLOCK]) for col in columns))
+            fh.write("\n".join(map(",".join, block)) + "\n")
 
 
 def write_allocation_csv(path, scenario: Scenario, p_central, p_distributed) -> None:

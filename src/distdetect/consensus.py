@@ -19,7 +19,7 @@ BLOCK_ROUNDS = 64
 BUFFER_FLOATS = 1 << 16
 # candidate pairs geometric_edges measures at once (a point with more takes a block alone)
 PAIR_BLOCK = 1 << 14
-# lines save_edge_list joins into one write
+# edges Graph turns from keys into rows at once, and lines save_edge_list joins into one write
 EDGE_BLOCK = 1 << 14
 
 
@@ -48,8 +48,12 @@ class Graph:
     given, on a row that is not a pair, a vertex id that is not an
     integer, a self loop, a vertex outside 0..M-1 or a duplicate; and it
     fails on a disconnected graph, since consensus cannot mix across
-    components. Like the other array-backed records, two graphs compare
-    equal only if they are the same object.
+    components. Valid edges cost one check over every row, a connectivity
+    pass and one in-place sort of one key u * M + v per edge, held in the
+    buffer of the edge array it becomes; the search that names an
+    offending edge runs only after a check has failed. Like the other
+    array-backed records, two graphs compare equal only if they are the
+    same object.
     """
 
     M: int
@@ -76,57 +80,90 @@ class Graph:
             first = np.asarray(next(r for r in self.edges if np.asarray(r).dtype.kind != "i"))
             raise TopologyError(f"edge {first.tolist()!r} has a vertex id that is not an integer")
         e = e.astype(np.intp, copy=False)
-        u, v = np.minimum(e[:, 0], e[:, 1]), np.maximum(e[:, 0], e[:, 1])
-        loop, outside = u == v, (u < 0) | (v >= self.M)
-        # one key u * M + v per vertex pair; an edge out of range gets a negative key
-        # of its own instead, so it repeats nothing, however large its vertices
-        key = np.where(outside, -1 - np.arange(len(e)), u * self.M + v)
-        order = np.argsort(key, kind="stable")   # stable: repeats keep the order given
-        key = key[order]
-        repeat = np.zeros(len(e), dtype=bool)
-        repeat[order[1:]] = key[1:] == key[:-1]
-        bad = loop | outside | repeat
-        if bad.any():
-            i = int(np.argmax(bad))
-            if loop[i]:
-                raise TopologyError(f"self loop at vertex {u[i]}")
-            if outside[i]:
-                raise TopologyError(f"edge ({e[i, 0]}, {e[i, 1]}) out of range for M={self.M}")
-            raise TopologyError(f"duplicate edge ({u[i]}, {v[i]})")
+        u, v = e.T
+        # one check over every row first; the search that names the offending edge,
+        # in the order given, runs only when there is one
+        if (u == v).any() or (e < 0).any() or (e >= self.M).any():
+            raise TopologyError(_first_offence(e, self.M))
+        # on the rows as given, before an (E,) array of its own is built; a repeat is named first
+        connected = _connected(self.M, u, v)
+        # the keys are formed and sorted in the edge array's own buffer: its
+        # first half holds them, its second half the larger ends until added in
         edges = np.empty_like(e)
-        np.divmod(key, self.M, out=(edges[:, 0], edges[:, 1]))
+        flat = edges.reshape(-1)
+        key, high = flat[:len(e)], flat[len(e):]
+        np.minimum(u, v, out=key)
+        np.maximum(u, v, out=high)
+        key *= self.M
+        key += high
+        # stable, though the keys are distinct or refused: the kind of sort the package
+        # already runs, so no other sort's code is paged in
+        key.sort(kind="stable")
+        if (key[1:] == key[:-1]).any():
+            raise TopologyError(_first_offence(e, self.M))
+        if not connected:
+            raise TopologyError("graph is disconnected")
+        # row i is flat[2i:2i + 2], at or past key i (flat[i]): turning blocks of keys
+        # into rows from the last block back overwrites only keys already read
+        for b in range((len(key) - 1) // EDGE_BLOCK * EDGE_BLOCK, -1, -EDGE_BLOCK):
+            q, r = np.divmod(key[b:b + EDGE_BLOCK], self.M)
+            edges[b:b + EDGE_BLOCK, 0], edges[b:b + EDGE_BLOCK, 1] = q, r
         degrees = np.bincount(edges.ravel(), minlength=self.M)
         for name, value in (("edges", edges), ("degrees", degrees)):
             value.setflags(write=False)
             object.__setattr__(self, name, value)
-        if not self._connected():
-            raise TopologyError("graph is disconnected")
 
-    def _connected(self) -> bool:
-        """Shiloach-Vishkin connectivity: hook roots onto smaller roots, then pointer-jump.
 
-        root[x] <= x throughout, so every tree is rooted at its smallest
-        vertex and the graph is connected iff every vertex ends at root 0.
-        Each pass joins every root to its smallest neighbouring root, so
-        passes are few even on long paths (Shiloach & Vishkin, "An
-        O(log n) parallel connectivity algorithm", J. Algorithms 3, 1982).
-        """
-        u, v = self.edges.T
-        root = np.arange(self.M)
-        ru, rv = u, v   # every vertex starts as its own root, and no edge is a loop
-        while len(u):
-            np.minimum.at(root, ru, rv)
-            np.minimum.at(root, rv, ru)
-            while True:
-                jumped = root[root]
-                if np.array_equal(jumped, root):
-                    break
-                root = jumped
-            # an edge within one tree stays within one, so later passes skip it
-            ru, rv = root[u], root[v]
-            split = np.flatnonzero(ru != rv)
-            u, v, ru, rv = u[split], v[split], ru[split], rv[split]
-        return not root.any()
+def _first_offence(e: np.ndarray, m: int) -> str:
+    """The message naming the first self loop, out-of-range vertex or repeat among the rows of e.
+
+    Only called once a check has found one. A stable sort of one key per
+    row finds the repeats, each after the first of its pair in the order given.
+    """
+    u, v = np.minimum(e[:, 0], e[:, 1]), np.maximum(e[:, 0], e[:, 1])
+    loop, outside = u == v, (u < 0) | (v >= m)
+    # one key u * m + v per vertex pair; an edge out of range gets a negative key
+    # of its own instead, so it repeats nothing, however large its vertices
+    key = np.where(outside, -1 - np.arange(len(e)), u * m + v)
+    order = np.argsort(key, kind="stable")   # stable: repeats keep the order given
+    key = key[order]
+    repeat = np.zeros(len(e), dtype=bool)
+    repeat[order[1:]] = key[1:] == key[:-1]
+    i = int(np.argmax(loop | outside | repeat))
+    if loop[i]:
+        return f"self loop at vertex {u[i]}"
+    if outside[i]:
+        return f"edge ({e[i, 0]}, {e[i, 1]}) out of range for M={m}"
+    return f"duplicate edge ({u[i]}, {v[i]})"
+
+
+def _connected(m: int, u: np.ndarray, v: np.ndarray) -> bool:
+    """Whether the edges (u[j], v[j]), vertex ids in 0..m-1 and no loops, connect all m vertices.
+
+    Shiloach-Vishkin connectivity: hook roots onto smaller roots, then
+    pointer-jump. root[x] <= x throughout, so every tree is rooted at its
+    smallest vertex and the graph is connected iff every vertex ends at
+    root 0. Each pass joins every root to its smallest neighbouring root,
+    so passes are few even on long paths (Shiloach & Vishkin, "An O(log n)
+    parallel connectivity algorithm", J. Algorithms 3, 1982). Repeated
+    edges change nothing.
+    """
+    root = np.arange(m)
+    ru, rv = u, v   # the roots of each edge's ends: every vertex starts as its own root
+    while len(ru):
+        np.minimum.at(root, ru, rv)
+        np.minimum.at(root, rv, ru)
+        while True:
+            jumped = root[root]
+            if np.array_equal(jumped, root):
+                break
+            root = jumped
+        # root[r] is now the root of the tree that r's tree joined; an edge within
+        # one tree stays within one, so later passes skip it
+        ru = root[ru]
+        split = ru != root[rv]
+        ru, rv = ru[split], root[rv[split]]
+    return not root.any()
 
 
 def complete_graph(m: int) -> Graph:
@@ -158,31 +195,23 @@ def geometric_edges(pts: np.ndarray, radius: float) -> np.ndarray:
     side, so a tiny radius costs no more than one point per cell. The
     points are measured in blocks of consecutive points with at most
     PAIR_BLOCK candidates between them, or one point with more, so the
-    candidate arrays stay bounded however dense the points are.
+    candidate arrays stay bounded however dense the points are. Each
+    block's pairs are kept apart and copied into the returned array
+    once, after the arrays that index the grid are freed.
     """
+    return np.concatenate([np.empty((0, 2), np.intp), *_near_pairs(pts, radius)])
+
+
+def _near_pairs(pts: np.ndarray, radius: float):
+    """geometric_edges' pairs as (k, 2) arrays, one per block of candidates."""
     m = len(pts)
     # m ** -0.5 first: a NaN radius then keeps the sqrt(M) grid and matches nothing
     side = max(1, int(1 / max(max(m, 1) ** -0.5, radius * (1 + 1e-9))))
-    cx, cy = np.clip(pts * side, 0, side - 1).astype(np.intp).T
-    cell = cx * side + cy
-    order = np.argsort(cell, kind="stable")
-    counts = np.bincount(cell, minlength=side * side)
-    end = np.cumsum(counts)
-    start = end - counts
-    sorted_cell = cell[order]
-    cx, cy = cx[order], cy[order]
-    # the 4 forward cells of each point, in the cell order
-    nx, ny = cx[:, None] + (1, 1, 1, 0), cy[:, None] + (-1, 0, 1, 1)
-    inside = (nx < side) & (ny >= 0) & (ny < side)
-    forward = np.where(inside, nx * side + ny, 0)
-    # point k of the cell order is paired with count[k, s] points from first[k, s] on
-    k = np.arange(m)
-    first = np.column_stack((k + 1, start[forward]))
-    count = np.column_stack((end[sorted_cell] - k - 1, np.where(inside, counts[forward], 0)))
+    order, first, count = _cell_neighbours(pts, side)
     per_point = count.sum(axis=1)
     reach = np.cumsum(per_point)   # candidates of the points up to and including k
+    k = np.arange(m)
     x, y = pts[order, 0], pts[order, 1]
-    us, vs = [k[:0]], [k[:0]]   # empty, so that no points give no pairs
     k0 = 0
     while k0 < m:
         # point k0 and the points after it that fit in one block with it
@@ -195,10 +224,32 @@ def geometric_edges(pts: np.ndarray, radius: float) -> np.ndarray:
         dx -= x[v]
         dy -= y[v]
         keep = dx * dx + dy * dy <= radius * radius
-        us.append(order[u[keep]])
-        vs.append(order[v[keep]])
+        yield order[np.stack((u[keep], v[keep]), axis=1)]
         k0 = k1
-    return np.stack((np.concatenate(us), np.concatenate(vs)), axis=1)
+
+
+def _cell_neighbours(pts: np.ndarray, side: int):
+    """The cell order of the points and, for each, the later points it is paired with.
+
+    Point k of the cell order (point order[k] of pts) is paired with
+    count[k, s] consecutive points of the cell order from first[k, s] on:
+    s = 0 for the rest of its own cell, s = 1..4 for its 4 forward cells.
+    """
+    cx, cy = np.clip(pts * side, 0, side - 1).astype(np.intp).T
+    cell = cx * side + cy
+    order = np.argsort(cell, kind="stable")
+    counts = np.bincount(cell, minlength=side * side)
+    end = np.cumsum(counts)
+    start = end - counts
+    cx, cy = cx[order], cy[order]
+    # the 4 forward cells of each point, in the cell order
+    nx, ny = cx[:, None] + (1, 1, 1, 0), cy[:, None] + (-1, 0, 1, 1)
+    inside = (nx < side) & (ny >= 0) & (ny < side)
+    forward = np.where(inside, nx * side + ny, 0)
+    k = np.arange(len(pts))
+    first = np.column_stack((k + 1, start[forward]))
+    count = np.column_stack((end[cell[order]] - k - 1, np.where(inside, counts[forward], 0)))
+    return order, first, count
 
 
 def random_geometric_graph(

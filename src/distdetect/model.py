@@ -284,7 +284,15 @@ def calibrate_average_snr(sensors: SensorParams, target_xa_db: float) -> SensorP
     without reshuffling who is strong and who is weak. Raises ValueError
     when the current mean SNR or the target is not a finite positive float.
     """
-    current = float(np.mean(sensors.xi))
+    factor = _snr_factor(float(np.mean(sensors.xi)), target_xa_db)
+    # a signal past float range becomes inf, which SensorParams rejects
+    with np.errstate(over="ignore"):
+        signal = sensors.signal * factor
+    return SensorParams(sensors.sigma2, sensors.h, sensors.zeta, signal)
+
+
+def _snr_factor(current: float, target_xa_db: float) -> float:
+    """The amplitude factor that takes a mean SNR of `current` to target_xa_db dB."""
     if not 0.0 < current < math.inf:
         raise ValueError(f"cannot calibrate: mean SNR is {current!r}, not a finite positive float")
     try:
@@ -294,10 +302,7 @@ def calibrate_average_snr(sensors: SensorParams, target_xa_db: float) -> SensorP
     if not 0.0 < target < math.inf:
         raise ValueError(f"cannot calibrate: a mean SNR of {target_xa_db!r} dB "
                          "is not a finite positive float")
-    # a factor or signal past float range becomes inf, which SensorParams rejects
-    with np.errstate(over="ignore"):
-        signal = sensors.signal * math.sqrt(target / current)
-    return SensorParams(sensors.sigma2, sensors.h, sensors.zeta, signal)
+    return math.sqrt(target / current)
 
 
 def build_sensors(
@@ -331,8 +336,18 @@ def build_sensors(
         re_im = rng_chan.normal(0.0, math.sqrt(0.5), size=(m, 2))
         h = np.hypot(re_im[:, 0], re_im[:, 1])
         h = np.maximum(h, 1e-6)   # a literally dead channel breaks nothing downstream but is unphysical
-    sensors = SensorParams(sigma2, h, zeta, np.full((m, n), amplitude))
-    return calibrate_average_snr(sensors, xa_db)
+    signal = np.full((m, n), amplitude, dtype=float)
+    # calibrate_average_snr on the drawn population, without building it first:
+    # mean(xi) by SensorParams' operations, so the factor is the same to the bit
+    with np.errstate(all="ignore"):   # a signal or SNR out of float range is refused below
+        current = float(np.mean(np.sum(signal * signal, axis=-1) / (n * sigma2)))
+        try:
+            signal *= _snr_factor(current, xa_db)
+        except ValueError:
+            # the population's own refusals come first, as when it was built before calibrating
+            SensorParams(sigma2, h, zeta, signal)
+            raise
+    return SensorParams(sigma2, h, zeta, signal)
 
 
 def make_scenario(

@@ -8,6 +8,7 @@ import math
 import re
 import sys
 import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -253,6 +254,24 @@ class TestAllocateCommand:
         assert run_cli("allocate", path, "--method", "central", "--out", out) == 0
         assert hashlib.sha256((out / "allocation.csv").read_bytes()).hexdigest() == \
             LARGE_NETWORK_PINNED["allocation.csv"]
+
+    def test_m5000_allocation_csv_peak_memory(self, tmp_path):
+        # the large_network shape's 45,000 cells, formatted and joined all at
+        # once, took the writer's peak past 2.3 MB; CSV_BLOCK rows at a time
+        # hold a fraction of that
+        cfg = cli.load_config(write_config(tmp_path, LARGE_NETWORK))
+        scenario = cli.scenario_from_config(cfg)
+        p = dd.solve_centralized(scenario).p
+        path = tmp_path / "allocation.csv"
+        tracemalloc.start()
+        try:
+            cli.write_allocation_csv(path, scenario, p, None)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == \
+            LARGE_NETWORK_PINNED["allocation.csv"]
+        assert peak < 1.5e6, peak
 
     def test_large_network_digests_list_both_outputs(self):
         assert sorted(LARGE_NETWORK_PINNED) == ["allocation.csv", "topology.txt"]

@@ -25,11 +25,14 @@ def sorted_pairs(edges):
 
 
 def random_edge_list(rng):
-    """A vertex count and a shuffled edge list, some rows reversed.
+    """A vertex count and an edge list: shuffled with some rows reversed, or canonical.
 
     A random spanning tree plus random chords, thinned in half the cases
     so that some lists are disconnected; a quarter of the lists also get
     one self loop, out-of-range vertex or repeated pair at a random place.
+    A third of the lists arrive canonical instead, as random_geometric_graph
+    and load_edge_list give them: u < v in each row and rows sorted, the
+    planted row sorted in among them, so a repeated pair sits next to its first.
     """
     m = int(rng.integers(1, 61))
     perm = rng.permutation(m)
@@ -39,16 +42,21 @@ def random_edge_list(rng):
     pairs = np.unique(np.sort(pairs[pairs[:, 0] != pairs[:, 1]], axis=1), axis=0)
     if rng.random() < 0.5:
         pairs = pairs[rng.random(len(pairs)) < 0.8]
-    pairs = pairs[rng.permutation(len(pairs))]
-    flip = rng.random(len(pairs)) < 0.5
-    pairs[flip] = pairs[flip, ::-1]
+    canonical = rng.random() < 1 / 3
+    if not canonical:
+        pairs = pairs[rng.permutation(len(pairs))]
+        flip = rng.random(len(pairs)) < 0.5
+        pairs[flip] = pairs[flip, ::-1]
     edges = [tuple(row) for row in pairs.tolist()]
     if rng.random() < 0.25:
         k = int(rng.integers(m))
         bad = [(k, k), (k, m + int(rng.integers(3))), (-1, k)]
         if edges:
-            bad.append(edges[int(rng.integers(len(edges)))][::-1])
+            repeat = edges[int(rng.integers(len(edges)))]
+            bad.append(repeat if canonical else repeat[::-1])
         edges.insert(int(rng.integers(len(edges) + 1)), bad[int(rng.integers(len(bad)))])
+    if canonical:
+        edges.sort()
     return m, edges
 
 
@@ -138,6 +146,20 @@ class TestGraph:
         # every verdict is well represented
         assert set(verdicts) == {"accepted", "graph", "self", "edge", "duplicate"}
         assert min(verdicts.values()) >= 100, verdicts
+
+    @pytest.mark.parametrize("edge_block", [1, 2, 5])
+    def test_rows_do_not_depend_on_the_block_size(self, monkeypatch, edge_block):
+        # the sorted keys become rows in their own buffer, one block at a time
+        # from the last: a block of 1, and blocks that split the edges unevenly
+        monkeypatch.setattr(consensus, "EDGE_BLOCK", edge_block)
+        rng = np.random.default_rng(5)
+        for _ in range(200):
+            m, edges = random_edge_list(rng)
+            try:
+                g = dd.Graph(m, edges)
+            except dd.TopologyError:
+                continue
+            assert np.array_equal(g.edges, sorted_pairs(np.array(edges).reshape(-1, 2))), (m, edges)
 
     @pytest.mark.parametrize("shape", ["path", "star"])
     def test_large_relabeled_graphs(self, shape):
@@ -274,6 +296,19 @@ class TestRandomGeometricGraph:
         _, write_peak = peak(lambda: dd.save_edge_list(graph, tmp_path / "topology.txt"))
         assert len(graph.edges) == 94_859
         assert draw_peak < 14e6 and write_peak < 8e6, (draw_peak, write_peak)
+
+    def test_m5000_graph_peak_memory(self):
+        # one sorted key array validates and orders the 94,859 edges; the
+        # concatenate-then-stack draw and a stable argsort with its index
+        # temporaries took the draw's peak past 9 MB
+        tracemalloc.start()
+        try:
+            graph = dd.make_topology(5000, 1, 0.05)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(graph.edges) == 94_859
+        assert peak < 6e6, peak
 
     def test_memory_grows_with_the_edges_not_with_m_squared(self):
         # the M x M x 2 difference tensor alone would be 6.4 GB here

@@ -1,6 +1,7 @@
 """Signal model: sample generation, energy statistic, moment formulas."""
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -160,6 +161,56 @@ class TestCalibrateAverageSnr:
 
 
 class TestBuildSensors:
+    @pytest.mark.parametrize("options", [{}, {"xa_db": 3.0, "amplitude": -0.7},
+                                         {"sigma2_range": (1e-3, 1e3), "zeta": 2.0},
+                                         {"deterministic_channel": True, "amplitude": 1}])
+    def test_calibrates_as_calibrate_average_snr(self, options):
+        # the factor comes from the drawn arrays, not from a record built to hold them
+        sensors = dd.build_sensors(40, 6, 9, **options)
+        drawn = {"xa_db": -4.0, "amplitude": 0.2, **options}
+        raw = dd.SensorParams(sensors.sigma2, sensors.h, sensors.zeta,
+                              np.full((40, 6), float(drawn["amplitude"])))
+        want = dd.calibrate_average_snr(raw, drawn["xa_db"])
+        for name in ("signal", "es", "xi"):
+            assert np.array_equal(getattr(sensors, name), getattr(want, name)), name
+
+    def test_make_scenario_validates_the_population_twice(self, monkeypatch):
+        # once for build_sensors' record and once for the Scenario's
+        calls = []
+        check = dd.SensorParams.__post_init__
+
+        def counted(self):
+            calls.append(type(self).__name__)
+            check(self)
+
+        monkeypatch.setattr(dd.SensorParams, "__post_init__", counted)
+        dd.make_scenario(30, 5, 2)
+        assert calls == ["SensorParams", "Scenario"]
+
+    @pytest.mark.parametrize("options, message", [
+        ({"amplitude": math.inf}, "signal must be finite"),
+        ({"amplitude": math.nan}, "signal must be finite"),
+        ({"amplitude": 0.0}, "cannot calibrate: mean SNR is 0.0, not a finite positive float"),
+        ({"amplitude": 1e300}, "cannot calibrate: mean SNR is inf, not a finite positive float"),
+        ({"sigma2_range": (0.0, 1.0)}, "sigma2_range must satisfy 0 < lo <= hi"),
+        ({"sigma2_range": (2.0, 1.0)}, "sigma2_range must satisfy 0 < lo <= hi"),
+        ({"sigma2_range": (1e-310, 1e-310)},
+         "sigma2 is so small that the energy's variance 2 N sigma2^2 is 0"),
+        ({"xa_db": 4000.0}, "cannot calibrate: a mean SNR of 4000.0 dB is not a finite positive float"),
+        ({"xa_db": -4000.0},
+         "cannot calibrate: a mean SNR of -4000.0 dB is not a finite positive float"),
+        # calibrated past float range
+        ({"xa_db": 3070.0}, "signal must be finite"),
+        # the population's own refusal comes before the calibration's
+        ({"zeta": -1.0, "amplitude": 0.0}, "zeta must be positive"),
+        ({"zeta": 0.0, "xa_db": 4000.0}, "zeta must be positive"),
+    ], ids=["amplitude_inf", "amplitude_nan", "amplitude_0", "amplitude_1e300", "sigma2_lo_0",
+            "sigma2_lo_above_hi", "sigma2_1e-310", "xa_db_4000", "xa_db_-4000", "xa_db_3070",
+            "zeta_and_amplitude", "zeta_and_xa_db"])
+    def test_refusals(self, options, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            dd.make_scenario(20, 10, 1, **options)
+
     def test_sigma2_within_documented_range(self):
         v = dd.build_sensors(50, 10, seed=4).sigma2
         assert v.shape == (50,)

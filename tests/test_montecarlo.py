@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.integrate import quad
 from scipy.stats import ks_2samp, norm
 
 import distdetect as dd
@@ -98,6 +99,32 @@ class TestQuantizedGaussianMoments:
         m17 = dd.quantized_gaussian_moments(mu, var, 17, u)
         assert_allclose(m16[0], m17[0], rtol=1e-6)
         assert_allclose(m16[1], m17[1], rtol=1e-5)
+
+    @pytest.mark.parametrize("lo", [0.0, -3.0], ids=["energy_window", "matched_window"])
+    def test_past_16_bits_is_the_clipped_law_plus_rounding_noise(self, lo):
+        # 17 to 24 bits, a mean below, inside and above the window [lo, lo + 2U]
+        var, u = 2.0, 3.0
+        hi, sd = lo + 2.0 * u, math.sqrt(var)
+        mus = np.array([lo - 2.0, lo + 2.5, hi + 2.0])
+        bits = np.arange(17, 25)
+        delta, d16 = 2.0 * u / 2.0 ** bits, 2.0 * u / 2.0 ** 16
+        mean, qvar = dd.quantized_gaussian_moments(mus[:, None], var, bits, u, lo)
+        m16, v16 = dd.quantized_gaussian_moments(mus, var, 16, u, lo)
+        for i, mu in enumerate(mus):
+            # independent oracle: the two clipped atoms plus quadrature over the window
+            below, above = norm.cdf(lo, mu, sd), norm.sf(hi, mu, sd)
+            m1, m2 = (lo ** k * below + hi ** k * above
+                      + quad(lambda x: x ** k * norm.pdf(x, mu, sd), lo, hi,
+                             epsabs=1e-14, epsrel=1e-13)[0] for k in (1, 2))
+            clipped_var = m2 - m1 * m1
+            assert_allclose(mean[i], m1, rtol=1e-10, atol=1e-14)
+            assert_allclose(qvar[i], clipped_var + delta ** 2 / 12.0, rtol=1e-10)
+            # the exact 16-bit cell sum: each clipped value moves to its cell's
+            # midpoint, at most d16 / 2 away, which bounds the change in the mean
+            # by d16 / 2 and in the variance by sd(clipped) * d16 + d16^2 / 4
+            assert np.all(np.abs(mean[i] - m16[i]) <= d16 / 2.0)
+            assert np.all(np.abs(qvar[i] - v16[i])
+                          <= math.sqrt(clipped_var) * d16 + d16 ** 2 / 4.0 + delta ** 2 / 12.0)
 
 
 class TestSchemePowersAndWeights:
