@@ -13,9 +13,7 @@ from .consensus import (
     ConsensusResult,
     Graph,
     TopologyError,
-    complete_graph,
     consensus_average,
-    load_edge_list,
     metropolis_matrix,
     random_geometric_graph,
     save_edge_list,
@@ -31,7 +29,6 @@ from .fusion import (
     equal_weights,
     fuse,
     fusion_moments,
-    matched_filter_statistic,
     optimal_weights,
     qfunc,
     qfunc_inv,
@@ -42,13 +39,9 @@ from .model import (
     SolverConfig,
     Statistic,
     build_sensors,
-    calibrate_average_snr,
     derive_stream,
-    energy_statistic,
-    generate_observations,
     make_scenario,
     make_topology,
-    suggest_statistic_halfrange,
 )
 from .montecarlo import (
     DetectionEstimate,
@@ -67,12 +60,9 @@ from .quantize import (
     specs_for_allocation,
 )
 from .solver_central import (
-    KktReport,
     NoSignalError,
     PowerAllocation,
     ScaleError,
-    kkt_check,
-    objective_value,
     power_closed_form,
     solve_centralized,
     total_power,

@@ -21,6 +21,8 @@ BUFFER_FLOATS = 1 << 16
 PAIR_BLOCK = 1 << 14
 # edges Graph turns from keys into rows at once, and lines save_edge_list joins into one write
 EDGE_BLOCK = 1 << 14
+# point sets random_geometric_graph draws before it gives up on a connected graph
+MAX_TRIES = 200
 
 
 class TopologyError(ValueError):
@@ -61,8 +63,8 @@ class Graph:
     degrees: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        if self.M < 1:
-            raise TopologyError("graph needs at least one vertex")
+        if not (isinstance(self.M, (int, np.integer)) and self.M >= 1):
+            raise TopologyError(f"M must be an integer >= 1, got {self.M!r}")
         try:
             e = np.asarray(self.edges)
         except ValueError:
@@ -166,10 +168,6 @@ def _connected(m: int, u: np.ndarray, v: np.ndarray) -> bool:
     return not root.any()
 
 
-def complete_graph(m: int) -> Graph:
-    return Graph(m, np.argwhere(np.triu(np.ones((m, m), dtype=bool), k=1)))
-
-
 def geometric_edges(pts: np.ndarray, radius: float) -> np.ndarray:
     """Every pair of points in the unit square at most `radius` apart.
 
@@ -256,7 +254,6 @@ def random_geometric_graph(
     m: int,
     radius: float,
     rng: np.random.Generator,
-    max_tries: int = 200,
 ) -> Graph:
     """Connected random geometric graph on the unit square.
 
@@ -264,21 +261,21 @@ def random_geometric_graph(
     euclidean distance is at most `radius`, found by `geometric_edges`
     from a cell grid rather than from all M(M-1)/2 distances. Redraws
     everything until the result is connected; gives up after
-    `max_tries` attempts so a radius that is too small fails loudly
+    MAX_TRIES attempts so a radius that is too small fails loudly
     instead of looping forever.
     """
-    if m < 1:
-        raise TopologyError("need at least one node")
+    if not (isinstance(m, (int, np.integer)) and m >= 1):
+        raise TopologyError(f"m must be an integer >= 1, got {m!r}")
     if not radius > 0:
         raise TopologyError("radius must be positive")
-    for _ in range(max_tries):
+    for _ in range(MAX_TRIES):
         pts = rng.uniform(0.0, 1.0, size=(m, 2))
         try:
             return Graph(m, geometric_edges(pts, radius))
         except TopologyError:
             continue
     raise TopologyError(
-        f"no connected geometric graph after {max_tries} tries (M={m}, radius={radius})"
+        f"no connected geometric graph after {MAX_TRIES} tries (M={m}, radius={radius})"
     )
 
 
@@ -420,30 +417,3 @@ def save_edge_list(graph: Graph, path) -> None:
             parts = np.empty(2 * len(block), dtype=object)
             parts[0::2], parts[1::2] = heads[block[:, 0]], tails[block[:, 1]]
             fh.write("".join(parts.tolist()))
-
-
-def load_edge_list(path, m: int | None = None) -> Graph:
-    """Read a graph saved by save_edge_list.
-
-    The format carries no vertex count, so M is inferred as the largest
-    vertex index plus one; pass `m` explicitly for graphs with a
-    trailing isolated index or for the single-vertex graph (empty file).
-    """
-    edges = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise TopologyError(f"{path}:{lineno}: expected 'u v', got {line!r}")
-            try:
-                edges.append((int(parts[0]), int(parts[1])))
-            except ValueError as e:
-                raise TopologyError(f"{path}:{lineno}: {e}") from e
-    if m is None:
-        if not edges:
-            raise TopologyError(f"{path}: empty edge list needs an explicit vertex count")
-        m = int(np.max(edges)) + 1
-    return Graph(m, edges)

@@ -203,20 +203,3 @@ def deflection_inputs(statistic: Statistic, spec: QuantSpec) -> DeflectionInputs
     """
     return DeflectionInputs(b=statistic.b, R_diag=statistic.var_h1 + spec.noise_var,
                             censored=spec.censored)
-
-
-def matched_filter_statistic(x: np.ndarray, sensor) -> np.ndarray | float:
-    """Correlation of the observation with the known signal.
-
-    sensor is a SensorParams for one sensor, or for a population (a
-    Scenario is one) whose (M, N) signals correlate with the last two
-    axes of x.
-    """
-    s = sensor.signal
-    if not np.any(s != 0.0):
-        raise ValueError("all-zero signal: matched filter undefined")
-    x = np.asarray(x, dtype=float)
-    if x.shape[-1] != s.shape[-1]:
-        raise ValueError("observation length must match the signal")
-    t = np.einsum("...n,...n->...", x, s)
-    return float(t) if t.ndim == 0 else t

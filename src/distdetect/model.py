@@ -67,7 +67,7 @@ class SensorParams:
         if not np.all(np.square(values["sigma2"]) > 0):
             raise ValueError("sigma2 is so small that the energy's variance 2 N sigma2^2 is 0")
         # a finite signal can still square past float range; es and xi are
-        # then inf, which calibrate_average_snr rejects
+        # then inf, which build_sensors' calibration rejects
         with np.errstate(over="ignore"):
             values["es"] = _read_only(np.sum(sig * sig, axis=-1))
             values["xi"] = _read_only(values["es"] / (sig.shape[-1] * values["sigma2"]))
@@ -238,59 +238,6 @@ def derive_stream(seed: int, *key: str | int) -> np.random.Generator:
     return np.random.default_rng(ss)
 
 
-def generate_observations(
-    sensor: SensorParams,
-    n: int,
-    h1: bool,
-    rng: np.random.Generator,
-    trials: int = 1,
-) -> np.ndarray:
-    """Draw observation rows: (trials, n) for one sensor, (trials, M, n) for a population.
-
-    h1 picks the hypothesis. Under H1 each sensor's known signal is added
-    sample for sample, so n must match the stored signal length. The Monte
-    Carlo pass draws the statistics' exact law from two variates per sensor
-    and trial instead; this sample path, with energy_statistic and
-    fusion.matched_filter_statistic, is the reference it is tested against.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    samples = np.shape(sensor.signal)[-1]
-    if h1 and n != samples:
-        raise ValueError(f"n={n} but sensor signal has {samples} samples")
-    sd = np.sqrt(sensor.sigma2)
-    # unit draws scaled in place: the same values as a per-sensor scale, drawn faster
-    x = rng.normal(0.0, 1.0, size=(trials, *sd.shape, n))
-    x *= sd[..., None]
-    if h1:
-        x += sensor.signal
-    return x
-
-
-def energy_statistic(x: np.ndarray) -> np.ndarray | float:
-    """Sum of squares along the last axis; scalar for a 1-d input."""
-    x = np.asarray(x, dtype=float)
-    if x.size == 0:
-        raise ValueError("empty observation vector")
-    t = np.einsum("...n,...n->...", x, x)
-    return float(t) if t.ndim == 0 else t
-
-
-def calibrate_average_snr(sensors: SensorParams, target_xa_db: float) -> SensorParams:
-    """Scale every signal by one common factor so mean(xi) hits a dB target.
-
-    Per-sensor SNR ratios are preserved: xi scales with the square of
-    the amplitude factor, so a single multiplier moves the average
-    without reshuffling who is strong and who is weak. Raises ValueError
-    when the current mean SNR or the target is not a finite positive float.
-    """
-    factor = _snr_factor(float(np.mean(sensors.xi)), target_xa_db)
-    # a signal past float range becomes inf, which SensorParams rejects
-    with np.errstate(over="ignore"):
-        signal = sensors.signal * factor
-    return SensorParams(sensors.sigma2, sensors.h, sensors.zeta, signal)
-
-
 def _snr_factor(current: float, target_xa_db: float) -> float:
     """The amplitude factor that takes a mean SNR of `current` to target_xa_db dB."""
     if not 0.0 < current < math.inf:
@@ -320,10 +267,13 @@ def build_sensors(
     Noise powers are log-uniform over sigma2_range, reporting channels
     are Rayleigh (magnitude of a unit-variance complex Gaussian) unless
     deterministic_channel pins every gain at 1. Signals start as a
-    constant-amplitude burst and get rescaled by calibrate_average_snr.
+    constant-amplitude burst, scaled by one common factor so that mean(xi)
+    hits xa_db: xi scales with the square of that factor, so who is strong
+    and who is weak stays as drawn.
     """
-    if m < 1:
-        raise ValueError("m must be >= 1")
+    for name, count in (("m", m), ("n", n)):
+        if not (isinstance(count, (int, np.integer)) and count >= 1):
+            raise ValueError(f"{name} must be an integer >= 1, got {count!r}")
     rng_sigma = derive_stream(seed, "sigma2")
     rng_chan = derive_stream(seed, "channel")
     lo, hi = sigma2_range
@@ -337,8 +287,8 @@ def build_sensors(
         h = np.hypot(re_im[:, 0], re_im[:, 1])
         h = np.maximum(h, 1e-6)   # a literally dead channel breaks nothing downstream but is unphysical
     signal = np.full((m, n), amplitude, dtype=float)
-    # calibrate_average_snr on the drawn population, without building it first:
-    # mean(xi) by SensorParams' operations, so the factor is the same to the bit
+    # mean(xi) of the drawn population, without building it first: by SensorParams'
+    # operations, so the factor is the one its xi gives, to the bit
     with np.errstate(all="ignore"):   # a signal or SNR out of float range is refused below
         current = float(np.mean(np.sum(signal * signal, axis=-1) / (n * sigma2)))
         try:
@@ -372,13 +322,3 @@ def make_topology(m: int, seed: int, radius: float = 0.5):
     """The connected sensor graph, from its own "topology" stream; solve_distributed reads it."""
     from .consensus import random_geometric_graph  # looked up per call, so a patch of it applies
     return random_geometric_graph(m, radius, derive_stream(seed, "topology"))
-
-
-def suggest_statistic_halfrange(sensors: SensorParams) -> float:
-    """Half-range U wide enough that clipping at 2U is negligible.
-
-    Covers the largest per-sensor H1 energy mean plus 8 standard
-    deviations, then halves (the energy's quantizer window is [0, 2U]).
-    """
-    mom = Statistic.energy(sensors)
-    return 0.5 * float(np.max(mom.mean_h1 + 8.0 * np.sqrt(mom.var_h1)))

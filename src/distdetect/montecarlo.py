@@ -11,8 +11,8 @@ noise along the known signal and the noise energy orthogonal to it, so
 the batch holds those two variates per trial and sensor rather than N
 samples (the exact law, not an approximation). The statistics follow
 in closed form and are quantized and fused by the quantize and fusion
-stages; model.generate_observations and the two statistic functions
-remain the sample-by-sample reference for that law. The two detectors
+stages; the tests keep the sample-by-sample path (observations and
+both statistics formed from them) as the reference for that law. The two detectors
 differ only in their model.Statistic record (moments, deflection
 numerator, quantizer window and closed-form law), whose constructor is
 one of a Scheme's three choice fields; planning, simulation and the

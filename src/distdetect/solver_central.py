@@ -1,4 +1,4 @@
-"""Centralized power allocation: closed-form water filling plus a KKT audit.
+"""Centralized power allocation: closed-form water filling and its exact solve.
 
 The network-wide problem is to split a total transmit budget Pt across
 sensors to maximize the best achievable deflection of the fused
@@ -17,9 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fusion import deflection_inputs
-from .model import Scenario, Statistic
-from .quantize import specs_for_allocation
+from .model import Scenario
 
 
 # relative tolerances of the budget audits: overspending, and missing the budget
@@ -39,9 +37,9 @@ class PowerAllocation:
     """Per-sensor powers plus the dual variable they came from.
 
     Feasibility and complementary slackness are checked by validate(),
-    not at construction: diagnostic tools legitimately build
-    allocations that violate them (e.g. an all-zero allocation with a
-    huge multiplier) to probe the KKT checker.
+    not at construction: the distributed solve stops within 1e-3 of the
+    budget, not within SLACK_RTOL, and an audit may build an allocation
+    that violates both on purpose (all-zero powers at a huge multiplier).
     """
 
     p: np.ndarray
@@ -118,18 +116,6 @@ def total_power(lambda0: float, scenario: Scenario) -> float:
     return float(np.sum(power_closed_form(lambda0, scenario, scenario.U)))
 
 
-def objective_value(powers: np.ndarray, scenario: Scenario) -> float:
-    """The quantity the allocation maximizes: sum_i b_i^2 / R_ii(p_i).
-
-    Equals the best deflection achievable with optimal weights at that
-    allocation, which is what makes it the right figure of merit for
-    randomized optimality audits.
-    """
-    spec = specs_for_allocation(powers, scenario.h, scenario.zeta, scenario.U)
-    d = deflection_inputs(Statistic.energy(scenario), spec)
-    return float(np.sum(d.b * d.b / d.R_diag))
-
-
 def solve_centralized(scenario: Scenario, pt: float | None = None) -> PowerAllocation:
     """Water-fill exactly pt by sorting the breakpoints of total power.
 
@@ -174,52 +160,3 @@ def solve_centralized(scenario: Scenario, pt: float | None = None) -> PowerAlloc
     except ValueError as e:  # the exact solve misses it only by rounding at subnormal scale
         raise ScaleError(f"the water level for Pt={pt} misses the budget in float64: {e}") from e
     return alloc
-
-
-@dataclass(frozen=True)
-class KktReport:
-    """Stationarity and feasibility audit of an allocation.
-
-    stationarity_residuals holds gradient - lambda0 + mu per sensor,
-    where mu is the implied multiplier of the p >= 0 constraint:
-    mu = 0 for active sensors, mu = max(0, lambda0 - gradient) for
-    censored ones. Every entry is 0 at an exact KKT point.
-    """
-
-    stationarity_residuals: np.ndarray
-    max_abs_residual_active: float
-    mu: np.ndarray
-    budget_residual: float          # sum(p) - Pt
-    complementary_slackness: float  # |lambda0 * (sum(p) - Pt)|
-    budget_feasible: bool
-    powers_nonnegative: bool
-
-
-def kkt_check(alloc: PowerAllocation, scenario: Scenario) -> KktReport:
-    """Evaluate the first-order conditions at an allocation from any solver, at scenario.Pt."""
-    p = alloc.p
-    if p.size != scenario.M:
-        raise ValueError("allocation size does not match the scenario")
-    pt = scenario.Pt
-    lam = alloc.lambda0
-    # d/dp of b^2 / R(p) with R = var_h1 + v(p) and v = U^2 / (3 (1 + p g)):
-    # -b^2 v'(p) / R^2 = 3 g (b v / (U R))^2
-    spec = specs_for_allocation(p, scenario.h, scenario.zeta, scenario.U)
-    d = deflection_inputs(Statistic.energy(scenario), spec)
-    v = spec.noise_var
-    g = scenario.h * scenario.h / scenario.zeta
-    raw = 3.0 * g * (d.b * v / (scenario.U * d.R_diag)) ** 2 - lam
-    active = p > 0
-    mu = np.where(active, 0.0, np.maximum(0.0, -raw))
-    resid = raw + mu
-    max_active = float(np.max(np.abs(resid[active]))) if np.any(active) else 0.0
-    budget_residual = float(np.sum(p) - pt)
-    return KktReport(
-        stationarity_residuals=resid,
-        max_abs_residual_active=max_active,
-        mu=mu,
-        budget_residual=budget_residual,
-        complementary_slackness=abs(lam * budget_residual),
-        budget_feasible=bool(np.sum(p) <= pt * (1.0 + BUDGET_RTOL)),
-        powers_nonnegative=bool(np.all(p >= 0)),
-    )

@@ -1,7 +1,17 @@
-"""Shared fixtures: canned scenarios, config helpers, CLI runner."""
+"""Shared fixtures: canned scenarios, config helpers, CLI runner, and the test oracles.
+
+The oracles are reference_* functions (a slower, plainer way to compute
+what a package function computes) and the library code that only the
+tests call: the sample-by-sample observation law, SNR calibration, a
+quantizer half-range, the KKT audit, the complete graph and the
+edge-list reader.
+"""
+from __future__ import annotations
+
 import ctypes
 import json
 import os
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -10,9 +20,12 @@ from hypothesis import settings
 
 import distdetect as dd
 from distdetect import cli
-from distdetect.consensus import BLOCK_ROUNDS, Consensus
+from distdetect.consensus import BLOCK_ROUNDS, Consensus, Graph, TopologyError
+from distdetect.fusion import deflection_inputs
+from distdetect.model import Scenario, SensorParams, Statistic, _snr_factor
 from distdetect.montecarlo import weights_for_scheme
-from distdetect.solver_central import water_levels
+from distdetect.quantize import specs_for_allocation
+from distdetect.solver_central import BUDGET_RTOL, PowerAllocation, water_levels
 
 settings.register_profile("suite", deadline=None)
 settings.load_profile("suite")
@@ -300,6 +313,185 @@ def reference_geometric_edges(pts, radius):
 @pytest.fixture(name="reference_geometric_edges")
 def _reference_geometric_edges():
     return reference_geometric_edges
+
+
+# Library code that no run of the package reaches, kept here as the tests' reference:
+# the sample-by-sample observations and the two statistics formed from them (the law
+# the Monte Carlo pass's two-variate draw is checked against), SNR calibration of a
+# built population, a quantizer half-range wide enough for the energy, the KKT audit
+# of an allocation and the objective it maximizes, the complete graph and the
+# edge-list reader.
+
+def generate_observations(
+    sensor: SensorParams,
+    n: int,
+    h1: bool,
+    rng: np.random.Generator,
+    trials: int = 1,
+) -> np.ndarray:
+    """Draw observation rows: (trials, n) for one sensor, (trials, M, n) for a population.
+
+    h1 picks the hypothesis. Under H1 each sensor's known signal is added
+    sample for sample, so n must match the stored signal length. The Monte
+    Carlo pass draws the statistics' exact law from two variates per sensor
+    and trial instead; this sample path, with energy_statistic and
+    matched_filter_statistic, is the reference it is tested against.
+    """
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    samples = np.shape(sensor.signal)[-1]
+    if h1 and n != samples:
+        raise ValueError(f"n={n} but sensor signal has {samples} samples")
+    sd = np.sqrt(sensor.sigma2)
+    # unit draws scaled in place: the same values as a per-sensor scale, drawn faster
+    x = rng.normal(0.0, 1.0, size=(trials, *sd.shape, n))
+    x *= sd[..., None]
+    if h1:
+        x += sensor.signal
+    return x
+
+
+def energy_statistic(x: np.ndarray) -> np.ndarray | float:
+    """Sum of squares along the last axis; scalar for a 1-d input."""
+    x = np.asarray(x, dtype=float)
+    if x.size == 0:
+        raise ValueError("empty observation vector")
+    t = np.einsum("...n,...n->...", x, x)
+    return float(t) if t.ndim == 0 else t
+
+
+def calibrate_average_snr(sensors: SensorParams, target_xa_db: float) -> SensorParams:
+    """Scale every signal by one common factor so mean(xi) hits a dB target.
+
+    Per-sensor SNR ratios are preserved: xi scales with the square of
+    the amplitude factor, so a single multiplier moves the average
+    without reshuffling who is strong and who is weak. Raises ValueError
+    when the current mean SNR or the target is not a finite positive float.
+    """
+    factor = _snr_factor(float(np.mean(sensors.xi)), target_xa_db)
+    # a signal past float range becomes inf, which SensorParams rejects
+    with np.errstate(over="ignore"):
+        signal = sensors.signal * factor
+    return SensorParams(sensors.sigma2, sensors.h, sensors.zeta, signal)
+
+
+def matched_filter_statistic(x: np.ndarray, sensor) -> np.ndarray | float:
+    """Correlation of the observation with the known signal.
+
+    sensor is a SensorParams for one sensor, or for a population (a
+    Scenario is one) whose (M, N) signals correlate with the last two
+    axes of x.
+    """
+    s = sensor.signal
+    if not np.any(s != 0.0):
+        raise ValueError("all-zero signal: matched filter undefined")
+    x = np.asarray(x, dtype=float)
+    if x.shape[-1] != s.shape[-1]:
+        raise ValueError("observation length must match the signal")
+    t = np.einsum("...n,...n->...", x, s)
+    return float(t) if t.ndim == 0 else t
+
+
+def suggest_statistic_halfrange(sensors: SensorParams) -> float:
+    """Half-range U wide enough that clipping at 2U is negligible.
+
+    Covers the largest per-sensor H1 energy mean plus 8 standard
+    deviations, then halves (the energy's quantizer window is [0, 2U]).
+    """
+    mom = Statistic.energy(sensors)
+    return 0.5 * float(np.max(mom.mean_h1 + 8.0 * np.sqrt(mom.var_h1)))
+
+
+def objective_value(powers: np.ndarray, scenario: Scenario) -> float:
+    """The quantity the allocation maximizes: sum_i b_i^2 / R_ii(p_i).
+
+    Equals the best deflection achievable with optimal weights at that
+    allocation, which is what makes it the right figure of merit for
+    randomized optimality audits.
+    """
+    spec = specs_for_allocation(powers, scenario.h, scenario.zeta, scenario.U)
+    d = deflection_inputs(Statistic.energy(scenario), spec)
+    return float(np.sum(d.b * d.b / d.R_diag))
+
+
+@dataclass(frozen=True)
+class KktReport:
+    """Stationarity and feasibility audit of an allocation.
+
+    stationarity_residuals holds gradient - lambda0 + mu per sensor,
+    where mu is the implied multiplier of the p >= 0 constraint:
+    mu = 0 for active sensors, mu = max(0, lambda0 - gradient) for
+    censored ones. Every entry is 0 at an exact KKT point.
+    """
+
+    stationarity_residuals: np.ndarray
+    max_abs_residual_active: float
+    mu: np.ndarray
+    budget_residual: float          # sum(p) - Pt
+    complementary_slackness: float  # |lambda0 * (sum(p) - Pt)|
+    budget_feasible: bool
+    powers_nonnegative: bool
+
+
+def kkt_check(alloc: PowerAllocation, scenario: Scenario) -> KktReport:
+    """Evaluate the first-order conditions at an allocation from any solver, at scenario.Pt."""
+    p = alloc.p
+    if p.size != scenario.M:
+        raise ValueError("allocation size does not match the scenario")
+    pt = scenario.Pt
+    lam = alloc.lambda0
+    # d/dp of b^2 / R(p) with R = var_h1 + v(p) and v = U^2 / (3 (1 + p g)):
+    # -b^2 v'(p) / R^2 = 3 g (b v / (U R))^2
+    spec = specs_for_allocation(p, scenario.h, scenario.zeta, scenario.U)
+    d = deflection_inputs(Statistic.energy(scenario), spec)
+    v = spec.noise_var
+    g = scenario.h * scenario.h / scenario.zeta
+    raw = 3.0 * g * (d.b * v / (scenario.U * d.R_diag)) ** 2 - lam
+    active = p > 0
+    mu = np.where(active, 0.0, np.maximum(0.0, -raw))
+    resid = raw + mu
+    max_active = float(np.max(np.abs(resid[active]))) if np.any(active) else 0.0
+    budget_residual = float(np.sum(p) - pt)
+    return KktReport(
+        stationarity_residuals=resid,
+        max_abs_residual_active=max_active,
+        mu=mu,
+        budget_residual=budget_residual,
+        complementary_slackness=abs(lam * budget_residual),
+        budget_feasible=bool(np.sum(p) <= pt * (1.0 + BUDGET_RTOL)),
+        powers_nonnegative=bool(np.all(p >= 0)),
+    )
+
+
+def complete_graph(m: int) -> Graph:
+    return Graph(m, np.argwhere(np.triu(np.ones((m, m), dtype=bool), k=1)))
+
+
+def load_edge_list(path, m: int | None = None) -> Graph:
+    """Read a graph saved by save_edge_list.
+
+    The format carries no vertex count, so M is inferred as the largest
+    vertex index plus one; pass `m` explicitly for graphs with a
+    trailing isolated index or for the single-vertex graph (empty file).
+    """
+    edges = []
+    with open(path) as fh:
+        for lineno, line in enumerate(fh, 1):
+            line = line.strip()
+            if not line:
+                continue
+            parts = line.split()
+            if len(parts) != 2:
+                raise TopologyError(f"{path}:{lineno}: expected 'u v', got {line!r}")
+            try:
+                edges.append((int(parts[0]), int(parts[1])))
+            except ValueError as e:
+                raise TopologyError(f"{path}:{lineno}: {e}") from e
+    if m is None:
+        if not edges:
+            raise TopologyError(f"{path}: empty edge list needs an explicit vertex count")
+        m = int(np.max(edges)) + 1
+    return Graph(m, edges)
 
 
 # The energy/matched-filter split as it was written before both statistics shared one

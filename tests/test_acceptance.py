@@ -23,7 +23,16 @@ from distdetect import consensus
 from distdetect.fusion import deflection_inputs
 from distdetect.montecarlo import Scheme
 
-from conftest import bundled_config, each_sensor, run_cli, sensor, spec_at, write_config
+from conftest import (
+    bundled_config,
+    each_sensor,
+    kkt_check,
+    run_cli,
+    sensor,
+    spec_at,
+    suggest_statistic_halfrange,
+    write_config,
+)
 
 RUNS = {
     "fig1_alloc": ("fig1.cfg", ("allocate", "--method", "both")),
@@ -95,7 +104,7 @@ def test_distributed_allocation_matches_centralized(study_runs):
 
 
 def test_centralized_solution_satisfies_kkt(fig1_scenario, fig1_central):
-    report = dd.kkt_check(fig1_central, fig1_scenario)
+    report = kkt_check(fig1_central, fig1_scenario)
     ok = (report.max_abs_residual_active <= 1e-6
           and abs(report.complementary_slackness) <= 1e-9
           and report.budget_feasible and report.powers_nonnegative)
@@ -181,7 +190,7 @@ def test_gaussian_calibration_audit():
     def audit(n):
         sensors = dd.build_sensors(10, n, seed=5, xa_db=-10.0,
                                    deterministic_channel=True)
-        u = dd.suggest_statistic_halfrange(sensors)
+        u = suggest_statistic_halfrange(sensors)
         sc = dd.Scenario(sensors.sigma2, sensors.h, sensors.zeta, sensors.signal, U=u,
                          Pt=4095.0, Pfa=0.1, seed=5)
         return dd.run_trials(sc, Scheme.ED_opt_weights_equal_power, 100_000)

@@ -12,6 +12,8 @@ import distdetect as dd
 from distdetect import consensus
 from distdetect.consensus import BLOCK_ROUNDS, BUFFER_FLOATS, EDGE_BLOCK, Consensus, geometric_edges
 
+from conftest import complete_graph, load_edge_list
+
 
 def path_graph(m):
     return dd.Graph(M=m, edges=tuple((i, i + 1) for i in range(m - 1)))
@@ -85,6 +87,11 @@ class TestGraph:
     def test_single_vertex_graph(self):
         g = dd.Graph(M=1, edges=())
         assert g.M == 1 and g.edges.shape == (0, 2) and g.degrees.tolist() == [0]
+
+    @pytest.mark.parametrize("m", [3.0, 2.5, "3", None, 0])
+    def test_vertex_count_that_is_not_an_integer_rejected(self, m):
+        with pytest.raises(dd.TopologyError, match=f"^M must be an integer >= 1, got {m!r}$"):
+            dd.Graph(m, [(0, 1), (1, 2)])
 
 
     @pytest.mark.parametrize("edges, first", [
@@ -182,10 +189,15 @@ class TestRandomGeometricGraph:
         g = dd.random_geometric_graph(1, 0.3, np.random.default_rng(0))
         assert g.M == 1
 
+    @pytest.mark.parametrize("m", [3.0, 2.5, "3", None, 0])
+    def test_node_count_that_is_not_an_integer_rejected(self, m):
+        with pytest.raises(dd.TopologyError, match=f"^m must be an integer >= 1, got {m!r}$"):
+            dd.random_geometric_graph(m, 0.5, np.random.default_rng(0))
+
     def test_radius_beyond_diameter_gives_complete_graph(self):
         for radius in (1.5, 1e300):   # 1e300 squares to inf: one cell, every pair kept
             g = dd.random_geometric_graph(6, radius, np.random.default_rng(1))
-            assert np.array_equal(g.edges, dd.complete_graph(6).edges)
+            assert np.array_equal(g.edges, complete_graph(6).edges)
 
     def test_golden_edge_set(self):
         rng = dd.derive_stream(42, "graph")
@@ -197,9 +209,10 @@ class TestRandomGeometricGraph:
         ))
         assert g.degrees.tolist() == [5, 7, 4, 4, 2, 7, 4, 6, 6, 1]
 
-    def test_unreachable_radius_raises(self):
+    def test_unreachable_radius_raises(self, monkeypatch):
+        monkeypatch.setattr(consensus, "MAX_TRIES", 5)
         with pytest.raises(dd.TopologyError):
-            dd.random_geometric_graph(20, 0.01, np.random.default_rng(2), max_tries=5)
+            dd.random_geometric_graph(20, 0.01, np.random.default_rng(2))
 
     def test_edges_match_the_dense_reference(self, reference_geometric_edges):
         rng = np.random.default_rng(2024)
@@ -256,10 +269,11 @@ class TestRandomGeometricGraph:
             assert rng.bit_generator.state == ref_rng.bit_generator.state
         assert tries > 15   # some tries were disconnected and redrawn
 
-    def test_giving_up_draws_max_tries_point_sets(self):
+    def test_giving_up_draws_max_tries_point_sets(self, monkeypatch):
+        monkeypatch.setattr(consensus, "MAX_TRIES", 7)
         rng, ref_rng = np.random.default_rng(5), np.random.default_rng(5)
         with pytest.raises(dd.TopologyError, match="after 7 tries"):
-            dd.random_geometric_graph(40, 0.05, rng, max_tries=7)
+            dd.random_geometric_graph(40, 0.05, rng)
         for _ in range(7):
             ref_rng.uniform(0.0, 1.0, size=(40, 2))
         assert rng.bit_generator.state == ref_rng.bit_generator.state
@@ -341,7 +355,7 @@ class TestMetropolisMatrix:
         assert np.all(w >= 0)
 
     def test_complete_graph_is_uniform_averaging(self):
-        w = dd.metropolis_matrix(dd.complete_graph(4))
+        w = dd.metropolis_matrix(complete_graph(4))
         assert_allclose(w, np.full((4, 4), 0.25), rtol=1e-12)
 
     @pytest.mark.parametrize("m, radius, seed", [(1, 0.5, 0), (10, 0.5, 1), (60, 0.3, 2)])
@@ -369,7 +383,7 @@ class TestConsensusAverage:
         assert_allclose(res.values, 2.5)
 
     def test_complete_graph_one_shot(self):
-        g = dd.complete_graph(8)
+        g = complete_graph(8)
         res = dd.consensus_average(g, np.arange(8, dtype=float), tol=1e-12, max_iter=100)
         assert res.iterations == 1
         assert res.max_deviation == 0.0
@@ -504,7 +518,7 @@ class TestBlockedRounds:
         assert str(exc.value) == str(ref.value)
 
     def test_window_longer_than_the_budget_never_stops(self):
-        g = dd.complete_graph(4)
+        g = complete_graph(4)
         with pytest.raises(dd.ConsensusError) as exc:
             dd.consensus_average(g, np.arange(4.0), tol=1e-9, max_iter=10,
                                  mode="local", window=10**9)
@@ -523,9 +537,9 @@ class TestBlockedRounds:
     ], ids=["max_iter", "max_iter_whole_float", "window_oracle", "window_local"])
     def test_non_integer_settings_rejected(self, setting, message):
         with pytest.raises(ValueError, match=message):
-            dd.consensus_average(dd.complete_graph(3), np.arange(3.0), 1e-9, **setting)
+            dd.consensus_average(complete_graph(3), np.arange(3.0), 1e-9, **setting)
         with pytest.raises(ValueError, match=message):
-            Consensus(dd.complete_graph(3), 1e-9, **setting)
+            Consensus(complete_graph(3), 1e-9, **setting)
 
     def test_empty_first_block_rejected(self):
         with pytest.raises(ValueError, match="first_block"):
@@ -644,13 +658,13 @@ class TestEdgeListRoundTrip:
         g = dd.random_geometric_graph(12, 0.5, np.random.default_rng(9))
         path = tmp_path / "topology.txt"
         dd.save_edge_list(g, path)
-        back = dd.load_edge_list(path)
+        back = load_edge_list(path)
         assert np.array_equal(back.edges, g.edges)
         assert back.M == g.M
 
     @pytest.mark.parametrize("edge_block", [3, EDGE_BLOCK])
     def test_blocks_write_the_same_lines(self, tmp_path, monkeypatch, edge_block):
-        g = dd.complete_graph(200)   # 19,900 edges: more than one block of either size
+        g = complete_graph(200)   # 19,900 edges: more than one block of either size
         assert len(g.edges) > edge_block and len(g.edges) % edge_block
         monkeypatch.setattr(consensus, "EDGE_BLOCK", edge_block)
         path = tmp_path / "topology.txt"
@@ -660,7 +674,7 @@ class TestEdgeListRoundTrip:
         # the first line that differs, not a diff of 19,900 lines
         first_bad = next((i for i, pair in enumerate(zip(lines, want)) if pair[0] != pair[1]), None)
         assert (len(lines), first_bad) == (len(want), None)
-        back = dd.load_edge_list(path)
+        back = load_edge_list(path)
         assert np.array_equal(back.edges, g.edges)
         assert back.M == g.M
 
@@ -668,7 +682,7 @@ class TestEdgeListRoundTrip:
         path = tmp_path / "topology.txt"
         dd.save_edge_list(dd.Graph(M=1, edges=()), path)
         assert path.read_bytes() == b""
-        assert dd.load_edge_list(path, m=1).M == 1
+        assert load_edge_list(path, m=1).M == 1
 
     def test_file_format_is_plain_pairs(self, tmp_path):
         g = dd.Graph(M=3, edges=((0, 1), (1, 2)))
@@ -679,7 +693,7 @@ class TestEdgeListRoundTrip:
     def test_explicit_vertex_count_honored(self, tmp_path):
         path = tmp_path / "topology.txt"
         path.write_text("0 1\n")
-        g = dd.load_edge_list(path, m=2)
+        g = load_edge_list(path, m=2)
         assert g.M == 2
 
 
@@ -689,8 +703,8 @@ class TestNanRefused:
     @pytest.mark.parametrize("call, message", [
         (lambda: dd.random_geometric_graph(5, float("nan"), np.random.default_rng(0)),
          "radius must be positive"),
-        (lambda: Consensus(dd.complete_graph(3), float("nan"), 10), "tol must be positive"),
-        (lambda: dd.consensus_average(dd.complete_graph(3), np.ones(3), float("nan"), 10),
+        (lambda: Consensus(complete_graph(3), float("nan"), 10), "tol must be positive"),
+        (lambda: dd.consensus_average(complete_graph(3), np.ones(3), float("nan"), 10),
          "tol must be positive"),
     ], ids=["random_geometric_graph_radius", "consensus_tol", "consensus_average_tol"])
     def test_nan_refused(self, call, message):

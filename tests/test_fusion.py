@@ -10,6 +10,9 @@ from distdetect.montecarlo import Scheme
 
 from conftest import (
     each_sensor,
+    energy_statistic,
+    generate_observations,
+    matched_filter_statistic,
     reference_combined_moments,
     reference_energy_weights,
     reference_matched_filter_moments,
@@ -18,6 +21,7 @@ from conftest import (
     reference_quantize_centered,
     scheme_weights,
     spec_at,
+    suggest_statistic_halfrange,
 )
 
 
@@ -213,7 +217,7 @@ class TestOptimalWeights:
 class TestMatchedFilter:
     def test_statistic_on_the_signal_itself(self):
         s = dd.SensorParams(1.0, 1.0, 0.1, np.full(10, 0.2))
-        assert_allclose(dd.matched_filter_statistic(s.signal.copy(), s), 0.4, rtol=1e-12)
+        assert_allclose(matched_filter_statistic(s.signal.copy(), s), 0.4, rtol=1e-12)
 
     @staticmethod
     def _weights(sc, powers):
@@ -233,13 +237,13 @@ class TestMatchedFilter:
     def test_zero_signal_rejected(self):
         s = dd.SensorParams(1.0, 1.0, 0.1, np.zeros(10))
         with pytest.raises(ValueError):
-            dd.matched_filter_statistic(np.ones(10), s)
+            matched_filter_statistic(np.ones(10), s)
 
     def test_h0_mean_is_zero(self):
         s = dd.SensorParams(1.0, 1.0, 0.1, np.full(10, 0.2))
         rng = np.random.default_rng(17)
-        x = dd.generate_observations(s, 10, False, rng, trials=50_000)
-        y = dd.matched_filter_statistic(x, s)
+        x = generate_observations(s, 10, False, rng, trials=50_000)
+        y = matched_filter_statistic(x, s)
         # Var{y|H0} = sigma2 * Es = 0.4
         band = 3 * np.sqrt(0.4 / 50_000)
         assert abs(float(np.mean(y))) < band
@@ -254,7 +258,7 @@ def test_fused_h0_variance_monte_carlo(fig1_scenario):
     """
     sensors = fig1_scenario
     n = 10
-    u = dd.suggest_statistic_halfrange(sensors)
+    u = suggest_statistic_halfrange(sensors)
     powers = np.full(10, 500.0)
     sc = dd.Scenario(sensors.sigma2, sensors.h, sensors.zeta, sensors.signal, U=u, Pt=5000.0,
                      Pfa=0.1, seed=2)
@@ -266,8 +270,8 @@ def test_fused_h0_variance_monte_carlo(fig1_scenario):
     trials = 40_000
     fused = np.zeros(trials)
     for i, s in enumerate(each_sensor(sensors)):
-        x = dd.generate_observations(s, n, False, rng, trials=trials)
-        t_hat = dd.quantize_array(dd.energy_statistic(x), spec.bits_int[i], u)
+        x = generate_observations(s, n, False, rng, trials=trials)
+        t_hat = dd.quantize_array(energy_statistic(x), spec.bits_int[i], u)
         fused += w.alpha[i] * t_hat
     assert abs(float(np.var(fused)) / m.var_h0 - 1.0) < 0.05
 

@@ -11,7 +11,14 @@ from numpy.testing import assert_allclose
 import distdetect as dd
 from distdetect.solver_central import water_levels
 
-from conftest import each_sensor
+from conftest import (
+    calibrate_average_snr,
+    each_sensor,
+    energy_statistic,
+    generate_observations,
+    matched_filter_statistic,
+    suggest_statistic_halfrange,
+)
 
 
 def _sensor(sigma2=1.0, h=1.0, zeta=0.1, signal=None, n=10, amp=0.2):
@@ -49,47 +56,47 @@ class TestSensorParams:
 class TestGenerateObservations:
     def test_zero_signal_collapses_h1_to_h0(self):
         s = _sensor(signal=np.zeros(10))
-        a = dd.generate_observations(s, 10, False, np.random.default_rng(7))
-        b = dd.generate_observations(s, 10, True, np.random.default_rng(7))
+        a = generate_observations(s, 10, False, np.random.default_rng(7))
+        b = generate_observations(s, 10, True, np.random.default_rng(7))
         assert_allclose(a, b)
 
     def test_h1_adds_the_signal_deterministically(self):
         s = _sensor()
-        noise = dd.generate_observations(s, 10, False, np.random.default_rng(3))
-        x = dd.generate_observations(s, 10, True, np.random.default_rng(3))
+        noise = generate_observations(s, 10, False, np.random.default_rng(3))
+        x = generate_observations(s, 10, True, np.random.default_rng(3))
         assert x.shape == (1, 10)
         assert_allclose((x - noise)[0], s.signal, atol=1e-15)
 
     def test_h1_sample_mean_matches_signal_level(self):
         s = _sensor(n=100, amp=0.2)
         rng = np.random.default_rng(11)
-        x = dd.generate_observations(s, 100, True, rng, trials=10_000)
+        x = generate_observations(s, 100, True, rng, trials=10_000)
         assert abs(float(np.mean(x)) - 0.2) < 0.01
 
 
 class TestEnergyStatistic:
     def test_zero_input(self):
-        assert dd.energy_statistic(np.zeros(3)) == 0.0
+        assert energy_statistic(np.zeros(3)) == 0.0
 
     def test_hand_sum_of_squares(self):
-        assert dd.energy_statistic(np.array([1.0, -1.0, 2.0])) == 6.0
+        assert energy_statistic(np.array([1.0, -1.0, 2.0])) == 6.0
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            dd.energy_statistic(np.array([]))
+            energy_statistic(np.array([]))
 
     @given(st.lists(st.floats(-10, 10), min_size=1, max_size=30), st.randoms())
     def test_permutation_invariant(self, xs, pyrandom):
         x = np.array(xs)
         perm = list(range(len(xs)))
         pyrandom.shuffle(perm)
-        assert_allclose(dd.energy_statistic(x), dd.energy_statistic(x[perm]), rtol=1e-12)
+        assert_allclose(energy_statistic(x), energy_statistic(x[perm]), rtol=1e-12)
 
     def test_monte_carlo_mean_matches_model(self):
         s = _sensor(sigma2=1.0, n=10)
         rng = np.random.default_rng(5)
-        x = dd.generate_observations(s, 10, False, rng, trials=100_000)
-        t = dd.energy_statistic(x)
+        x = generate_observations(s, 10, False, rng, trials=100_000)
+        t = energy_statistic(x)
         assert abs(float(np.mean(t)) - 10.0) < 0.1
 
 
@@ -122,8 +129,8 @@ class TestStatisticMoments:
     def test_empirical_h1_variance(self):
         s = _sensor(sigma2=1.0, n=20, amp=0.3)
         rng = np.random.default_rng(9)
-        x = dd.generate_observations(s, 20, True, rng, trials=100_000)
-        t = dd.energy_statistic(x)
+        x = generate_observations(s, 20, True, rng, trials=100_000)
+        t = energy_statistic(x)
         m = dd.Statistic.energy(s)
         assert abs(float(np.var(t)) / m.var_h1 - 1.0) < 0.03
 
@@ -131,33 +138,33 @@ class TestStatisticMoments:
 class TestCalibrateAverageSnr:
     def test_target_minus_4_db(self):
         sensors = dd.SensorParams([0.5, 1.0, 2.0], 1.0, 0.1, np.full((3, 10), 0.2))
-        out = dd.calibrate_average_snr(sensors, -4.0)
+        out = calibrate_average_snr(sensors, -4.0)
         assert_allclose(np.mean(out.xi), 10 ** (-0.4), rtol=1e-9)
 
     def test_sensor_already_at_target_unchanged(self):
         s = _sensor(sigma2=1.0, n=10, amp=np.sqrt(10 ** (-0.4)))  # xi = 10^-0.4
-        out = dd.calibrate_average_snr(s, -4.0)
+        out = calibrate_average_snr(s, -4.0)
         assert_allclose(out.signal, s.signal, rtol=1e-9)
 
     def test_ratios_preserved(self):
         signal = np.repeat([[0.4], [0.4 / np.sqrt(2)]], 10, axis=1)
-        out = dd.calibrate_average_snr(dd.SensorParams(1.0, 1.0, 0.1, signal), -2.0)
+        out = calibrate_average_snr(dd.SensorParams(1.0, 1.0, 0.1, signal), -2.0)
         assert_allclose(out.xi[0] / out.xi[1], 2.0, rtol=1e-9)
 
     def test_all_zero_signals_rejected(self):
         with pytest.raises(ValueError):
-            dd.calibrate_average_snr(_sensor(signal=np.zeros(10)), -4.0)
+            calibrate_average_snr(_sensor(signal=np.zeros(10)), -4.0)
 
     @pytest.mark.parametrize("xa_db", [4000.0, -4000.0])
     def test_target_outside_float_range_rejected(self, xa_db):
         with pytest.raises(ValueError, match="dB"):
-            dd.calibrate_average_snr(_sensor(), xa_db)
+            calibrate_average_snr(_sensor(), xa_db)
 
     def test_signal_energy_past_float_range_rejected(self):
         s = _sensor(amp=1e300)
         assert s.es == np.inf
         with pytest.raises(ValueError, match="mean SNR is inf"):
-            dd.calibrate_average_snr(s, -4.0)
+            calibrate_average_snr(s, -4.0)
 
 
 class TestBuildSensors:
@@ -170,9 +177,17 @@ class TestBuildSensors:
         drawn = {"xa_db": -4.0, "amplitude": 0.2, **options}
         raw = dd.SensorParams(sensors.sigma2, sensors.h, sensors.zeta,
                               np.full((40, 6), float(drawn["amplitude"])))
-        want = dd.calibrate_average_snr(raw, drawn["xa_db"])
+        want = calibrate_average_snr(raw, drawn["xa_db"])
         for name in ("signal", "es", "xi"):
             assert np.array_equal(getattr(sensors, name), getattr(want, name)), name
+
+    @pytest.mark.parametrize("build", [dd.build_sensors, dd.make_scenario])
+    @pytest.mark.parametrize("name, value", [("m", 3.0), ("m", "3"), ("m", 0),
+                                             ("n", 10.0), ("n", None), ("n", 0)])
+    def test_counts_that_are_not_integers_rejected(self, build, name, value):
+        counts = {"m": 3, "n": 10, name: value}
+        with pytest.raises(ValueError, match=f"^{name} must be an integer >= 1, got {value!r}$"):
+            build(**counts, seed=0)
 
     def test_make_scenario_validates_the_population_twice(self, monkeypatch):
         # once for build_sensors' record and once for the Scenario's
@@ -392,17 +407,17 @@ class TestPopulationArrays:
     @pytest.mark.parametrize("h1", [False, True], ids=["Hypothesis.H0", "Hypothesis.H1"])
     def test_observations_and_statistics(self, population, h1):
         sc, trials = population, 3
-        batch = dd.generate_observations(sc, sc.N, h1, np.random.default_rng(5), trials=trials)
+        batch = generate_observations(sc, sc.N, h1, np.random.default_rng(5), trials=trials)
         # one stream, drawn trial by trial and sensor by sensor, gives the same samples
         rng = np.random.default_rng(5)
-        rows = np.array([[dd.generate_observations(s, sc.N, h1, rng)[0]
+        rows = np.array([[generate_observations(s, sc.N, h1, rng)[0]
                           for s in each_sensor(sc)] for _ in range(trials)])
         assert np.array_equal(batch, rows)
-        energy = [[dd.energy_statistic(x) for x in row] for row in rows]
-        assert np.array_equal(dd.energy_statistic(batch), energy)
-        matched = [[dd.matched_filter_statistic(x, s) for x, s in zip(row, each_sensor(sc))]
+        energy = [[energy_statistic(x) for x in row] for row in rows]
+        assert np.array_equal(energy_statistic(batch), energy)
+        matched = [[matched_filter_statistic(x, s) for x, s in zip(row, each_sensor(sc))]
                    for row in rows]
-        assert np.array_equal(dd.matched_filter_statistic(batch, sc), matched)
+        assert np.array_equal(matched_filter_statistic(batch, sc), matched)
 
     def test_quantizers(self, population):
         sc = population
@@ -455,7 +470,7 @@ class TestStreams:
 
 def test_halfrange_covers_h1_spread():
     sensors = dd.build_sensors(10, 10, seed=3)
-    u = dd.suggest_statistic_halfrange(sensors)
+    u = suggest_statistic_halfrange(sensors)
     for s in each_sensor(sensors):
         m = dd.Statistic.energy(s)
         assert 2 * u >= m.mean_h1 + 3 * np.sqrt(m.var_h1)

@@ -19,7 +19,15 @@ from distdetect.montecarlo import (
     powers_for_scheme,
 )
 
-from conftest import bundled_config, run_cli, scheme_weights, write_config
+from conftest import (
+    bundled_config,
+    energy_statistic,
+    generate_observations,
+    matched_filter_statistic,
+    run_cli,
+    scheme_weights,
+    write_config,
+)
 
 
 def _chance_scenario(m=4, n=10):
@@ -427,8 +435,8 @@ class TestSufficientStatisticLaw:
                                      trials)
         drawn = [statistic(sc, sc.U).from_noise(sg, rest, h1)
                  for statistic in (dd.Statistic.energy, dd.Statistic.matched)]
-        x = dd.generate_observations(sc, n, h1, np.random.default_rng(3), trials=trials)
-        sampled = [dd.energy_statistic(x).T, dd.matched_filter_statistic(x, sc).T]
+        x = generate_observations(sc, n, h1, np.random.default_rng(3), trials=trials)
+        sampled = [energy_statistic(x).T, matched_filter_statistic(x, sc).T]
         # exact: sigma^2 chi2_N, noncentral by Es / sigma^2 under H1, and N(h1 Es, sigma^2 Es)
         s2, es = sc.sigma2, sc.es
         mean = [n * s2 + h1 * es, h1 * es]

@@ -8,6 +8,8 @@ from numpy.testing import assert_allclose
 import distdetect as dd
 from distdetect import solver_central
 
+from conftest import kkt_check, objective_value
+
 # frozen reference allocation for the 10-sensor seed-1 scenario
 FIG1_LAMBDA0 = 6.157102638098877e-02
 FIG1_POWERS = np.array([
@@ -157,11 +159,11 @@ class TestSolveCentralized:
         assert alloc.p[0] >= alloc.p[1]
 
     def test_beats_random_feasible_allocations(self, fig1_scenario, fig1_central):
-        best = dd.objective_value(fig1_central.p, fig1_scenario)
+        best = objective_value(fig1_central.p, fig1_scenario)
         rng = np.random.default_rng(31)
         for _ in range(1000):
             raw = rng.dirichlet(np.ones(10)) * 1.0
-            assert dd.objective_value(raw, fig1_scenario) <= best * (1 + 1e-9)
+            assert objective_value(raw, fig1_scenario) <= best * (1 + 1e-9)
 
 
 class TestAgainstTheBisectionReference:
@@ -179,7 +181,7 @@ class TestAgainstTheBisectionReference:
             assert abs(alloc.lambda0 - ref.lambda0) <= 1e-8 * ref.lambda0, case
             assert np.array_equal(alloc.p == 0, ref.p == 0), case
             assert abs(math.fsum(alloc.p) - pt) <= 1e-12 * pt, case
-            report = dd.kkt_check(alloc, sc)
+            report = kkt_check(alloc, sc)
             assert report.max_abs_residual_active <= 1e-6, case
             assert abs(report.complementary_slackness) <= 1e-9, case
             assert report.budget_feasible and report.powers_nonnegative, case
@@ -208,7 +210,7 @@ class TestPowerAllocationType:
 
 class TestKktCheck:
     def test_solution_is_stationary(self, fig1_scenario, fig1_central):
-        report = dd.kkt_check(fig1_central, fig1_scenario)
+        report = kkt_check(fig1_central, fig1_scenario)
         assert report.max_abs_residual_active <= 1e-6
         assert report.budget_feasible
         assert report.powers_nonnegative
@@ -219,12 +221,12 @@ class TestKktCheck:
         active = int(np.argmax(p))
         p[active] *= 1.01
         perturbed = dd.PowerAllocation(p=p, lambda0=fig1_central.lambda0)
-        report = dd.kkt_check(perturbed, fig1_scenario)
+        report = kkt_check(perturbed, fig1_scenario)
         assert abs(report.stationarity_residuals[active]) > 1e-6
 
     def test_all_censored_with_huge_multiplier(self, fig1_scenario):
         alloc = dd.PowerAllocation(p=np.zeros(10), lambda0=1e9)
-        report = dd.kkt_check(alloc, fig1_scenario)
+        report = kkt_check(alloc, fig1_scenario)
         assert np.all(report.mu >= 0)
         assert report.budget_feasible
 

@@ -11,7 +11,7 @@ from distdetect import cli, consensus, solver_central, solver_dist
 from distdetect.cli import write_trace_csv
 from distdetect.consensus import Consensus
 
-from conftest import bundled_config, each_sensor
+from conftest import bundled_config, complete_graph, each_sensor
 
 
 def _identical_scenario(m=4, pt=2.0, n=10):
@@ -20,7 +20,7 @@ def _identical_scenario(m=4, pt=2.0, n=10):
 
 def _solve_identical(sc, solver=dd.SolverConfig()):
     """solve_distributed on the complete graph of the scenario's sensors."""
-    return dd.solve_distributed(sc, dd.complete_graph(sc.M), solver)
+    return dd.solve_distributed(sc, complete_graph(sc.M), solver)
 
 
 def _config_case(cfg):
@@ -147,7 +147,7 @@ class TestSolveDistributed:
 
     def test_graph_size_must_match(self):
         with pytest.raises(ValueError, match="graph has 4 nodes for 3 sensors"):
-            dd.solve_distributed(_identical_scenario(m=3), dd.complete_graph(4))
+            dd.solve_distributed(_identical_scenario(m=3), complete_graph(4))
 
     def test_trace_quantities_are_consistent(self):
         _, trace = _solve_identical(_identical_scenario())
