@@ -34,7 +34,8 @@ def main():
             break
     print()
 
-    res = dd.consensus_average(graph, x0, tol=1e-10, max_iter=10 * m * m)
+    res = dd.consensus_average(graph, x0, dd.SolverConfig(consensus_tol=1e-10,
+                                                          consensus_max_iter=10 * m * m))
     print(f"library call agrees: {res.iterations} iterations, "
           f"final deviation {res.max_deviation:.3e}")
     print(f"mean preserved exactly: {np.mean(res.values):.10f} vs {target:.10f}")

@@ -240,22 +240,8 @@ def _write_manifest(outdir: str, cfg: dict, command: str, outputs: list[str],
     return path
 
 
-def _cell(v) -> str:
-    """repr of a float, str of an int or a name, 1/0 for a bool."""
-    if isinstance(v, (bool, np.bool_)):
-        return "1" if v else "0"
-    if isinstance(v, (float, np.floating)):
-        return repr(float(v))
-    return str(v)
-
-
-def _cells(col):
-    """The cells of a column, or of a slice of one, under _cell's rules, as an iterable.
-
-    An array is formatted from .tolist(), which gives the same cells.
-    """
-    if not isinstance(col, np.ndarray):
-        return map(_cell, col)
+def _cells(col: np.ndarray):
+    """An array column's cells: repr of a float, str of an int or a name, 1/0 for a bool."""
     if col.dtype == bool:
         return np.where(col, "1", "0").tolist()
     return map(repr if col.dtype.kind == "f" else str, col.tolist())
@@ -264,7 +250,7 @@ def _cells(col):
 def _write_csv(path, header: str, columns) -> None:
     """Write equal-length columns under a header line, CSV_BLOCK rows per write.
 
-    A column is a sequence of cells under _cell's rules. Only one block's
+    A column is an array, formatted under _cells' rules. Only one block's
     cells are held at once, however many rows there are.
     """
     columns = list(columns)
@@ -304,9 +290,10 @@ def write_results_csv(path, rows: list[tuple[DetectionEstimate, int, int]]) -> N
 
     Pinned column order: scheme,Pt,N,M,pfa_target,pfa_hat,pd_hat,pd_analytic,trials,sigma_binomial.
     """
+    columns = zip(*((e.scheme.value, e.pt, n, m, e.pfa_target, e.pfa_hat, e.pd_hat,
+                     e.pd_analytic, e.trials, e.sigma_binomial()) for e, n, m in rows))
     _write_csv(path, "scheme,Pt,N,M,pfa_target,pfa_hat,pd_hat,pd_analytic,trials,sigma_binomial",
-               zip(*((e.scheme.value, e.pt, n, m, e.pfa_target, e.pfa_hat, e.pd_hat,
-                      e.pd_analytic, e.trials, e.sigma_binomial()) for e, n, m in rows)))
+               map(np.array, columns))
 
 
 def write_diagnostics_csv(path, diag: list[tuple[SchemePlan, np.ndarray]]) -> None:

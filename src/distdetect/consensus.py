@@ -13,7 +13,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-# consensus rounds run between two tests of the stopping rule
+from .model import SolverConfig
+
+# consensus rounds in an engine's first block and between later tests of the stopping rule
 BLOCK_ROUNDS = 64
 # floats the round buffer holds (512 KiB): a block runs no more rounds than fit
 BUFFER_FLOATS = 1 << 16
@@ -305,45 +307,38 @@ class ConsensusResult:
 class Consensus:
     """Average consensus on one graph: set up once, then run on input after input.
 
-    Holds the mixing weights (Metropolis unless `weights` is given), the
-    stopping rule, the tolerance, the round budget and a round buffer.
-    mode="oracle" stops on the true deviation max_i |x_i - mean(x0)|,
-    observable in simulation but not in a deployment; mode="local" stops
-    when each node's own trajectory has moved less than tol over a
-    sliding window of `window` rounds, information a real node has.
+    Holds the mixing weights (Metropolis unless `weights` is given), a
+    round buffer and its block schedule, and reads the tolerance, round
+    budget, stopping rule and window from a validated SolverConfig.
+    consensus_mode="oracle" stops on the true deviation max_i |x_i - mean(x0)|,
+    observable in simulation but not in a deployment; "local" stops when
+    each node's own trajectory has moved less than the tolerance over a
+    sliding window of consensus_window rounds, information a real node has.
     """
 
-    def __init__(self, graph: Graph, tol: float, max_iter: int, mode: str = "oracle",
-                 window: int = 5, weights: np.ndarray | None = None):
-        if not tol > 0:
-            raise ValueError("tol must be positive")
-        if not (isinstance(max_iter, (int, np.integer)) and max_iter >= 0):
-            raise ValueError(f"max_iter must be an integer >= 0, got {max_iter!r}")
-        if mode not in ("oracle", "local"):
-            raise ValueError(f"unknown mode {mode!r}")
-        if not isinstance(window, (int, np.integer)):
-            raise ValueError(f"window must be an integer, got {window!r}")
-        if mode == "local" and window < 1:
-            raise ValueError("window must be >= 1")
-        self.graph, self.tol, self.max_iter = graph, tol, max_iter
-        self.mode, self.window = mode, window
+    def __init__(self, graph: Graph, solver: SolverConfig, weights: np.ndarray | None = None):
+        self.graph, self.solver = graph, solver
         self.w = metropolis_matrix(graph) if weights is None else np.asarray(weights, dtype=float)
         # rows kept in front of each block: the current state, and for the
         # local rule the `window` states before it (no more than can exist)
-        self.lead = min(window, max_iter) if mode == "local" else 0
+        self.lead = (min(solver.consensus_window, solver.consensus_max_iter)
+                     if solver.consensus_mode == "local" else 0)
         self.max_block = max(BUFFER_FLOATS // graph.M - self.lead - 1, 1)
+        # the next run's first block, and the later blocks; read here so a test can patch it
+        self.block_rounds = self.opening_block = BLOCK_ROUNDS
         self._buf, self._rows = np.zeros((0, graph.M)), []
 
-    def run(self, x0: np.ndarray, first_block: int = BLOCK_ROUNDS) -> ConsensusResult:
+    def run(self, x0: np.ndarray) -> ConsensusResult:
         """Iterate x <- W x from x0 until every node agrees on the mean of x0.
 
-        Raises ConsensusError (carrying the last state) if max_iter rounds
-        are not enough. Rounds run in blocks, `first_block` rounds and then
-        BLOCK_ROUNDS, each cut to what BUFFER_FLOATS holds, and the stopping
-        rule is tested once per block for every round in it; a caller that
-        expects about r rounds passes a first block of a little over r.
-        Each round is the same product as x = W @ x and the tests are exact,
-        so values and round counts are those of testing after every round.
+        Raises ConsensusError (carrying the last state) if consensus_max_iter
+        rounds are not enough. Rounds run in blocks, each cut to what
+        BUFFER_FLOATS holds, and the stopping rule is tested once per block
+        for every round in it. The first block is BLOCK_ROUNDS rounds (as
+        read at construction), or after a successful run that run's rounds
+        + 2; later blocks are BLOCK_ROUNDS. Each round is the same product
+        as x = W @ x and the tests are exact, so values and round counts
+        are those of testing after every round.
         """
         x = np.asarray(x0, dtype=float)
         m = self.graph.M
@@ -353,11 +348,10 @@ class Consensus:
             total = np.add.reduce(x)   # finite only if every term is
         if not math.isfinite(total) and not np.isfinite(x).all():
             raise ValueError("x0 must be finite")
-        if first_block < 1:
-            raise ValueError("first_block must be >= 1")
-        tol, max_iter, window, lead, w = self.tol, self.max_iter, self.window, self.lead, self.w
+        cfg, lead, w = self.solver, self.lead, self.w
+        tol, max_iter, window = cfg.consensus_tol, cfg.consensus_max_iter, cfg.consensus_window
         target = (total if math.isfinite(total) else np.add.reduce(x)) / m   # x.mean()
-        size = lead + 1 + min(max(first_block, BLOCK_ROUNDS), max_iter, self.max_block)
+        size = lead + 1 + min(max(self.opening_block, self.block_rounds), max_iter, self.max_block)
         if len(self._buf) < size:
             self._buf = np.zeros((size, m))
             self._rows = list(self._buf)
@@ -365,14 +359,14 @@ class Consensus:
         # the lead rows stand for states before x0; the local rule skips every
         # window that reaches them, and filling them with x0 keeps no last run's state
         buf[:lead + 1] = x
-        k, block = 0, first_block   # rounds done (buf[lead] is the state after them), rounds asked
+        k, block = 0, self.opening_block   # rounds done (buf[lead] is the state after them), asked
         while True:
             n = min(block, self.max_block, max_iter - k)
             for r in range(lead + 1, lead + 1 + n):
                 w.dot(rows[r - 1], out=rows[r])
             states = buf[:lead + 1 + n]
             # done[j]: the state after k + j rounds meets the stopping rule
-            if self.mode == "oracle":
+            if cfg.consensus_mode == "oracle":
                 dev = np.abs(states - target).max(axis=1)
                 done = dev <= tol
             else:
@@ -386,20 +380,21 @@ class Consensus:
             j = int(done.argmax())
             if done[j]:
                 x = buf[lead + j].copy()
-                dev_j = dev[j] if self.mode == "oracle" else np.abs(x - target).max()
+                dev_j = dev[j] if cfg.consensus_mode == "oracle" else np.abs(x - target).max()
+                self.opening_block = k + j + 2
                 return ConsensusResult(values=x, iterations=k + j, max_deviation=float(dev_j))
             k += n
             if k >= max_iter:
                 raise ConsensusError(f"no consensus after {max_iter} rounds (tol={tol})",
                                      values=buf[lead + n].copy(), iterations=k)
             buf[:lead + 1] = buf[n:n + lead + 1]
-            block = max(block - n, BLOCK_ROUNDS)
+            block = max(block - n, self.block_rounds)
 
 
-def consensus_average(graph: Graph, x0: np.ndarray, tol: float, max_iter: int, mode: str = "oracle",
-                      window: int = 5, first_block: int = BLOCK_ROUNDS) -> ConsensusResult:
+def consensus_average(graph: Graph, x0: np.ndarray, solver: SolverConfig = SolverConfig()
+                      ) -> ConsensusResult:
     """One run of a Consensus engine built for this input alone."""
-    return Consensus(graph, tol, max_iter, mode, window).run(x0, first_block)
+    return Consensus(graph, solver).run(x0)
 
 
 def save_edge_list(graph: Graph, path) -> None:

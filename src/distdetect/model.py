@@ -154,11 +154,13 @@ class Statistic:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Knobs for the distributed dual-ascent solver.
+    """Knobs for the distributed dual-ascent solver, checked here and nowhere else.
 
     The multiplier step is eps_k = lambda0_k / k, with eps_0 = lambda0_0
-    (the k=0 update needs a step too). consensus_mode picks how the
-    inner averaging loop decides it is done (see consensus.Consensus).
+    (the k=0 update needs a step too). The consensus_* fields are the
+    only home of the consensus settings: a consensus.Consensus engine
+    reads its tolerance, round budget, stopping rule (consensus_mode) and
+    the local rule's window from this record, and has no defaults of its own.
     """
 
     lambda0_init: float = 1e-8

@@ -136,7 +136,8 @@ def quantized_gaussian_moments(mu, var, bits_int, u: float, lo: float = 0.0):
     midpoint of one of 2^bits_int uniform cells; end cells absorb the
     tails. Exact under the Gaussian assumption (cell-probability sums),
     with a continuous fallback above 16 bits where the cell count stops
-    being worth enumerating.
+    being worth enumerating: the input clipped to the outermost cell
+    midpoints, plus delta^2/12 of rounding noise.
 
     Elementwise over arrays of mu, var and bits_int, one entry per
     sensor, returning two arrays; floats in, floats out. The cell grid
@@ -159,7 +160,8 @@ def quantized_gaussian_moments(mu, var, bits_int, u: float, lo: float = 0.0):
         cells = 1 << b
         delta = 2.0 * u / cells
         if b > 16:
-            mean_c, var_c = _clipped_gaussian_moments(mu[idx], sd[idx], lo, lo + 2.0 * u)
+            mean_c, var_c = _clipped_gaussian_moments(mu[idx], sd[idx], lo + delta / 2.0,
+                                                      lo + 2.0 * u - delta / 2.0)
             mean[idx], qvar[idx] = mean_c, var_c + delta * delta / 12.0
             continue
         inner = lo + delta * np.arange(1, cells)

@@ -95,25 +95,23 @@ def water_levels(sensor, u: float):
     return a, np.divide(offset, a, out=np.full_like(a, np.inf), where=a > 0)[()]
 
 
-def power_closed_form(lambda0, sensor, u: float, levels=None):
-    """Water-filling optimum of a sensor's power at multiplier lambda0: a [lambda0^(-1/2) - b]+.
+def power_closed_form(lambda0, levels):
+    """Water-filling optimum of sensor power at multiplier lambda0: a [lambda0^(-1/2) - b]+.
 
-    sensor is a SensorParams for one sensor, or for a population (a
-    Scenario is one), whose array fields give every sensor's power at
-    once. lambda0 may be one multiplier or one per sensor. The
-    clamp censors sensors whose channel or SNR cannot pay for even the
-    constant terms; xi = 0 always lands at 0. levels, if given, is
-    water_levels(sensor, u), computed once by a caller that evaluates
-    many multipliers.
+    levels is the water_levels record (a, b) of one sensor, or of a
+    population such as a Scenario, whose arrays give every sensor's power
+    at once. lambda0 may be one multiplier or one per sensor. The clamp
+    censors sensors whose channel or SNR cannot pay for even the constant
+    terms; xi = 0 (a = 0, b = inf) always lands at 0.
     """
     if not np.greater(lambda0, 0).all():   # NaN is not positive either
         raise ValueError("lambda0 must be positive")
-    a, b = water_levels(sensor, u) if levels is None else levels
+    a, b = levels
     return a * np.maximum(1.0 / np.sqrt(lambda0) - b, 0.0)
 
 
 def total_power(lambda0: float, scenario: Scenario) -> float:
-    return float(np.sum(power_closed_form(lambda0, scenario, scenario.U)))
+    return float(np.sum(power_closed_form(lambda0, water_levels(scenario, scenario.U))))
 
 
 def solve_centralized(scenario: Scenario, pt: float | None = None) -> PowerAllocation:

@@ -24,8 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .consensus import (BLOCK_ROUNDS, Consensus, ConsensusError, Graph, consensus_average,
-                        metropolis_matrix)
+from .consensus import Consensus, ConsensusError, Graph, consensus_average, metropolis_matrix
 from .model import Scenario, SolverConfig
 from .solver_central import PowerAllocation, power_closed_form, water_levels
 
@@ -95,24 +94,22 @@ def solve_distributed(scenario: Scenario, graph: Graph, solver: SolverConfig = S
     the budget from above as the multiplier climbs, so its residual is
     bounded by the coarser distributed tolerance (1e-3 relative), not the
     centralized one. Every consensus run after the first resumes from
-    the last one's output, shifted by each node's power change, and its
-    first block of rounds is sized from the last one's round count. A
-    consensus run that fails raises ConvergenceError with the trace of
-    the outer iterations completed before it; so does a stop on kappa
-    that misses the budget, with a trace that reads converged=False.
+    the last one's output, shifted by each node's power change, on the
+    solve's one engine, which sizes each run's first block of rounds from
+    the last one's round count. A consensus run that fails raises
+    ConvergenceError with the trace of the outer iterations completed
+    before it; so does a stop on kappa that misses the budget, with a
+    trace that reads converged=False.
     """
     m = scenario.M
     if graph.M != m:
         raise ValueError(f"graph has {graph.M} nodes for {m} sensors")
-    u, pt = scenario.U, scenario.Pt
+    pt = scenario.Pt
     # set up once: each sensor's water-filling record and the consensus engine
-    levels = water_levels(scenario, u)
-    consensus = Consensus(graph, solver.consensus_tol, solver.consensus_max_iter,
-                          solver.consensus_mode, solver.consensus_window,
-                          weights=metropolis_matrix(graph))
+    levels = water_levels(scenario, scenario.U)
+    consensus = Consensus(graph, solver, weights=metropolis_matrix(graph))
 
     lam = np.full(m, solver.lambda0_init)
-    first_block = BLOCK_ROUNDS
     # as if after a step from zero power: the first x0 is p, and its rel_step (norm 0) is nan
     p_prev = state = norm_prev = 0.0
 
@@ -132,16 +129,16 @@ def solve_distributed(scenario: Scenario, graph: Graph, solver: SolverConfig = S
         )
 
     for k in range(solver.outer_max_iter):
-        p = power_closed_form(lam, scenario, u, levels)
+        p = power_closed_form(lam, levels)
         step = p - p_prev
         # each node resumes from its last consensus output, moved by its own power change
         x0 = state + step
         try:
-            cres = consensus.run(x0, first_block)
+            cres = consensus.run(x0)
         except ConsensusError as e:
             raise ConvergenceError(f"outer iteration {k + 1}: {e}",
                                    trace=trace_so_far(False)) from e
-        state, first_block = cres.values, cres.iterations + 2
+        state = cres.values
         # every sensor applies the same rule to its own multiplier copy
         eps = lam if k == 0 else lam / k
         lam = dual_update(lam, state, m, pt, eps)

@@ -20,7 +20,7 @@ from hypothesis import settings
 
 import distdetect as dd
 from distdetect import cli
-from distdetect.consensus import BLOCK_ROUNDS, Consensus, Graph, TopologyError
+from distdetect.consensus import Consensus, Graph, TopologyError
 from distdetect.fusion import deflection_inputs
 from distdetect.model import Scenario, SensorParams, Statistic, _snr_factor
 from distdetect.montecarlo import weights_for_scheme
@@ -113,12 +113,10 @@ def rng():
     return np.random.default_rng(0)
 
 
-def reference_consensus_average(graph, x0, tol, max_iter, mode="oracle",
-                                window=5, weights=None, first_block=None):
-    """consensus_average as a plain x = W @ x loop that tests the stopping rule every round.
-
-    first_block is accepted and ignored: a loop without blocks has no first block to size.
-    """
+def reference_consensus_average(graph, x0, solver=dd.SolverConfig(), weights=None):
+    """consensus_average as a plain x = W @ x loop that tests the stopping rule every round."""
+    tol, max_iter = solver.consensus_tol, solver.consensus_max_iter
+    mode, window = solver.consensus_mode, solver.consensus_window
     w = dd.metropolis_matrix(graph) if weights is None else weights
     x = np.asarray(x0, dtype=float)
     target = x.mean()
@@ -155,15 +153,13 @@ def reference_solve_distributed(scenario, graph, solver=dd.SolverConfig()):
     m = scenario.M
     if graph.M != m:
         raise ValueError(f"graph has {graph.M} nodes for {m} sensors")
-    u, pt = scenario.U, scenario.Pt
-    levels = water_levels(scenario, u)
-    consensus = Consensus(graph, solver.consensus_tol, solver.consensus_max_iter,
-                          solver.consensus_mode, solver.consensus_window,
-                          weights=dd.metropolis_matrix(graph))
+    pt = scenario.Pt
+    levels = water_levels(scenario, scenario.U)
+    consensus = Consensus(graph, solver, weights=dd.metropolis_matrix(graph))
 
     lam = np.full(m, solver.lambda0_init)
     p_prev = None
-    state, first_block = None, BLOCK_ROUNDS
+    state = None
 
     lams, prows, crows, rels, spreads = [], [], [], [], []
 
@@ -179,14 +175,14 @@ def reference_solve_distributed(scenario, graph, solver=dd.SolverConfig()):
         )
 
     for k in range(solver.outer_max_iter):
-        p = dd.power_closed_form(lam, scenario, u, levels)
+        p = dd.power_closed_form(lam, levels)
         x0 = p if state is None else state + (p - p_prev)
         try:
-            cres = consensus.run(x0, first_block)
+            cres = consensus.run(x0)
         except dd.ConsensusError as e:
             raise dd.ConvergenceError(f"outer iteration {k + 1}: {e}",
                                       trace=trace_so_far(False)) from e
-        state, first_block = cres.values, cres.iterations + 2
+        state = cres.values
         eps = lam if k == 0 else lam / k
         lam_used = float(lam.mean())
         lam = dd.dual_update(lam, cres.values, m, pt, eps)
@@ -256,7 +252,7 @@ def reference_water_filling(scenario, pt=None, budget_rtol=1e-9, max_bisect=2000
     else:
         raise AssertionError(f"budget not met to {budget_rtol} relative after {max_bisect} bisections")
     return dd.PowerAllocation(
-        p=dd.power_closed_form(lam, scenario, scenario.U), lambda0=lam)
+        p=dd.power_closed_form(lam, water_levels(scenario, scenario.U)), lambda0=lam)
 
 
 @pytest.fixture(name="reference_water_filling")

@@ -22,6 +22,7 @@ import distdetect as dd
 from distdetect import consensus
 from distdetect.fusion import deflection_inputs
 from distdetect.montecarlo import Scheme
+from distdetect.solver_central import water_levels
 
 from conftest import (
     bundled_config,
@@ -125,7 +126,7 @@ def test_closed_form_power_matches_grid_search():
             xa_db=float(rng.uniform(-8.0, 0.0)))
         alloc = dd.solve_centralized(sc)
         s = sensor(sc, 0)
-        p_cf = dd.power_closed_form(alloc.lambda0, s, sc.U)
+        p_cf = dd.power_closed_form(alloc.lambda0, water_levels(s, sc.U))
         # independent maximizer of the per-sensor payoff at the solved price
         g = s.h ** 2 / s.zeta
         a = (n * s.sigma2 * s.xi) ** 2
@@ -174,7 +175,8 @@ def test_consensus_reaches_the_mean_on_random_graphs():
         m = int(rng.integers(2, 31))
         graph = dd.random_geometric_graph(m, float(rng.uniform(0.5, 1.4)), rng)
         x0 = rng.uniform(1.0, 10.0, size=m)
-        res = dd.consensus_average(graph, x0, tol=1e-10, max_iter=10 * m * m)
+        res = dd.consensus_average(graph, x0, dd.SolverConfig(consensus_tol=1e-10,
+                                                              consensus_max_iter=10 * m * m))
         mean = float(np.mean(x0))
         worst_cons = max(worst_cons, abs(float(np.mean(res.values)) - mean) / mean)
         worst_dev = max(worst_dev, float(np.max(np.abs(res.values - mean))))
@@ -265,7 +267,7 @@ def test_power_ranking_and_censoring(study_runs, fig1_scenario, fig1_central):
     p_csv = np.array([float(v) for v in _column(rows, "p_central")])
     bits_int = np.array([int(v) for v in _column(rows, "bits_int")])
     p_cf = np.array([
-        dd.power_closed_form(fig1_central.lambda0, s, fig1_scenario.U)
+        dd.power_closed_form(fig1_central.lambda0, water_levels(s, fig1_scenario.U))
         for s in each_sensor(fig1_scenario)])
     active_csv = p_csv > 0
     active_cf = p_cf > 0

@@ -505,16 +505,19 @@ class TestEveryAcceptedConfigExits:
 
 
 class TestCsvCells:
+    """Every column is an array; write_results_csv builds its columns from lists of values."""
+
     def test_list_and_bool_array_columns(self, tmp_path):
         # a float cell is its repr as a Python float, never np.float64(...)
         path = tmp_path / "cells.csv"
-        cli._write_csv(path, "value,flag", ([np.float64(0.1), 0.25, 3],
-                                            np.array([True, False, True])))
-        assert path.read_text() == "value,flag\n0.1,1\n0.25,0\n3,1\n"
+        cli._write_csv(path, "value,flag", map(np.array, ([np.float64(0.1), 0.25, 3.0],
+                                                          [True, False, True])))
+        assert path.read_text() == "value,flag\n0.1,1\n0.25,0\n3.0,1\n"
 
     def test_array_columns_match_list_columns(self, tmp_path):
-        cols = (np.array([0.1, 1e-300, np.nan]), np.array([7, -2, 0]), np.array(["a", "b", "c"]))
-        cli._write_csv(tmp_path / "arrays.csv", "f,i,s", cols)
-        cli._write_csv(tmp_path / "lists.csv", "f,i,s", [list(c) for c in cols])
-        assert (tmp_path / "arrays.csv").read_text() == (tmp_path / "lists.csv").read_text() \
+        # the cells of a list made an array: repr of each float, str of each int or name
+        cols = ([0.1, 1e-300, float("nan")], [7, -2, 0], ["a", "b", "c"])
+        cli._write_csv(tmp_path / "arrays.csv", "f,i,s", map(np.array, cols))
+        rows = [",".join((repr(f), str(i), name)) for f, i, name in zip(*cols)]
+        assert (tmp_path / "arrays.csv").read_text() == "\n".join(["f,i,s", *rows, ""]) \
             == "f,i,s\n0.1,7,a\n1e-300,-2,b\nnan,0,c\n"

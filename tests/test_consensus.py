@@ -19,6 +19,12 @@ def path_graph(m):
     return dd.Graph(M=m, edges=tuple((i, i + 1) for i in range(m - 1)))
 
 
+def consensus_settings(tol, max_iter, mode="oracle", window=5):
+    """A SolverConfig with these consensus settings and the defaults elsewhere."""
+    return dd.SolverConfig(consensus_tol=tol, consensus_max_iter=max_iter, consensus_mode=mode,
+                           consensus_window=window)
+
+
 def sorted_pairs(edges):
     """Rows of an (E, 2) pair array as u < v, in lexicographic order."""
     u, v = edges.min(axis=1), edges.max(axis=1)
@@ -378,13 +384,13 @@ class TestMetropolisMatrix:
 class TestConsensusAverage:
     def test_already_agreed_needs_no_iterations(self):
         g = path_graph(4)
-        res = dd.consensus_average(g, np.full(4, 2.5), tol=1e-10, max_iter=100)
+        res = dd.consensus_average(g, np.full(4, 2.5), consensus_settings(1e-10, 100))
         assert res.iterations == 0
         assert_allclose(res.values, 2.5)
 
     def test_complete_graph_one_shot(self):
         g = complete_graph(8)
-        res = dd.consensus_average(g, np.arange(8, dtype=float), tol=1e-12, max_iter=100)
+        res = dd.consensus_average(g, np.arange(8, dtype=float), consensus_settings(1e-12, 100))
         assert res.iterations == 1
         assert res.max_deviation == 0.0
         assert_allclose(res.values, 3.5)
@@ -396,7 +402,7 @@ class TestConsensusAverage:
         for _ in range(25):
             x = w @ x
             assert_allclose(np.mean(x), 1.0, rtol=1e-13)
-        res = dd.consensus_average(g, np.array([0.0, 0.0, 3.0]), tol=1e-10, max_iter=10_000)
+        res = dd.consensus_average(g, np.array([0.0, 0.0, 3.0]), consensus_settings(1e-10, 10_000))
         assert_allclose(np.mean(res.values), 1.0, rtol=1e-13)
 
     def test_spread_contracts_monotonically(self):
@@ -417,36 +423,33 @@ class TestConsensusAverage:
             m = int(rng.integers(2, 25))
             g = dd.random_geometric_graph(m, 0.6, rng)
             x0 = rng.normal(size=m) * 10
-            res = dd.consensus_average(g, x0, tol=1e-10, max_iter=10 * m * m)
+            res = dd.consensus_average(g, x0, consensus_settings(1e-10, 10 * m * m))
             assert res.max_deviation <= 1e-10
             assert_allclose(np.mean(res.values), np.mean(x0), rtol=1e-13)
 
     def test_iteration_budget_error_carries_state(self):
         g = path_graph(8)
         with pytest.raises(dd.ConsensusError) as exc:
-            dd.consensus_average(g, np.arange(8, dtype=float), tol=1e-12, max_iter=3)
+            dd.consensus_average(g, np.arange(8, dtype=float), consensus_settings(1e-12, 3))
         assert exc.value.iterations == 3
         assert exc.value.values is not None and len(exc.value.values) == 8
 
     def test_local_mode_needs_no_oracle(self):
         g = path_graph(5)
         x0 = np.array([4.0, 0.0, 0.0, 0.0, 1.0])
-        res = dd.consensus_average(g, x0, tol=1e-9, max_iter=10_000,
-                                   mode="local", window=5)
+        res = dd.consensus_average(g, x0, consensus_settings(1e-9, 10_000, "local", 5))
         assert abs(float(np.mean(res.values)) - 1.0) < 1e-12
         assert res.max_deviation <= 1e-8
 
     def test_local_mode_rejects_degenerate_window(self):
-        g = path_graph(3)
-        with pytest.raises(ValueError):
-            dd.consensus_average(g, np.zeros(3), tol=1e-9, max_iter=10,
-                                 mode="local", window=0)
+        with pytest.raises(ValueError, match="consensus_window must be an integer >= 1, got 0"):
+            consensus_settings(1e-9, 10, "local", 0)
 
 
-def _run(fn, graph, x0, **kw):
+def _run(fn, graph, x0, solver):
     """(values, iterations, failed) of one consensus run, success or ConsensusError."""
     try:
-        res = fn(graph, x0, **kw)
+        res = fn(graph, x0, solver)
     except dd.ConsensusError as e:
         return e.values, e.iterations, True
     return res.values, res.iterations, False
@@ -468,20 +471,20 @@ def _stop_statistics(graph, x0, rounds, window):
 class TestBlockedRounds:
     """The blocked loop against a per-round x = W @ x reference: equal bits, equal counts."""
 
-    def test_random_graphs_both_modes(self, reference_consensus_average):
+    def test_random_graphs_both_modes(self, monkeypatch, reference_consensus_average):
         rng = np.random.default_rng(23)
-        blocks = np.random.default_rng(29)   # first-block lengths, apart from the graph draws
+        blocks = np.random.default_rng(29)   # block lengths, apart from the graph draws
         for t in range(60):
             m = int(rng.integers(1, 30))
             g = dd.random_geometric_graph(m, float(rng.uniform(0.3, 0.9)), rng)
             x0 = rng.normal(size=m) * 10.0 ** rng.uniform(-3, 3)
-            kw = dict(tol=10.0 ** rng.uniform(-12, -3), max_iter=int(rng.integers(0, 400)),
-                      mode=("oracle", "local")[t % 2], window=int(rng.integers(1, 80)),
-                      first_block=int(blocks.integers(1, 81)))
-            got = _run(dd.consensus_average, g, x0, **kw)
-            ref = _run(reference_consensus_average, g, x0, **kw)
-            assert got[1:] == ref[1:], kw
-            assert np.all(got[0] == ref[0]), kw
+            solver = consensus_settings(10.0 ** rng.uniform(-12, -3), int(rng.integers(1, 400)),
+                                        ("oracle", "local")[t % 2], int(rng.integers(1, 80)))
+            monkeypatch.setattr(consensus, "BLOCK_ROUNDS", int(blocks.integers(1, 81)))
+            got = _run(dd.consensus_average, g, x0, solver)
+            ref = _run(reference_consensus_average, g, x0, solver)
+            assert got[1:] == ref[1:], (solver, consensus.BLOCK_ROUNDS)
+            assert np.all(got[0] == ref[0]), (solver, consensus.BLOCK_ROUNDS)
 
     @pytest.mark.parametrize("mode", ["oracle", "local"])
     @pytest.mark.parametrize("offset", [-1, 0, 1])
@@ -493,58 +496,54 @@ class TestBlockedRounds:
         stat = dev if mode == "oracle" else spread
         # the rule is first met after exactly `rounds` rounds
         assert np.all(stat[:rounds] > stat[rounds])
-        kw = dict(tol=float(stat[rounds]), max_iter=10_000, mode=mode, window=5)
-        res = dd.consensus_average(g, x0, **kw)
-        ref = reference_consensus_average(g, x0, **kw)
+        solver = consensus_settings(float(stat[rounds]), 10_000, mode, 5)
+        res = dd.consensus_average(g, x0, solver)
+        ref = reference_consensus_average(g, x0, solver)
         assert res.iterations == ref.iterations == rounds
         assert np.all(res.values == ref.values)
         assert res.max_deviation == ref.max_deviation
 
     @pytest.mark.parametrize("mode", ["oracle", "local"])
-    @pytest.mark.parametrize("max_iter", [0, 3, BLOCK_ROUNDS - 1, BLOCK_ROUNDS,
+    @pytest.mark.parametrize("max_iter", [3, BLOCK_ROUNDS - 1, BLOCK_ROUNDS,
                                           BLOCK_ROUNDS + 1, 2 * BLOCK_ROUNDS + 3])
-    def test_budget_error_at_exactly_max_iter(self, mode, max_iter,
+    def test_budget_error_at_exactly_max_iter(self, mode, max_iter, monkeypatch,
                                               reference_consensus_average):
         g = path_graph(8)
         x0 = np.arange(8, dtype=float)
-        first_block = int(np.random.default_rng(max_iter).integers(1, 81))
-        kw = dict(tol=1e-12, max_iter=max_iter, mode=mode, window=5, first_block=first_block)
-        with pytest.raises(dd.ConsensusError) as exc:
-            dd.consensus_average(g, x0, **kw)
-        with pytest.raises(dd.ConsensusError) as ref:
-            reference_consensus_average(g, x0, **kw)
-        assert exc.value.iterations == ref.value.iterations == max_iter
-        assert np.all(exc.value.values == ref.value.values)
-        assert str(exc.value) == str(ref.value)
+        solver = consensus_settings(1e-12, max_iter, mode, 5)
+        # blocks of the default length, whose ends the budgets straddle, and of a random one
+        for block_rounds in (BLOCK_ROUNDS, int(np.random.default_rng(max_iter).integers(1, 81))):
+            monkeypatch.setattr(consensus, "BLOCK_ROUNDS", block_rounds)
+            with pytest.raises(dd.ConsensusError) as exc:
+                dd.consensus_average(g, x0, solver)
+            with pytest.raises(dd.ConsensusError) as ref:
+                reference_consensus_average(g, x0, solver)
+            assert exc.value.iterations == ref.value.iterations == max_iter
+            assert np.all(exc.value.values == ref.value.values)
+            assert str(exc.value) == str(ref.value)
 
     def test_window_longer_than_the_budget_never_stops(self):
         g = complete_graph(4)
         with pytest.raises(dd.ConsensusError) as exc:
-            dd.consensus_average(g, np.arange(4.0), tol=1e-9, max_iter=10,
-                                 mode="local", window=10**9)
+            dd.consensus_average(g, np.arange(4.0), consensus_settings(1e-9, 10, "local", 10**9))
         assert exc.value.iterations == 10
         assert_allclose(exc.value.values, 1.5)
 
     def test_negative_budget_rejected(self):
-        with pytest.raises(ValueError, match="max_iter must be an integer >= 0, got -1"):
-            dd.consensus_average(path_graph(3), np.arange(3.0), tol=1e-10, max_iter=-1)
+        with pytest.raises(ValueError, match="consensus_max_iter must be an integer >= 1, got -1"):
+            consensus_settings(1e-10, -1)
 
+    # the engine's settings are checked where they live, in SolverConfig
     @pytest.mark.parametrize("setting, message", [
-        (dict(max_iter=2.5), "max_iter must be an integer >= 0, got 2.5"),
-        (dict(max_iter=10.0), "max_iter must be an integer >= 0, got 10.0"),
-        (dict(max_iter=10, window=2.5), "window must be an integer, got 2.5"),
-        (dict(max_iter=10, mode="local", window=5.0), "window must be an integer, got 5.0"),
+        (dict(max_iter=2.5), "consensus_max_iter must be an integer >= 1, got 2.5"),
+        (dict(max_iter=10.0), "consensus_max_iter must be an integer >= 1, got 10.0"),
+        (dict(max_iter=10, window=2.5), "consensus_window must be an integer >= 1, got 2.5"),
+        (dict(max_iter=10, mode="local", window=5.0),
+         "consensus_window must be an integer >= 1, got 5.0"),
     ], ids=["max_iter", "max_iter_whole_float", "window_oracle", "window_local"])
     def test_non_integer_settings_rejected(self, setting, message):
         with pytest.raises(ValueError, match=message):
-            dd.consensus_average(complete_graph(3), np.arange(3.0), 1e-9, **setting)
-        with pytest.raises(ValueError, match=message):
-            Consensus(complete_graph(3), 1e-9, **setting)
-
-    def test_empty_first_block_rejected(self):
-        with pytest.raises(ValueError, match="first_block"):
-            dd.consensus_average(path_graph(3), np.arange(3.0), tol=1e-10, max_iter=10,
-                                 first_block=0)
+            consensus_settings(1e-9, **setting)
 
 
 def _outcome(run, x0):
@@ -560,39 +559,42 @@ class TestEngineReuse:
     """One Consensus engine run on input after input gives what a fresh run gives on each."""
 
     @pytest.mark.parametrize("mode", ["oracle", "local"])
-    def test_runs_match_fresh_runs(self, mode, reference_consensus_average):
+    def test_runs_match_fresh_runs(self, mode, monkeypatch, reference_consensus_average):
         g = path_graph(8)
-        kw = dict(tol=1e-9, max_iter=300, mode=mode, window=5)
-        engine = Consensus(g, **kw)
-        rng = np.random.default_rng(31)
-        # (input scale, first block): scale 1e-3 takes 200-260 rounds, 1 and 1e3 more
-        # than the budget; the buffer grows on the second run, a short first block
-        # follows a long one, and runs follow failures
-        runs = [(1e-8, 1), (1e-3, 300), (1e-8, 2), (1.0, 5), (1e-10, 2), (1e-6, 80),
-                (1e3, 64), (1e-3, 1)]
-        failed = []
-        for scale, first_block in runs:
-            x0 = rng.normal(size=8) * scale
-            got = _outcome(lambda x: engine.run(x, first_block), x0)
-            fresh = _outcome(lambda x: dd.consensus_average(g, x, first_block=first_block, **kw),
-                             x0)
-            ref = _outcome(lambda x: reference_consensus_average(g, x, **kw), x0)
-            for other in (fresh, ref):
-                assert np.array_equal(got[0], other[0]), (scale, first_block)
-                assert got[1:] == other[1:], (scale, first_block)
-            failed.append(isinstance(got[2], str))
-        assert failed == [False, False, False, True, False, False, True, False]
+        solver = consensus_settings(1e-9, 300, mode, 5)
+        # input scales: 1e-3 takes 200-260 rounds, 1 and 1e3 more than the budget; the run
+        # after a long one starts with a long first block and grows the buffer, a short
+        # run follows a long one, and runs follow failures
+        scales = [1e-8, 1e-3, 1e-8, 1.0, 1e-10, 1e-6, 1e3, 1e-3]
+        for block_rounds in (1, 5, BLOCK_ROUNDS):
+            monkeypatch.setattr(consensus, "BLOCK_ROUNDS", block_rounds)
+            engine = Consensus(g, solver)
+            rng = np.random.default_rng(31)
+            failed = []
+            for scale in scales:
+                x0 = rng.normal(size=8) * scale
+                opening = engine.opening_block
+                got = _outcome(engine.run, x0)
+                fresh = _outcome(lambda x: dd.consensus_average(g, x, solver), x0)
+                ref = _outcome(lambda x: reference_consensus_average(g, x, solver), x0)
+                for other in (fresh, ref):
+                    assert np.array_equal(got[0], other[0]), (block_rounds, scale)
+                    assert got[1:] == other[1:], (block_rounds, scale)
+                failed.append(isinstance(got[2], str))
+                # the next first block: this run's rounds + 2, or unchanged after a failure
+                assert engine.opening_block == (opening if failed[-1] else got[1] + 2)
+            assert failed == [False, False, False, True, False, False, True, False]
 
     def test_settings_are_checked_once_at_construction(self):
-        with pytest.raises(ValueError, match="unknown mode"):
-            Consensus(path_graph(3), tol=1e-9, max_iter=10, mode="gossip")
-        with pytest.raises(ValueError, match="window"):
-            Consensus(path_graph(3), tol=1e-9, max_iter=10, mode="local", window=0)
-        engine = Consensus(path_graph(3), tol=1e-9, max_iter=10)
-        for x0, first_block, msg in [(np.zeros(4), 1, "shape"), (np.array([0, np.nan, 0]), 1,
-                                     "finite"), (np.zeros(3), 0, "first_block")]:
+        # the settings when their SolverConfig is built, before any engine exists; x0 on each run
+        with pytest.raises(ValueError, match="consensus_mode must be 'oracle' or 'local'"):
+            consensus_settings(1e-9, 10, "gossip")
+        with pytest.raises(ValueError, match="consensus_window must be an integer >= 1, got 0"):
+            consensus_settings(1e-9, 10, "local", 0)
+        engine = Consensus(path_graph(3), consensus_settings(1e-9, 10))
+        for x0, msg in [(np.zeros(4), "shape"), (np.array([0, np.nan, 0]), "finite")]:
             with pytest.raises(ValueError, match=msg):
-                engine.run(x0, first_block)
+                engine.run(x0)
 
 
 class TestRoundBuffer:
@@ -602,14 +604,15 @@ class TestRoundBuffer:
     # the runs take 2,538 (oracle) and 2,097 (local) rounds, or stop at the budget
     @pytest.mark.parametrize("mode", ["oracle", "local"])
     @pytest.mark.parametrize("max_iter", [20_000, 1_000])
-    def test_a_long_first_block_stays_within_the_cap(self, mode, max_iter,
+    def test_a_long_first_block_stays_within_the_cap(self, mode, max_iter, monkeypatch,
                                                      reference_consensus_average):
         g = dd.random_geometric_graph(200, 0.12, np.random.default_rng(7))
         x0 = np.random.default_rng(8).normal(size=200)
-        kw = dict(tol=1e-9, max_iter=max_iter, mode=mode, window=5)
-        engine = Consensus(g, **kw)
-        got = _outcome(lambda x: engine.run(x, first_block=5000), x0)
-        ref = _outcome(lambda x: reference_consensus_average(g, x, **kw), x0)
+        solver = consensus_settings(1e-9, max_iter, mode, 5)
+        monkeypatch.setattr(consensus, "BLOCK_ROUNDS", 5000)
+        engine = Consensus(g, solver)
+        got = _outcome(engine.run, x0)
+        ref = _outcome(lambda x: reference_consensus_average(g, x, solver), x0)
         assert np.array_equal(got[0], ref[0])
         assert got[1:] == ref[1:]
         assert got[1] > 3 * engine.max_block
@@ -625,7 +628,7 @@ class TestInputChecks:
     def test_non_finite_x0_refused(self, bad, mode):
         x0 = np.zeros(6)
         x0[:len(bad)] = bad
-        engine = Consensus(path_graph(6), tol=1e-9, max_iter=10, mode=mode)
+        engine = Consensus(path_graph(6), consensus_settings(1e-9, 10, mode))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for errstate in ("warn", "raise"):
@@ -637,10 +640,10 @@ class TestInputChecks:
     def test_finite_x0_whose_sum_overflows(self, mode, reference_consensus_average):
         # 1e308 at every node: the mean overflows to inf, as x0.mean() does
         g, x0 = path_graph(6), np.full(6, 1e308)
-        kw = dict(tol=1e-9, max_iter=10, mode=mode, window=3)
+        solver = consensus_settings(1e-9, 10, mode, 3)
         outcomes = []
-        for run in (lambda x: dd.consensus_average(g, x, **kw),
-                    lambda x: reference_consensus_average(g, x, **kw)):
+        for run in (lambda x: dd.consensus_average(g, x, solver),
+                    lambda x: reference_consensus_average(g, x, solver)):
             with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
                 run(x0)
             with pytest.warns(RuntimeWarning, match="overflow"):
@@ -703,9 +706,12 @@ class TestNanRefused:
     @pytest.mark.parametrize("call, message", [
         (lambda: dd.random_geometric_graph(5, float("nan"), np.random.default_rng(0)),
          "radius must be positive"),
-        (lambda: Consensus(complete_graph(3), float("nan"), 10), "tol must be positive"),
-        (lambda: dd.consensus_average(complete_graph(3), np.ones(3), float("nan"), 10),
-         "tol must be positive"),
+        # the tolerance an engine reads is refused where it lives, in SolverConfig
+        (lambda: Consensus(complete_graph(3), consensus_settings(float("nan"), 10)),
+         "consensus_tol must be positive"),
+        (lambda: dd.consensus_average(complete_graph(3), np.ones(3),
+                                      consensus_settings(float("nan"), 10)),
+         "consensus_tol must be positive"),
     ], ids=["random_geometric_graph_radius", "consensus_tol", "consensus_average_tol"])
     def test_nan_refused(self, call, message):
         with np.errstate(all="raise"), pytest.raises(ValueError, match=message):

@@ -308,8 +308,8 @@ class TestScenario:
         for a, b in zip(water_levels(sc, u), water_levels(sensors, u)):
             assert np.array_equal(a, b)
         for lambda0 in (1e-3, 0.2, np.linspace(0.01, 1.0, 10)):
-            assert np.array_equal(dd.power_closed_form(lambda0, sc, u),
-                                  dd.power_closed_form(lambda0, sensors, u))
+            assert np.array_equal(dd.power_closed_form(lambda0, water_levels(sc, u)),
+                                  dd.power_closed_form(lambda0, water_levels(sensors, u)))
         for make in (dd.Statistic.energy, dd.Statistic.matched):
             a, b = make(sc, u), make(sensors, u)
             for name in ("mean_h0", "var_h0", "mean_h1", "var_h1", "b", "lo"):
@@ -370,12 +370,12 @@ class TestPopulationArrays:
     def test_power_closed_form(self, population):
         sc = population
         for lam in (1e-6, 1e-2, 1.0):
-            scalar = [dd.power_closed_form(lam, s, sc.U) for s in each_sensor(sc)]
-            assert np.array_equal(dd.power_closed_form(lam, sc, sc.U), scalar)
+            scalar = [dd.power_closed_form(lam, water_levels(s, sc.U)) for s in each_sensor(sc)]
+            assert np.array_equal(dd.power_closed_form(lam, water_levels(sc, sc.U)), scalar)
         lams = np.logspace(-6, 0, sc.M)   # one multiplier copy per sensor
-        scalar = [dd.local_power_update(float(v), s, sc.U)
+        scalar = [dd.local_power_update(float(v), water_levels(s, sc.U))
                   for v, s in zip(lams, each_sensor(sc))]
-        assert np.array_equal(dd.local_power_update(lams, sc, sc.U), scalar)
+        assert np.array_equal(dd.local_power_update(lams, water_levels(sc, sc.U)), scalar)
 
     def test_quantizer_rate_and_noise(self, population):
         sc = population

@@ -119,14 +119,22 @@ class TestQuantizedGaussianMoments:
         mean, qvar = dd.quantized_gaussian_moments(mus[:, None], var, bits, u, lo)
         m16, v16 = dd.quantized_gaussian_moments(mus, var, 16, u, lo)
         for i, mu in enumerate(mus):
-            # independent oracle: the two clipped atoms plus quadrature over the window
+            # independent oracle at 17 to 19 bits: the exact sum over all 2^b cells, the
+            # end cells taking the tails. The law is the input clipped to the outermost
+            # midpoints plus delta^2 / 12, and misses the sum by far less than delta^2
+            for j, d in enumerate(delta[:3]):
+                mids = lo + (np.arange(2 ** bits[j]) + 0.5) * d
+                probs = np.diff(norm.cdf(mids[:-1] + d / 2.0, mu, sd), prepend=0.0, append=1.0)
+                cell_mean = probs.dot(mids)
+                cell_var = probs.dot((mids - cell_mean) ** 2)
+                assert abs(mean[i, j] - cell_mean) <= d * d, (mu, bits[j])
+                assert abs(qvar[i, j] - cell_var) <= d * d, (mu, bits[j])
+            # the law clipped at [lo, hi]: two clipped atoms plus quadrature over the window
             below, above = norm.cdf(lo, mu, sd), norm.sf(hi, mu, sd)
             m1, m2 = (lo ** k * below + hi ** k * above
                       + quad(lambda x: x ** k * norm.pdf(x, mu, sd), lo, hi,
                              epsabs=1e-14, epsrel=1e-13)[0] for k in (1, 2))
             clipped_var = m2 - m1 * m1
-            assert_allclose(mean[i], m1, rtol=1e-10, atol=1e-14)
-            assert_allclose(qvar[i], clipped_var + delta ** 2 / 12.0, rtol=1e-10)
             # the exact 16-bit cell sum: each clipped value moves to its cell's
             # midpoint, at most d16 / 2 away, which bounds the change in the mean
             # by d16 / 2 and in the variance by sd(clipped) * d16 + d16^2 / 4

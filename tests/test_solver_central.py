@@ -45,17 +45,17 @@ def _lagrangian_argmax_grid(sensor, n, u, lam, p_max, points=1_000_001):
 
 class TestPowerClosedForm:
     def test_large_multiplier_censors(self):
-        assert dd.power_closed_form(1e6, _sensor(), 3.0) == 0.0
+        assert dd.power_closed_form(1e6, solver_central.water_levels(_sensor(), 3.0)) == 0.0
 
     def test_zero_snr_never_gets_power(self):
         s = dd.SensorParams(1.0, 1.0, 0.1, np.zeros(10))
         for lam in (1e-12, 1e-6, 1e-2, 1.0, 1e4):
-            assert dd.power_closed_form(lam, s, 3.0) == 0.0
+            assert dd.power_closed_form(lam, solver_central.water_levels(s, 3.0)) == 0.0
 
     def test_matches_grid_search_oracle(self):
         s = dd.SensorParams(1.0, 1.0, 0.1, np.full(10, np.sqrt(0.4)))  # xi = 0.4
         lam = 1e-4
-        p = dd.power_closed_form(lam, s, 3.0)
+        p = dd.power_closed_form(lam, solver_central.water_levels(s, 3.0))
         assert_allclose(p, 5.97747286117, rtol=1e-9)
         p_grid = _lagrangian_argmax_grid(s, 10, 3.0, lam, p_max=20.0)
         assert abs(p - p_grid) < 1e-4
@@ -77,7 +77,7 @@ class TestWaterLevels:
             assert np.array_equal(a == 0, [True, False, True, False])
             assert np.all(b[[0, 2]] == np.inf) and np.all(np.isfinite(b[[1, 3]]))
             for lam in self.LAMS:
-                p = dd.power_closed_form(lam, sensors, 3.0, (a, b))
+                p = dd.power_closed_form(lam, (a, b))
                 assert p[0] == p[2] == 0.0
 
     def test_one_zero_snr_sensor(self):
@@ -85,7 +85,7 @@ class TestWaterLevels:
         with np.errstate(all="raise"):
             assert solver_central.water_levels(s, 3.0) == (0.0, np.inf)
             for lam in self.LAMS:
-                assert dd.power_closed_form(lam, s, 3.0) == 0.0
+                assert dd.power_closed_form(lam, solver_central.water_levels(s, 3.0)) == 0.0
 
     def test_matches_the_four_term_closed_form(self):
         rng = np.random.default_rng(24)
@@ -104,7 +104,7 @@ class TestWaterLevels:
         p = a * np.maximum(1.0 / np.sqrt(lam) - b, 0.0)
         assert 100 < np.count_nonzero(reference) < m
         assert_allclose(p, reference, rtol=1e-12)
-        assert np.array_equal(dd.power_closed_form(lam, sensors, u), p)
+        assert np.array_equal(dd.power_closed_form(lam, (a, b)), p)
 
     def test_a_level_past_float_range_raises_under_errstate(self):
         # xi about 1e-320: b = (t2 + t3) / a overflows, which the distributed solve must see
@@ -237,8 +237,7 @@ class TestNanRefused:
     @pytest.mark.parametrize("call, message", [
         (lambda sc: dd.solve_centralized(sc, pt=float("nan")), "pt must be positive"),
         (lambda sc: solver_central.water_levels(sc, float("nan")), "need U > 0"),
-        (lambda sc: dd.power_closed_form(1.0, sc, float("nan")), "need U > 0"),
-    ], ids=["solve_centralized_pt", "water_levels_u", "power_closed_form_u"])
+    ], ids=["solve_centralized_pt", "water_levels_u"])
     def test_nan_refused(self, call, message, fig1_scenario):
         with np.errstate(all="raise"), pytest.raises(ValueError, match=message):
             call(fig1_scenario)

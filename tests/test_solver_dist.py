@@ -10,6 +10,7 @@ import distdetect as dd
 from distdetect import cli, consensus, solver_central, solver_dist
 from distdetect.cli import write_trace_csv
 from distdetect.consensus import Consensus
+from distdetect.solver_central import water_levels
 
 from conftest import bundled_config, complete_graph, each_sensor
 
@@ -44,27 +45,25 @@ class TestLocalPowerUpdate:
                 np.full(10, float(rng.uniform(0.05, 0.8))),
             )
             lam = float(10 ** rng.uniform(-9, 1))
-            u = float(rng.uniform(1.0, 10.0))
-            assert dd.local_power_update(lam, s, u) == dd.power_closed_form(lam, s, u)
+            levels = water_levels(s, float(rng.uniform(1.0, 10.0)))
+            assert dd.local_power_update(lam, levels) == dd.power_closed_form(lam, levels)
 
     def test_at_the_solved_multiplier_reproduces_central(self, fig1_scenario, fig1_central):
-        p = np.array([dd.local_power_update(fig1_central.lambda0, s, 3.0)
+        p = np.array([dd.local_power_update(fig1_central.lambda0, water_levels(s, 3.0))
                       for s in each_sensor(fig1_scenario)])
         assert_allclose(p, fig1_central.p, rtol=1e-12)
 
     @pytest.mark.parametrize("lam", [0.0, -1e-6, -np.inf, np.r_[np.full(9, 1e-6), 0.0],
                                      np.r_[-1e-6, np.full(9, 1e-6)]])
     def test_nonpositive_multiplier_refused(self, lam, fig1_scenario):
-        levels = solver_central.water_levels(fig1_scenario, 3.0)
-        for given in (None, levels):
-            with pytest.raises(ValueError, match="lambda0 must be positive"):
-                dd.power_closed_form(lam, fig1_scenario, 3.0, given)
+        with pytest.raises(ValueError, match="lambda0 must be positive"):
+            dd.power_closed_form(lam, water_levels(fig1_scenario, 3.0))
 
     @pytest.mark.parametrize("lam", [np.nan, np.r_[np.nan, np.ones(9)]])
     def test_nan_multiplier_refused(self, lam, fig1_scenario):
         # NaN <= 0 is False, so a refusal of lam <= 0 would let it through to NaN powers
         with np.errstate(all="raise"), pytest.raises(ValueError, match="lambda0 must be positive"):
-            dd.power_closed_form(lam, fig1_scenario, 3.0)
+            dd.power_closed_form(lam, water_levels(fig1_scenario, 3.0))
 
 
 class TestDualUpdate:
@@ -191,10 +190,9 @@ class TestBlockedConsensusInTheSolver:
         _, blocked = dd.solve_distributed(fig1_scenario, fig1_topology)
         runs = []
 
-        def per_round(engine, x0, first_block=None):
+        def per_round(engine, x0):
             runs.append(None)
-            return reference_consensus_average(engine.graph, x0, engine.tol, engine.max_iter,
-                                               engine.mode, engine.window, engine.w)
+            return reference_consensus_average(engine.graph, x0, engine.solver, engine.w)
 
         monkeypatch.setattr(Consensus, "run", per_round)
         _, reference = dd.solve_distributed(fig1_scenario, fig1_topology)
@@ -335,19 +333,6 @@ class TestSetUpOncePerSolve:
         assert trace.iterations == iterations
         assert calls == {"Consensus": 1, "metropolis_matrix": 1, "water_levels": 1,
                          "power_closed_form": iterations, "run": iterations}
-
-    @pytest.mark.parametrize("field, value, message", [
-        ("consensus_mode", "gossip", "unknown mode 'gossip'"),
-        ("consensus_window", 0, "window must be >= 1"),
-    ])
-    def test_bad_settings_raise_before_the_first_outer_iteration(self, field, value, message,
-                                                                 monkeypatch):
-        solver = dd.SolverConfig(consensus_mode="local")
-        object.__setattr__(solver, field, value)   # past SolverConfig's own check
-        calls = self._count_set_up(monkeypatch)
-        with pytest.raises(ValueError, match=message):
-            _solve_identical(_identical_scenario(), solver)
-        assert calls["power_closed_form"] == calls["run"] == 0
 
 
 class TestTraceCsv:
