@@ -4,8 +4,9 @@ Configs are JSON documents with a schema_version field; every command
 takes one config path plus an output directory and writes plot-ready
 CSV files and a manifest. Every CSV file is written here, through one
 column-wise cell formatter. The three detect sweeps (pt, pfa, n) share
-one path: a sweep_budget pass per window length N, which draws one
-batch of observations for every budget, scheme and pfa at that N.
+one path: one sweep_budget pass per run, over every window length N,
+budget, scheme and pfa. It draws the noise along each sensor's signal
+once, shared by every N, and the noise energy orthogonal to it once per N.
 Exit codes are a stable contract: 0 success, 2 config problems or a
 model with nothing to fuse, 3 distributed-solver non-convergence.
 """
@@ -371,12 +372,15 @@ def cmd_allocate(args) -> int:
 
 
 def cmd_detect(args) -> int:
-    """One sweep_budget call per window length N, every point of the sweep in its one pass.
+    """One sweep_budget call per run: every window length N and every point of the sweep.
 
     `pt` sweeps detect.pt_grid at the config's N, `pfa` sweeps
     detect.pfa_grid and `n` the config's Pfa, both at every N of
-    detect.n_grid (the config's N if it is empty). Rows come in (N,
-    budget, scheme, pfa) order; `pt` also writes diagnostics_pt.csv.
+    detect.n_grid (the config's N if it is empty). Every N shares one
+    draw of g, the noise along the signal, so the sweep makes one pass
+    whatever the number of window lengths. Rows come in (N, budget,
+    scheme, pfa) order, a repeated N repeating its rows; `pt` also
+    writes diagnostics_pt.csv.
     """
     cfg = load_config(args.config)
     outdir = _outdir(args)
@@ -394,12 +398,11 @@ def cmd_detect(args) -> int:
     pfa_grid = grid if sweep == "pfa" else [cfg["Pfa"]]
     diag = [] if sweep == "pt" else None
     t0 = time.perf_counter()
-    rows = []
-    for n in n_values:
-        scenario = scenario_from_config(cfg, n=n)
-        ests = sweep_budget(scenario, schemes, pt_grid, trials, diagnostics=diag,
-                            pfa_grid=pfa_grid)
-        rows.extend((e, n, scenario.M) for e in ests)
+    by_n = {n: scenario_from_config(cfg, n=n) for n in n_values}
+    windows = [by_n[n] for n in n_values]
+    ests = sweep_budget(windows, schemes, pt_grid, trials, diagnostics=diag, pfa_grid=pfa_grid)
+    per_window = len(ests) // len(windows)
+    rows = [(e, windows[k // per_window].N, cfg["M"]) for k, e in enumerate(ests)]
     outputs = [f"results_{sweep}.csv"]
     write_results_csv(os.path.join(outdir, outputs[0]), rows)
     if diag is not None:

@@ -9,7 +9,9 @@ washed out by independent sampling noise. Both local statistics depend
 on a sensor's N white-Gaussian samples only through two numbers, the
 noise along the known signal and the noise energy orthogonal to it, so
 the batch holds those two variates per trial and sensor rather than N
-samples (the exact law, not an approximation). The statistics follow
+samples (the exact law, not an approximation). The first does not
+depend on N, so a sweep over window lengths draws it once for all of
+them in its one pass; only the second is drawn per N. The statistics follow
 in closed form and are quantized and fused by the quantize and fusion
 stages; the tests keep the sample-by-sample path (observations and
 both statistics formed from them) as the reference for that law. The two detectors
@@ -37,7 +39,7 @@ from __future__ import annotations
 import enum
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -219,6 +221,7 @@ def weights_for_scheme(scheme: Scheme, statistic: Statistic, spec: QuantSpec) ->
 class SchemePlan:
     """Everything one scheme needs at one operating point; a silent plan sends nothing."""
 
+    scenario: Scenario = field(repr=False)  # planned for; its N picks the window simulated
     scheme: Scheme
     pt: float
     statistic: Statistic            # what the scheme's sensors send
@@ -280,8 +283,8 @@ def plan_scheme(scenario: Scenario, scheme: Scheme, pt: float | None = None) -> 
         senders, sender_weights = senders[:0], None
 
     return SchemePlan(
-        scheme=scheme, pt=float(pt), statistic=statistic, powers=powers, spec=spec,
-        transmit=transmit, senders=senders, sender_weights=sender_weights,
+        scenario=scenario, scheme=scheme, pt=float(pt), statistic=statistic, powers=powers,
+        spec=spec, transmit=transmit, senders=senders, sender_weights=sender_weights,
         design_moments=design, received_h0=received_h0,
     )
 
@@ -293,40 +296,56 @@ def simulate_plans(
     trials: int,
     clip_counts: dict | None = None,
 ) -> list[np.ndarray]:
-    """Count threshold exceedances for every plan over shared noise.
+    """Count threshold exceedances for every plan over shared noise, in one pass.
 
     thresholds[j] is the threshold grid for plans[j]; counts[j] holds its
-    exceedances under H0 (row 0) and H1 (row 1). Each sensor's N
-    white-Gaussian noise samples enter both statistics only through
-    g ~ N(0, 1), their projection on the unit signal direction, and
-    R ~ chi2(N - 1), the energy left over, independent of g. Per trial
-    and sensor g and R are drawn from two PRNG streams derived from the
-    scenario seed, in chunks of at most CHUNK_SAMPLES (trial, sensor)
-    pairs, and each plan's statistic follows in closed form
-    (Statistic.from_noise), under H0 and H1 from the same (g, R). Each
-    chunk is drawn once, each (statistic, sensor, bit load) used by some
-    plan is quantized once per hypothesis, and every plan fuses its
-    senders' rows. Counts are integers summed in a fixed order, so a
-    given seed is fully deterministic, whatever the chunk size.
+    exceedances under H0 (row 0) and H1 (row 1): the trials whose fused
+    value is strictly above each threshold. The plans' scenarios
+    (plan.scenario, one per window length N) may differ from scenario in
+    N and their signals alone; its seed, M, U and noise powers fix the
+    draw. Each sensor's N white-Gaussian noise samples enter both
+    statistics only through g ~ N(0, 1), their projection on the unit
+    signal direction, and R ~ chi2(N - 1), the energy left over,
+    independent of g. Per chunk of at most CHUNK_SAMPLES (trial, sensor)
+    pairs, g is drawn once and R once per window length (_noise), so each
+    N sees exactly the noise a pass at that N alone would draw, and each
+    plan's statistic follows in closed form (Statistic.from_noise), under
+    H0 and H1 from the same (g, R). Each (N, statistic, sensor, bit load)
+    used by some plan is quantized once per hypothesis, and every plan
+    fuses its senders' rows. Counts are integers summed in a fixed order,
+    so a given seed is fully deterministic, whatever the chunk size or the
+    other window lengths.
 
     clip_counts, if supplied, is filled with per-sensor counts of raw
-    statistics falling outside the quantizer window, keyed by the
-    statistic's constructor (Scheme.statistic): a (4, M) array with rows
-    below and above the window under H0, then below and above under H1.
+    statistics falling outside the quantizer window, keyed by the window
+    length N and the statistic's constructor (Scheme.statistic): a (4, M)
+    array with rows below and above the window under H0, then below and
+    above under H1.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     m, u = scenario.M, scenario.U
 
     counts = [np.zeros((2, len(thr)), dtype=np.int64) for thr in thresholds]
-    # one table per statistic constructor: the record (plans of one statistic built
-    # equal ones), the row of each (sensor, bit load) sent in its quantized array, and
-    # the groups of plans fusing the same rows: (senders, bits) -> (rows, [(j, plan)])
-    tables = {}
+    # per window length N, its scenario and one table per statistic constructor: the
+    # record (plans of one statistic built equal ones), the row of each (sensor, bit load)
+    # sent in its quantized array, and the groups of plans fusing the same rows:
+    # (senders, bits) -> (rows, [(j, plan)])
+    windows = {}
     for j, plan in enumerate(plans):
         if plan.degenerate:
             continue
-        _, rows_of, groups = tables.setdefault(plan.scheme.statistic, (plan.statistic, {}, {}))
+        window = plan.scenario
+        if window.N not in windows:
+            if not ((window.seed, window.M, window.U) == (scenario.seed, m, u)
+                    and np.array_equal(window.sigma2, scenario.sigma2)):
+                raise ValueError("every plan's scenario must have the seed, M, U and "
+                                 "noise powers of the draw")
+            windows[window.N] = (window, {})
+        elif windows[window.N][0] is not window:
+            raise ValueError("the plans of one window length N must share one scenario")
+        _, rows_of, groups = windows[window.N][1].setdefault(plan.scheme.statistic,
+                                                             (plan.statistic, {}, {}))
         senders = plan.senders
         bits = plan.spec.bits_int[senders]
         key = (senders.tobytes(), bits.tobytes())
@@ -334,58 +353,70 @@ def simulate_plans(
             groups[key] = (np.array([rows_of.setdefault(cell, len(rows_of))
                                      for cell in zip(senders.tolist(), bits.tolist())]), [])
         groups[key][1].append((j, plan))
-    if not tables:
+    if not windows:
         return counts   # nothing to draw: nobody transmits
     # rows become a (rows, 2) array of (sensor, bit load), in row order
-    tables = {kind: (stat, np.array(list(rows_of)), list(groups.values()))
-              for kind, (stat, rows_of, groups) in tables.items()}
+    windows = {n: {kind: (stat, np.array(list(rows_of)), list(groups.values()))
+                   for kind, (stat, rows_of, groups) in tables.items()}
+               for n, (_, tables) in windows.items()}
 
     chunk_cap = max(256, CHUNK_SAMPLES // m)
-    # the keys fix every draw: changing them changes every results CSV
+    # the keys fix every draw: changing them changes every results CSV. Each window
+    # length gets its own instance of the R stream, the one a pass at that N alone uses
     rng_g = derive_stream(scenario.seed, "mc", "mc", 0)
-    rng_r = derive_stream(scenario.seed, "mc", "mc", 1)
+    rng_r = {n: derive_stream(scenario.seed, "mc", "mc", 1) for n in windows}
     left = trials
     while left > 0:
         c = min(left, chunk_cap)
         left -= c
-        sg, rest = _noise(scenario, rng_g, rng_r, c)
-        # one statistic and its quantized rows held at a time
-        for hyp_idx, (kind, (stat, cells, groups)) in itertools.product((0, 1), tables.items()):
-            st = stat.from_noise(sg, rest, hyp_idx == 1)   # (sensors, trials)
-            lo = stat.lo
-            if clip_counts is not None:
-                tally = clip_counts.setdefault(kind, np.zeros((4, m), dtype=np.int64))
-                tally[2 * hyp_idx] += (st < lo).sum(axis=1)
-                tally[2 * hyp_idx + 1] += (st > lo + 2.0 * u).sum(axis=1)
-            quantized = quantize_array(st[cells[:, 0]], cells[:, 1:], u, lo)
-            del st
-            for rows, members in groups:
-                q = quantized[rows]
-                for j, plan in members:
-                    fused = fuse(q, plan.sender_weights)
-                    counts[j][hyp_idx] += (fused[:, None] > thresholds[j][None, :]).sum(axis=0)
+        for n, sg, rest in _noise(scenario, rng_g, rng_r, c):
+            # one statistic and its quantized rows held at a time
+            for hyp_idx, (kind, (stat, cells, groups)) in itertools.product((0, 1),
+                                                                             windows[n].items()):
+                st = stat.from_noise(sg, rest, hyp_idx == 1)   # (sensors, trials)
+                lo = stat.lo
+                if clip_counts is not None:
+                    tally = clip_counts.setdefault((n, kind), np.zeros((4, m), dtype=np.int64))
+                    tally[2 * hyp_idx] += (st < lo).sum(axis=1)
+                    tally[2 * hyp_idx + 1] += (st > lo + 2.0 * u).sum(axis=1)
+                quantized = quantize_array(st[cells[:, 0]], cells[:, 1:], u, lo)
+                del st
+                for rows, members in groups:
+                    q = quantized[rows]
+                    for j, plan in members:
+                        fused = fuse(q, plan.sender_weights)
+                        counts[j][hyp_idx] += [np.count_nonzero(fused > t)
+                                               for t in thresholds[j].tolist()]
     return counts
 
 
-def _noise(scenario: Scenario, rng_g: np.random.Generator, rng_r: np.random.Generator,
-           trials: int) -> tuple[np.ndarray, np.ndarray | float]:
+def _noise(scenario: Scenario, rng_g: np.random.Generator, rng_r: dict, trials: int):
     """The two numbers each sensor's N noise samples enter both statistics through.
 
     With z the unit-variance samples and e = s / |s|, g = e . z ~ N(0, 1)
     is the noise along the signal and R = |z|^2 - g^2 ~ chi2(N - 1), the
     noise energy orthogonal to it, independent of g (white Gaussian
     noise is rotation-invariant; for an all-zero signal any direction
-    will do). Draws a (trials, M) batch of each, g from rng_g and R from
-    rng_r, so consecutive batches continue both streams whatever their
-    size. Returns sigma g and sigma^2 R as (M, trials) arrays, which
-    Statistic.from_noise turns into either statistic; R is 0, and nothing
-    is drawn from rng_r, when N = 1.
+    will do). g does not depend on N: one (trials, M) batch is drawn from
+    rng_g and shared by every window length. rng_r maps each window
+    length N to its R stream, from which a (trials, M) batch of R is
+    drawn when that N's turn comes, so consecutive batches continue every
+    stream whatever their size. Yields (N, sigma g, sigma^2 R) per N,
+    the two as (M, trials) arrays, which Statistic.from_noise turns into
+    either statistic; R is 0, and nothing is drawn from N's stream, when
+    N = 1.
     """
-    m, n = scenario.M, scenario.N
+    m = scenario.M
     sg = rng_g.normal(0.0, 1.0, size=(trials, m)).T * np.sqrt(scenario.sigma2)[:, None]
-    if n == 1:
-        return sg, 0.0
-    return sg, rng_r.chisquare(n - 1, size=(trials, m)).T * scenario.sigma2[:, None]
+    for n, rng in rng_r.items():
+        if n == 1:
+            yield n, sg, 0.0
+            continue
+        # chisquare(k) is 2 * standard_gamma(k / 2), draw for draw; scaling by 2 is exact,
+        # so folding it into sigma^2 leaves every bit of sigma^2 R as chisquare's would be
+        rest = rng.standard_gamma((n - 1) / 2.0, size=(trials, m))
+        rest *= 2.0 * scenario.sigma2
+        yield n, sg, rest.T
 
 
 def run_trials(scenario: Scenario, scheme: Scheme, trials: int, pt: float | None = None,
@@ -410,40 +441,48 @@ def roc_curve(scenario: Scenario, scheme: Scheme, pfa_grid, trials: int) -> list
 
 
 def sweep_budget(
-    scenario: Scenario,
+    scenario: Scenario | list[Scenario],
     schemes: list[Scheme],
     pt_grid,
     trials: int,
     diagnostics: list | None = None,
     pfa_grid=None,
 ) -> list[DetectionEstimate]:
-    """All schemes across a grid of power budgets and a grid of false-alarm targets.
+    """All schemes across window lengths, power budgets and false-alarm targets, in one pass.
 
-    pfa_grid defaults to [scenario.Pfa]. The observation stream is keyed
-    independently of budget and scheme, so all (budget, scheme) plans go
-    through a single simulate_plans pass on one batch, each thresholded
-    at every pfa, and pd curves move with the operating point alone.
-    Estimates come in (budget, scheme, pfa) order. diagnostics, if given,
-    gets one (plan, clip rates) pair per plan, the rates a (4, M) array
-    with rows lo/hi under H0, then lo/hi under H1; clips are counted only then.
+    scenario is one Scenario or a list of them, one per window length N
+    of a sweep, in order: scenarios that differ in N and their signals
+    alone, as make_scenario builds them at one seed, a repeated N
+    repeating its scenario object. pfa_grid defaults to [Pfa] of the first.
+    The observation streams are keyed independently of budget and scheme,
+    and g independently of N, so all (N, budget, scheme) plans go through
+    a single simulate_plans pass, each thresholded at every pfa, and pd
+    curves move with the operating point alone. Estimates come in (N,
+    budget, scheme, pfa) order. diagnostics, if given, gets one (plan,
+    clip rates) pair per plan, the rates a (4, M) array with rows lo/hi
+    under H0, then lo/hi under H1; clips are counted only then.
     """
+    scenarios = [scenario] if isinstance(scenario, Scenario) else list(scenario)
+    if not scenarios:
+        raise ValueError("need at least one scenario")
     grid = [float(v) for v in pt_grid]
     if not grid or not all(v > 0 for v in grid):
         raise ValueError("pt grid values must be positive")
-    pfas = [float(v) for v in ([scenario.Pfa] if pfa_grid is None else pfa_grid)]
+    pfas = [float(v) for v in ([scenarios[0].Pfa] if pfa_grid is None else pfa_grid)]
     if not pfas or any(not 0.0 < v < 1.0 for v in pfas):
         raise ValueError("pfa grid values must lie in (0, 1)")
     if sorted(pfas) != pfas:
         raise ValueError("pfa grid must be increasing")
-    plans = [plan_scheme(scenario, s, pt=pt) for pt in grid for s in schemes]
+    plans = [plan_scheme(sc, s, pt=pt) for sc in scenarios for pt in grid for s in schemes]
     clip = {} if diagnostics is not None else None
     thresholds = [np.array([p.threshold(v) for v in pfas]) for p in plans]
-    counts = simulate_plans(scenario, plans, thresholds, trials, clip)
+    counts = simulate_plans(scenarios[0], plans, thresholds, trials, clip)
     if diagnostics is not None:
-        none = np.zeros((4, scenario.M), dtype=np.int64)
+        none = np.zeros((4, scenarios[0].M), dtype=np.int64)
         # a silent plan clips nothing
         diagnostics.extend(
-            (p, (none if p.degenerate else clip.get(p.scheme.statistic, none)) / trials)
+            (p, (none if p.degenerate else clip.get((p.scenario.N, p.scheme.statistic), none))
+             / trials)
             for p in plans)
     return [DetectionEstimate(scheme=p.scheme, pfa_target=v, pfa_hat=float(c[0, j]) / trials,
                               pd_hat=float(c[1, j]) / trials, pd_analytic=p.pd_analytic(v),

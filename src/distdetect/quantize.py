@@ -100,11 +100,13 @@ def quantize_array(t: np.ndarray, bits_int, u: float, lo: float = 0.0) -> np.nda
     delta = 2.0 * u / cells
     t = np.asarray(t, dtype=float)
     out = np.clip(t, lo, lo + 2.0 * u, out=np.empty(np.broadcast_shapes(t.shape, cells.shape)))
-    out -= lo
+    if lo:   # the energy's window starts at 0, where the shift changes no value
+        out -= lo
     out /= delta
     np.floor(out, out=out)
     np.minimum(out, cells - 1, out=out)    # the top edge belongs to the last cell
     out += 0.5
     out *= delta
-    out += lo
+    if lo:
+        out += lo
     return out if out.ndim else out[()]

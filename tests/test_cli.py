@@ -31,6 +31,8 @@ LARGE_NETWORK_DIGESTS = Path(__file__).with_name("large_network_outputs.sha256")
 LARGE_NETWORK_PINNED = dict(
     line.split()[::-1] for line in LARGE_NETWORK_DIGESTS.read_text().splitlines())
 LARGE_NETWORK = {"seed": 1, "M": 5000, "Pt": 500.0, "radius": 0.05}
+# the same listing for the roc_sweep benchmark shape's results_pfa.csv at seed 1
+ROC_SWEEP_DIGESTS = Path(__file__).with_name("roc_sweep_outputs.sha256")
 
 
 def read_csv(path):
@@ -343,6 +345,21 @@ class TestDetectCommand:
         write_results_csv(tmp_path / "reference.csv", rows)
         assert (out / f"results_{sweep}.csv").read_bytes() == \
             (tmp_path / "reference.csv").read_bytes()
+
+    def test_roc_sweep_bytes_are_pinned(self, tmp_path):
+        # the roc_sweep benchmark shape at seed 1: fig4 at Pt=10, two window lengths
+        # in one pass, nine thresholds per plan; the CI benchmark step checks the
+        # workload's report against the same file
+        path = write_config(tmp_path, seed=1, M=10, N=10, U=3.0, Pt=10.0, Pfa=0.1, overrides={
+            "detect": {"trials": 20000, "schemes": ["ED_opt_weights_opt_power", "MFD_opt_power"],
+                       "pfa_grid": [0.01, 0.02, 0.05, 0.1, 0.2, 0.3, 0.5, 0.7, 0.9],
+                       "n_grid": [10, 50]}})
+        out = tmp_path / "out"
+        assert run_cli("detect", path, "--sweep", "pfa", "--out", out) == 0
+        (line,) = ROC_SWEEP_DIGESTS.read_text().splitlines()
+        digest, name = line.split()
+        assert name == "results_pfa.csv"
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
 
     @pytest.mark.parametrize("config, sweep, top, detect", [
         ("fig3.cfg", "pt", {}, {"pt_grid": [5e-324], "schemes": ["MFD_equal_power"]}),

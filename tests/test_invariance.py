@@ -2,10 +2,13 @@
 
 Relabeling the sensors permutes the central allocation bit for bit and
 the distributed one to within its rounding; a detect row does not move
-when other schemes or other budgets run beside it, or in another order.
-Hypothesis chooses the permutation and the subset.
+when other schemes, other budgets or other window lengths run beside it,
+or in another order. Hypothesis chooses the permutation and the subset.
 """
 import functools
+import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -110,3 +113,39 @@ def test_detect_rows_do_not_depend_on_the_other_points(name, data):
     for key, (estimate, rates) in part.items():
         assert estimate == full[key][0], key
         assert np.array_equal(rates, full[key][1]), key
+
+
+# window lengths for the n grids below: N=1 draws no R, N=2 one degree of freedom
+WINDOWS = (1, 2, 10, 50)
+
+
+@functools.cache
+def _window_rows(sweep, n_grid):
+    """The results rows of a fig4 `detect --sweep` run at n_grid, through the CLI.
+
+    fig4 at Pt=10, the roc_sweep benchmark's budget: at fig4's Pt=1 one
+    sensor sends one bit and most rates read 0.
+    """
+    raw = {**json.loads(bundled_config("fig4.cfg").read_text()), "Pt": 10.0}
+    raw["detect"] = {**raw["detect"], "n_grid": list(n_grid)}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "fig4.cfg"
+        path.write_text(json.dumps(raw))
+        assert cli.main(["detect", str(path), "--sweep", sweep, "--trials", "2000",
+                         "--out", tmp]) == 0
+        return (Path(tmp) / f"results_{sweep}.csv").read_text().splitlines()[1:]
+
+
+@pytest.mark.parametrize("sweep", ["pfa", "n"])
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_detect_rows_do_not_depend_on_the_other_window_lengths(sweep, data):
+    # one pass draws g once for every N of the grid: each N's rows must be the ones
+    # it gets alone, in any grid, in any order, repeated or not
+    n_grid = tuple(data.draw(st.lists(st.sampled_from(WINDOWS), min_size=1, max_size=5),
+                             label="n_grid"))
+    rows = _window_rows(sweep, n_grid)
+    per_window = len(rows) // len(n_grid)
+    assert per_window * len(n_grid) == len(rows) and per_window > 0
+    for k, n in enumerate(n_grid):
+        assert rows[k * per_window:(k + 1) * per_window] == _window_rows(sweep, (n,)), (k, n)

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
 from scipy.stats import ks_2samp, norm
@@ -298,28 +299,62 @@ class TestSweepBudget:
         assert ests[0].pd_hat == 0.0 and ests[0].pfa_hat == 0.0
 
 
-def _count_draws(monkeypatch) -> list:
-    """Patch montecarlo.derive_stream; the list gets the shape of every normal() batch.
+    @pytest.mark.parametrize("other, message", [
+        (dict(seed=8), "seed, M, U and noise powers"),
+        (dict(m=6), "seed, M, U and noise powers"),
+        (dict(u=4.0), "seed, M, U and noise powers"),
+        (dict(sigma2_range=(0.5, 3.0)), "seed, M, U and noise powers"),
+        (dict(xa_db=0.0, n=8), "one window length N must share one scenario"),
+    ], ids=["seed", "M", "U", "sigma2", "same_N"])
+    def test_windows_must_share_the_draw(self, small_scenario, other, message):
+        # a second window that differs from small_scenario (m=5, n=8, seed=7, u=3)
+        # in more than N and its signals cannot share its noise
+        kw = dict(m=5, n=12, seed=7, u=3.0, pt=5.0, pfa=0.1, xa_db=-4.0, amplitude=0.2)
+        other_window = dd.make_scenario(**{**kw, **other})
+        with pytest.raises(ValueError, match=message):
+            dd.sweep_budget([small_scenario, other_window], [Scheme.ED_opt_weights_opt_power],
+                            [5.0], 100)
 
-    Every other draw, such as chisquare(), passes through uncounted.
+
+def _count_draws(monkeypatch) -> dict:
+    """Patch montecarlo.derive_stream; record every batch drawn from the two noise streams.
+
+    The dict's "g" list gets the shape of each batch drawn from the g
+    stream ("mc", "mc", 0), and its "R" list an (instance, shape) pair for
+    each batch drawn from an instance of the R stream ("mc", "mc", 1),
+    whatever the Generator method that drew it. Instances are numbered in
+    the order they were derived since the dict's lists were last cleared,
+    its "R streams" list included.
     """
-    shapes = []
+    draws = {"g": [], "R": [], "R streams": []}
+    instances = draws["R streams"]
     derive = montecarlo.derive_stream
 
     class Stream:
-        def __init__(self, rng):
-            self._rng = rng
-
-        def normal(self, *args, **kwargs):
-            out = self._rng.normal(*args, **kwargs)
-            shapes.append(out.shape)
-            return out
+        def __init__(self, rng, key):
+            self._rng, self._key = rng, key
+            if key[-1] == 1:
+                self._instance = len(instances)
+                instances.append(self)
 
         def __getattr__(self, name):
-            return getattr(self._rng, name)
+            method = getattr(self._rng, name)
 
-    monkeypatch.setattr(montecarlo, "derive_stream", lambda *key: Stream(derive(*key)))
-    return shapes
+            def draw(*args, **kwargs):
+                out = method(*args, **kwargs)
+                if self._key[-1] == 0:
+                    draws["g"].append(out.shape)
+                else:
+                    draws["R"].append((self._instance, out.shape))
+                return out
+            return draw
+
+    def spy(*key):
+        assert key[1:] in (("mc", "mc", 0), ("mc", "mc", 1)), key
+        return Stream(derive(*key), key[1:])
+
+    monkeypatch.setattr(montecarlo, "derive_stream", spy)
+    return draws
 
 
 class TestChunking:
@@ -334,9 +369,9 @@ class TestChunking:
         whole, whole_diag = self._sweep(sc)
         # the 256-trial floor then splits the 1000 trials into four chunks
         monkeypatch.setattr(montecarlo, "CHUNK_SAMPLES", 1)
-        shapes = _count_draws(monkeypatch)
+        draws = _count_draws(monkeypatch)
         chunked, chunked_diag = self._sweep(sc)
-        assert len(shapes) >= 3
+        assert len(draws["g"]) >= 3
         assert chunked == whole
         # clip rates over the same trial count
         assert all(np.array_equal(a, b) for (_, a), (_, b) in zip(chunked_diag, whole_diag))
@@ -357,17 +392,23 @@ class TestChunking:
         path = write_config(tmp_path, M=sc.M, N=sc.N, seed=7, Pt=5.0, overrides={
             "radius": 0.6,
             "detect": {"trials": 1000, "pfa_grid": [0.05, 0.1, 0.5], "n_grid": [8, 12]}})
-        shapes = _count_draws(monkeypatch)
+        draws = _count_draws(monkeypatch)
         # whole, then in the four chunks the 256-trial floor splits 1000 trials into
         for chunks in ((1000,), (256, 256, 256, 232)):
-            shapes.clear()
+            for batches in draws.values():
+                batches.clear()
             self._sweep(sc)
-            assert shapes == [(c, sc.M) for c in chunks]
-            # the CLI's pfa and n sweeps: one batch per window length, shared by all six schemes
+            assert draws["g"] == [(c, sc.M) for c in chunks]
+            assert draws["R"] == [(0, (c, sc.M)) for c in chunks]
+            # the CLI's pfa and n sweeps: one g batch per chunk, shared by both window
+            # lengths and all six schemes, and one R batch per chunk and window length,
+            # each window length drawing from its own R stream
             for sweep in ("pfa", "n"):
-                shapes.clear()
+                for batches in draws.values():
+                    batches.clear()
                 assert run_cli("detect", path, "--sweep", sweep, "--out", tmp_path / sweep) == 0
-                assert shapes == [(c, sc.M) for n in (8, 12) for c in chunks]
+                assert draws["g"] == [(c, sc.M) for c in chunks]
+                assert draws["R"] == [(k, (c, sc.M)) for c in chunks for k in (0, 1)]
             monkeypatch.setattr(montecarlo, "CHUNK_SAMPLES", 1)
 
     def test_plans_sharing_bit_loads_quantize_once(self, small_scenario, monkeypatch):
@@ -417,6 +458,91 @@ class TestChunking:
         assert all(a is b for a, b in zip(first, second))
 
 
+class TestExceedanceCounts:
+    """simulate_plans counts the fused values strictly above each threshold, ties included."""
+
+    LEVELS = (-1.0, 0.0, 0.5, 2.0)
+
+    @staticmethod
+    def _recording(monkeypatch, values=None):
+        """Patch montecarlo.fuse to record the per-trial values it returns, per weights object.
+
+        values(size), if given, replaces those values. plan_scheme's fuse of
+        one value per sensor passes through unrecorded.
+        """
+        fused_by_plan = {}
+
+        def recording(q, weights):
+            if np.ndim(q) == 1:
+                return fuse(q, weights)
+            fused = fuse(q, weights) if values is None else values(q.shape[1])
+            fused_by_plan.setdefault(id(weights), []).append(fused)
+            return fused
+
+        monkeypatch.setattr(montecarlo, "fuse", recording)
+        return fused_by_plan
+
+    @staticmethod
+    def _strict_count(calls, thresholds):
+        """Per hypothesis and threshold, the values above it, one by one; a plan's fuse
+        calls alternate H0 and H1, chunk after chunk."""
+        return [[sum(v > t for f in calls[h::2] for v in f.tolist()) for t in thresholds]
+                for h in (0, 1)]
+
+    @settings(max_examples=20, deadline=None)
+    @given(data=st.data())
+    def test_random_values_on_thresholds_they_hit(self, small_scenario, data):
+        sc = small_scenario
+        plans = [plan_scheme(sc, s, pt=5.0) for s in Scheme]
+        assert not any(p.degenerate for p in plans)
+        # sorted, with repeats, and every one a value the fused samples take
+        thresholds = [np.array(data.draw(st.lists(st.sampled_from(self.LEVELS), min_size=1,
+                                                  max_size=6).map(sorted), label=f"plan {j}"))
+                      for j in range(len(plans))]
+        trials = data.draw(st.integers(1, 700), label="trials")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(montecarlo, "CHUNK_SAMPLES", 1)   # chunks of 256 trials
+            calls = self._recording(mp, lambda size: rng.choice(self.LEVELS, size=size))
+            counts = montecarlo.simulate_plans(sc, plans, thresholds, trials)
+        for plan, thr, got in zip(plans, thresholds, counts):
+            assert got.tolist() == self._strict_count(calls[id(plan.sender_weights)], thr)
+
+    def test_simulated_values_on_thresholds_they_hit(self, small_scenario, monkeypatch):
+        sc = small_scenario
+        plans = [plan_scheme(sc, s, pt=pt) for pt in (2.0, 5.0) for s in Scheme]
+        first = self._recording(monkeypatch)
+        montecarlo.simulate_plans(sc, plans, [np.array([0.0])] * len(plans), 600)
+        # each plan's thresholds: its lowest and highest fused value and five more it
+        # took, one of them twice; the quantized values repeat, so many trials tie
+        rng = np.random.default_rng(0)
+        thresholds = []
+        for plan in plans:
+            taken = np.unique(np.concatenate(first[id(plan.sender_weights)]))
+            assert taken.size < 2 * 600
+            picks = rng.choice(taken, size=5)
+            thresholds.append(np.sort(np.concatenate([taken[[0, -1]], picks, picks[:1]])))
+        again = self._recording(monkeypatch)
+        counts = montecarlo.simulate_plans(sc, plans, thresholds, 600)
+        for plan, thr, got in zip(plans, thresholds, counts):
+            assert got.tolist() == self._strict_count(again[id(plan.sender_weights)], thr)
+
+    def test_repeated_pfa_targets(self, small_scenario, monkeypatch):
+        sc = small_scenario
+        pfas = [0.05, 0.1, 0.1, 0.5, 0.5, 0.9]
+        calls = self._recording(monkeypatch)
+        diagnostics = []
+        ests = dd.sweep_budget(sc, list(Scheme), [5.0], 600, diagnostics=diagnostics,
+                               pfa_grid=pfas)
+        for k, (plan, _) in enumerate(diagnostics):
+            rows = ests[k * len(pfas):(k + 1) * len(pfas)]
+            expected = self._strict_count(calls[id(plan.sender_weights)],
+                                          [plan.threshold(v) for v in pfas])
+            assert [[round(e.pfa_hat * 600) for e in rows],
+                    [round(e.pd_hat * 600) for e in rows]] == expected
+            assert rows[1] == rows[2] and rows[3] == rows[4]
+
+
 def _law_population(n, m=3):
     """Three sensors with unequal noise and signals that are not constant over the window."""
     signal = np.random.default_rng(100 + n).normal(0.0, 0.4, size=(m, n))
@@ -439,8 +565,8 @@ class TestSufficientStatisticLaw:
     @pytest.mark.parametrize("n", [1, 2, 10, 50])
     def test_moments_and_ks_against_the_sample_path(self, n, h1):
         sc, trials = _law_population(n), self.TRIALS
-        sg, rest = montecarlo._noise(sc, np.random.default_rng(1), np.random.default_rng(2),
-                                     trials)
+        ((_, sg, rest),) = montecarlo._noise(sc, np.random.default_rng(1),
+                                             {n: np.random.default_rng(2)}, trials)
         drawn = [statistic(sc, sc.U).from_noise(sg, rest, h1)
                  for statistic in (dd.Statistic.energy, dd.Statistic.matched)]
         x = generate_observations(sc, n, h1, np.random.default_rng(3), trials=trials)
