@@ -31,7 +31,7 @@ from .montecarlo import DetectionEstimate, Scheme, SchemePlan, sweep_budget
 from .montecarlo import powers_for_scheme, roc_curve, run_trials, weights_for_scheme
 from .quantize import specs_for_allocation
 from .solver_central import NoSignalError, ScaleError, solve_centralized
-from .solver_dist import ConvergenceError, DualAscentTrace, solve_distributed
+from .solver_dist import ConvergenceError, DualAscentTrace, ordered_norm, solve_distributed
 
 SCHEMA_VERSION = 1
 OUTDIR_ENV = "DISTDETECT_OUTDIR"
@@ -362,8 +362,8 @@ def cmd_allocate(args) -> int:
     outputs = ["allocation.csv", *_write_topology(outdir, graph)]
     _write_manifest(outdir, cfg, "allocate", outputs, timings)
     if p_central is not None and p_dist is not None:
-        nc = float(np.linalg.norm(p_central))
-        gap = float(np.linalg.norm(p_dist - p_central)) / nc if nc > 0 else float("nan")
+        nc = ordered_norm(p_central)
+        gap = ordered_norm(p_dist - p_central) / nc if nc > 0 else float("nan")
         print(f"allocate: {scenario.M} sensors, central vs distributed relative gap {gap:.3e}")
     else:
         print(f"allocate: {scenario.M} sensors, method {args.method}")

@@ -8,7 +8,6 @@ input after input; consensus_average is one run of a fresh engine.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,6 +16,8 @@ from .model import SolverConfig
 
 # consensus rounds in an engine's first block and between later tests of the stopping rule
 BLOCK_ROUNDS = 64
+# rounds between the chain points a small graph's states are mixed from: the powers of W it stacks
+CHAIN_ROUNDS = 64
 # floats the round buffer holds (512 KiB): a block runs no more rounds than fit
 BUFFER_FLOATS = 1 << 16
 # candidate pairs geometric_edges measures at once (a point with more takes a block alone)
@@ -282,18 +283,19 @@ def random_geometric_graph(
 
 
 def metropolis_matrix(graph: Graph) -> np.ndarray:
-    """Metropolis-Hastings mixing matrix.
+    """Metropolis-Hastings mixing matrix: the slots of _slots, laid out dense.
 
     W[i, j] = 1 / (1 + max(deg_i, deg_j)) on edges, diagonal soaks up
-    the remainder. Symmetric and doubly stochastic by construction, so
-    repeated application preserves the mean and converges to it.
+    the remainder: 1 minus the node's edge weights, added in index order.
+    Symmetric and doubly stochastic by construction, so repeated
+    application preserves the mean and converges to it.
     """
     m = graph.M
+    cols, vals = _slots(graph)
     w = np.zeros((m, m))
-    deg = graph.degrees
-    u, v = graph.edges.T
-    w[u, v] = w[v, u] = 1.0 / (1.0 + np.maximum(deg[u], deg[v]))
-    w[np.diag_indices(m)] = 1.0 - w.sum(axis=1)
+    rows = np.arange(m)
+    for c, v in zip(cols, vals):   # a padding slot adds 0 to its node's diagonal
+        w[rows, c] += v
     return w
 
 
@@ -304,29 +306,128 @@ class ConsensusResult:
     max_deviation: float   # max_i |values_i - mean(x0)|
 
 
+def stacks_powers(m: int) -> bool:
+    """Whether an engine on m nodes mixes from stacked powers of W: while they fit BUFFER_FLOATS."""
+    return CHAIN_ROUNDS * m * m <= BUFFER_FLOATS
+
+
+def _stacked_powers(w: np.ndarray) -> np.ndarray:
+    """W^1 ... W^CHAIN_ROUNDS as one (M, CHAIN_ROUNDS, M) array: [j, r - 1, i] is (W^r)[i, j].
+
+    W^(r+1) is W^r W, each entry summed over the inner index in index order.
+    """
+    m = len(w)
+    stack = np.empty((m, CHAIN_ROUNDS, m))
+    terms = np.empty((m, m, m))
+    stack[:, 0] = w.T
+    for r in range(1, CHAIN_ROUNDS):
+        # (W^(r+1))[i, j] = sum over l of (W^r)[i, l] W[l, j], held as [j, i]
+        np.multiply(w[:, :, None], stack[:, r - 1][:, None, :], out=terms)
+        np.add.reduce(terms, axis=0, out=stack[:, r])
+    return stack
+
+
+def _slots(graph: Graph, weights: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """W's nonzero slots: (D + 1, M) column indices and weights, D the largest degree.
+
+    Node i's slots are i itself, then its neighbours in ascending order,
+    then i again at weight 0 up to D + 1 slots. Metropolis weights
+    (metropolis_matrix) unless `weights` is given, whose entries off the
+    graph's edges and diagonal are not read; the Metropolis diagonal is 1
+    minus the node's neighbour weights, added in ascending order.
+    """
+    m, deg = graph.M, graph.degrees
+    u, v = graph.edges.T
+    # each edge from both ends, ordered by node and then by neighbour
+    src, dst = np.concatenate((u, v)), np.concatenate((v, u))
+    order = np.argsort(src * m + dst, kind="stable")
+    src, dst = src[order], dst[order]
+    slot = np.arange(1, len(src) + 1) - (np.cumsum(deg) - deg)[src]
+    cols = np.tile(np.arange(m), (int(deg.max(initial=0)) + 1, 1))
+    cols[slot, src] = dst
+    vals = np.zeros(cols.shape)
+    if weights is None:
+        vals[slot, src] = 1.0 / (1.0 + np.maximum(deg[src], deg[dst]))
+        vals[0] = 1.0 - np.add.reduce(vals[1:], axis=0)
+    else:
+        w = np.asarray(weights, dtype=float)
+        vals[slot, src] = w[src, dst]
+        vals[0] = w.diagonal()
+    return cols, vals
+
+
 class Consensus:
     """Average consensus on one graph: set up once, then run on input after input.
 
-    Holds the mixing weights (Metropolis unless `weights` is given), a
-    round buffer and its block schedule, and reads the tolerance, round
-    budget, stopping rule and window from a validated SolverConfig.
+    Holds the mixing weights (Metropolis unless `weights` is given) in the
+    form its rounds are computed from, a round buffer and its block
+    schedule, and reads the tolerance, round budget, stopping rule and
+    window from a validated SolverConfig.
     consensus_mode="oracle" stops on the true deviation max_i |x_i - mean(x0)|,
     observable in simulation but not in a deployment; "local" stops when
     each node's own trajectory has moved less than the tolerance over a
     sliding window of consensus_window rounds, information a real node has.
+
+    Every sum runs over its terms in index order, with no BLAS call, so
+    the values depend only on the graph (or the weights) and the input:
+    not on the CPU, its BLAS kernel or the block schedule. While
+    CHAIN_ROUNDS powers of W fit BUFFER_FLOATS (M <= 32), the engine
+    stacks W^1 ... W^CHAIN_ROUNDS once, and the state after c + r rounds
+    is W^r times the state after c rounds, c the last multiple of
+    CHAIN_ROUNDS (the chain point): a block of rounds is one product and
+    one sum over the stack. A larger graph mixes one round per product
+    over W's nonzero slots (see _slots), M x (largest degree + 1) of
+    them, and never forms the dense M x M matrix.
     """
 
     def __init__(self, graph: Graph, solver: SolverConfig, weights: np.ndarray | None = None):
         self.graph, self.solver = graph, solver
-        self.w = metropolis_matrix(graph) if weights is None else np.asarray(weights, dtype=float)
+        m = graph.M
         # rows kept in front of each block: the current state, and for the
         # local rule the `window` states before it (no more than can exist)
         self.lead = (min(solver.consensus_window, solver.consensus_max_iter)
                      if solver.consensus_mode == "local" else 0)
-        self.max_block = max(BUFFER_FLOATS // graph.M - self.lead - 1, 1)
+        self.max_block = max(BUFFER_FLOATS // m - self.lead - 1, 1)
         # the next run's first block, and the later blocks; read here so a test can patch it
         self.block_rounds = self.opening_block = BLOCK_ROUNDS
-        self._buf, self._rows = np.zeros((0, graph.M)), []
+        self._buf, self._rows = np.zeros((0, m)), []
+        # which mixer run() calls; a bound method kept on the engine would be a
+        # reference cycle, freeing the engine only when the cycle collector runs
+        self._stacked = stacks_powers(m)
+        if self._stacked:
+            w = metropolis_matrix(graph) if weights is None else np.asarray(weights, dtype=float)
+            self._powers = _stacked_powers(w)
+            self._terms = np.empty_like(self._powers)
+            self._chain = np.empty(m)   # the state at the last chain point
+        else:
+            self._cols, self._vals = _slots(graph, weights)
+            self._terms = np.empty_like(self._vals)
+
+    def _mix_powers(self, k: int, first: int, n: int) -> None:
+        """Buffer rows first+1 .. first+n: the states after rounds k+1 .. k+n.
+
+        Row first holds the state after k rounds. Each state is a power of
+        W times the state at its chain point, one product and one sum for
+        the rows between two chain points.
+        """
+        buf, done = self._buf, 0
+        while done < n:
+            r0 = (k + done) % CHAIN_ROUNDS   # rounds past the chain point
+            if r0 == 0:
+                self._chain[:] = buf[first + done]
+            r1 = min(CHAIN_ROUNDS, r0 + n - done)
+            terms = self._terms[:, :r1 - r0]
+            np.multiply(self._powers[:, r0:r1], self._chain[:, None, None], out=terms)
+            np.add.reduce(terms, axis=0, out=buf[first + 1 + done:first + 1 + done + r1 - r0])
+            done += r1 - r0
+
+    def _mix_slots(self, k: int, first: int, n: int) -> None:
+        """Buffer rows first+1 .. first+n, each one round past the row before it."""
+        rows, cols, vals, terms = self._rows, self._cols, self._vals, self._terms
+        for r in range(first + 1, first + 1 + n):
+            np.take(rows[r - 1], cols, out=terms)
+            np.multiply(terms, vals, out=terms)
+            np.add.reduce(terms, axis=0, out=rows[r])
 
     def run(self, x0: np.ndarray) -> ConsensusResult:
         """Iterate x <- W x from x0 until every node agrees on the mean of x0.
@@ -336,34 +437,35 @@ class Consensus:
         BUFFER_FLOATS holds, and the stopping rule is tested once per block
         for every round in it. The first block is BLOCK_ROUNDS rounds (as
         read at construction), or after a successful run that run's rounds
-        + 2; later blocks are BLOCK_ROUNDS. Each round is the same product
-        as x = W @ x and the tests are exact, so values and round counts
-        are those of testing after every round.
+        + 2; later blocks are BLOCK_ROUNDS. The schedule decides only how
+        many states are computed before each test: a state's bits are set
+        by the chain point it is computed from (see Consensus), and the
+        tests are exact, so values and round counts are those of testing
+        after every round.
         """
         x = np.asarray(x0, dtype=float)
         m = self.graph.M
         if x.shape != (m,):
             raise ValueError(f"x0 must have shape ({m},), got {x.shape}")
-        with np.errstate(all="ignore"):   # an overflow of finite terms is flagged below
-            total = np.add.reduce(x)   # finite only if every term is
-        if not math.isfinite(total) and not np.isfinite(x).all():
+        if not np.isfinite(x).all():   # before any arithmetic, which could flag inf - inf
             raise ValueError("x0 must be finite")
-        cfg, lead, w = self.solver, self.lead, self.w
+        cfg, lead = self.solver, self.lead
         tol, max_iter, window = cfg.consensus_tol, cfg.consensus_max_iter, cfg.consensus_window
-        target = (total if math.isfinite(total) else np.add.reduce(x)) / m   # x.mean()
+        # x.mean(): a sum past float range warns or raises as np.errstate says
+        target = np.add.reduce(x) / m
         size = lead + 1 + min(max(self.opening_block, self.block_rounds), max_iter, self.max_block)
         if len(self._buf) < size:
             self._buf = np.zeros((size, m))
             self._rows = list(self._buf)
-        buf, rows = self._buf, self._rows
+        buf = self._buf
         # the lead rows stand for states before x0; the local rule skips every
         # window that reaches them, and filling them with x0 keeps no last run's state
         buf[:lead + 1] = x
+        mix = self._mix_powers if self._stacked else self._mix_slots
         k, block = 0, self.opening_block   # rounds done (buf[lead] is the state after them), asked
         while True:
             n = min(block, self.max_block, max_iter - k)
-            for r in range(lead + 1, lead + 1 + n):
-                w.dot(rows[r - 1], out=rows[r])
+            mix(k, lead, n)
             states = buf[:lead + 1 + n]
             # done[j]: the state after k + j rounds meets the stopping rule
             if cfg.consensus_mode == "oracle":

@@ -104,7 +104,7 @@ def power_closed_form(lambda0, levels):
     censors sensors whose channel or SNR cannot pay for even the constant
     terms; xi = 0 (a = 0, b = inf) always lands at 0.
     """
-    if not np.greater(lambda0, 0).all():   # NaN is not positive either
+    if not np.minimum.reduce(lambda0, axis=None) > 0:   # a NaN minimum is not positive either
         raise ValueError("lambda0 must be positive")
     a, b = levels
     return a * np.maximum(1.0 / np.sqrt(lambda0) - b, 0.0)

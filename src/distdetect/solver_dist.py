@@ -24,7 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .consensus import Consensus, ConsensusError, Graph, consensus_average, metropolis_matrix
+from .consensus import (Consensus, ConsensusError, Graph, consensus_average, metropolis_matrix,
+                        stacks_powers)
 from .model import Scenario, SolverConfig
 from .solver_central import PowerAllocation, power_closed_form, water_levels
 
@@ -44,6 +45,16 @@ class ConvergenceError(RuntimeError):
         self.trace = trace
 
 
+def ordered_norm(v: np.ndarray) -> float:
+    """Euclidean norm of a vector, its squares added in index order.
+
+    A BLAS dot adds in an order that follows the CPU's kernel; this sum
+    gives the same bits on every host. A square past float range warns
+    or raises as np.errstate says.
+    """
+    return math.sqrt(np.add.accumulate(v * v)[-1])
+
+
 def dual_update(lambda0_k, mean_power, m: int, pt: float, eps_k):
     """One gradient step on the budget multiplier, floored at LAMBDA_MIN.
 
@@ -52,7 +63,7 @@ def dual_update(lambda0_k, mean_power, m: int, pt: float, eps_k):
     power update defined. Elementwise over per-sensor arrays, so one
     call steps every sensor's multiplier copy.
     """
-    if not np.greater(eps_k, 0).all():   # NaN is not positive either
+    if not np.minimum.reduce(eps_k, axis=None) > 0:   # a NaN minimum is not positive either
         raise ValueError("eps_k must be positive")
     return np.maximum(lambda0_k + eps_k * (m * mean_power - pt), LAMBDA_MIN)
 
@@ -96,18 +107,25 @@ def solve_distributed(scenario: Scenario, graph: Graph, solver: SolverConfig = S
     centralized one. Every consensus run after the first resumes from
     the last one's output, shifted by each node's power change, on the
     solve's one engine, which sizes each run's first block of rounds from
-    the last one's round count. A consensus run that fails raises
-    ConvergenceError with the trace of the outer iterations completed
-    before it; so does a stop on kappa that misses the budget, with a
-    trace that reads converged=False.
+    the last one's round count. That schedule sets no bits: the engine
+    computes each consensus state with sums in a fixed order from a
+    state the schedule does not choose (consensus.Consensus), and the
+    rel_step norms add their squares in index order, so the trace does
+    not depend on the CPU or its BLAS kernel. A consensus run that fails
+    raises ConvergenceError with the trace of the outer iterations
+    completed before it; so does a stop on kappa that misses the budget,
+    with a trace that reads converged=False.
     """
     m = scenario.M
     if graph.M != m:
         raise ValueError(f"graph has {graph.M} nodes for {m} sensors")
     pt = scenario.Pt
-    # set up once: each sensor's water-filling record and the consensus engine
+    # set up once: each sensor's water-filling record and the consensus engine. The dense
+    # weights are built only where the engine stacks their powers: a larger engine reads
+    # its slots from the graph and never forms the M x M matrix
     levels = water_levels(scenario, scenario.U)
-    consensus = Consensus(graph, solver, weights=metropolis_matrix(graph))
+    consensus = Consensus(graph, solver,
+                          weights=metropolis_matrix(graph) if stacks_powers(m) else None)
 
     lam = np.full(m, solver.lambda0_init)
     # as if after a step from zero power: the first x0 is p, and its rel_step (norm 0) is nan
@@ -143,7 +161,7 @@ def solve_distributed(scenario: Scenario, graph: Graph, solver: SolverConfig = S
         eps = lam if k == 0 else lam / k
         lam = dual_update(lam, state, m, pt, eps)
         # all-zero previous iterate: criterion undefined, keep going
-        rel = math.sqrt(step.dot(step)) / norm_prev if norm_prev > 0 else float("nan")
+        rel = ordered_norm(step) / norm_prev if norm_prev > 0 else float("nan")
 
         lams.append(lam)
         prows.append(p)
@@ -153,7 +171,7 @@ def solve_distributed(scenario: Scenario, graph: Graph, solver: SolverConfig = S
         if math.isfinite(rel) and rel <= solver.kappa:
             break
         # a numpy scalar, so that an overflowing rel_step warns or raises as np.errstate says
-        p_prev, norm_prev = p, np.float64(math.sqrt(p.dot(p)))
+        p_prev, norm_prev = p, np.float64(ordered_norm(p))
     else:
         raise ConvergenceError(
             f"no convergence to kappa={solver.kappa} within {solver.outer_max_iter} "

@@ -9,7 +9,9 @@ edge-list reader.
 from __future__ import annotations
 
 import ctypes
+import functools
 import json
+import math
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -113,16 +115,74 @@ def rng():
     return np.random.default_rng(0)
 
 
-def reference_consensus_average(graph, x0, solver=dd.SolverConfig(), weights=None):
-    """consensus_average as a plain x = W @ x loop that tests the stopping rule every round."""
-    tol, max_iter = solver.consensus_tol, solver.consensus_max_iter
-    mode, window = solver.consensus_mode, solver.consensus_window
-    w = dd.metropolis_matrix(graph) if weights is None else weights
-    x = np.asarray(x0, dtype=float)
-    target = x.mean()
-    hist = [x]
+def in_order(terms):
+    """terms[0] + terms[1] + ..., added one after another: floats, or arrays entry by entry."""
+    total = terms[0]
+    for t in terms[1:]:
+        total = total + t
+    return total
+
+
+@functools.lru_cache(maxsize=4)
+def _powers(w_bytes, m):
+    """W^1 ... W^64 of the m x m matrix W with these bytes, W^(r+1) = W^r W.
+
+    Each entry is a loop over the inner index in order. Kept for the
+    last few matrices: a solve runs the reference on one W thousands of times.
+    """
+    w = np.frombuffer(w_bytes).reshape(m, m)
+    powers = [w]
+    for _ in range(63):
+        last = powers[-1]
+        powers.append(in_order([np.outer(last[:, l], w[l]) for l in range(m)]))
+    return powers
+
+
+def reference_states(graph, x0, weights=None):
+    """The states after 0, 1, 2, ... rounds of consensus_average's arithmetic, as plain loops.
+
+    Each sum is a Python loop over its terms in index order (vectorized
+    across the entries it produces, never across its terms). Up to 32
+    nodes, the state after c + r rounds, c the last multiple of 64, is
+    W^r times the state after c rounds. Above 32, each round adds each
+    node's own term and then its neighbours' in ascending order.
+    """
+    m = graph.M
+    w = dd.metropolis_matrix(graph) if weights is None else np.asarray(weights, dtype=float)
+    if m <= 32:
+        powers, period = _powers(w.tobytes(), m), 64
+
+        def mixed(chain, r):
+            return in_order([powers[r - 1][:, j] * chain[j] for j in range(m)])
+    else:
+        slots = [[i] for i in range(m)]
+        for u, v in graph.edges.tolist():
+            slots[u].append(v)
+            slots[v].append(u)
+        slots = [[i, *sorted(rest)] for i, *rest in slots]
+        period = 1
+
+        def mixed(chain, r):
+            return np.array([in_order([w[i, j] * chain[j] for j in slots[i]])
+                             for i in range(m)])
+    x = chain = np.asarray(x0, dtype=float)
     k = 0
     while True:
+        yield x
+        k += 1
+        x = mixed(chain, (k - 1) % period + 1)
+        if k % period == 0:
+            chain = x
+
+
+def reference_consensus_average(graph, x0, solver=dd.SolverConfig(), weights=None):
+    """consensus_average on reference_states, testing the stopping rule after every round."""
+    tol, max_iter = solver.consensus_tol, solver.consensus_max_iter
+    mode, window = solver.consensus_mode, solver.consensus_window
+    target = np.asarray(x0, dtype=float).mean()
+    hist = []
+    for k, x in enumerate(reference_states(graph, x0, weights)):
+        hist = (hist + [x])[-(window + 1):]
         if mode == "oracle":
             done = np.max(np.abs(x - target)) <= tol
         else:
@@ -133,9 +193,6 @@ def reference_consensus_average(graph, x0, solver=dd.SolverConfig(), weights=Non
         if k >= max_iter:
             raise dd.ConsensusError(f"no consensus after {max_iter} rounds (tol={tol})",
                                     values=x, iterations=k)
-        x = w @ x
-        k += 1
-        hist = (hist + [x])[-(window + 1):]
 
 
 @pytest.fixture(name="reference_consensus_average")
@@ -147,15 +204,16 @@ def reference_solve_distributed(scenario, graph, solver=dd.SolverConfig()):
     """solve_distributed with the trace's statistics and both norms taken in every iteration.
 
     lambda0 is lam.mean() and lambda0_spread lam.max() - lam.min() of each
-    iteration's multiplier copies, and rel_step divides np.linalg.norm of
-    the step by np.linalg.norm of the previous powers, recomputed each time.
+    iteration's multiplier copies, and rel_step divides the norm of the
+    step by the norm of the previous powers, recomputed each time, each
+    norm a loop adding the squares in index order.
     """
     m = scenario.M
     if graph.M != m:
         raise ValueError(f"graph has {graph.M} nodes for {m} sensors")
     pt = scenario.Pt
     levels = water_levels(scenario, scenario.U)
-    consensus = Consensus(graph, solver, weights=dd.metropolis_matrix(graph))
+    consensus = Consensus(graph, solver)
 
     lam = np.full(m, solver.lambda0_init)
     p_prev = None
@@ -190,8 +248,9 @@ def reference_solve_distributed(scenario, graph, solver=dd.SolverConfig()):
         if p_prev is None:
             rel = float("nan")
         else:
-            denom = float(np.linalg.norm(p_prev))
-            rel = float(np.linalg.norm(p - p_prev) / denom) if denom > 0 else float("nan")
+            denom = math.sqrt(in_order([a * a for a in p_prev.tolist()]))
+            step = (p - p_prev).tolist()
+            rel = math.sqrt(in_order([a * a for a in step])) / denom if denom > 0 else float("nan")
 
         lams.append(lam_used)
         prows.append(p)

@@ -384,6 +384,34 @@ def test_study_runs_without_scipy(tmp_path, key):
           + (f"; stderr tail: {run.stderr[-300:]!r}" if run.returncode else ""))
 
 
+@pytest.mark.parametrize("core", ["Haswell", "Sandybridge"])
+def test_fig1_bytes_under_other_openblas_kernels(tmp_path, core):
+    # OpenBLAS picks its kernel from the CPU at load time unless OPENBLAS_CORETYPE names one;
+    # fig1's solve makes no BLAS call, so its bytes are the pinned ones under every kernel
+    tests = Path(__file__).parent
+    env = {**os.environ, "OPENBLAS_CORETYPE": core,
+           "PYTHONPATH": os.pathsep.join((str(Path(dd.__file__).parents[1]), str(tests)))}
+
+    def run(*argv):
+        return subprocess.run([sys.executable, *argv], env=env, cwd=tmp_path,
+                              capture_output=True, text=True, timeout=300)
+
+    loaded = run("-c", "from conftest import _openblas_core; print(_openblas_core())")
+    outdirs, codes = {}, []
+    for key in ("fig1_alloc", "fig1_trace"):
+        name, argv = RUNS[key]
+        outdirs[key] = tmp_path / key
+        codes.append(run("-m", "distdetect", argv[0], bundled_config(name), *argv[1:],
+                         "--out", outdirs[key]).returncode)
+    produced, pinned, moved = (_compare_to_pinned(outdirs) if codes == [0, 0]
+                               else (0, 0, []))
+    _line(f"fig1 bytes under OpenBLAS {core}",
+          loaded.stdout.strip() == core and codes == [0, 0] and produced > 0 and not moved,
+          f"kernel loaded {loaded.stdout.strip() or loaded.stderr[-200:]!r}, exits {codes}, "
+          f"{produced} files against {pinned} pinned"
+          + (f"; moved, missing or unpinned: {moved}" if moved else ""))
+
+
 def test_import_loads_no_scipy():
     run = _fresh_python("import sys, distdetect\n"
                         "print(sorted(m for m in sys.modules if m.startswith('scipy')))")

@@ -1,8 +1,11 @@
 """Graphs, Metropolis weights, and the average-consensus iteration."""
 import collections
+import gc
+import itertools
 import re
 import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -12,7 +15,7 @@ import distdetect as dd
 from distdetect import consensus
 from distdetect.consensus import BLOCK_ROUNDS, BUFFER_FLOATS, EDGE_BLOCK, Consensus, geometric_edges
 
-from conftest import complete_graph, load_edge_list
+from conftest import complete_graph, in_order, load_edge_list, reference_states
 
 
 def path_graph(m):
@@ -367,7 +370,8 @@ class TestMetropolisMatrix:
     @pytest.mark.parametrize("m, radius, seed", [(1, 0.5, 0), (10, 0.5, 1), (60, 0.3, 2)])
     def test_matches_the_per_edge_reference(self, m, radius, seed):
         g = dd.random_geometric_graph(m, radius, np.random.default_rng(seed))
-        # degrees and weights edge by edge, as plain Python
+        # degrees and weights edge by edge, and each diagonal entry 1 minus its row's
+        # other entries added in index order, as plain Python
         deg = [0] * m
         for u, v in g.edges.tolist():
             deg[u] += 1
@@ -375,7 +379,8 @@ class TestMetropolisMatrix:
         ref = np.zeros((m, m))
         for u, v in g.edges.tolist():
             ref[u, v] = ref[v, u] = 1.0 / (1.0 + max(deg[u], deg[v]))
-        ref[np.diag_indices(m)] = 1.0 - ref.sum(axis=1)
+        for i in range(m):
+            ref[i, i] = 1.0 - in_order([0.0, *(ref[i, j] for j in range(m) if j != i)])
         assert g.degrees.tolist() == deg
         assert g.degrees.dtype == np.intp
         assert np.array_equal(dd.metropolis_matrix(g), ref)
@@ -457,11 +462,7 @@ def _run(fn, graph, x0, solver):
 
 def _stop_statistics(graph, x0, rounds, window):
     """Per round k: the oracle deviation and, from k = window on, the local window spread."""
-    w = dd.metropolis_matrix(graph)
-    xs = [np.asarray(x0, dtype=float)]
-    for _ in range(rounds):
-        xs.append(w @ xs[-1])
-    xs = np.array(xs)
+    xs = np.array(list(itertools.islice(reference_states(graph, x0), rounds + 1)))
     dev = np.max(np.abs(xs - xs[0].mean()), axis=1)
     spread = np.array([np.max(np.ptp(xs[k - window:k + 1], axis=0)) if k >= window else np.inf
                        for k in range(rounds + 1)])
@@ -469,7 +470,7 @@ def _stop_statistics(graph, x0, rounds, window):
 
 
 class TestBlockedRounds:
-    """The blocked loop against a per-round x = W @ x reference: equal bits, equal counts."""
+    """The blocked loop against a reference that tests every round: equal bits, equal counts."""
 
     def test_random_graphs_both_modes(self, monkeypatch, reference_consensus_average):
         rng = np.random.default_rng(23)
@@ -597,6 +598,22 @@ class TestEngineReuse:
                 engine.run(x0)
 
 
+    @pytest.mark.parametrize("m", [10, 40], ids=["stacked_powers", "slots"])
+    def test_an_engine_is_freed_when_dropped(self, m):
+        # no reference cycle: the engine and its buffers go when the last reference does,
+        # not when the cycle collector next runs
+        g = dd.random_geometric_graph(m, 0.5, np.random.default_rng(m))
+        engine = Consensus(g, consensus_settings(1e-9, 1000))
+        engine.run(np.arange(m, dtype=float))
+        gc.disable()
+        try:
+            ref = weakref.ref(engine)
+            del engine
+            assert ref() is None
+        finally:
+            gc.enable()
+
+
 class TestRoundBuffer:
     """A long first block runs as blocks that fit BUFFER_FLOATS, with the values of one block."""
 
@@ -617,6 +634,77 @@ class TestRoundBuffer:
         assert got[1:] == ref[1:]
         assert got[1] > 3 * engine.max_block
         assert engine._buf.size <= BUFFER_FLOATS
+
+
+class TestChainPoints:
+    """A state's bits are set by the chain points alone; the block schedule only places the tests."""
+
+    @pytest.mark.parametrize("mode", ["oracle", "local"])
+    @pytest.mark.parametrize("rounds", [63, 64, 65, 127, 128, 129])
+    def test_stops_next_to_a_chain_point(self, mode, rounds, monkeypatch,
+                                         reference_consensus_average):
+        g = path_graph(8)
+        x0 = np.arange(8, dtype=float) ** 2
+        dev, spread = _stop_statistics(g, x0, rounds, window=5)
+        stat = dev if mode == "oracle" else spread
+        # the rule is first met after exactly `rounds` rounds
+        assert np.all(stat[:rounds] > stat[rounds])
+        solver = consensus_settings(float(stat[rounds]), 10_000, mode, 5)
+        ref = reference_consensus_average(g, x0, solver)
+        assert ref.iterations == rounds
+        for block_rounds in (1, 5, 64, 200):
+            monkeypatch.setattr(consensus, "BLOCK_ROUNDS", block_rounds)
+            res = dd.consensus_average(g, x0, solver)
+            assert res.iterations == rounds, block_rounds
+            assert np.array_equal(res.values, ref.values), block_rounds
+            assert res.max_deviation == ref.max_deviation
+
+    @pytest.mark.parametrize("mode", ["oracle", "local"])
+    def test_block_schedule_sets_no_bits(self, mode, monkeypatch, reference_consensus_average):
+        rng = np.random.default_rng(41)
+        # both forms: stacked powers up to 32 nodes, slots above
+        for m in (2, 10, 32, 33, 60):
+            g = dd.random_geometric_graph(m, 0.4, rng)
+            x0 = rng.normal(size=m)
+            # the second budget runs out
+            for solver in (consensus_settings(1e-10, 5000, mode, 5),
+                           consensus_settings(1e-14, 150, mode, 5)):
+                ref = _outcome(lambda x: reference_consensus_average(g, x, solver), x0)
+                for block_rounds in (1, 5, 64, 200):
+                    monkeypatch.setattr(consensus, "BLOCK_ROUNDS", block_rounds)
+                    got = _outcome(lambda x: dd.consensus_average(g, x, solver), x0)
+                    assert np.array_equal(got[0], ref[0]), (m, solver, block_rounds)
+                    assert got[1:] == ref[1:], (m, solver, block_rounds)
+
+    @pytest.mark.parametrize("m, radius, max_iter", [(33, 0.35, 5000), (100, 0.2, 5000),
+                                                      (1000, 0.06, 40)])
+    def test_slots_match_the_reference(self, m, radius, max_iter, reference_consensus_average):
+        g = dd.random_geometric_graph(m, radius, np.random.default_rng(m))
+        assert not consensus.stacks_powers(m)
+        x0 = np.random.default_rng(m + 1).normal(size=m)
+        solver = consensus_settings(1e-6, max_iter)
+        ref = _outcome(lambda x: reference_consensus_average(g, x, solver), x0)
+        # the Metropolis slots, and the same slots read from the dense matrix
+        for weights in (None, dd.metropolis_matrix(g)):
+            got = _outcome(Consensus(g, solver, weights).run, x0)
+            assert np.array_equal(got[0], ref[0])
+            assert got[1:] == ref[1:]
+        # 135 and 426 rounds; the 1,000-node run stops at its budget
+        assert isinstance(ref[2], str) == (m == 1000)
+
+    def test_m5000_engine_peak_memory(self):
+        # the large_network graph, whose dense W alone would take 200 MB
+        g = dd.make_topology(5000, 1, 0.05)
+        x0 = np.random.default_rng(0).normal(size=5000)
+        tracemalloc.start()
+        try:
+            with pytest.raises(dd.ConsensusError) as exc:
+                Consensus(g, consensus_settings(1e-12, 3)).run(x0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert exc.value.iterations == 3
+        assert peak < 25e6, peak
 
 
 class TestInputChecks:

@@ -1,4 +1,8 @@
-"""The package as a user meets it: README's Quick start runs, and src/ holds only run code."""
+"""The package as a user meets it: README's Quick start runs, and src/ holds only run code.
+
+It also makes no BLAS call where a run reaches: BLAS sums in an order
+that follows the CPU's kernel, so the outputs' bytes would too.
+"""
 import ast
 import re
 import shutil
@@ -11,6 +15,18 @@ README = ROOT / "README.md"
 # public names that only the tests reach today, kept on purpose: the modified
 # deflection coefficient, which a claim gate on the detect runs is to read
 KEPT = {"fusion.deflection"}
+
+
+# numpy names whose float64 sums go through BLAS, as attributes (np.dot, x.dot, np.linalg)
+BLAS_NAMES = {"dot", "vdot", "inner", "matmul", "tensordot", "linalg"}
+
+
+def blas_calls(tree: ast.Module) -> list[tuple[str, int]]:
+    """(top-level definition, line) of every BLAS-backed numpy name or @ product in a module."""
+    return [(getattr(top, "name", "<module>"), node.lineno)
+            for top in tree.body for node in ast.walk(top)
+            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult)
+            or isinstance(node, ast.Attribute) and node.attr in BLAS_NAMES]
 
 
 def python_blocks(text: str) -> list[str]:
@@ -87,3 +103,10 @@ def test_the_reach_guard_names_a_planted_test_only_function(tmp_path):
     with open(src / "fusion.py", "a") as fh:
         fh.write("\n\ndef planted_helper(x):\n    return x\n")
     assert sorted(set(unreached(src)) - set(unreached(SRC))) == ["fusion.planted_helper"]
+
+
+def test_no_blas_call_where_a_run_reaches():
+    found = [f"{path.stem}.{name} (line {line})" for path in sorted(SRC.glob("*.py"))
+             for name, line in blas_calls(ast.parse(path.read_text()))]
+    # the kept test-only name; np.dot there sets no output byte
+    assert [f.split(" ")[0] for f in found] == ["fusion.deflection"], found

@@ -192,7 +192,7 @@ class TestBlockedConsensusInTheSolver:
 
         def per_round(engine, x0):
             runs.append(None)
-            return reference_consensus_average(engine.graph, x0, engine.solver, engine.w)
+            return reference_consensus_average(engine.graph, x0, engine.solver)
 
         monkeypatch.setattr(Consensus, "run", per_round)
         _, reference = dd.solve_distributed(fig1_scenario, fig1_topology)
