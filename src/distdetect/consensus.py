@@ -18,6 +18,9 @@ from .model import SolverConfig
 BLOCK_ROUNDS = 64
 # rounds between the chain points a small graph's states are mixed from: the powers of W it stacks
 CHAIN_ROUNDS = 64
+# largest graph whose engine stacks those powers: the measured crossover. From 56 nodes on
+# the slot form solved as fast or faster, with no build of CHAIN_ROUNDS M x M x M products
+STACK_NODES = 48
 # floats the round buffer holds (512 KiB): a block runs no more rounds than fit
 BUFFER_FLOATS = 1 << 16
 # candidate pairs geometric_edges measures at once (a point with more takes a block alone)
@@ -306,11 +309,6 @@ class ConsensusResult:
     max_deviation: float   # max_i |values_i - mean(x0)|
 
 
-def stacks_powers(m: int) -> bool:
-    """Whether an engine on m nodes mixes from stacked powers of W: while they fit BUFFER_FLOATS."""
-    return CHAIN_ROUNDS * m * m <= BUFFER_FLOATS
-
-
 def _stacked_powers(w: np.ndarray) -> np.ndarray:
     """W^1 ... W^CHAIN_ROUNDS as one (M, CHAIN_ROUNDS, M) array: [j, r - 1, i] is (W^r)[i, j].
 
@@ -327,14 +325,12 @@ def _stacked_powers(w: np.ndarray) -> np.ndarray:
     return stack
 
 
-def _slots(graph: Graph, weights: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """W's nonzero slots: (D + 1, M) column indices and weights, D the largest degree.
+def _slots(graph: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """W's nonzero slots: (D + 1, M) column indices and Metropolis weights, D the largest degree.
 
     Node i's slots are i itself, then its neighbours in ascending order,
-    then i again at weight 0 up to D + 1 slots. Metropolis weights
-    (metropolis_matrix) unless `weights` is given, whose entries off the
-    graph's edges and diagonal are not read; the Metropolis diagonal is 1
-    minus the node's neighbour weights, added in ascending order.
+    then i again at weight 0 up to D + 1 slots. The diagonal is 1 minus
+    the node's neighbour weights, added in ascending order.
     """
     m, deg = graph.M, graph.degrees
     u, v = graph.edges.T
@@ -346,21 +342,16 @@ def _slots(graph: Graph, weights: np.ndarray | None = None) -> tuple[np.ndarray,
     cols = np.tile(np.arange(m), (int(deg.max(initial=0)) + 1, 1))
     cols[slot, src] = dst
     vals = np.zeros(cols.shape)
-    if weights is None:
-        vals[slot, src] = 1.0 / (1.0 + np.maximum(deg[src], deg[dst]))
-        vals[0] = 1.0 - np.add.reduce(vals[1:], axis=0)
-    else:
-        w = np.asarray(weights, dtype=float)
-        vals[slot, src] = w[src, dst]
-        vals[0] = w.diagonal()
+    vals[slot, src] = 1.0 / (1.0 + np.maximum(deg[src], deg[dst]))
+    vals[0] = 1.0 - np.add.reduce(vals[1:], axis=0)
     return cols, vals
 
 
 class Consensus:
     """Average consensus on one graph: set up once, then run on input after input.
 
-    Holds the mixing weights (Metropolis unless `weights` is given) in the
-    form its rounds are computed from, a round buffer and its block
+    Holds the Metropolis weights (metropolis_matrix) in the form its
+    rounds are computed from, a round buffer and its block
     schedule, and reads the tolerance, round budget, stopping rule and
     window from a validated SolverConfig.
     consensus_mode="oracle" stops on the true deviation max_i |x_i - mean(x0)|,
@@ -369,18 +360,17 @@ class Consensus:
     sliding window of consensus_window rounds, information a real node has.
 
     Every sum runs over its terms in index order, with no BLAS call, so
-    the values depend only on the graph (or the weights) and the input:
-    not on the CPU, its BLAS kernel or the block schedule. While
-    CHAIN_ROUNDS powers of W fit BUFFER_FLOATS (M <= 32), the engine
-    stacks W^1 ... W^CHAIN_ROUNDS once, and the state after c + r rounds
-    is W^r times the state after c rounds, c the last multiple of
-    CHAIN_ROUNDS (the chain point): a block of rounds is one product and
-    one sum over the stack. A larger graph mixes one round per product
-    over W's nonzero slots (see _slots), M x (largest degree + 1) of
-    them, and never forms the dense M x M matrix.
+    the values depend only on the graph and the input: not on the CPU,
+    its BLAS kernel or the block schedule. Up to STACK_NODES (48) nodes,
+    the engine stacks W^1 ... W^CHAIN_ROUNDS once, and the state after
+    c + r rounds is W^r times the state after c rounds, c the last
+    multiple of CHAIN_ROUNDS (the chain point): a block of rounds is one
+    product and one sum over the stack. A larger graph mixes one round
+    per product over W's nonzero slots (see _slots), M x (largest degree
+    + 1) of them, and never forms the dense M x M matrix.
     """
 
-    def __init__(self, graph: Graph, solver: SolverConfig, weights: np.ndarray | None = None):
+    def __init__(self, graph: Graph, solver: SolverConfig):
         self.graph, self.solver = graph, solver
         m = graph.M
         # rows kept in front of each block: the current state, and for the
@@ -393,14 +383,13 @@ class Consensus:
         self._buf, self._rows = np.zeros((0, m)), []
         # which mixer run() calls; a bound method kept on the engine would be a
         # reference cycle, freeing the engine only when the cycle collector runs
-        self._stacked = stacks_powers(m)
+        self._stacked = m <= STACK_NODES
         if self._stacked:
-            w = metropolis_matrix(graph) if weights is None else np.asarray(weights, dtype=float)
-            self._powers = _stacked_powers(w)
+            self._powers = _stacked_powers(metropolis_matrix(graph))
             self._terms = np.empty_like(self._powers)
             self._chain = np.empty(m)   # the state at the last chain point
         else:
-            self._cols, self._vals = _slots(graph, weights)
+            self._cols, self._vals = _slots(graph)
             self._terms = np.empty_like(self._vals)
 
     def _mix_powers(self, k: int, first: int, n: int) -> None:

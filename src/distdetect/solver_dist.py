@@ -24,14 +24,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .consensus import (Consensus, ConsensusError, Graph, consensus_average, metropolis_matrix,
-                        stacks_powers)
+from .consensus import Consensus, ConsensusError, Graph, consensus_average, metropolis_matrix
 from .model import Scenario, SolverConfig
 from .solver_central import PowerAllocation, power_closed_form, water_levels
 
 # each sensor's power update is the centralized solver's closed form, which needs
 # nothing beyond sensor-local parameters. The solve calls power_closed_form on its
-# water_levels record; this name and consensus_average stay bound for callers that look them up
+# water_levels record. This name, consensus_average and metropolis_matrix (the engine
+# builds its own weights) stay bound for callers that look them up
 local_power_update = power_closed_form
 
 LAMBDA_MIN = 1e-16   # dual variable floor; the closed form needs sqrt(lambda0) > 0
@@ -120,12 +120,9 @@ def solve_distributed(scenario: Scenario, graph: Graph, solver: SolverConfig = S
     if graph.M != m:
         raise ValueError(f"graph has {graph.M} nodes for {m} sensors")
     pt = scenario.Pt
-    # set up once: each sensor's water-filling record and the consensus engine. The dense
-    # weights are built only where the engine stacks their powers: a larger engine reads
-    # its slots from the graph and never forms the M x M matrix
+    # set up once: each sensor's water-filling record and the consensus engine
     levels = water_levels(scenario, scenario.U)
-    consensus = Consensus(graph, solver,
-                          weights=metropolis_matrix(graph) if stacks_powers(m) else None)
+    consensus = Consensus(graph, solver)
 
     lam = np.full(m, solver.lambda0_init)
     # as if after a step from zero power: the first x0 is p, and its rel_step (norm 0) is nan

@@ -22,7 +22,7 @@ from hypothesis import settings
 
 import distdetect as dd
 from distdetect import cli
-from distdetect.consensus import Consensus, Graph, TopologyError
+from distdetect.consensus import STACK_NODES, Consensus, Graph, TopologyError
 from distdetect.fusion import deflection_inputs
 from distdetect.model import Scenario, SensorParams, Statistic, _snr_factor
 from distdetect.montecarlo import weights_for_scheme
@@ -138,18 +138,18 @@ def _powers(w_bytes, m):
     return powers
 
 
-def reference_states(graph, x0, weights=None):
+def reference_states(graph, x0):
     """The states after 0, 1, 2, ... rounds of consensus_average's arithmetic, as plain loops.
 
     Each sum is a Python loop over its terms in index order (vectorized
-    across the entries it produces, never across its terms). Up to 32
-    nodes, the state after c + r rounds, c the last multiple of 64, is
-    W^r times the state after c rounds. Above 32, each round adds each
-    node's own term and then its neighbours' in ascending order.
+    across the entries it produces, never across its terms). Up to
+    STACK_NODES nodes, the state after c + r rounds, c the last multiple
+    of 64, is W^r times the state after c rounds. Above, each round adds
+    each node's own term and then its neighbours' in ascending order.
     """
     m = graph.M
-    w = dd.metropolis_matrix(graph) if weights is None else np.asarray(weights, dtype=float)
-    if m <= 32:
+    w = dd.metropolis_matrix(graph)
+    if m <= STACK_NODES:
         powers, period = _powers(w.tobytes(), m), 64
 
         def mixed(chain, r):
@@ -175,13 +175,13 @@ def reference_states(graph, x0, weights=None):
             chain = x
 
 
-def reference_consensus_average(graph, x0, solver=dd.SolverConfig(), weights=None):
+def reference_consensus_average(graph, x0, solver=dd.SolverConfig()):
     """consensus_average on reference_states, testing the stopping rule after every round."""
     tol, max_iter = solver.consensus_tol, solver.consensus_max_iter
     mode, window = solver.consensus_mode, solver.consensus_window
     target = np.asarray(x0, dtype=float).mean()
     hist = []
-    for k, x in enumerate(reference_states(graph, x0, weights)):
+    for k, x in enumerate(reference_states(graph, x0)):
         hist = (hist + [x])[-(window + 1):]
         if mode == "oracle":
             done = np.max(np.abs(x - target)) <= tol

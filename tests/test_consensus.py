@@ -13,7 +13,8 @@ from numpy.testing import assert_allclose
 
 import distdetect as dd
 from distdetect import consensus
-from distdetect.consensus import BLOCK_ROUNDS, BUFFER_FLOATS, EDGE_BLOCK, Consensus, geometric_edges
+from distdetect.consensus import (BLOCK_ROUNDS, BUFFER_FLOATS, EDGE_BLOCK, STACK_NODES, Consensus,
+                                  geometric_edges)
 
 from conftest import complete_graph, in_order, load_edge_list, reference_states
 
@@ -598,7 +599,7 @@ class TestEngineReuse:
                 engine.run(x0)
 
 
-    @pytest.mark.parametrize("m", [10, 40], ids=["stacked_powers", "slots"])
+    @pytest.mark.parametrize("m", [10, STACK_NODES + 1], ids=["stacked_powers", "slots"])
     def test_an_engine_is_freed_when_dropped(self, m):
         # no reference cycle: the engine and its buffers go when the last reference does,
         # not when the cycle collector next runs
@@ -662,8 +663,8 @@ class TestChainPoints:
     @pytest.mark.parametrize("mode", ["oracle", "local"])
     def test_block_schedule_sets_no_bits(self, mode, monkeypatch, reference_consensus_average):
         rng = np.random.default_rng(41)
-        # both forms: stacked powers up to 32 nodes, slots above
-        for m in (2, 10, 32, 33, 60):
+        # both forms: stacked powers up to STACK_NODES nodes, slots above
+        for m in (2, 10, STACK_NODES, STACK_NODES + 1, 60):
             g = dd.random_geometric_graph(m, 0.4, rng)
             x0 = rng.normal(size=m)
             # the second budget runs out
@@ -676,20 +677,19 @@ class TestChainPoints:
                     assert np.array_equal(got[0], ref[0]), (m, solver, block_rounds)
                     assert got[1:] == ref[1:], (m, solver, block_rounds)
 
-    @pytest.mark.parametrize("m, radius, max_iter", [(33, 0.35, 5000), (100, 0.2, 5000),
-                                                      (1000, 0.06, 40)])
+    @pytest.mark.parametrize("m, radius, max_iter", [(STACK_NODES + 1, 0.35, 5000),
+                                                      (100, 0.2, 5000), (1000, 0.06, 40)])
     def test_slots_match_the_reference(self, m, radius, max_iter, reference_consensus_average):
         g = dd.random_geometric_graph(m, radius, np.random.default_rng(m))
-        assert not consensus.stacks_powers(m)
         x0 = np.random.default_rng(m + 1).normal(size=m)
         solver = consensus_settings(1e-6, max_iter)
+        engine = Consensus(g, solver)
+        assert not engine._stacked
+        got = _outcome(engine.run, x0)
         ref = _outcome(lambda x: reference_consensus_average(g, x, solver), x0)
-        # the Metropolis slots, and the same slots read from the dense matrix
-        for weights in (None, dd.metropolis_matrix(g)):
-            got = _outcome(Consensus(g, solver, weights).run, x0)
-            assert np.array_equal(got[0], ref[0])
-            assert got[1:] == ref[1:]
-        # 135 and 426 rounds; the 1,000-node run stops at its budget
+        assert np.array_equal(got[0], ref[0])
+        assert got[1:] == ref[1:]
+        # the 1,000-node run stops at its budget
         assert isinstance(ref[2], str) == (m == 1000)
 
     def test_m5000_engine_peak_memory(self):
