@@ -112,6 +112,14 @@ def _num(v, name: str, kind=float, positive: bool = False):
     return v
 
 
+def _section(cfg: dict, name: str, defaults: dict) -> dict:
+    """The object cfg[name], of known keys only, over its defaults."""
+    _expect(isinstance(cfg[name], dict), f"field '{name}' must be an object")
+    for key in cfg[name]:
+        _expect(key in defaults, f"unknown field '{name}.{key}'")
+    return {**defaults, **cfg[name]}
+
+
 def validate_config(raw: dict) -> dict:
     """Fill defaults and type-check; returns the canonical config dict.
 
@@ -151,11 +159,7 @@ def validate_config(raw: dict) -> dict:
     _expect(isinstance(cfg["deterministic_channel"], bool),
             "field 'deterministic_channel' must be true/false")
 
-    solver = dict(_SOLVER_DEFAULTS)
-    _expect(isinstance(cfg["solver"], dict), "field 'solver' must be an object")
-    for key in cfg["solver"]:
-        _expect(key in _SOLVER_DEFAULTS, f"unknown field 'solver.{key}'")
-    solver.update(cfg["solver"])
+    solver = _section(cfg, "solver", _SOLVER_DEFAULTS)
     for key, default in _SOLVER_DEFAULTS.items():
         if isinstance(default, (int, float)):
             solver[key] = _num(solver[key], f"solver.{key}", type(default))
@@ -165,11 +169,7 @@ def validate_config(raw: dict) -> dict:
         raise ConfigError(f"field 'solver': {e}") from e
     cfg["solver"] = solver
 
-    detect = dict(_DETECT_DEFAULTS)
-    _expect(isinstance(cfg["detect"], dict), "field 'detect' must be an object")
-    for key in cfg["detect"]:
-        _expect(key in _DETECT_DEFAULTS, f"unknown field 'detect.{key}'")
-    detect.update(cfg["detect"])
+    detect = _section(cfg, "detect", _DETECT_DEFAULTS)
     detect["trials"] = _num(detect["trials"], "detect.trials", int, positive=True)
     _expect(isinstance(detect["schemes"], list) and detect["schemes"],
             "field 'detect.schemes' must be a nonempty list")

@@ -14,15 +14,12 @@ import numpy as np
 
 from .model import SolverConfig
 
-# consensus rounds in an engine's first block and between later tests of the stopping rule
-BLOCK_ROUNDS = 64
-# rounds between the chain points a small graph's states are mixed from: the powers of W it stacks
+# rounds between the chain points a small graph's states are mixed from: the powers of W it
+# stacks, and the rounds one segment of the round buffer holds
 CHAIN_ROUNDS = 64
 # largest graph whose engine stacks those powers: the measured crossover. From 56 nodes on
 # the slot form solved as fast or faster, with no build of CHAIN_ROUNDS M x M x M products
 STACK_NODES = 48
-# floats the round buffer holds (512 KiB): a block runs no more rounds than fit
-BUFFER_FLOATS = 1 << 16
 # candidate pairs geometric_edges measures at once (a point with more takes a block alone)
 PAIR_BLOCK = 1 << 14
 # edges Graph turns from keys into rows at once, and lines save_edge_list joins into one write
@@ -351,9 +348,8 @@ class Consensus:
     """Average consensus on one graph: set up once, then run on input after input.
 
     Holds the Metropolis weights (metropolis_matrix) in the form its
-    rounds are computed from, a round buffer and its block
-    schedule, and reads the tolerance, round budget, stopping rule and
-    window from a validated SolverConfig.
+    rounds are computed from and a round buffer, and reads the tolerance,
+    round budget, stopping rule and window from a validated SolverConfig.
     consensus_mode="oracle" stops on the true deviation max_i |x_i - mean(x0)|,
     observable in simulation but not in a deployment; "local" stops when
     each node's own trajectory has moved less than the tolerance over a
@@ -361,59 +357,51 @@ class Consensus:
 
     Every sum runs over its terms in index order, with no BLAS call, so
     the values depend only on the graph and the input: not on the CPU,
-    its BLAS kernel or the block schedule. Up to STACK_NODES (48) nodes,
-    the engine stacks W^1 ... W^CHAIN_ROUNDS once, and the state after
-    c + r rounds is W^r times the state after c rounds, c the last
-    multiple of CHAIN_ROUNDS (the chain point): a block of rounds is one
-    product and one sum over the stack. A larger graph mixes one round
-    per product over W's nonzero slots (see _slots), M x (largest degree
-    + 1) of them, and never forms the dense M x M matrix.
+    its BLAS kernel or where the stopping rule is tested. Up to
+    STACK_NODES (48) nodes, the engine stacks W^1 ... W^CHAIN_ROUNDS once,
+    and the state after c + r rounds is W^r times the state after c
+    rounds, c the last multiple of CHAIN_ROUNDS (the chain point). A
+    larger graph mixes one round per product over W's nonzero slots (see
+    _slots), M x (largest degree + 1) of them, and never forms the dense
+    M x M matrix.
+
+    The round buffer, allocated once, holds one chain segment: row lead + r
+    is the state r rounds past the chain point, r = 0 .. CHAIN_ROUNDS,
+    after the lead states before it that the local rule's window reaches.
+    A full segment's last lead + 1 rows move to the front.
     """
 
     def __init__(self, graph: Graph, solver: SolverConfig):
         self.graph, self.solver = graph, solver
-        m = graph.M
-        # rows kept in front of each block: the current state, and for the
+        # rows kept in front of each segment: the chain point's state, and for the
         # local rule the `window` states before it (no more than can exist)
         self.lead = (min(solver.consensus_window, solver.consensus_max_iter)
                      if solver.consensus_mode == "local" else 0)
-        self.max_block = max(BUFFER_FLOATS // m - self.lead - 1, 1)
-        # the next run's first block, and the later blocks; read here so a test can patch it
-        self.block_rounds = self.opening_block = BLOCK_ROUNDS
-        self._buf, self._rows = np.zeros((0, m)), []
+        # the last successful run's rounds + 2, where the next run ends a block
+        # early; no mark before the first, so its blocks end at chain points
+        self.opening_block = 0
+        self._buf = np.zeros((self.lead + 1 + CHAIN_ROUNDS, graph.M))
         # which mixer run() calls; a bound method kept on the engine would be a
         # reference cycle, freeing the engine only when the cycle collector runs
-        self._stacked = m <= STACK_NODES
+        self._stacked = graph.M <= STACK_NODES
         if self._stacked:
             self._powers = _stacked_powers(metropolis_matrix(graph))
             self._terms = np.empty_like(self._powers)
-            self._chain = np.empty(m)   # the state at the last chain point
         else:
             self._cols, self._vals = _slots(graph)
             self._terms = np.empty_like(self._vals)
+            self._rows = list(self._buf)
 
-    def _mix_powers(self, k: int, first: int, n: int) -> None:
-        """Buffer rows first+1 .. first+n: the states after rounds k+1 .. k+n.
+    def _mix_powers(self, r0: int, r1: int) -> None:
+        """The states r0 + 1 .. r1 rounds past the chain point, each W^r times its state."""
+        lead, terms = self.lead, self._terms[:, :r1 - r0]
+        np.multiply(self._powers[:, r0:r1], self._buf[lead][:, None, None], out=terms)
+        np.add.reduce(terms, axis=0, out=self._buf[lead + r0 + 1:lead + r1 + 1])
 
-        Row first holds the state after k rounds. Each state is a power of
-        W times the state at its chain point, one product and one sum for
-        the rows between two chain points.
-        """
-        buf, done = self._buf, 0
-        while done < n:
-            r0 = (k + done) % CHAIN_ROUNDS   # rounds past the chain point
-            if r0 == 0:
-                self._chain[:] = buf[first + done]
-            r1 = min(CHAIN_ROUNDS, r0 + n - done)
-            terms = self._terms[:, :r1 - r0]
-            np.multiply(self._powers[:, r0:r1], self._chain[:, None, None], out=terms)
-            np.add.reduce(terms, axis=0, out=buf[first + 1 + done:first + 1 + done + r1 - r0])
-            done += r1 - r0
-
-    def _mix_slots(self, k: int, first: int, n: int) -> None:
-        """Buffer rows first+1 .. first+n, each one round past the row before it."""
+    def _mix_slots(self, r0: int, r1: int) -> None:
+        """The states r0 + 1 .. r1 rounds past the chain point, each one round past the last."""
         rows, cols, vals, terms = self._rows, self._cols, self._vals, self._terms
-        for r in range(first + 1, first + 1 + n):
+        for r in range(self.lead + r0 + 1, self.lead + r1 + 1):
             np.take(rows[r - 1], cols, out=terms)
             np.multiply(terms, vals, out=terms)
             np.add.reduce(terms, axis=0, out=rows[r])
@@ -422,15 +410,13 @@ class Consensus:
         """Iterate x <- W x from x0 until every node agrees on the mean of x0.
 
         Raises ConsensusError (carrying the last state) if consensus_max_iter
-        rounds are not enough. Rounds run in blocks, each cut to what
-        BUFFER_FLOATS holds, and the stopping rule is tested once per block
-        for every round in it. The first block is BLOCK_ROUNDS rounds (as
-        read at construction), or after a successful run that run's rounds
-        + 2; later blocks are BLOCK_ROUNDS. The schedule decides only how
-        many states are computed before each test: a state's bits are set
-        by the chain point it is computed from (see Consensus), and the
-        tests are exact, so values and round counts are those of testing
-        after every round.
+        rounds are not enough. The stopping rule is tested once per block of
+        rounds, on each state the block computed (and on x0). A block ends at
+        whichever comes first: the next chain point, the round budget, or
+        the opening mark opening_block (the last successful run's rounds + 2)
+        while it is still ahead. A state's bits are set by its chain point
+        (see Consensus) and the tests are exact, so values and round counts
+        are those of testing after every round.
         """
         x = np.asarray(x0, dtype=float)
         m = self.graph.M
@@ -438,48 +424,48 @@ class Consensus:
             raise ValueError(f"x0 must have shape ({m},), got {x.shape}")
         if not np.isfinite(x).all():   # before any arithmetic, which could flag inf - inf
             raise ValueError("x0 must be finite")
-        cfg, lead = self.solver, self.lead
+        cfg, lead, buf = self.solver, self.lead, self._buf
         tol, max_iter, window = cfg.consensus_tol, cfg.consensus_max_iter, cfg.consensus_window
         # x.mean(): a sum past float range warns or raises as np.errstate says
         target = np.add.reduce(x) / m
-        size = lead + 1 + min(max(self.opening_block, self.block_rounds), max_iter, self.max_block)
-        if len(self._buf) < size:
-            self._buf = np.zeros((size, m))
-            self._rows = list(self._buf)
-        buf = self._buf
         # the lead rows stand for states before x0; the local rule skips every
         # window that reaches them, and filling them with x0 keeps no last run's state
         buf[:lead + 1] = x
         mix = self._mix_powers if self._stacked else self._mix_slots
-        k, block = 0, self.opening_block   # rounds done (buf[lead] is the state after them), asked
+        # rounds at the chain point (buf[lead]), computed, and of the first state not yet tested
+        c = k = t = 0
         while True:
-            n = min(block, self.max_block, max_iter - k)
-            mix(k, lead, n)
-            states = buf[:lead + 1 + n]
-            # done[j]: the state after k + j rounds meets the stopping rule
+            end = min(c + CHAIN_ROUNDS, max_iter)
+            if self.opening_block > k:
+                end = min(end, self.opening_block)
+            mix(k - c, end - c)
+            new = buf[lead + t - c:lead + end - c + 1]   # the states after t .. end rounds
+            # done[j]: the state after t + j rounds meets the stopping rule
             if cfg.consensus_mode == "oracle":
-                dev = np.abs(states - target).max(axis=1)
+                dev = np.abs(new - target).max(axis=1)
                 done = dev <= tol
             else:
-                # each node's max and min over the window of lead + 1 states ending at each row
-                hi, lo = states[lead:].copy(), states[lead:].copy()
-                for s in range(lead):
-                    np.maximum(hi, states[s:s + n + 1], out=hi)
-                    np.minimum(lo, states[s:s + n + 1], out=lo)
+                # each node's max and min over the window of lead + 1 states ending at each one
+                hi, lo = new.copy(), new.copy()
+                for s in range(1, lead + 1):
+                    before = buf[lead + t - c - s:lead + end - c + 1 - s]
+                    np.maximum(hi, before, out=hi)
+                    np.minimum(lo, before, out=lo)
                 done = np.subtract(hi, lo, out=hi).max(axis=1) <= tol
-                done[:max(window - k, 0)] = False   # fewer than window + 1 states so far
+                done[:max(window - t, 0)] = False   # fewer than window + 1 states so far
             j = int(done.argmax())
             if done[j]:
-                x = buf[lead + j].copy()
+                x = new[j].copy()
                 dev_j = dev[j] if cfg.consensus_mode == "oracle" else np.abs(x - target).max()
-                self.opening_block = k + j + 2
-                return ConsensusResult(values=x, iterations=k + j, max_deviation=float(dev_j))
-            k += n
-            if k >= max_iter:
+                self.opening_block = t + j + 2
+                return ConsensusResult(values=x, iterations=t + j, max_deviation=float(dev_j))
+            if end >= max_iter:
                 raise ConsensusError(f"no consensus after {max_iter} rounds (tol={tol})",
-                                     values=buf[lead + n].copy(), iterations=k)
-            buf[:lead + 1] = buf[n:n + lead + 1]
-            block = max(block - n, self.block_rounds)
+                                     values=new[-1].copy(), iterations=end)
+            k, t = end, end + 1
+            if end == c + CHAIN_ROUNDS:   # the segment is full: the next one begins at its end
+                buf[:lead + 1] = buf[CHAIN_ROUNDS:]
+                c = end
 
 
 def consensus_average(graph: Graph, x0: np.ndarray, solver: SolverConfig = SolverConfig()

@@ -22,8 +22,17 @@ import numpy as np
 _exp = np.vectorize(math.exp, otypes=[float])
 
 
-def _read_only(values) -> np.ndarray:
-    arr = np.array(values, dtype=float)
+def _read_only(values, shape: tuple | None = None) -> np.ndarray:
+    """values, broadcast to shape if given, as a read-only float array.
+
+    One that already is, owning its C-contiguous float64 data, is kept
+    uncopied: so a Scenario shares build_sensors' arrays.
+    """
+    if (type(values) is np.ndarray and values.dtype == np.float64 and values.flags.owndata
+            and not values.flags.writeable and values.flags.c_contiguous
+            and shape in (None, values.shape)):
+        return values
+    arr = np.array(values if shape is None else np.broadcast_to(values, shape), dtype=float)
     arr.setflags(write=False)
     return arr
 
@@ -61,7 +70,7 @@ class SensorParams:
             raise ValueError("signal must be finite")
         values = {}
         for name in ("sigma2", "h", "zeta"):
-            values[name] = _read_only(np.broadcast_to(getattr(self, name), sig.shape[:-1]))
+            values[name] = _read_only(getattr(self, name), sig.shape[:-1])
             if not np.all(values[name] > 0):
                 raise ValueError(f"{name} must be positive")
         if not np.all(np.square(values["sigma2"]) > 0):
@@ -299,6 +308,8 @@ def build_sensors(
             # the population's own refusals come first, as when it was built before calibrating
             SensorParams(sigma2, h, zeta, signal)
             raise
+    for arr in (sigma2, h, signal):   # handed over, so SensorParams keeps them uncopied
+        arr.setflags(write=False)
     return SensorParams(sigma2, h, zeta, signal)
 
 

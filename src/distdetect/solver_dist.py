@@ -106,8 +106,8 @@ def solve_distributed(scenario: Scenario, graph: Graph, solver: SolverConfig = S
     bounded by the coarser distributed tolerance (1e-3 relative), not the
     centralized one. Every consensus run after the first resumes from
     the last one's output, shifted by each node's power change, on the
-    solve's one engine, which sizes each run's first block of rounds from
-    the last one's round count. That schedule sets no bits: the engine
+    solve's one engine, which also tests each run's stopping rule at the
+    last one's round count + 2. That schedule sets no bits: the engine
     computes each consensus state with sums in a fixed order from a
     state the schedule does not choose (consensus.Consensus), and the
     rel_step norms add their squares in index order, so the trace does

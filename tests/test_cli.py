@@ -455,12 +455,16 @@ _RADIUS = _extreme(*_POSITIVE, 1e-4, 0.05, lo=0.01, hi=2.0)
 
 
 @st.composite
-def accepted_configs(draw):
-    """A config at small sizes and extreme scales, with every field drawn."""
+def accepted_configs(draw, max_m=8, max_trials=200, max_rounds=3000, max_outer=300):
+    """A config at small sizes and extreme scales, with every field drawn.
+
+    max_m, max_trials, max_rounds and max_outer bound M, detect.trials and
+    the consensus and outer iteration budgets.
+    """
     return {
         "schema_version": 1,
         "seed": draw(st.integers(0, 2 ** 32 - 1)),
-        "M": draw(st.integers(1, 8)),
+        "M": draw(st.integers(1, max_m)),
         "N": draw(st.integers(1, 20)),
         "U": draw(_extreme(*_POSITIVE, lo=0.01, hi=100.0)),
         "Pt": draw(_extreme(*_POSITIVE, lo=0.01, hi=100.0)),
@@ -476,13 +480,13 @@ def accepted_configs(draw):
             "lambda0_init": draw(_extreme(*_POSITIVE, lo=1e-10, hi=1.0)),
             "kappa": draw(_extreme(*_POSITIVE, lo=1e-9, hi=1e-3)),
             "consensus_tol": draw(_extreme(*_POSITIVE, lo=1e-12, hi=1e-6)),
-            "consensus_max_iter": draw(st.integers(1, 3000)),
-            "outer_max_iter": draw(st.integers(1, 300)),
+            "consensus_max_iter": draw(st.integers(1, max_rounds)),
+            "outer_max_iter": draw(st.integers(1, max_outer)),
             "consensus_mode": draw(st.sampled_from(["oracle", "local"])),
             "consensus_window": draw(st.integers(1, 10)),
         },
         "detect": {
-            "trials": draw(st.integers(1, 200)),
+            "trials": draw(st.integers(1, max_trials)),
             "schemes": draw(st.lists(st.sampled_from([s.value for s in Scheme]),
                                      min_size=1, max_size=len(Scheme), unique=True)),
             "pt_grid": draw(st.lists(_extreme(*_POSITIVE, lo=0.01, hi=100.0),
@@ -493,8 +497,11 @@ def accepted_configs(draw):
     }
 
 
-def _exit_code(argv, raw: dict) -> int:
-    """cli.main on the config with every warning an error; fails on a traceback."""
+def _exit(argv, raw: dict) -> tuple[int, str]:
+    """cli.main on the config with every warning an error: exit code and stderr.
+
+    Fails on a traceback, whether cli.main raises or prints one.
+    """
     with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
         warnings.simplefilter("error")
         path = write_config(tmp, raw)
@@ -502,7 +509,7 @@ def _exit_code(argv, raw: dict) -> int:
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             code = run_cli(*argv, path, "--out", f"{tmp}/out")
     assert "Traceback" not in err.getvalue()
-    return code
+    return code, err.getvalue()
 
 
 class TestEveryAcceptedConfigExits:
@@ -514,11 +521,27 @@ class TestEveryAcceptedConfigExits:
     @given(raw=accepted_configs(), radius=_RADIUS)
     def test_exit_code_is_0_2_or_3(self, argv, raw, radius):
         cli.validate_config(raw)
-        code = _exit_code(argv, raw)
+        code, _ = _exit(argv, raw)
         assert code in (0, 2, 3)
         if argv[0] == "detect":
             # detection draws no graph, so no radius can change how it ends
-            assert _exit_code(argv, {**raw, "radius": radius}) == code
+            assert _exit(argv, {**raw, "radius": radius})[0] == code
+
+
+class TestNoTraceback:
+    """Every accepted config runs or exits 2 or 3 with an error line, under every command."""
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(raw=accepted_configs(max_m=30, max_trials=300, max_rounds=2000, max_outer=2000),
+           method=st.sampled_from(["central", "distributed", "both"]),
+           sweep=st.sampled_from(["pt", "pfa", "n"]))
+    def test_exit_2_or_3_ends_with_an_error_line(self, raw, method, sweep):
+        cli.validate_config(raw)
+        for argv in (("allocate", "--method", method), ("trace",), ("detect", "--sweep", sweep)):
+            code, err = _exit(argv, raw)
+            assert code in (0, 2, 3), argv
+            if code:
+                assert err.splitlines()[-1].startswith("error:"), (argv, err)
 
 
 class TestCsvCells:

@@ -13,8 +13,7 @@ from numpy.testing import assert_allclose
 
 import distdetect as dd
 from distdetect import consensus
-from distdetect.consensus import (BLOCK_ROUNDS, BUFFER_FLOATS, EDGE_BLOCK, STACK_NODES, Consensus,
-                                  geometric_edges)
+from distdetect.consensus import CHAIN_ROUNDS, EDGE_BLOCK, STACK_NODES, Consensus, geometric_edges
 
 from conftest import complete_graph, in_order, load_edge_list, reference_states
 
@@ -452,13 +451,15 @@ class TestConsensusAverage:
             consensus_settings(1e-9, 10, "local", 0)
 
 
-def _run(fn, graph, x0, solver):
-    """(values, iterations, failed) of one consensus run, success or ConsensusError."""
-    try:
-        res = fn(graph, x0, solver)
-    except dd.ConsensusError as e:
-        return e.values, e.iterations, True
-    return res.values, res.iterations, False
+# opening marks the engine tests set: short, next to the first chain point, and past it
+OPENINGS = (1, 5, CHAIN_ROUNDS - 1, CHAIN_ROUNDS, CHAIN_ROUNDS + 1, 200)
+
+
+def opened_at(graph, solver, opening):
+    """A fresh engine whose first run ends a block at round `opening`, as after one of that - 2."""
+    engine = Consensus(graph, solver)
+    engine.opening_block = opening
+    return engine
 
 
 def _stop_statistics(graph, x0, rounds, window):
@@ -473,25 +474,25 @@ def _stop_statistics(graph, x0, rounds, window):
 class TestBlockedRounds:
     """The blocked loop against a reference that tests every round: equal bits, equal counts."""
 
-    def test_random_graphs_both_modes(self, monkeypatch, reference_consensus_average):
+    def test_random_graphs_both_modes(self, reference_consensus_average):
         rng = np.random.default_rng(23)
-        blocks = np.random.default_rng(29)   # block lengths, apart from the graph draws
+        blocks = np.random.default_rng(29)   # opening marks, apart from the graph draws
         for t in range(60):
             m = int(rng.integers(1, 30))
             g = dd.random_geometric_graph(m, float(rng.uniform(0.3, 0.9)), rng)
             x0 = rng.normal(size=m) * 10.0 ** rng.uniform(-3, 3)
             solver = consensus_settings(10.0 ** rng.uniform(-12, -3), int(rng.integers(1, 400)),
                                         ("oracle", "local")[t % 2], int(rng.integers(1, 80)))
-            monkeypatch.setattr(consensus, "BLOCK_ROUNDS", int(blocks.integers(1, 81)))
-            got = _run(dd.consensus_average, g, x0, solver)
-            ref = _run(reference_consensus_average, g, x0, solver)
-            assert got[1:] == ref[1:], (solver, consensus.BLOCK_ROUNDS)
-            assert np.all(got[0] == ref[0]), (solver, consensus.BLOCK_ROUNDS)
+            opening = int(blocks.choice(OPENINGS))
+            got = _outcome(opened_at(g, solver, opening).run, x0)
+            ref = _outcome(lambda x: reference_consensus_average(g, x, solver), x0)
+            assert got[1:] == ref[1:], (solver, opening)
+            assert np.all(got[0] == ref[0]), (solver, opening)
 
     @pytest.mark.parametrize("mode", ["oracle", "local"])
     @pytest.mark.parametrize("offset", [-1, 0, 1])
     def test_stops_at_the_block_boundary(self, mode, offset, reference_consensus_average):
-        rounds = BLOCK_ROUNDS + offset
+        rounds = CHAIN_ROUNDS + offset
         g = path_graph(8)
         x0 = np.arange(8, dtype=float) ** 2
         dev, spread = _stop_statistics(g, x0, rounds, window=5)
@@ -506,18 +507,16 @@ class TestBlockedRounds:
         assert res.max_deviation == ref.max_deviation
 
     @pytest.mark.parametrize("mode", ["oracle", "local"])
-    @pytest.mark.parametrize("max_iter", [3, BLOCK_ROUNDS - 1, BLOCK_ROUNDS,
-                                          BLOCK_ROUNDS + 1, 2 * BLOCK_ROUNDS + 3])
-    def test_budget_error_at_exactly_max_iter(self, mode, max_iter, monkeypatch,
-                                              reference_consensus_average):
+    @pytest.mark.parametrize("max_iter", [3, CHAIN_ROUNDS - 1, CHAIN_ROUNDS,
+                                          CHAIN_ROUNDS + 1, 2 * CHAIN_ROUNDS + 3])
+    def test_budget_error_at_exactly_max_iter(self, mode, max_iter, reference_consensus_average):
         g = path_graph(8)
         x0 = np.arange(8, dtype=float)
         solver = consensus_settings(1e-12, max_iter, mode, 5)
-        # blocks of the default length, whose ends the budgets straddle, and of a random one
-        for block_rounds in (BLOCK_ROUNDS, int(np.random.default_rng(max_iter).integers(1, 81))):
-            monkeypatch.setattr(consensus, "BLOCK_ROUNDS", block_rounds)
+        # blocks ending at the chain points, whose ends the budgets straddle, and at the marks
+        for opening in OPENINGS:
             with pytest.raises(dd.ConsensusError) as exc:
-                dd.consensus_average(g, x0, solver)
+                opened_at(g, solver, opening).run(x0)
             with pytest.raises(dd.ConsensusError) as ref:
                 reference_consensus_average(g, x0, solver)
             assert exc.value.iterations == ref.value.iterations == max_iter
@@ -561,16 +560,15 @@ class TestEngineReuse:
     """One Consensus engine run on input after input gives what a fresh run gives on each."""
 
     @pytest.mark.parametrize("mode", ["oracle", "local"])
-    def test_runs_match_fresh_runs(self, mode, monkeypatch, reference_consensus_average):
+    def test_runs_match_fresh_runs(self, mode, reference_consensus_average):
         g = path_graph(8)
         solver = consensus_settings(1e-9, 300, mode, 5)
         # input scales: 1e-3 takes 200-260 rounds, 1 and 1e3 more than the budget; the run
-        # after a long one starts with a long first block and grows the buffer, a short
-        # run follows a long one, and runs follow failures
+        # after a long one opens with blocks up to a mark several chain points ahead, a
+        # short run follows a long one, and runs follow failures
         scales = [1e-8, 1e-3, 1e-8, 1.0, 1e-10, 1e-6, 1e3, 1e-3]
-        for block_rounds in (1, 5, BLOCK_ROUNDS):
-            monkeypatch.setattr(consensus, "BLOCK_ROUNDS", block_rounds)
-            engine = Consensus(g, solver)
+        for opening in OPENINGS:
+            engine = opened_at(g, solver, opening)
             rng = np.random.default_rng(31)
             failed = []
             for scale in scales:
@@ -580,10 +578,10 @@ class TestEngineReuse:
                 fresh = _outcome(lambda x: dd.consensus_average(g, x, solver), x0)
                 ref = _outcome(lambda x: reference_consensus_average(g, x, solver), x0)
                 for other in (fresh, ref):
-                    assert np.array_equal(got[0], other[0]), (block_rounds, scale)
-                    assert got[1:] == other[1:], (block_rounds, scale)
+                    assert np.array_equal(got[0], other[0]), (opening, scale)
+                    assert got[1:] == other[1:], (opening, scale)
                 failed.append(isinstance(got[2], str))
-                # the next first block: this run's rounds + 2, or unchanged after a failure
+                # the next opening mark: this run's rounds + 2, or unchanged after a failure
                 assert engine.opening_block == (opening if failed[-1] else got[1] + 2)
             assert failed == [False, False, False, True, False, False, True, False]
 
@@ -615,26 +613,32 @@ class TestEngineReuse:
             gc.enable()
 
 
-class TestRoundBuffer:
-    """A long first block runs as blocks that fit BUFFER_FLOATS, with the values of one block."""
+def assert_one_segment(engine):
+    """The engine's round buffer holds one chain segment and the lead rows before it."""
+    assert engine._buf.shape == (engine.lead + 1 + CHAIN_ROUNDS, engine.graph.M)
 
-    # at M=200 a block holds at most 327 rounds (321 under the local rule's lead rows);
+
+class TestRoundBuffer:
+    """A mark many segments ahead runs segment after segment, with the values of one block."""
+
     # the runs take 2,538 (oracle) and 2,097 (local) rounds, or stop at the budget
     @pytest.mark.parametrize("mode", ["oracle", "local"])
     @pytest.mark.parametrize("max_iter", [20_000, 1_000])
-    def test_a_long_first_block_stays_within_the_cap(self, mode, max_iter, monkeypatch,
+    def test_a_long_first_block_stays_within_the_cap(self, mode, max_iter,
                                                      reference_consensus_average):
         g = dd.random_geometric_graph(200, 0.12, np.random.default_rng(7))
         x0 = np.random.default_rng(8).normal(size=200)
         solver = consensus_settings(1e-9, max_iter, mode, 5)
-        monkeypatch.setattr(consensus, "BLOCK_ROUNDS", 5000)
-        engine = Consensus(g, solver)
+        engine = opened_at(g, solver, 5000)
+        buf = engine._buf
         got = _outcome(engine.run, x0)
         ref = _outcome(lambda x: reference_consensus_average(g, x, solver), x0)
         assert np.array_equal(got[0], ref[0])
         assert got[1:] == ref[1:]
-        assert got[1] > 3 * engine.max_block
-        assert engine._buf.size <= BUFFER_FLOATS
+        assert got[1] > 3 * CHAIN_ROUNDS
+        # allocated once, at construction
+        assert engine._buf is buf
+        assert_one_segment(engine)
 
 
 class TestChainPoints:
@@ -642,8 +646,7 @@ class TestChainPoints:
 
     @pytest.mark.parametrize("mode", ["oracle", "local"])
     @pytest.mark.parametrize("rounds", [63, 64, 65, 127, 128, 129])
-    def test_stops_next_to_a_chain_point(self, mode, rounds, monkeypatch,
-                                         reference_consensus_average):
+    def test_stops_next_to_a_chain_point(self, mode, rounds, reference_consensus_average):
         g = path_graph(8)
         x0 = np.arange(8, dtype=float) ** 2
         dev, spread = _stop_statistics(g, x0, rounds, window=5)
@@ -653,15 +656,14 @@ class TestChainPoints:
         solver = consensus_settings(float(stat[rounds]), 10_000, mode, 5)
         ref = reference_consensus_average(g, x0, solver)
         assert ref.iterations == rounds
-        for block_rounds in (1, 5, 64, 200):
-            monkeypatch.setattr(consensus, "BLOCK_ROUNDS", block_rounds)
-            res = dd.consensus_average(g, x0, solver)
-            assert res.iterations == rounds, block_rounds
-            assert np.array_equal(res.values, ref.values), block_rounds
+        for opening in OPENINGS:
+            res = opened_at(g, solver, opening).run(x0)
+            assert res.iterations == rounds, opening
+            assert np.array_equal(res.values, ref.values), opening
             assert res.max_deviation == ref.max_deviation
 
     @pytest.mark.parametrize("mode", ["oracle", "local"])
-    def test_block_schedule_sets_no_bits(self, mode, monkeypatch, reference_consensus_average):
+    def test_block_schedule_sets_no_bits(self, mode, reference_consensus_average):
         rng = np.random.default_rng(41)
         # both forms: stacked powers up to STACK_NODES nodes, slots above
         for m in (2, 10, STACK_NODES, STACK_NODES + 1, 60):
@@ -671,11 +673,12 @@ class TestChainPoints:
             for solver in (consensus_settings(1e-10, 5000, mode, 5),
                            consensus_settings(1e-14, 150, mode, 5)):
                 ref = _outcome(lambda x: reference_consensus_average(g, x, solver), x0)
-                for block_rounds in (1, 5, 64, 200):
-                    monkeypatch.setattr(consensus, "BLOCK_ROUNDS", block_rounds)
-                    got = _outcome(lambda x: dd.consensus_average(g, x, solver), x0)
-                    assert np.array_equal(got[0], ref[0]), (m, solver, block_rounds)
-                    assert got[1:] == ref[1:], (m, solver, block_rounds)
+                for opening in OPENINGS:
+                    engine = opened_at(g, solver, opening)
+                    got = _outcome(engine.run, x0)
+                    assert np.array_equal(got[0], ref[0]), (m, solver, opening)
+                    assert got[1:] == ref[1:], (m, solver, opening)
+                    assert_one_segment(engine)
 
     @pytest.mark.parametrize("m, radius, max_iter", [(STACK_NODES + 1, 0.35, 5000),
                                                       (100, 0.2, 5000), (1000, 0.06, 40)])
@@ -698,12 +701,14 @@ class TestChainPoints:
         x0 = np.random.default_rng(0).normal(size=5000)
         tracemalloc.start()
         try:
+            engine = Consensus(g, consensus_settings(1e-12, 3))
             with pytest.raises(dd.ConsensusError) as exc:
-                Consensus(g, consensus_settings(1e-12, 3)).run(x0)
+                engine.run(x0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert exc.value.iterations == 3
+        assert_one_segment(engine)
         assert peak < 25e6, peak
 
 

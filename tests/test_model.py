@@ -301,6 +301,27 @@ class TestScenario:
         for name in ("sigma2", "h", "zeta", "signal", "es", "xi"):
             assert np.array_equal(getattr(sc, name), getattr(sensors, name)), name
 
+    def test_make_scenario_shares_the_built_arrays(self, monkeypatch):
+        built = []
+        build = dd.model.build_sensors
+        monkeypatch.setattr(dd.model, "build_sensors",
+                            lambda *a, **k: built.append(build(*a, **k)) or built[-1])
+        sc = dd.make_scenario(5000, 10, 1)
+        for name in ("sigma2", "h", "zeta", "signal"):
+            assert np.shares_memory(getattr(sc, name), getattr(built[0], name)), name
+
+    def test_an_array_the_caller_could_write_is_copied(self):
+        s = dd.build_sensors(6, 4, 1)
+        fields = dict(zeta=0.1, U=3.0, Pt=1.0, Pfa=0.1, seed=1)
+        writeable, view = np.array(s.signal), s.sigma2[::-1]   # a view owns no data
+        narrow = s.h.astype(np.float32)
+        narrow.setflags(write=False)
+        sc = dd.Scenario(sigma2=view, h=narrow, signal=writeable, **fields)
+        for kept, given in ((sc.signal, writeable), (sc.sigma2, view), (sc.h, narrow)):
+            assert not np.shares_memory(kept, given)
+            assert np.array_equal(kept, given) and kept.dtype == np.float64
+            assert not kept.flags.writeable
+
     def test_per_sensor_formulas_read_a_scenario_as_its_sensors(self, fig1_scenario):
         sc = fig1_scenario
         sensors = dd.build_sensors(10, 10, 1)
