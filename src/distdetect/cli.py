@@ -208,7 +208,7 @@ def scenario_from_config(cfg: dict, n: int | None = None) -> Scenario:
             u=cfg["U"], pt=cfg["Pt"], pfa=cfg["Pfa"],
             **{k: cfg[k] for k in _SCENARIO_DEFAULTS},
         )
-    except ValueError as e:
+    except (ValueError, FloatingPointError) as e:   # cli.main raises on overflow
         raise ConfigError(f"config does not describe a valid scenario: {e}") from e
 
 

@@ -115,14 +115,29 @@ def fuse(t_hat: np.ndarray, weights: FusionWeights) -> float | np.ndarray:
     sensors are added one after another, in index order.
     """
     t = np.asarray(t_hat, dtype=float)
-    a = weights.alpha
-    if t.ndim not in (1, 2) or t.shape[0] != a.size:
+    if t.ndim not in (1, 2):
         raise ValueError("t_hat and weights must have matching length")
-    weighted = a[:, None] * t.reshape(a.size, -1)
-    # numpy sums whole rows in order but a lone column pairwise, like a vector
-    lone = weighted.shape[1] == 1
-    fused = np.cumsum(weighted, axis=0)[-1] if lone else np.sum(weighted, axis=0)
+    fused = fuse_plans(t.reshape(t.shape[0], -1), [weights])[0]
     return float(fused[0]) if t.ndim == 1 else fused
+
+
+def fuse_plans(t_hat: np.ndarray, weights) -> np.ndarray:
+    """Each of several weight vectors fused over one (sensors, trials) array: (plans, trials).
+
+    fuse's one rule, which fuse itself runs through: whatever t_hat's
+    memory order, the weighted terms go into one C-contiguous
+    (plans, sensors, trials) array, whose sensors are added one after
+    another, in index order. Row p is fuse(t_hat, weights[p]) bit for bit.
+    """
+    t = np.asarray(t_hat, dtype=float)
+    alphas = np.array([w.alpha for w in weights])
+    if t.ndim != 2 or alphas.ndim != 2 or alphas.shape[1] != t.shape[0]:
+        raise ValueError("t_hat and weights must have matching length")
+    weighted = np.multiply(alphas[:, :, None], t, out=np.empty((len(alphas), *t.shape)))
+    # numpy sums whole rows in order but a lone column pairwise, like a vector
+    if t.shape[1] == 1:
+        return np.cumsum(weighted, axis=1)[:, -1]
+    return np.add.reduce(weighted, axis=1)
 
 
 def fusion_moments(statistic: Statistic, weights: FusionWeights,

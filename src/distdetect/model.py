@@ -103,7 +103,8 @@ class Statistic:
     lo          lower edge of the quantizer window [lo, lo + 2U]
     from_noise  from_noise(sigma g, sigma^2 R, h1) is the statistic under H1
                 (h1 true) or H0, in closed form from the two variates that
-                montecarlo._noise draws for every sensor and trial
+                montecarlo._noise draws for every sensor and trial: a new
+                array, which the caller may overwrite
     """
 
     mean_h0: float | np.ndarray
@@ -135,8 +136,14 @@ class Statistic:
         norm = np.sqrt(sensor.es)[..., None]
 
         def from_noise(sg, rest, h1: bool):
-            along = sg + norm if h1 else sg
-            return along * along + rest
+            # one new array, squared and summed in place; sg is left as it is
+            if h1:
+                energy = sg + norm
+                energy *= energy
+            else:
+                energy = sg * sg
+            energy += rest
+            return energy
 
         return cls(mean_h0=n * sigma2, var_h0=var_h0, mean_h1=n * sigma2 * (1.0 + xi),
                    var_h1=var_h0 * (1.0 + 2.0 * xi), b_factors=(n, sigma2, xi), lo=0.0,
@@ -155,7 +162,9 @@ class Statistic:
 
         def from_noise(sg, rest, h1: bool):
             mf = norm * sg
-            return mf + shift if h1 else mf
+            if h1:
+                mf += shift
+            return mf
 
         return cls(mean_h0=np.zeros_like(es), var_h0=var, mean_h1=es, var_h1=var,
                    b_factors=(1.0, es, 1.0), lo=-u, from_noise=from_noise)

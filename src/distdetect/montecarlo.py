@@ -51,6 +51,7 @@ from .fusion import (
     deflection_inputs,
     equal_weights,
     fuse,
+    fuse_plans,
     fusion_moments,
     optimal_weights,
     qfunc,
@@ -65,9 +66,11 @@ from .solver_central import solve_centralized
 matched_filter_weights, matched_filter_moments, quantize_centered = (
     optimal_weights, fusion_moments, quantize_array)
 
-# (trial, sensor) pairs drawn and simulated at a time: each (sensors, trials)
-# float array is then 512 KiB; larger chunks ran no faster and held more memory
-CHUNK_SAMPLES = 1 << 16
+# floats in a chunk's widest (rows, trials) array, its rows the sensors or one
+# statistic's quantized (sensor, bit load) rows, whichever are more: 128 KiB, which
+# glibc serves from its heap rather than from fresh mmap pages faulted in for every
+# chunk. A chunk holds at least 256 trials, so past 64 rows its arrays outgrow this
+CHUNK_SAMPLES = 1 << 14
 # cell probabilities (sensors x cells) held at a time by quantized_gaussian_moments
 _CELL_BLOCK = 1 << 16
 
@@ -306,15 +309,19 @@ def simulate_plans(
     draw. Each sensor's N white-Gaussian noise samples enter both
     statistics only through g ~ N(0, 1), their projection on the unit
     signal direction, and R ~ chi2(N - 1), the energy left over,
-    independent of g. Per chunk of at most CHUNK_SAMPLES (trial, sensor)
-    pairs, g is drawn once and R once per window length (_noise), so each
+    independent of g. The trials run in chunks sized so that the widest
+    array the pass holds, one row per sensor or per quantized row, spans
+    at most CHUNK_SAMPLES floats, and at least 256 trials a chunk. Per
+    chunk, g is drawn once and R once per window length (_noise), so each
     N sees exactly the noise a pass at that N alone would draw, and each
     plan's statistic follows in closed form (Statistic.from_noise), under
     H0 and H1 from the same (g, R). Each (N, statistic, sensor, bit load)
-    used by some plan is quantized once per hypothesis, and every plan
-    fuses its senders' rows. Counts are integers summed in a fixed order,
-    so a given seed is fully deterministic, whatever the chunk size or the
-    other window lengths.
+    used by some plan is quantized once per hypothesis, in place; the
+    plans sending the same rows are fused together (fusion.fuse_plans),
+    and all plans of one statistic are thresholded in one comparison. A
+    gather that would take every row in order is skipped. Counts are
+    integers summed in a fixed order, so a given seed is fully
+    deterministic, whatever the chunk size or the other window lengths.
 
     clip_counts, if supplied, is filled with per-sensor counts of raw
     statistics falling outside the quantizer window, keyed by the window
@@ -330,7 +337,7 @@ def simulate_plans(
     # per window length N, its scenario and one table per statistic constructor: the
     # record (plans of one statistic built equal ones), the row of each (sensor, bit load)
     # sent in its quantized array, and the groups of plans fusing the same rows:
-    # (senders, bits) -> (rows, [(j, plan)])
+    # (senders, bits) -> (rows, [j])
     windows = {}
     for j, plan in enumerate(plans):
         if plan.degenerate:
@@ -352,41 +359,60 @@ def simulate_plans(
         if key not in groups:
             groups[key] = (np.array([rows_of.setdefault(cell, len(rows_of))
                                      for cell in zip(senders.tolist(), bits.tolist())]), [])
-        groups[key][1].append((j, plan))
+        groups[key][1].append(j)
     if not windows:
         return counts   # nothing to draw: nobody transmits
-    # rows become a (rows, 2) array of (sensor, bit load), in row order
-    windows = {n: {kind: (stat, np.array(list(rows_of)), list(groups.values()))
-                   for kind, (stat, rows_of, groups) in tables.items()}
-               for n, (_, tables) in windows.items()}
+    # per N and statistic: its record, the sensors to gather (None when the rows are
+    # every sensor in order), a (rows, 1) array of bit loads, one (rows, weights) pair
+    # per group (rows None when all, in order), and its plans' thresholds as
+    # (plans, levels, 1), padded with inf, and exceedances as (2, plans, levels), the
+    # plans in group order; counts[j] is plan j's part of them
+    tables, widest = {}, m
+    for n, (_, by_kind) in windows.items():
+        tables[n] = {}
+        for kind, (stat, rows_of, groups) in by_kind.items():
+            cells = np.array(list(rows_of))
+            widest = max(widest, len(cells))
+            sensors = None if np.array_equal(cells[:, 0], np.arange(m)) else cells[:, 0]
+            members = [j for _, group in groups.values() for j in group]
+            levels = np.full((len(members), max(len(thresholds[j]) for j in members), 1),
+                             np.inf)
+            exceed = np.zeros((2, *levels.shape[:2]), dtype=np.int64)
+            for p, j in enumerate(members):
+                k = len(thresholds[j])
+                levels[p, :k, 0] = thresholds[j]
+                counts[j] = exceed[:, p, :k]
+            fusing = [(None if np.array_equal(rows, np.arange(len(cells))) else rows,
+                       [plans[j].sender_weights for j in group])
+                      for rows, group in groups.values()]
+            tables[n][kind] = (stat, sensors, cells[:, 1:], fusing, levels, exceed)
 
-    chunk_cap = max(256, CHUNK_SAMPLES // m)
+    chunk_cap = max(256, CHUNK_SAMPLES // widest)
     # the keys fix every draw: changing them changes every results CSV. Each window
     # length gets its own instance of the R stream, the one a pass at that N alone uses
     rng_g = derive_stream(scenario.seed, "mc", "mc", 0)
-    rng_r = {n: derive_stream(scenario.seed, "mc", "mc", 1) for n in windows}
+    rng_r = {n: derive_stream(scenario.seed, "mc", "mc", 1) for n in tables}
     left = trials
     while left > 0:
         c = min(left, chunk_cap)
         left -= c
         for n, sg, rest in _noise(scenario, rng_g, rng_r, c):
             # one statistic and its quantized rows held at a time
-            for hyp_idx, (kind, (stat, cells, groups)) in itertools.product((0, 1),
-                                                                             windows[n].items()):
-                st = stat.from_noise(sg, rest, hyp_idx == 1)   # (sensors, trials)
+            for hyp_idx, (kind, (stat, sensors, bits, groups, levels, exceed)) in \
+                    itertools.product((0, 1), tables[n].items()):
+                st = stat.from_noise(sg, rest, hyp_idx == 1)   # (sensors, trials), new
                 lo = stat.lo
                 if clip_counts is not None:
                     tally = clip_counts.setdefault((n, kind), np.zeros((4, m), dtype=np.int64))
                     tally[2 * hyp_idx] += (st < lo).sum(axis=1)
                     tally[2 * hyp_idx + 1] += (st > lo + 2.0 * u).sum(axis=1)
-                quantized = quantize_array(st[cells[:, 0]], cells[:, 1:], u, lo)
-                del st
-                for rows, members in groups:
-                    q = quantized[rows]
-                    for j, plan in members:
-                        fused = fuse(q, plan.sender_weights)
-                        counts[j][hyp_idx] += [np.count_nonzero(fused > t)
-                                               for t in thresholds[j].tolist()]
+                if sensors is not None:
+                    st = st[sensors]   # the rows some plan sends, a copy
+                quantized = quantize_array(st, bits, u, lo, out=st)
+                fused = np.concatenate([
+                    fuse_plans(quantized if rows is None else quantized[rows], weights)
+                    for rows, weights in groups])
+                exceed[hyp_idx] += np.add.reduce(fused[:, None] > levels, axis=2)
     return counts
 
 
@@ -402,21 +428,24 @@ def _noise(scenario: Scenario, rng_g: np.random.Generator, rng_r: dict, trials: 
     length N to its R stream, from which a (trials, M) batch of R is
     drawn when that N's turn comes, so consecutive batches continue every
     stream whatever their size. Yields (N, sigma g, sigma^2 R) per N,
-    the two as (M, trials) arrays, which Statistic.from_noise turns into
+    the two as C-ordered (M, trials) arrays, which Statistic.from_noise turns into
     either statistic; R is 0, and nothing is drawn from N's stream, when
     N = 1.
     """
     m = scenario.M
-    sg = rng_g.normal(0.0, 1.0, size=(trials, m)).T * np.sqrt(scenario.sigma2)[:, None]
+    # each batch is scaled as it is copied out of its transpose, into the (M, trials)
+    # row order every later step runs along
+    sg = np.multiply(rng_g.normal(0.0, 1.0, size=(trials, m)).T,
+                     np.sqrt(scenario.sigma2)[:, None], out=np.empty((m, trials)))
     for n, rng in rng_r.items():
         if n == 1:
             yield n, sg, 0.0
             continue
         # chisquare(k) is 2 * standard_gamma(k / 2), draw for draw; scaling by 2 is exact,
         # so folding it into sigma^2 leaves every bit of sigma^2 R as chisquare's would be
-        rest = rng.standard_gamma((n - 1) / 2.0, size=(trials, m))
-        rest *= 2.0 * scenario.sigma2
-        yield n, sg, rest.T
+        rest = np.multiply(rng.standard_gamma((n - 1) / 2.0, size=(trials, m)).T,
+                           2.0 * scenario.sigma2[:, None], out=np.empty((m, trials)))
+        yield n, sg, rest
 
 
 def run_trials(scenario: Scenario, scheme: Scheme, trials: int, pt: float | None = None,

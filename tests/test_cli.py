@@ -184,6 +184,17 @@ class TestAllocateCommand:
         err = capsys.readouterr().err
         assert "error:" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("command", [("allocate", "--method", "central"), ("trace",)],
+                             ids=["allocate", "trace"])
+    def test_overflowing_noise_power_names_the_scenario(self, tmp_path, capsys, command):
+        # sigma^2 up to the largest float: squaring it overflows while the scenario is built
+        path = write_config(tmp_path, overrides={"sigma2_range": [1.0, 1.7976931348623157e+308]})
+        assert run_cli(*command, path, "--out", tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.strip().splitlines()[-1] == ("error: config does not describe a valid "
+                                                "scenario: overflow encountered in square")
+
     def test_trace_refuses_a_water_level_past_float_range(self, tmp_path, capsys):
         # an SNR near 1e-310 puts a sensor's water level b = (t2 + t3) / a past float
         # range: the distributed solve exits 2 at once, as the central one does

@@ -6,6 +6,7 @@ from numpy.testing import assert_allclose
 from scipy import special
 
 import distdetect as dd
+from distdetect import fusion
 from distdetect.montecarlo import Scheme
 
 from conftest import (
@@ -82,6 +83,37 @@ class TestFuse:
     def test_equal_combining_rule(self):
         w = dd.equal_weights(np.zeros(4, dtype=bool))
         assert_allclose(dd.fuse(np.ones(4), w), 2.0, rtol=1e-12)
+
+
+class TestFusePlans:
+    """fuse_plans, the Monte Carlo pass's fusion of a group of plans, is fuse plan by plan."""
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("trials", [1, 2, 257])
+    @pytest.mark.parametrize("senders", [1, 9, 75])
+    def test_rows_are_fuse_bit_for_bit(self, senders, trials, order):
+        rng = np.random.default_rng(senders * 1000 + trials)
+        t = np.asarray(rng.uniform(-3.0, 6.0, size=(senders, trials)), order=order)
+        alphas = rng.normal(size=(3, senders)) * rng.uniform(0.0, 1e3, size=(3, 1))
+        alphas[1, ::2] = 0.0   # a silent sensor adds nothing
+        weights = [dd.FusionWeights(a) for a in alphas]
+        fused = fusion.fuse_plans(t, weights)
+        assert fused.shape == (3, trials)
+        c_order = np.ascontiguousarray(t)
+        for row, w in zip(fused, weights):
+            assert row.tobytes() == dd.fuse(t, w).tobytes() == dd.fuse(c_order, w).tobytes()
+            # the senders added one after another, in index order (equal as numbers: a
+            # sum of zeros may come out as 0.0 where this loop keeps -0.0)
+            total = w.alpha[0] * t[0]
+            for i in range(1, senders):
+                total = total + w.alpha[i] * t[i]
+            assert np.array_equal(row, total)
+
+    def test_mismatched_lengths_refused(self):
+        w = dd.FusionWeights(np.ones(3))
+        for t, weights in ((np.ones((2, 4)), [w]), (np.ones(3), [w]), (np.ones((3, 4)), [])):
+            with pytest.raises(ValueError, match="matching length"):
+                fusion.fuse_plans(t, weights)
 
 
 class TestCombinedMoments:

@@ -1,6 +1,7 @@
 """Trial simulation, threshold calibration, ROC and budget sweeps."""
 import csv
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from scipy.stats import ks_2samp, norm
 import distdetect as dd
 from distdetect import cli, montecarlo
 from distdetect.cli import write_results_csv
-from distdetect.fusion import fuse
+from distdetect.fusion import fuse_plans
 from distdetect.montecarlo import (
     Scheme,
     equal_power,
@@ -360,9 +361,9 @@ def _count_draws(monkeypatch) -> dict:
 class TestChunking:
     GRID = [1e-6, 2.0, 5.0]
 
-    def _sweep(self, sc):
+    def _sweep(self, sc, trials=1000):
         diag: list = []
-        ests = dd.sweep_budget(sc, list(Scheme), self.GRID, 1000, diagnostics=diag)
+        ests = dd.sweep_budget(sc, list(Scheme), self.GRID, trials, diagnostics=diag)
         return ests, diag
 
     def _check_chunking(self, sc, monkeypatch):
@@ -386,6 +387,31 @@ class TestChunking:
         sc = dd.make_scenario(m=5, n=n, seed=7, u=3.0, pt=5.0, pfa=0.1,
                               xa_db=-4.0, amplitude=0.2)
         self._check_chunking(sc, monkeypatch)
+
+    def test_a_last_chunk_of_one_trial(self, small_scenario, monkeypatch):
+        # 257 trials split into chunks of 256 and 1: the last fuses one column per plan
+        sc = small_scenario
+        whole, whole_diag = self._sweep(sc, 257)
+        monkeypatch.setattr(montecarlo, "CHUNK_SAMPLES", 1)
+        draws = _count_draws(monkeypatch)
+        chunked, chunked_diag = self._sweep(sc, 257)
+        assert draws["g"] == [(256, sc.M), (1, sc.M)]
+        assert chunked == whole
+        assert all(np.array_equal(a, b) for (_, a), (_, b) in zip(chunked_diag, whole_diag))
+
+    def test_chunks_are_sized_by_the_widest_table(self, small_scenario, monkeypatch):
+        # two budgets load the same sensors at other bit counts: each statistic's
+        # quantized array then has more rows than there are sensors
+        sc = small_scenario
+        plans = [plan_scheme(sc, s, pt=pt) for pt in (2.0, 50.0) for s in Scheme]
+        widest = max(len({(i, p.spec.bits_int[i]) for p in plans if p.scheme.statistic == stat
+                          for i in p.senders.tolist()})
+                     for stat in (dd.Statistic.energy, dd.Statistic.matched))
+        assert widest > sc.M
+        monkeypatch.setattr(montecarlo, "CHUNK_SAMPLES", 300 * widest)
+        draws = _count_draws(monkeypatch)
+        montecarlo.simulate_plans(sc, plans, [np.array([0.0])] * len(plans), 700)
+        assert draws["g"] == [(300, sc.M), (300, sc.M), (100, sc.M)]
 
     def test_a_sweep_draws_each_chunk_once(self, small_scenario, monkeypatch, tmp_path):
         sc = small_scenario
@@ -422,9 +448,9 @@ class TestChunking:
         rows = []
 
         def counted(real):
-            def wrapper(t, *args):
+            def wrapper(t, *args, **kwargs):
                 rows.append(len(t))
-                return real(t, *args)
+                return real(t, *args, **kwargs)
             return wrapper
 
         monkeypatch.setattr(montecarlo, "quantize_array", counted(montecarlo.quantize_array))
@@ -444,18 +470,83 @@ class TestChunking:
         assert plans[0].senders.size
         assert np.array_equal(plans[0].senders, plans[1].senders)
         assert np.array_equal(plans[0].spec.bits_int, plans[1].spec.bits_int)
-        gathered = []   # (weights, q) of every fuse; holding q keeps identities unique
+        fused = []   # the weights objects of every fuse_plans call
 
         def recording(q, weights):
-            gathered.append((weights, q))
-            return fuse(q, weights)
+            fused.append([id(w) for w in weights])
+            return fuse_plans(q, weights)
 
-        monkeypatch.setattr(montecarlo, "fuse", recording)
+        monkeypatch.setattr(montecarlo, "fuse_plans", recording)
         thresholds = [np.array([p.threshold(0.1)]) for p in plans]
         montecarlo.simulate_plans(sc, plans, thresholds, 1000)
-        first, second = ([q for w, q in gathered if w is p.sender_weights] for p in plans)
-        assert len(first) == len(second) == 2   # one chunk, two hypotheses
-        assert all(a is b for a, b in zip(first, second))
+        # one chunk, two hypotheses: both plans fused in one call each time
+        assert len(fused) == 2
+        assert fused == [[id(p.sender_weights) for p in plans]] * 2
+
+    def test_each_plan_fuses_its_own_senders_rows(self, monkeypatch):
+        # sensor 0 has no signal: the optimal weights leave it out and equal weights keep
+        # it, so the second plan's rows sit in its table in another order than its senders
+        signal = np.full((4, 10), 0.5)
+        signal[0] = 0.0
+        sc = dd.Scenario(np.array([1.0, 0.5, 1.5, 2.0]), 1.0, 0.1, signal, U=8.0, Pt=40.0,
+                         Pfa=0.1, seed=5)
+        plans = [plan_scheme(sc, s) for s in (Scheme.ED_opt_weights_equal_power,
+                                              Scheme.ED_equal_weights_equal_power,
+                                              Scheme.MFD_equal_power)]
+        assert [p.senders.tolist() for p in plans] == [[1, 2, 3], [0, 1, 2, 3], [1, 2, 3]]
+        fused = []
+
+        def recording(q, weights):
+            fused.append((q.copy(), weights))
+            return fuse_plans(q, weights)
+
+        monkeypatch.setattr(montecarlo, "fuse_plans", recording)
+        montecarlo.simulate_plans(sc, plans, [np.array([0.0])] * len(plans), 300)
+        # the same draw, each plan's statistic quantized at its senders, in sender order
+        ((_, sg, rest),) = montecarlo._noise(
+            sc, montecarlo.derive_stream(sc.seed, "mc", "mc", 0),
+            {sc.N: montecarlo.derive_stream(sc.seed, "mc", "mc", 1)}, 300)
+        for plan in plans:
+            got = [q for q, weights in fused if any(w is plan.sender_weights for w in weights)]
+            stat, senders = plan.statistic, plan.senders
+            want = [dd.quantize_array(stat.from_noise(sg, rest, h1)[senders],
+                                      plan.spec.bits_int[senders][:, None], sc.U, stat.lo)
+                    for h1 in (False, True)]   # one chunk, two hypotheses
+            assert len(got) == 2
+            assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+class TestWorkingSet:
+    """The pass holds a small, fixed working set, whatever the trial count."""
+
+    # the roc_sweep and budget_sweep benchmark workloads at seed 1: config fields, trials,
+    # schemes, budgets, pfa grid, window lengths, and whether clips are counted
+    SHAPES = {
+        "roc_sweep": ({"M": 10, "N": 10, "Pt": 10.0}, 20000,
+                      [Scheme.ED_opt_weights_opt_power, Scheme.MFD_opt_power], [10.0],
+                      [0.01, 0.02, 0.05, 0.1, 0.2, 0.3, 0.5, 0.7, 0.9], [10, 50], False),
+        "budget_sweep": ({"M": 100, "N": 5, "Pt": 1.0, "xa_db": -4.0, "radius": 0.3}, 8000,
+                         list(Scheme), [1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0], [0.1], [5],
+                         True),
+    }
+
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    def test_pass_peak_memory(self, tmp_path, shape):
+        # chunks of 512 KiB arrays, each allocated anew, took the peak past 3.6 MB at both
+        fields, trials, schemes, grid, pfas, n_grid, clip = self.SHAPES[shape]
+        cfg = cli.load_config(write_config(tmp_path, seed=1, U=3.0, Pfa=0.1, **fields))
+        windows = [cli.scenario_from_config(cfg, n=n) for n in n_grid]
+        plans = [plan_scheme(sc, s, pt=pt) for sc in windows for pt in grid for s in schemes]
+        thresholds = [np.array([p.threshold(v) for v in pfas]) for p in plans]
+        tracemalloc.start()
+        try:
+            counts = montecarlo.simulate_plans(windows[0], plans, thresholds, trials,
+                                               {} if clip else None)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sum(c.sum() for c in counts) > 0
+        assert peak < 2e6, peak
 
 
 class TestExceedanceCounts:
@@ -465,27 +556,26 @@ class TestExceedanceCounts:
 
     @staticmethod
     def _recording(monkeypatch, values=None):
-        """Patch montecarlo.fuse to record the per-trial values it returns, per weights object.
+        """Patch montecarlo.fuse_plans to record its per-trial values, per weights object.
 
-        values(size), if given, replaces those values. plan_scheme's fuse of
-        one value per sensor passes through unrecorded.
+        values(shape), if given, replaces those values: one row per weights object.
         """
         fused_by_plan = {}
 
         def recording(q, weights):
-            if np.ndim(q) == 1:
-                return fuse(q, weights)
-            fused = fuse(q, weights) if values is None else values(q.shape[1])
-            fused_by_plan.setdefault(id(weights), []).append(fused)
+            fused = fuse_plans(q, weights) if values is None else values((len(weights),
+                                                                          q.shape[1]))
+            for w, row in zip(weights, fused):
+                fused_by_plan.setdefault(id(w), []).append(row)
             return fused
 
-        monkeypatch.setattr(montecarlo, "fuse", recording)
+        monkeypatch.setattr(montecarlo, "fuse_plans", recording)
         return fused_by_plan
 
     @staticmethod
     def _strict_count(calls, thresholds):
-        """Per hypothesis and threshold, the values above it, one by one; a plan's fuse
-        calls alternate H0 and H1, chunk after chunk."""
+        """Per hypothesis and threshold, the values above it, one by one; a plan's rows
+        of the fuse_plans calls alternate H0 and H1, chunk after chunk."""
         return [[sum(v > t for f in calls[h::2] for v in f.tolist()) for t in thresholds]
                 for h in (0, 1)]
 
