@@ -103,8 +103,7 @@ class Statistic:
     lo          lower edge of the quantizer window [lo, lo + 2U]
     from_noise  from_noise(sigma g, sigma^2 R, h1) is the statistic under H1
                 (h1 true) or H0, in closed form from the two variates that
-                montecarlo._noise draws for every sensor and trial: a new
-                array, which the caller may overwrite
+                montecarlo._noise draws for every sensor and trial
     """
 
     mean_h0: float | np.ndarray

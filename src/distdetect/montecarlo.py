@@ -316,10 +316,10 @@ def simulate_plans(
     N sees exactly the noise a pass at that N alone would draw, and each
     plan's statistic follows in closed form (Statistic.from_noise), under
     H0 and H1 from the same (g, R). Each (N, statistic, sensor, bit load)
-    used by some plan is quantized once per hypothesis, in place; the
-    plans sending the same rows are fused together (fusion.fuse_plans),
-    and all plans of one statistic are thresholded in one comparison. A
-    gather that would take every row in order is skipped. Counts are
+    used by some plan is quantized once per hypothesis; the plans
+    sending the same rows are fused together (fusion.fuse_plans),
+    and all plans of one statistic are thresholded in one comparison,
+    whose boolean temporary holds plans x levels x trials. Counts are
     integers summed in a fixed order, so a given seed is fully
     deterministic, whatever the chunk size or the other window lengths.
 
@@ -362,9 +362,8 @@ def simulate_plans(
         groups[key][1].append(j)
     if not windows:
         return counts   # nothing to draw: nobody transmits
-    # per N and statistic: its record, the sensors to gather (None when the rows are
-    # every sensor in order), a (rows, 1) array of bit loads, one (rows, weights) pair
-    # per group (rows None when all, in order), and its plans' thresholds as
+    # per N and statistic: its record, the sensor of each row, a (rows, 1) array of bit
+    # loads, one (rows, weights) pair per group, and its plans' thresholds as
     # (plans, levels, 1), padded with inf, and exceedances as (2, plans, levels), the
     # plans in group order; counts[j] is plan j's part of them
     tables, widest = {}, m
@@ -373,7 +372,6 @@ def simulate_plans(
         for kind, (stat, rows_of, groups) in by_kind.items():
             cells = np.array(list(rows_of))
             widest = max(widest, len(cells))
-            sensors = None if np.array_equal(cells[:, 0], np.arange(m)) else cells[:, 0]
             members = [j for _, group in groups.values() for j in group]
             levels = np.full((len(members), max(len(thresholds[j]) for j in members), 1),
                              np.inf)
@@ -382,10 +380,9 @@ def simulate_plans(
                 k = len(thresholds[j])
                 levels[p, :k, 0] = thresholds[j]
                 counts[j] = exceed[:, p, :k]
-            fusing = [(None if np.array_equal(rows, np.arange(len(cells))) else rows,
-                       [plans[j].sender_weights for j in group])
+            fusing = [(rows, [plans[j].sender_weights for j in group])
                       for rows, group in groups.values()]
-            tables[n][kind] = (stat, sensors, cells[:, 1:], fusing, levels, exceed)
+            tables[n][kind] = (stat, cells[:, 0], cells[:, 1:], fusing, levels, exceed)
 
     chunk_cap = max(256, CHUNK_SAMPLES // widest)
     # the keys fix every draw: changing them changes every results CSV. Each window
@@ -400,18 +397,16 @@ def simulate_plans(
             # one statistic and its quantized rows held at a time
             for hyp_idx, (kind, (stat, sensors, bits, groups, levels, exceed)) in \
                     itertools.product((0, 1), tables[n].items()):
-                st = stat.from_noise(sg, rest, hyp_idx == 1)   # (sensors, trials), new
+                st = stat.from_noise(sg, rest, hyp_idx == 1)   # (sensors, trials)
                 lo = stat.lo
                 if clip_counts is not None:
                     tally = clip_counts.setdefault((n, kind), np.zeros((4, m), dtype=np.int64))
                     tally[2 * hyp_idx] += (st < lo).sum(axis=1)
                     tally[2 * hyp_idx + 1] += (st > lo + 2.0 * u).sum(axis=1)
-                if sensors is not None:
-                    st = st[sensors]   # the rows some plan sends, a copy
-                quantized = quantize_array(st, bits, u, lo, out=st)
-                fused = np.concatenate([
-                    fuse_plans(quantized if rows is None else quantized[rows], weights)
-                    for rows, weights in groups])
+                st = st[sensors]   # the rows some plan sends
+                quantized = quantize_array(st, bits, u, lo)
+                fused = np.concatenate([fuse_plans(quantized[rows], weights)
+                                        for rows, weights in groups])
                 exceed[hyp_idx] += np.add.reduce(fused[:, None] > levels, axis=2)
     return counts
 
@@ -428,24 +423,21 @@ def _noise(scenario: Scenario, rng_g: np.random.Generator, rng_r: dict, trials: 
     length N to its R stream, from which a (trials, M) batch of R is
     drawn when that N's turn comes, so consecutive batches continue every
     stream whatever their size. Yields (N, sigma g, sigma^2 R) per N,
-    the two as C-ordered (M, trials) arrays, which Statistic.from_noise turns into
+    the two as (M, trials) arrays, which Statistic.from_noise turns into
     either statistic; R is 0, and nothing is drawn from N's stream, when
     N = 1.
     """
     m = scenario.M
-    # each batch is scaled as it is copied out of its transpose, into the (M, trials)
-    # row order every later step runs along
-    sg = np.multiply(rng_g.normal(0.0, 1.0, size=(trials, m)).T,
-                     np.sqrt(scenario.sigma2)[:, None], out=np.empty((m, trials)))
+    sg = rng_g.normal(0.0, 1.0, size=(trials, m)).T * np.sqrt(scenario.sigma2)[:, None]
     for n, rng in rng_r.items():
         if n == 1:
             yield n, sg, 0.0
             continue
         # chisquare(k) is 2 * standard_gamma(k / 2), draw for draw; scaling by 2 is exact,
         # so folding it into sigma^2 leaves every bit of sigma^2 R as chisquare's would be
-        rest = np.multiply(rng.standard_gamma((n - 1) / 2.0, size=(trials, m)).T,
-                           2.0 * scenario.sigma2[:, None], out=np.empty((m, trials)))
-        yield n, sg, rest
+        rest = rng.standard_gamma((n - 1) / 2.0, size=(trials, m))
+        rest *= 2.0 * scenario.sigma2
+        yield n, sg, rest.T
 
 
 def run_trials(scenario: Scenario, scheme: Scheme, trials: int, pt: float | None = None,

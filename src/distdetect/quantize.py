@@ -79,8 +79,7 @@ def specs_for_allocation(powers, h, zeta, u: float) -> QuantSpec:
                      noise_var=quant_noise_var(p, h, zeta, u), censored=(p == 0.0))
 
 
-def quantize_array(t: np.ndarray, bits_int, u: float, lo: float = 0.0,
-                   out: np.ndarray | None = None) -> np.ndarray:
+def quantize_array(t: np.ndarray, bits_int, u: float, lo: float = 0.0) -> np.ndarray:
     """Midrise uniform quantizer over [lo, lo + 2U] with clipping.
 
     2^bits_int cells of width 2U / 2^bits_int; values are clipped into
@@ -89,10 +88,8 @@ def quantize_array(t: np.ndarray, bits_int, u: float, lo: float = 0.0,
     Vectorized over t; bits_int is one count or an integer array
     broadcasting against t, such as one count per row of a
     (sensors, trials) array. Zero bits, what a censored sensor has, are
-    refused: nothing is sent, so there is no value to reconstruct. The
-    steps after the clip work on one output array: out, a float array of
-    the broadcast shape, if given (t itself quantizes in place), else a
-    new one. t is left as it is unless it is out.
+    refused: nothing is sent, so there is no value to reconstruct. t is
+    left as it is; the steps after the clip work on one output array.
     """
     bits_int = np.asarray(bits_int)
     if np.any(bits_int < 1):
@@ -102,9 +99,7 @@ def quantize_array(t: np.ndarray, bits_int, u: float, lo: float = 0.0,
     cells = np.ldexp(1.0, bits_int)
     delta = 2.0 * u / cells
     t = np.asarray(t, dtype=float)
-    if out is None:
-        out = np.empty(np.broadcast_shapes(t.shape, cells.shape))
-    out = np.clip(t, lo, lo + 2.0 * u, out=out)
+    out = np.clip(t, lo, lo + 2.0 * u, out=np.empty(np.broadcast_shapes(t.shape, cells.shape)))
     if lo:   # the energy's window starts at 0, where the shift changes no value
         out -= lo
     out /= delta

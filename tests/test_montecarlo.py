@@ -448,9 +448,9 @@ class TestChunking:
         rows = []
 
         def counted(real):
-            def wrapper(t, *args, **kwargs):
+            def wrapper(t, *args):
                 rows.append(len(t))
-                return real(t, *args, **kwargs)
+                return real(t, *args)
             return wrapper
 
         monkeypatch.setattr(montecarlo, "quantize_array", counted(montecarlo.quantize_array))
@@ -528,11 +528,17 @@ class TestWorkingSet:
         "budget_sweep": ({"M": 100, "N": 5, "Pt": 1.0, "xa_db": -4.0, "radius": 0.3}, 8000,
                          list(Scheme), [1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0], [0.1], [5],
                          True),
+        # roc_sweep with all four energy schemes: the threshold comparison's boolean
+        # temporary holds plans x levels x trials
+        "roc_sweep_four_energy_schemes": (
+            {"M": 10, "N": 10, "Pt": 10.0}, 20000,
+            [s for s in Scheme if s.statistic == dd.Statistic.energy], [10.0],
+            [0.01, 0.02, 0.05, 0.1, 0.2, 0.3, 0.5, 0.7, 0.9], [10, 50], False),
     }
 
     @pytest.mark.parametrize("shape", sorted(SHAPES))
     def test_pass_peak_memory(self, tmp_path, shape):
-        # chunks of 512 KiB arrays, each allocated anew, took the peak past 3.6 MB at both
+        # chunks of 512 KiB arrays, each allocated anew, took the peak past 3.6 MB at each
         fields, trials, schemes, grid, pfas, n_grid, clip = self.SHAPES[shape]
         cfg = cli.load_config(write_config(tmp_path, seed=1, U=3.0, Pfa=0.1, **fields))
         windows = [cli.scenario_from_config(cfg, n=n) for n in n_grid]
